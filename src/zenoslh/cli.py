@@ -84,6 +84,11 @@ def _tolerances(args) -> dict:
     }
 
 
+def _tol_kwargs(tols: dict) -> dict:
+    """The tolerances as zeno_eliminate's keyword arguments."""
+    return {f"{name}_tol": value for name, value in tols.items()}
+
+
 def _add_tol_flags(p):
     p.add_argument("--scaling-tol", type=float, default=None)
     p.add_argument("--kernel-tol", type=float, default=None)
@@ -164,14 +169,7 @@ def _cmd_check(args) -> int:
     }
     code = EXIT_OK
     try:
-        split = doc.split()
-        result = zeno_eliminate(
-            doc.family,
-            split,
-            scaling_tol=tols["scaling"],
-            kernel_tol=tols["kernel"],
-            decoupling_tol=tols["decoupling"],
-        )
+        result = _eliminate(doc, tols)
         report["zenofiable"] = True
         report["failed_condition"] = None
         report["residuals"] = {k: float(v) for k, v in result.residuals.items()}
@@ -196,13 +194,7 @@ def _cmd_check(args) -> int:
 
 
 def _eliminate(doc, tols):
-    return zeno_eliminate(
-        doc.family,
-        doc.split(),
-        scaling_tol=tols["scaling"],
-        kernel_tol=tols["kernel"],
-        decoupling_tol=tols["decoupling"],
-    )
+    return zeno_eliminate(doc.family, doc.split(), **_tol_kwargs(tols))
 
 
 def _cmd_eliminate(args) -> int:
@@ -266,7 +258,9 @@ def _cmd_converge(args) -> int:
         raise ModelParseError("--ks needs at least one value")
     split = doc.split()
     rho0 = _initial_state(split.zeno_space, args.initial)
-    points = convergence_harness(doc.family, split, rho0, ks, args.t_end, args.dt)
+    points = convergence_harness(
+        doc.family, split, rho0, ks, args.t_end, args.dt, **_tol_kwargs(tols)
+    )
     write_convergence_csv(args.out, points)
     RunManifest.create("converge", model_digest(doc), tols).write(_manifest_path(args.out))
     return EXIT_OK

@@ -12,6 +12,11 @@ stepping, so order-of-accuracy tests and diagnostics are reproducible.
 States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
+An :class:`EvolutionResult` holds the saved states as one read-only
+array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
+:class:`DensityMatrix` views of it, built and validated on each access
+(trace to ``TRACE_ABORT_TOL``, no eigenvalue check).
+
 The convergence harness compares the full model at increasing coupling
 strength k against the limit model on the Zeno subspace: the full state
 is compressed with the Zeno isometry, renormalized by its trace, and the
@@ -26,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import ScaledSLHFamily, instantiate, zeno_eliminate
+from .elimination import (
+    DECOUPLING_TOL,
+    KERNEL_TOL_SIGMA,
+    SCALING_TOL,
+    ScaledSLHFamily,
+    instantiate,
+    zeno_eliminate,
+)
 from .operators import HilbertSpace, Operator, ZenoSplit
-from .slh import SLHTriple
+from .slh import SLHTriple, lindbladian
 
 __all__ = [
     "DensityMatrix",
@@ -169,21 +181,38 @@ def liouvillian_matrix(g: SLHTriple) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EvolutionResult:
-    """Time grid, states, and per-saved-step integration diagnostics."""
+class _StateViews:
+    """``states`` and ``final`` as DensityMatrix views of the ``rho`` array.
 
-    times: np.ndarray
-    states: list
-    trace_drift: np.ndarray
-    hermiticity_drift: np.ndarray
+    Views are built and validated on each access, with the trace
+    tolerance ``trace_tol`` and no eigenvalue check.
+    """
 
-    def expectations(self, x: Operator) -> np.ndarray:
-        return np.array([s.expectation(x) for s in self.states])
+    @property
+    def states(self) -> list:
+        return [self._view(m) for m in self.rho]
 
     @property
     def final(self) -> DensityMatrix:
-        return self.states[-1]
+        return self._view(self.rho[-1])
+
+    def _view(self, m) -> DensityMatrix:
+        return DensityMatrix(self.space, m, trace_tol=self.trace_tol, min_eig_tol=None)
+
+
+@dataclass(frozen=True)
+class EvolutionResult(_StateViews):
+    """Time grid, read-only (T, d, d) states, per-saved-step diagnostics."""
+
+    times: np.ndarray
+    space: HilbertSpace
+    rho: np.ndarray
+    trace_drift: np.ndarray
+    hermiticity_drift: np.ndarray
+    trace_tol: float = TRACE_ABORT_TOL
+
+    def expectations(self, x: Operator) -> np.ndarray:
+        return np.trace(self.rho @ x.mat, axis1=1, axis2=2)
 
 
 def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
@@ -210,9 +239,10 @@ def evolve(
 
     The number of steps is round(t_end / dt) and the step is adjusted to
     hit t_end exactly.  States are re-Hermitized each step; trace drift
-    beyond ``TRACE_ABORT_TOL`` raises :class:`StepSizeError`.  Saved
-    states are validated with the trace tolerance relaxed to the abort
-    threshold, since the drift is a recorded diagnostic.
+    beyond ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`.
+    Saved states go into ``rho``; the ``states`` views are validated with
+    the trace tolerance relaxed to the abort threshold, since the drift is
+    a recorded diagnostic.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -228,12 +258,12 @@ def evolve(
 
     d = g.dim
     phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
-    m = np.array(rho0.mat)
-
-    times = [0.0]
-    states = [rho0]
-    tdrift = [abs(np.trace(m).real - 1.0)]
-    hdrift = [0.0]
+    n_saved = 1 + -(-n_steps // save_every)
+    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
+    rho = np.empty((n_saved, d, d), dtype=complex)
+    m = rho[0] = rho0.mat
+    tdrift[0] = abs(np.trace(m).real - 1.0)
+    j = 0
 
     for step in range(1, n_steps + 1):
         v = phi @ m.reshape(-1, order="F")
@@ -241,25 +271,17 @@ def evolve(
         h_defect = float(np.max(np.abs(m - m.conj().T)))
         m = 0.5 * (m + m.conj().T)
         drift = abs(float(np.trace(m).real) - 1.0)
-        if drift > TRACE_ABORT_TOL:
+        if not drift <= TRACE_ABORT_TOL:
             raise StepSizeError(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
                 f"{TRACE_ABORT_TOL:.1e}; reduce dt"
             )
         if step % save_every == 0 or step == n_steps:
-            times.append(step * dt_eff)
-            states.append(
-                DensityMatrix(g.space, m, trace_tol=TRACE_ABORT_TOL, min_eig_tol=None)
-            )
-            tdrift.append(drift)
-            hdrift.append(h_defect)
+            j += 1
+            times[j], rho[j], tdrift[j], hdrift[j] = step * dt_eff, m, drift, h_defect
 
-    return EvolutionResult(
-        times=np.array(times),
-        states=states,
-        trace_drift=np.array(tdrift),
-        hermiticity_drift=np.array(hdrift),
-    )
+    rho.setflags(write=False)
+    return EvolutionResult(times, g.space, rho, tdrift, hdrift)
 
 
 def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResult:
@@ -271,37 +293,23 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     segment.
     """
     times = [np.array([0.0])]
-    states = None
-    tdrift = [np.array([0.0])]
+    rho = [rho0.mat[None]]
+    tdrift = [np.array([abs(np.trace(rho0.mat).real - 1.0)])]
     hdrift = [np.array([0.0])]
-    rho = rho0
+    state = rho0
     t0 = 0.0
     for g, duration in segments:
-        res = evolve(g, rho, duration, dt)
-        if states is None:
-            states = list(res.states)
-            times = [res.times]
-            tdrift = [res.trace_drift]
-            hdrift = [res.hermiticity_drift]
-        else:
-            states.extend(res.states[1:])
-            times.append(res.times[1:] + t0)
-            tdrift.append(res.trace_drift[1:])
-            hdrift.append(res.hermiticity_drift[1:])
-        rho = res.final
+        res = evolve(g, state, duration, dt)
+        times.append(res.times[1:] + t0)
+        rho.append(res.rho[1:])
+        tdrift.append(res.trace_drift[1:])
+        hdrift.append(res.hermiticity_drift[1:])
+        state = res.final
         t0 += duration
-    if states is None:
-        return EvolutionResult(
-            times=np.array([0.0]),
-            states=[rho0],
-            trace_drift=np.array([0.0]),
-            hermiticity_drift=np.array([0.0]),
-        )
+    rho = np.concatenate(rho)
+    rho.setflags(write=False)
     return EvolutionResult(
-        times=np.concatenate(times),
-        states=states,
-        trace_drift=np.concatenate(tdrift),
-        hermiticity_drift=np.concatenate(hdrift),
+        np.concatenate(times), rho0.space, rho, np.concatenate(tdrift), np.concatenate(hdrift)
     )
 
 
@@ -310,8 +318,6 @@ def ehrenfest_residual(
 ) -> float:
     """Max deviation between d/dt tr(rho X) (central differences) and
     tr(rho LX) along the trajectory."""
-    from .slh import lindbladian
-
     res = evolve(g, rho0, t_end, dt)
     lx = lindbladian(g, x)
     f = res.expectations(x)
@@ -345,6 +351,10 @@ def convergence_harness(
     ks,
     t_end: float,
     dt: float,
+    *,
+    scaling_tol: float = SCALING_TOL,
+    kernel_tol: float = KERNEL_TOL_SIGMA,
+    decoupling_tol: float = DECOUPLING_TOL,
 ) -> list[ConvergencePoint]:
     """Distance between the compressed full-model state and the limit state.
 
@@ -352,14 +362,15 @@ def convergence_harness(
     (fast rates grow as k^2), the final state is compressed to the Zeno
     subspace, renormalized by its trace, and compared in trace distance
     to the limit-model state at t_end.  The k values are independent pure
-    computations and may be evaluated concurrently by callers.
+    computations and may be evaluated concurrently by callers.  The
+    tolerances are those of :func:`zeno_eliminate`.
     """
     if rho0_z.space != split.zeno_space:
         raise ValueError("initial state must live on the Zeno subspace")
-    limit = zeno_eliminate(family, split)
-    zeno_final = evolve(
-        limit.zeno_triple, rho0_z, t_end, dt, save_every=10**9
-    ).final
+    limit = zeno_eliminate(
+        family, split, scaling_tol=scaling_tol, kernel_tol=kernel_tol, decoupling_tol=decoupling_tol
+    )
+    zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=10**9).rho[-1]
 
     vz = split.v_z.cols
     points = []
@@ -370,8 +381,8 @@ def convergence_harness(
             family.space, vz @ rho0_z.mat @ vz.conj().T, min_eig_tol=None
         )
         dt_k = dt / max(1.0, k * k)
-        final = evolve(g_full, rho0_full, t_end, dt_k, save_every=10**9).final
-        comp = vz.conj().T @ final.mat @ vz
+        final = evolve(g_full, rho0_full, t_end, dt_k, save_every=10**9).rho[-1]
+        comp = vz.conj().T @ final @ vz
         tr = float(np.trace(comp).real)
         leaked = 1.0 - tr
         comp = comp / tr

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import ScaledSLHFamily, find_zeno_subspace
-from .operators import HilbertSpace, Operator, ZenoSplit
+from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator, pauli
 
 __all__ = [
     "ModelParseError",
@@ -329,11 +329,7 @@ class _Evaluator:
             f = self.factor_arg(args, 0, fname, pos)
             if self.kinds[f] != "fock":
                 self.fail(pos, f"annihilator expects a fock factor, {f!r} is {self.kinds[f]!r}")
-            d = self.dims[f]
-            m = np.zeros((d, d), dtype=complex)
-            for n in range(1, d):
-                m[n - 1, n] = np.sqrt(n)
-            return _Tagged(m, (f,))
+            return _Tagged(fock_annihilator(self.dims[f]).mat, (f,))
         if fname == "pauli":
             arity(2)
             f = self.factor_arg(args, 0, fname, pos)
@@ -341,9 +337,7 @@ class _Evaluator:
                 self.fail(pos, f"pauli needs a dimension-2 factor, {f!r} has dim {self.dims[f]}")
             if args[1][0] != "name" or args[1][1] not in ("x", "y", "z"):
                 self.fail(pos, "pauli axis must be x, y or z")
-            from .operators import pauli as _pauli
-
-            return _Tagged(_pauli(args[1][1]).mat, (f,))
+            return _Tagged(pauli(args[1][1]).mat, (f,))
         if fname == "ketbra":
             arity(3)
             f = self.factor_arg(args, 0, fname, pos)

@@ -126,29 +126,21 @@ def _write_csv(path, header, rows):
 
 
 def _state_columns(dim: int):
-    cols = []
-    for i in range(dim):
-        for j in range(dim):
-            cols.append(f"rho_{i}_{j}_re")
-            cols.append(f"rho_{i}_{j}_im")
-    return cols
+    return [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim) for part in ("re", "im")]
 
 
-def _state_values(mat):
-    out = []
-    for x in np.asarray(mat).reshape(-1):
-        out.append(x.real)
-        out.append(x.imag)
-    return out
+def _state_rows(rho) -> np.ndarray:
+    """Per state, Re and Im of each entry interleaved in row-major order."""
+    return np.ascontiguousarray(rho).reshape(len(rho), -1).view(float)
 
 
 def write_evolution_csv(path, result: EvolutionResult):
-    dim = result.states[0].dim
+    dim = result.rho.shape[1]
     header = ["time", *_state_columns(dim), "trace_drift", "hermiticity_drift"]
     rows = (
-        [t, *_state_values(s.mat), td, hd]
-        for t, s, td, hd in zip(
-            result.times, result.states, result.trace_drift, result.hermiticity_drift
+        [t, *vals.tolist(), td, hd]
+        for t, vals, td, hd in zip(
+            result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift
         )
     )
     _write_csv(path, header, rows)
@@ -156,7 +148,7 @@ def write_evolution_csv(path, result: EvolutionResult):
 
 def write_trajectory_csv(path, result: TrajectoryResult):
     """One row per step: time, record increment / jump flag, innovation, state."""
-    dim = result.states[0].dim
+    dim = result.rho.shape[1]
     kind = result.record.kind
     rec_col = "dY" if kind == "homodyne" else "jump"
     header = ["time", rec_col, "innovation", *_state_columns(dim)]
@@ -166,9 +158,9 @@ def write_trajectory_csv(path, result: TrajectoryResult):
         jumps = set(np.asarray(result.record.jump_times).tolist())
         rec = [1.0 if t in jumps else 0.0 for t in result.times[1:]]
     rows = (
-        [t, r, inn, *_state_values(s.mat)]
-        for t, r, inn, s in zip(
-            result.times[1:], rec, result.innovations, result.states[1:]
+        [t, r, inn, *vals.tolist()]
+        for t, r, inn, vals in zip(
+            result.times[1:], rec, result.innovations, _state_rows(result.rho[1:])
         )
     )
     _write_csv(path, header, rows)

@@ -20,6 +20,11 @@ record increment minus its filter-predicted mean (dW for homodyne,
 jump - rate dt for counting); it is a martingale increment under the
 filter's own law.
 
+A :class:`TrajectoryResult` holds the conditioned states, initial state
+first, as one read-only array ``rho`` of shape (n + 1, d, d).  ``states``
+and ``final`` are DensityMatrix views of it, built and validated on each
+access (trace to 1e-8, no eigenvalue check).
+
 Randomness comes from a seedable 64-bit generator
 (``numpy.random.default_rng``); within an ensemble, trajectory i uses
 seed base_seed + i.  Identical (model, state, config) inputs produce
@@ -35,10 +40,12 @@ limitation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .master import DensityMatrix, EvolutionResult, StepSizeError, _dissipator_mat
+from .master import DensityMatrix, EvolutionResult, StepSizeError, _dissipator_mat, _StateViews
+from .operators import HilbertSpace
 from .slh import SLHTriple
 
 __all__ = [
@@ -101,15 +108,16 @@ class MeasurementRecord:
 
 
 @dataclass(frozen=True)
-class TrajectoryResult:
+class TrajectoryResult(_StateViews):
+    """Time grid, read-only (T, d, d) conditioned states, record, innovations."""
+
     times: np.ndarray
-    states: list
+    space: HilbertSpace
+    rho: np.ndarray
     record: MeasurementRecord
     innovations: np.ndarray
 
-    @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
+    trace_tol: ClassVar[float] = 1e-8
 
 
 class _Precomp:
@@ -191,18 +199,16 @@ def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> Trajectory
     rng = np.random.default_rng(config.seed)
 
     times = np.linspace(0.0, config.t_end, n + 1)
-    states = [rho0]
-    m = np.array(rho0.mat)
+    rho = np.empty((n + 1, g.dim, g.dim), dtype=complex)
+    m = rho[0] = rho0.mat
     innovations = np.empty(n)
 
     if config.scheme == "homodyne":
         dws = rng.normal(0.0, np.sqrt(dt), size=n)
         increments = np.empty(n)
         for i in range(n):
-            m, dy, di = _homodyne_step_mat(pre, m, dt, dws[i])
-            increments[i] = dy
-            innovations[i] = di
-            states.append(DensityMatrix(g.space, m, trace_tol=1e-8, min_eig_tol=None))
+            m, increments[i], innovations[i] = _homodyne_step_mat(pre, m, dt, dws[i])
+            rho[i + 1] = m
         record = MeasurementRecord(kind="homodyne", times=times, increments=increments)
     else:
         us = rng.random(size=n)
@@ -212,11 +218,12 @@ def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> Trajectory
             if jumped:
                 jump_times.append(times[i + 1])
             innovations[i] = (1.0 if jumped else 0.0) - rate * dt
-            states.append(DensityMatrix(g.space, m, trace_tol=1e-8, min_eig_tol=None))
+            rho[i + 1] = m
         record = MeasurementRecord(
             kind="counting", times=times, jump_times=np.array(jump_times)
         )
-    return TrajectoryResult(times=times, states=states, record=record, innovations=innovations)
+    rho.setflags(write=False)
+    return TrajectoryResult(times, g.space, rho, record, innovations)
 
 
 def simulate_ensemble(
@@ -238,17 +245,16 @@ def ensemble_mean(results) -> EvolutionResult:
     for r in results[1:]:
         if len(r.times) != len(times) or not np.allclose(r.times, times):
             raise ValueError("trajectories are on different time grids")
-    space = results[0].states[0].space
-    n_t = len(times)
-    states = []
-    tdrift = np.empty(n_t)
-    for i in range(n_t):
-        m = np.mean([r.states[i].mat for r in results], axis=0)
-        tdrift[i] = abs(float(np.trace(m).real) - 1.0)
-        states.append(DensityMatrix(space, m, trace_tol=1e-8, min_eig_tol=None))
+    total = np.array(results[0].rho)
+    for r in results[1:]:
+        total += r.rho
+    rho = total / len(results)
+    rho.setflags(write=False)
     return EvolutionResult(
-        times=np.array(times),
-        states=states,
-        trace_drift=tdrift,
-        hermiticity_drift=np.zeros(n_t),
+        np.array(times),
+        results[0].space,
+        rho,
+        np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
+        np.zeros(len(times)),
+        trace_tol=TrajectoryResult.trace_tol,
     )

@@ -189,3 +189,15 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     assert main(["check", KERR]) == 2
     monkeypatch.delenv("ZENOSLH_TOL")
     assert main(["check", KERR]) == 0
+
+
+def test_converge_honours_tolerance_override(tmp_path, monkeypatch, capsys):
+    # converge eliminates the model too, so an override that makes
+    # eliminate fail must make converge fail the same way
+    argv = ["converge", KERR, "--ks", "2", "--initial", "basis:1", "--out", str(tmp_path / "c.csv")]
+    monkeypatch.setenv("ZENOSLH_TOL", "10")
+    assert main(["eliminate", KERR]) == 2
+    assert main(argv) == 2
+    assert "KernelViolation" in capsys.readouterr().err
+    monkeypatch.delenv("ZENOSLH_TOL")
+    assert main(argv + ["--kernel-tol", "10"]) == 2

@@ -19,6 +19,7 @@ from zenoslh import (
     lindbladian,
     liouvillian_matrix,
     maximally_mixed,
+    pauli,
     trace_distance,
     zeno_eliminate,
     zero,
@@ -147,6 +148,13 @@ def test_evolve_aborts_on_trace_blowup():
     g = qubit_decay(80.0)
     with pytest.raises(StepSizeError):
         evolve(g, basis_state_density(QUBIT, 1), 10.0, 0.5)
+
+
+def test_evolve_aborts_on_nan_trace_drift():
+    # the step map overflows to NaN, and a NaN drift must abort, not pass
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), 1e300 * pauli("z"))
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError):
+        evolve(g, basis_state_density(QUBIT, 1), 0.01, 1e-3)
 
 
 def test_evolve_piecewise_matches_chained_runs():

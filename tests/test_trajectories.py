@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,28 @@ def test_simulate_seed_reproducibility():
     c1 = simulate(g, rho0, cfg_c)
     c2 = simulate(g, rho0, cfg_c)
     assert np.array_equal(c1.record.jump_times, c2.record.jump_times)
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_ensemble_member_is_single_run_with_offset_seed(scheme):
+    g = measured_only(zeno_kerr())
+    rho0 = basis_state_density(QUBIT, 1)
+    cfg = SimConfig(dt=1e-3, t_end=1.0, seed=5, scheme=scheme)
+    n = 16
+    ens = simulate_ensemble(g, rho0, cfg, n)
+    for i in (0, n // 2, n - 1):
+        lone = simulate(g, rho0, replace(cfg, seed=cfg.seed + i))
+        if scheme == "counting":
+            assert len(lone.record.jump_times) > 0  # without a jump every seed gives one path
+        assert np.array_equal(ens[i].rho, lone.rho)
+        assert np.array_equal(ens[i].times, lone.times)
+        assert np.array_equal(ens[i].innovations, lone.innovations)
+        if scheme == "homodyne":
+            assert np.array_equal(ens[i].record.increments, lone.record.increments)
+        else:
+            assert np.array_equal(ens[i].record.jump_times, lone.record.jump_times)
+    # the members are distinct runs, not one seed repeated
+    assert len({r.innovations.tobytes() for r in ens}) > 1
 
 
 def test_simulate_innovation_statistics():
