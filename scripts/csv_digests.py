@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Run the README command-line examples and print a SHA-256 digest per CSV.
+"""Run the README command-line examples and print a SHA-256 digest per output.
 
 Each example runs in-process through ``zenoslh.cli.main`` inside a fresh
 temporary directory, with shorter horizons and fewer trajectories than
-the README where the full run would take minutes.  One line per CSV,
+the README where the full run would take minutes.  Besides the CSVs of
+evolve, traj, converge and linstab, ``eliminate <model> --out <name>.json``
+runs on each shipped model.  One line per CSV or limit-triple JSON,
 ``<sha256>  <path relative to the output directory>``, sorted by path.
 Manifests carry a timestamp and are not digested.
 
-Two trees produce byte-identical CSVs exactly when this script prints the
-same lines for both, e.g.
+Two trees produce byte-identical outputs exactly when this script prints
+the same lines for both, e.g.
 
     PYTHONPATH=src python scripts/csv_digests.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/csv_digests.py > before.txt
@@ -49,6 +51,9 @@ def examples(models: Path):
         ["converge", kerr, "--ks", "2,5,10,20", "--t-end", "0.2", "--initial", "basis:1",
          "--out", "conv.csv"],
         ["linstab", gamma, "--ks", "1,5,10,50", "--out", "stab.csv"],
+        ["eliminate", kerr, "--out", "kerr_qubit.json"],
+        ["eliminate", lam, "--out", "lambda_system.json"],
+        ["eliminate", alkali, "--out", "alkali.json"],
     ]
 
 
@@ -65,7 +70,8 @@ def main():
                 code = cli(argv)
             if code != 0:
                 sys.exit(f"zenoslh {' '.join(argv)} exited {code}")
-        for path in sorted(out.rglob("*.csv")):
+        outputs = [*out.rglob("*.csv"), *out.glob("*.json")]
+        for path in sorted(p for p in outputs if not p.name.endswith("manifest.json")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
 

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .elimination import (
@@ -239,10 +240,12 @@ def _cmd_traj(args) -> int:
         seed=args.seed,
         scheme=args.scheme,
     )
-    results = simulate_ensemble(g, rho0, config, args.n)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, r in enumerate(results):
+    # one trajectory in memory at a time: member i of the ensemble is the
+    # one-member ensemble seeded base + i
+    for i in range(args.n):
+        (r,) = simulate_ensemble(g, rho0, replace(config, seed=args.seed + i), 1)
         write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
     RunManifest.create(
         f"traj --scheme {args.scheme} --n {args.n}", model_digest(doc), tols, seed=args.seed

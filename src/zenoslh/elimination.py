@@ -32,11 +32,16 @@ When all three hold, the limit model on the Zeno subspace is
 
 A_ff^{-1} is always applied through a linear solve with a condition
 number guard, never by forming an explicit inverse.
+
+A family stores S as one read-only array ``s`` of shape (n, n, d, d) and
+L1, L0 as read-only arrays ``l1``, ``l0`` of shape (n, d, d); ``S``,
+``L1`` and ``L0`` are views, nested tuples of :class:`Operator` copied
+from the arrays on each access.  :class:`HatOperators` holds S-hat and
+L-hat the same way (``s``, ``l`` arrays; ``s_hat``, ``l_hat`` views).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +53,15 @@ from .operators import (
     block_split,
     kernel_basis,
 )
-from .slh import SLHTriple, hermiticity_defect, unitarity_defect, UNITARITY_FAIL_TOL, UNITARITY_WARN_TOL
+from .slh import (
+    SLHTriple,
+    _adjoint,
+    _cascade,
+    _channel_sum,
+    _im,
+    _operators,
+    _validated,
+)
 
 __all__ = [
     "ScaledSLHFamily",
@@ -103,43 +116,20 @@ class DecouplingViolation(ZenofiabilityError):
 
 
 class ScaledSLHFamily:
-    """Coefficients (S, L1, L0, H2, H1, H0) defining G(k) for all k > 0."""
+    """Coefficients (S, L1, L0, H2, H1, H0) defining G(k) for all k > 0.
 
-    __slots__ = ("S", "L1", "L0", "H2", "H1", "H0", "space")
+    S and the couplings are given and checked as for :class:`SLHTriple`,
+    and stored as the read-only arrays ``s``, ``l1`` and ``l0``.
+    """
+
+    __slots__ = ("s", "l1", "l0", "H2", "H1", "H0", "space")
 
     def __init__(self, s, l1, l0, h2: Operator, h1: Operator, h0: Operator):
         space = h0.space
-        l1 = tuple(l1)
-        l0 = tuple(l0)
-        if len(l1) != len(l0):
-            raise ValueError("L1 and L0 must have the same channel count")
-        for op in (*l1, *l0, h2, h1, h0):
-            if not isinstance(op, Operator) or op.space != space:
-                raise ValueError("all family coefficients must live on a common space")
-        n = len(l1)
-        s = tuple(tuple(row) for row in s)
-        if len(s) != n or any(len(row) != n for row in s):
-            raise ValueError(f"scattering matrix must be {n} x {n}")
-        for row in s:
-            for op in row:
-                if not isinstance(op, Operator) or op.space != space:
-                    raise ValueError("scattering entries must live on the common space")
-
-        u_defect = unitarity_defect(s)
-        if u_defect > UNITARITY_FAIL_TOL:
-            raise ValueError(f"scattering matrix is not blockwise unitary (defect {u_defect:.3e})")
-        if u_defect > UNITARITY_WARN_TOL:
-            warnings.warn(f"scattering matrix unitarity defect {u_defect:.3e}", stacklevel=2)
-        for name, h in (("H2", h2), ("H1", h1), ("H0", h0)):
-            defect = hermiticity_defect(h)
-            if defect > UNITARITY_FAIL_TOL:
-                raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
-            if defect > UNITARITY_WARN_TOL:
-                warnings.warn(f"{name} hermiticity defect {defect:.3e}", stacklevel=2)
-
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "L1", l1)
-        object.__setattr__(self, "L0", l0)
+        s, (l1, l0) = _validated(space, s, (l1, l0), {"H2": h2, "H1": h1, "H0": h0})
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l0", l0)
         object.__setattr__(self, "H2", h2)
         object.__setattr__(self, "H1", h1)
         object.__setattr__(self, "H0", h0)
@@ -149,8 +139,23 @@ class ScaledSLHFamily:
         raise AttributeError("ScaledSLHFamily is immutable")
 
     @property
+    def S(self) -> tuple:
+        """Scattering matrix as an n x n nested tuple of Operators."""
+        return _operators(self.space, self.s)
+
+    @property
+    def L1(self) -> tuple:
+        """k-linear couplings as a tuple of Operators."""
+        return _operators(self.space, self.l1)
+
+    @property
+    def L0(self) -> tuple:
+        """k-independent couplings as a tuple of Operators."""
+        return _operators(self.space, self.l0)
+
+    @property
     def n(self) -> int:
-        return len(self.L1)
+        return len(self.l1)
 
     @property
     def dim(self) -> int:
@@ -158,10 +163,11 @@ class ScaledSLHFamily:
 
     def map_operators(self, fn) -> "ScaledSLHFamily":
         """Apply a space-changing map (e.g. a tensor lift) to every coefficient."""
+        s, l1, l0 = (_operators(self.space, x) for x in (self.s, self.l1, self.l0))
         return ScaledSLHFamily(
-            tuple(tuple(fn(op) for op in row) for row in self.S),
-            tuple(fn(op) for op in self.L1),
-            tuple(fn(op) for op in self.L0),
+            tuple(tuple(fn(op) for op in row) for row in s),
+            tuple(fn(op) for op in l1),
+            tuple(fn(op) for op in l0),
             fn(self.H2),
             fn(self.H1),
             fn(self.H0),
@@ -180,19 +186,28 @@ class KExpansion:
     constant: Operator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HatOperators:
     """Limit operators prior to compression.
 
-    ``s_hat`` and ``l_hat`` are kept on the full space so the decoupling
-    blocks can be inspected; ``h_zeno`` already lives on the Zeno
-    subspace.
+    S-hat (``s``, read-only (n, n, d, d)) and L-hat (``l``, read-only
+    (n, d, d)) are kept on the full space so the decoupling blocks can be
+    inspected; ``s_hat`` and ``l_hat`` are their Operator views.
+    ``h_zeno`` already lives on the Zeno subspace.
     """
 
-    s_hat: tuple
-    l_hat: tuple
+    s: np.ndarray
+    l: np.ndarray
     h_zeno: Operator
     split: ZenoSplit
+
+    @property
+    def s_hat(self) -> tuple:
+        return _operators(self.split.space, self.s)
+
+    @property
+    def l_hat(self) -> tuple:
+        return _operators(self.split.space, self.l)
 
 
 @dataclass(frozen=True)
@@ -209,22 +224,18 @@ def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
     k = float(k)
     if k <= 0:
         raise ValueError(f"scaling parameter must be positive, got {k}")
-    l = tuple(k * l1 + l0 for l1, l0 in zip(family.L1, family.L0))
+    l = family.l1 * complex(k) + family.l0
     h = (k * k) * family.H2 + k * family.H1 + family.H0
-    return SLHTriple(family.S, l, h)
+    return SLHTriple(family.s, l, h)
 
 
 def expand_k(family: ScaledSLHFamily) -> KExpansion:
     """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k)."""
-    dim = family.dim
-    quad = np.zeros((dim, dim), dtype=complex)
-    lin = np.zeros((dim, dim), dtype=complex)
-    const = np.zeros((dim, dim), dtype=complex)
-    for l1, l0 in zip(family.L1, family.L0):
-        m1, m0 = l1.mat, l0.mat
-        quad += m1.conj().T @ m1
-        lin += m1.conj().T @ m0 + m0.conj().T @ m1
-        const += m0.conj().T @ m0
+    m1, m0 = family.l1, family.l0
+    m1d, m0d = _adjoint(m1), _adjoint(m0)
+    quad = _channel_sum(m1d @ m1)
+    lin = _channel_sum(m1d @ m0 + m0d @ m1)
+    const = _channel_sum(m0d @ m0)
     return KExpansion(
         quadratic=Operator(family.space, -0.5 * quad - 1j * family.H2.mat),
         linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
@@ -241,14 +252,11 @@ def check_scaling(family: ScaledSLHFamily, split: ZenoSplit) -> float:
     """
     pz = split.v_z.projector()
     worst = 0.0
-    for l1 in family.L1:
-        m = l1.mat @ pz
-        if m.size:
-            worst = max(worst, float(np.max(np.abs(m))))
+    l1 = family.l1 @ pz
     h1 = pz @ family.H1.mat @ pz
     h2_rows = pz @ family.H2.mat
     h2_cols = family.H2.mat @ pz
-    for m in (h1, h2_rows, h2_cols):
+    for m in (l1, h1, h2_rows, h2_cols):
         if m.size:
             worst = max(worst, float(np.max(np.abs(m))))
     return worst
@@ -281,6 +289,7 @@ def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
     exp = expand_k(family)
     _, _, _, a_ff = block_split(exp.quadratic, split)
     _, m_zf, m_fz, _ = block_split(exp.linear, split)
+    del exp  # free the d x d coefficients before the S-sized work below
     vz, vf = split.v_z.cols, split.v_f.cols
     h0_zz = vz.conj().T @ family.H0.mat @ vz
 
@@ -293,58 +302,45 @@ def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
         )
 
     def solve_ff(rhs):
-        if d_f == 0 or rhs.shape[1] == 0:
+        if d_f == 0 or rhs.size == 0:
             return np.zeros_like(rhs)
         return np.linalg.solve(a_ff, rhs)
 
-    n = family.n
-    l1_blocks = [block_split(op, split) for op in family.L1]
-    l0_blocks = [block_split(op, split) for op in family.L0]
-    s_blocks = [[block_split(family.S[j][k], split) for k in range(n)] for j in range(n)]
+    _, l1_zf, _, l1_ff = block_split(family.l1, split)
+    l0_zz, _, l0_fz, _ = block_split(family.l0, split)
+    s_zz, s_zf, s_fz, s_ff = block_split(family.s, split)
 
     w_m = solve_ff(m_fz)  # A_ff^{-1} M_fz, shape d_f x d_z
 
-    l_hat_full = []
-    for j in range(n):
-        lz = l0_blocks[j][0] - l1_blocks[j][1] @ w_m  # L0_zz - L1_zf A_ff^{-1} M_fz
-        lf = l0_blocks[j][2] - l1_blocks[j][3] @ w_m  # L0_fz - L1_ff A_ff^{-1} M_fz
-        full = vz @ lz @ vz.conj().T + vf @ lf @ vz.conj().T
-        l_hat_full.append(Operator(family.space, full))
+    lz = l0_zz - l1_zf @ w_m  # L0_zz - L1_zf A_ff^{-1} M_fz
+    lf = l0_fz - l1_ff @ w_m  # L0_fz - L1_ff A_ff^{-1} M_fz
+    l_hat = vz @ lz @ vz.conj().T + vf @ lf @ vz.conj().T
 
-    # Pre-solve A_ff^{-1} sum_m (L1_m)_cf^H S[m][k]_cb for each (k, block column b).
-    y = [[None, None] for _ in range(n)]
-    for k in range(n):
-        for b in (0, 1):  # 0 = z column, 1 = f column
-            d_b = split.dim_zeno if b == 0 else d_f
-            rhs = np.zeros((d_f, d_b), dtype=complex)
-            for m in range(n):
-                s_zb = s_blocks[m][k][0 + b]      # (z, b) block
-                s_fb = s_blocks[m][k][2 + b]      # (f, b) block
-                rhs += l1_blocks[m][1].conj().T @ s_zb + l1_blocks[m][3].conj().T @ s_fb
-            y[k][b] = solve_ff(rhs)
+    # Pre-solve A_ff^{-1} sum_m (L1_m)_cf^H S[m][k]_cb for each k and block
+    # column b; the leading axis of each product is the summed channel m.
+    l1_zf_h, l1_ff_h = _adjoint(l1_zf)[:, None], _adjoint(l1_ff)[:, None]
+    y_z = solve_ff(_channel_sum(l1_zf_h @ s_zz + l1_ff_h @ s_fz))
+    y_f = solve_ff(_channel_sum(l1_zf_h @ s_zf + l1_ff_h @ s_ff))
 
-    s_hat_full = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            szz = s_blocks[j][k][0] + l1_blocks[j][1] @ y[k][0]
-            szf = s_blocks[j][k][1] + l1_blocks[j][1] @ y[k][1]
-            sfz = s_blocks[j][k][2] + l1_blocks[j][3] @ y[k][0]
-            sff = s_blocks[j][k][3] + l1_blocks[j][3] @ y[k][1]
-            full = (
-                vz @ szz @ vz.conj().T
-                + vz @ szf @ vf.conj().T
-                + vf @ sfz @ vz.conj().T
-                + vf @ sff @ vf.conj().T
-            )
-            row.append(Operator(family.space, full))
-        s_hat_full.append(tuple(row))
+    # S-hat blocks in place: the (j, k) entry gains L1_j,cf y[k][b]
+    s_zz += l1_zf[:, None] @ y_z[None]
+    s_zf += l1_zf[:, None] @ y_f[None]
+    s_fz += l1_ff[:, None] @ y_z[None]
+    s_ff += l1_ff[:, None] @ y_f[None]
+    s_hat = (
+        vz @ s_zz @ vz.conj().T
+        + vz @ s_zf @ vf.conj().T
+        + vf @ s_fz @ vz.conj().T
+        + vf @ s_ff @ vf.conj().T
+    )
 
     y_h = m_zf @ w_m
-    h_hat = h0_zz + (y_h - y_h.conj().T) / 2j
+    h_hat = h0_zz + _im(y_h)
+    s_hat.setflags(write=False)
+    l_hat.setflags(write=False)
     return HatOperators(
-        s_hat=tuple(s_hat_full),
-        l_hat=tuple(l_hat_full),
+        s=s_hat,
+        l=l_hat,
         h_zeno=Operator(split.zeno_space, h_hat),
         split=split,
     )
@@ -355,17 +351,12 @@ def check_decoupling(hats: HatOperators) -> float:
     split = hats.split
     vz, vf = split.v_z.cols, split.v_f.cols
     worst = 0.0
-    for row in hats.s_hat:
-        for op in row:
-            zf = vz.conj().T @ op.mat @ vf
-            fz = vf.conj().T @ op.mat @ vz
-            for m in (zf, fz):
-                if m.size:
-                    worst = max(worst, float(np.max(np.abs(m))))
-    for op in hats.l_hat:
-        lf = vf.conj().T @ op.mat @ vz
-        if lf.size:
-            worst = max(worst, float(np.max(np.abs(lf))))
+    zf = vz.conj().T @ hats.s @ vf
+    fz = vf.conj().T @ hats.s @ vz
+    lf = vf.conj().T @ hats.l @ vz
+    for m in (zf, fz, lf):
+        if m.size:
+            worst = max(worst, float(np.max(np.abs(m))))
     return worst
 
 
@@ -399,6 +390,7 @@ def zeno_eliminate(
     exp = expand_k(family)
     sigma_min = check_kernel(exp, split)
     align = kernel_alignment(exp, split)
+    del exp  # hat_operators expands again; do not hold both
     residuals["kernel_min_singular_value"] = sigma_min
     residuals["kernel_alignment"] = align
     if align >= kernel_tol:
@@ -427,9 +419,7 @@ def zeno_eliminate(
         )
 
     v_z = split.v_z
-    s_zz = tuple(tuple(v_z.compress(op) for op in row) for row in hats.s_hat)
-    l_z = tuple(v_z.compress(op) for op in hats.l_hat)
-    triple = SLHTriple(s_zz, l_z, hats.h_zeno)
+    triple = SLHTriple(v_z.compress_mat(hats.s), v_z.compress_mat(hats.l), hats.h_zeno)
     return EliminationResult(zeno_triple=triple, v_z=v_z, residuals=residuals)
 
 
@@ -459,55 +449,12 @@ def family_series_product(f1: ScaledSLHFamily, f2: ScaledSLHFamily) -> ScaledSLH
     Instantiating the result at any k equals the series product of the
     instantiated components.
     """
-    if f1.space != f2.space:
-        raise ValueError("series product requires a common system space")
-    if f1.n != f2.n:
-        raise ValueError(f"channel count mismatch: {f1.n} vs {f2.n}")
-    n = f1.n
-    dim = f1.dim
+    # couplings stacked by power of k: index 0 is L1, index 1 is L0
+    s, (l1, l0), cross = _cascade(f1, f2, np.stack((f1.l1, f1.l0)), np.stack((f2.l1, f2.l0)))
     space = f1.space
-
-    s = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                acc += f2.S[i][j].mat @ f1.S[j][k].mat
-            row.append(Operator(space, acc))
-        s.append(tuple(row))
-
-    def s2_dot(ls):
-        out = []
-        for i in range(n):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                acc += f2.S[i][j].mat @ ls[j].mat
-            out.append(acc)
-        return out
-
-    s2_l1_1 = s2_dot(f1.L1)
-    s2_l0_1 = s2_dot(f1.L0)
-    l1 = tuple(Operator(space, f2.L1[i].mat + s2_l1_1[i]) for i in range(n))
-    l0 = tuple(Operator(space, f2.L0[i].mat + s2_l0_1[i]) for i in range(n))
-
-    def cross(l2s, s2_l1s):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in range(n):
-            acc += l2s[i].mat.conj().T @ s2_l1s[i]
-        return acc
-
-    def im(x):
-        return (x - x.conj().T) / 2j
-
-    h2 = f1.H2.mat + f2.H2.mat + im(cross(f2.L1, s2_l1_1))
-    h1 = f1.H1.mat + f2.H1.mat + im(cross(f2.L1, s2_l0_1) + cross(f2.L0, s2_l1_1))
-    h0 = f1.H0.mat + f2.H0.mat + im(cross(f2.L0, s2_l0_1))
+    h2 = f1.H2.mat + f2.H2.mat + _im(cross[0, 0])
+    h1 = f1.H1.mat + f2.H1.mat + _im(cross[0, 1] + cross[1, 0])
+    h0 = f1.H0.mat + f2.H0.mat + _im(cross[1, 1])
     return ScaledSLHFamily(
-        tuple(s),
-        l1,
-        l0,
-        Operator(space, h2),
-        Operator(space, h1),
-        Operator(space, h0),
+        s, l1, l0, Operator(space, h2), Operator(space, h1), Operator(space, h0)
     )

@@ -45,7 +45,7 @@ import numpy as np
 
 from .elimination import ScaledSLHFamily
 from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator, tensor
-from .slh import SLHTriple
+from .slh import SLHTriple, _adjoint, _channel_sum, _opmul
 
 __all__ = [
     "OscillatorModelCoeffs",
@@ -150,66 +150,42 @@ def _check_invertible(a: np.ndarray, what: str):
         raise ValueError(f"{what} is numerically singular (condition number > {_COND_GUARD:.0e})")
 
 
+def _mats(ops) -> np.ndarray:
+    """Array of the matrices of (nested) sequences of Operators."""
+    return np.array([x.mat if isinstance(x, Operator) else _mats(x) for x in ops], dtype=complex)
+
+
+def _pair_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of an (..., m, m, d, d) stack over the oscillator pair (p, q),
+    p-major as the nested loops added it."""
+    m, d = terms.shape[-3], terms.shape[-1]
+    return _channel_sum(terms.reshape(terms.shape[:-4] + (m * m, d, d)), axis=-3)
+
+
 def oscillator_limit(coeffs: OscillatorModelCoeffs) -> SLHTriple:
     """Closed-form limit triple on the slow space (vacuum factor dropped)."""
     _check_invertible(coeffs.osc_drift, "oscillator drift matrix")
-    a_inv = np.linalg.inv(coeffs.osc_drift)
-    n, m = coeffs.n, coeffs.m
-    space = coeffs.slow_space
-    d = space.dim
+    w = np.linalg.inv(coeffs.osc_drift)[:, :, None, None]  # A^{-1}_pq
+    scat = _mats(coeffs.scattering)
+    c = _mats(coeffs.osc_couplings)  # C_jp, shape (n, m, d, d)
+    z = _mats(coeffs.creation_coeffs)
+    x = _mats(coeffs.annihilation_coeffs)
 
-    def op(mat):
-        return Operator(space, mat)
+    # (C A^{-1} C^H)_{j j'} = sum_pq A^{-1}_pq C_jp C_j'q^H
+    corr = _pair_sum(w * (c[:, None, :, None] @ _adjoint(c)[None, :, None, :]))
+    s_hat = scat + _opmul(corr, scat)
+    l_hat = _mats(coeffs.direct_couplings) - _pair_sum(w * (c[:, :, None] @ z[None, None]))
+    k_hat = coeffs.constant_drift.mat - _pair_sum(w * (x[:, None] @ z[None]))
 
-    # (C A^{-1} C^H)_{j j'} as operators on the slow space
-    corr = [[np.zeros((d, d), dtype=complex) for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for jp in range(n):
-            acc = np.zeros((d, d), dtype=complex)
-            for p in range(m):
-                for q in range(m):
-                    acc += a_inv[p, q] * (
-                        coeffs.osc_couplings[j][p].mat
-                        @ coeffs.osc_couplings[jp][q].mat.conj().T
-                    )
-            corr[j][jp] = acc
-
-    s_hat = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            acc = coeffs.scattering[j][k].mat.copy()
-            for jp in range(n):
-                acc += corr[j][jp] @ coeffs.scattering[jp][k].mat
-            row.append(op(acc))
-        s_hat.append(tuple(row))
-
-    l_hat = []
-    for j in range(n):
-        acc = coeffs.direct_couplings[j].mat.copy()
-        for p in range(m):
-            for q in range(m):
-                acc -= a_inv[p, q] * (
-                    coeffs.osc_couplings[j][p].mat @ coeffs.creation_coeffs[q].mat
-                )
-        l_hat.append(op(acc))
-
-    k_hat = coeffs.constant_drift.mat.copy()
-    for p in range(m):
-        for q in range(m):
-            k_hat -= a_inv[p, q] * (
-                coeffs.annihilation_coeffs[p].mat @ coeffs.creation_coeffs[q].mat
-            )
-
-    h_mat = 1j * (k_hat + 0.5 * sum(l.mat.conj().T @ l.mat for l in l_hat))
+    h_mat = 1j * (k_hat + 0.5 * _channel_sum(_adjoint(l_hat) @ l_hat))
     defect = float(np.max(np.abs(h_mat - h_mat.conj().T)))
     if defect > 1e-8:
         raise ValueError(
             f"recovered limit Hamiltonian is not Hermitian (defect {defect:.3e}); "
             "the supplied coefficients are inconsistent"
         )
-    h = op(0.5 * (h_mat + h_mat.conj().T))
-    return SLHTriple(tuple(s_hat), tuple(l_hat), h)
+    h = Operator(coeffs.slow_space, 0.5 * (h_mat + h_mat.conj().T))
+    return SLHTriple(s_hat, l_hat, h)
 
 
 def _osc_operator(which: str, slot: int, m: int, truncation: int) -> Operator:
@@ -241,41 +217,32 @@ def build_full_family(coeffs: OscillatorModelCoeffs, fock_truncation: int) -> Sc
     truncation = int(fock_truncation)
     if truncation < 3:
         raise ValueError("fock truncation must be >= 3")
-    n, m = coeffs.n, coeffs.m
+    m = coeffs.m
     osc_dims = (truncation,) * m
-    osc_eye = Operator(HilbertSpace(osc_dims), np.eye(truncation**m, dtype=complex))
-
-    def lift_slow(x: Operator) -> Operator:
-        return tensor(x, osc_eye)
-
-    def mixed(x_slow: Operator, which: str, slot: int) -> Operator:
-        return tensor(x_slow, _osc_operator(which, slot, m, truncation))
-
+    osc_eye = np.eye(truncation**m, dtype=complex)
+    slow_eye = np.eye(coeffs.slow_space.dim, dtype=complex)
     space = HilbertSpace(coeffs.slow_space.factor_dims + osc_dims)
-    dim = space.dim
+    a = [_osc_operator("a", i, m, truncation).mat for i in range(m)]
+    adag = [_osc_operator("adag", i, m, truncation).mat for i in range(m)]
 
-    s = tuple(tuple(lift_slow(op) for op in row) for row in coeffs.scattering)
-    l1 = []
-    for j in range(n):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in range(m):
-            acc += mixed(coeffs.osc_couplings[j][i], "a", i).mat
-        l1.append(Operator(space, acc))
-    l0 = tuple(lift_slow(op) for op in coeffs.direct_couplings)
+    s = np.array([[np.kron(op.mat, osc_eye) for op in row] for row in coeffs.scattering])
+    # L1_j = sum_i C_ji x a_i
+    l1 = _channel_sum(
+        np.array([[np.kron(op.mat, a[i]) for i, op in enumerate(row)] for row in coeffs.osc_couplings]),
+        axis=1,
+    )
+    l0 = np.array([np.kron(op.mat, osc_eye) for op in coeffs.direct_couplings])
 
     # k^2 drift: sum_ij A_ij x a_i^H a_j
-    k2 = np.zeros((dim, dim), dtype=complex)
-    for i in range(m):
-        adag_i = mixed(Operator(coeffs.slow_space, np.eye(coeffs.slow_space.dim)), "adag", i).mat
-        for j in range(m):
-            a_j = mixed(Operator(coeffs.slow_space, np.eye(coeffs.slow_space.dim)), "a", j).mat
-            k2 += coeffs.osc_drift[i, j] * (adag_i @ a_j)
-    # k^1 drift: sum_i Z_i x a_i^H + X_i x a_i
-    k1 = np.zeros((dim, dim), dtype=complex)
-    for i in range(m):
-        k1 += mixed(coeffs.creation_coeffs[i], "adag", i).mat
-        k1 += mixed(coeffs.annihilation_coeffs[i], "a", i).mat
-    k0 = lift_slow(coeffs.constant_drift).mat
+    lifted_adag = np.array([np.kron(slow_eye, op) for op in adag])
+    lifted_a = np.array([np.kron(slow_eye, op) for op in a])
+    k2 = _pair_sum(coeffs.osc_drift[:, :, None, None] * (lifted_adag[:, None] @ lifted_a[None]))
+    # k^1 drift: sum_i Z_i x a_i^H + X_i x a_i, in the order Z_0, X_0, Z_1, ...
+    z, x = _mats(coeffs.creation_coeffs), _mats(coeffs.annihilation_coeffs)
+    k1 = _channel_sum(
+        np.array([t for i in range(m) for t in (np.kron(z[i], adag[i]), np.kron(x[i], a[i]))])
+    )
+    k0 = np.kron(coeffs.constant_drift.mat, osc_eye)
 
     def recover_h(k_mat, lsq, order):
         h = 1j * (k_mat + 0.5 * lsq)
@@ -287,15 +254,11 @@ def build_full_family(coeffs: OscillatorModelCoeffs, fock_truncation: int) -> Sc
             )
         return Operator(space, 0.5 * (h + h.conj().T))
 
-    lsq2 = sum(op.mat.conj().T @ op.mat for op in l1)
-    lsq1 = sum(
-        a.mat.conj().T @ b.mat + b.mat.conj().T @ a.mat for a, b in zip(l1, l0)
-    )
-    lsq0 = sum(op.mat.conj().T @ op.mat for op in l0)
-    h2 = recover_h(k2, lsq2, 2)
-    h1 = recover_h(k1, lsq1, 1)
-    h0 = recover_h(k0, lsq0, 0)
-    return ScaledSLHFamily(s, tuple(l1), l0, h2, h1, h0)
+    l1d, l0d = _adjoint(l1), _adjoint(l0)
+    h2 = recover_h(k2, _channel_sum(l1d @ l1), 2)
+    h1 = recover_h(k1, _channel_sum(l1d @ l0 + l0d @ l1), 1)
+    h0 = recover_h(k0, _channel_sum(l0d @ l0), 0)
+    return ScaledSLHFamily(s, l1, l0, h2, h1, h0)
 
 
 def oscillator_split(coeffs: OscillatorModelCoeffs, fock_truncation: int) -> ZenoSplit:

@@ -159,7 +159,7 @@ def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
     """Predual generator applied to a state; the result is traceless."""
     if rho.space != g.space:
         raise ValueError("state lives on a different space than the model")
-    out = _dissipator_mat([op.mat for op in g.L], g.H.mat, rho.mat)
+    out = _dissipator_mat(g.l, g.H.mat, rho.mat)
     return Operator(g.space, out)
 
 
@@ -172,8 +172,7 @@ def liouvillian_matrix(g: SLHTriple) -> np.ndarray:
     eye = np.eye(d, dtype=complex)
     h = g.H.mat
     out = 1j * (np.kron(h.T, eye) - np.kron(eye, h))
-    for op in g.L:
-        lm = op.mat
+    for lm in g.l:
         ldl = lm.conj().T @ lm
         out += np.kron(lm.conj(), lm)
         out -= 0.5 * np.kron(ldl.T, eye)

@@ -15,8 +15,10 @@ routines.
 
 All values are immutable after construction (matrices are stored
 read-only) and the functions below are pure, so everything can be shared
-freely between threads.  Storage is dense; intended dimensions are at
-most a few hundred.
+freely between threads.  Storage is dense.  Operators of a few hundred
+dimensions are fine here, but the master-equation integrators
+(``evolve``, ``convergence_harness``) build a dense d^2 x d^2
+generator, 16 d^4 bytes per matrix, which limits them to small d.
 """
 
 from __future__ import annotations
@@ -388,20 +390,22 @@ class ZenoSplit:
         return f"ZenoSplit(zeno={self.dim_zeno}, fast={self.dim_fast})"
 
 
-def block_split(x: Operator, split: ZenoSplit):
+def block_split(x, split: ZenoSplit):
     """2x2 block decomposition of an operator induced by a split.
 
-    Returns the four blocks ``(x_zz, x_zf, x_fz, x_ff)`` as plain
-    matrices (``x_ab = V_a^H X V_b``); off-diagonal blocks are
-    rectangular in general.
+    ``x`` is an Operator on the split's space, or an array whose last two
+    axes hold matrices on it (each is then split).  Returns the four
+    blocks ``(x_zz, x_zf, x_fz, x_ff)`` as plain arrays (``x_ab = V_a^H
+    X V_b``); off-diagonal blocks are rectangular in general.
     """
-    if x.space != split.space:
-        raise ValueError("operator and split live on different spaces")
+    if isinstance(x, Operator):
+        if x.space != split.space:
+            raise ValueError("operator and split live on different spaces")
+        x = x.mat
     vz, vf = split.v_z.cols, split.v_f.cols
-    m = x.mat
     return (
-        vz.conj().T @ m @ vz,
-        vz.conj().T @ m @ vf,
-        vf.conj().T @ m @ vz,
-        vf.conj().T @ m @ vf,
+        vz.conj().T @ x @ vz,
+        vz.conj().T @ x @ vf,
+        vf.conj().T @ x @ vz,
+        vf.conj().T @ x @ vf,
     )

@@ -100,8 +100,8 @@ def triple_to_jsonable(result: EliminationResult) -> dict:
     return {
         "channels": t.n,
         "zeno_dim": t.dim,
-        "S": [[matrix_to_pairs(op.mat) for op in row] for row in t.S],
-        "L": [matrix_to_pairs(op.mat) for op in t.L],
+        "S": [[matrix_to_pairs(m) for m in row] for row in t.s],
+        "L": [matrix_to_pairs(m) for m in t.l],
         "H": matrix_to_pairs(t.H.mat),
         "V_z": matrix_to_pairs(result.v_z.cols),
         "residuals": {k: float(v) for k, v in result.residuals.items()},

@@ -6,6 +6,12 @@ coupling operators, and a Hermitian Hamiltonian.  This module evaluates
 the associated drift operator K = -1/2 sum_i L_i^H L_i - i H, the
 Heisenberg-picture Lindbladian and its noise coefficients, and the two
 network compositions (concatenation and cascade / series product).
+
+A triple stores S as one read-only array ``s`` of shape (n, n, d, d)
+and L as one read-only array ``l`` of shape (n, d, d).  ``S`` and ``L``
+are views: nested tuples of :class:`Operator` copied from the arrays on
+each access.  Channel sums are matmuls on these stacks followed by a sum
+over the channel axis, added in the order of a term-by-term loop.
 """
 
 from __future__ import annotations
@@ -42,67 +48,142 @@ def hermiticity_defect(h: Operator) -> float:
     return float(np.max(np.abs(h.mat - h.mat.conj().T))) if h.mat.size else 0.0
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Hermitian adjoint of every matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _im(x: np.ndarray) -> np.ndarray:
+    """Im{X} = (X - X^H) / 2i."""
+    return (x - x.conj().T) / 2j
+
+
+def _channel_sum(terms: np.ndarray, axis=0) -> np.ndarray:
+    """Sum of a stack over one channel axis, added term by term onto zeros.
+
+    This is the order of an accumulating loop, so results (signed zeros
+    included) match ``acc = 0; acc += term`` bit for bit.
+    """
+    return np.add.reduce(terms, axis=axis, initial=0)
+
+
+def _opmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Operator-matrix product (AB)_ik = sum_j A_ij B_jk of an (n, m, d, d)
+    and an (m, p, d, d) stack.
+
+    Loops over the contracted index j, adding onto zeros, so no
+    n * m * p * d^2 temporary is formed.
+    """
+    out = np.zeros(a.shape[:1] + b.shape[1:], dtype=complex)
+    for j in range(b.shape[0]):
+        out += a[:, j, None] @ b[None, j]
+    return out
+
+
+def _operators(space: HilbertSpace, stack: np.ndarray):
+    """Nested tuples of Operators (copies) of the matrices in a stack."""
+    if stack.ndim == 2:
+        return Operator(space, stack)
+    return tuple(_operators(space, m) for m in stack)
+
+
 def unitarity_defect(s) -> float:
-    """Max-entry defect of sum_j S_ji^H S_jk - delta_ik I over all (i, k)."""
-    n = len(s)
-    if n == 0:
-        return 0.0
-    dim = s[0][0].dim
-    eye = np.eye(dim)
+    """Max-entry defect of sum_j S_ji^H S_jk - delta_ik I over all (i, k).
+
+    ``s`` is an (n, n, d, d) array or an n x n nested sequence of
+    Operators.
+    """
+    if not isinstance(s, np.ndarray):
+        s = np.array([[op.mat for op in row] for row in s], dtype=complex)
+    eye = np.eye(s.shape[-1])
     worst = 0.0
-    for i in range(n):
-        for k in range(n):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                acc += s[j][i].mat.conj().T @ s[j][k].mat
-            if i == k:
-                acc -= eye
-            worst = max(worst, float(np.max(np.abs(acc))))
+    for i in range(len(s)):
+        # column i of S^H S: sum_j S_ji^H S_jk for every k
+        col = _channel_sum(_adjoint(s[:, i, None]) @ s)
+        col[i] -= eye
+        worst = max(worst, float(np.max(np.abs(col))))
     return worst
 
 
-def _as_operator_matrix(s, n: int, space: HilbertSpace):
-    rows = tuple(tuple(row) for row in s)
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"scattering matrix must be {n} x {n}")
-    for row in rows:
-        for op in row:
-            if not isinstance(op, Operator) or op.space != space:
-                raise ValueError("scattering entries must be operators on the common space")
-    return rows
+def _stack(space: HilbertSpace, x, n: int, depth: int, what: str) -> np.ndarray:
+    """Read-only complex array of shape (n,) * depth + (d, d).
+
+    ``x`` is such an array, or (for depth 2, nested) sequences of
+    Operators on ``space``.  Entries must be finite, as for an Operator.
+    """
+    shape = (n,) * depth + (space.dim, space.dim)
+    if isinstance(x, np.ndarray):
+        arr = np.array(x, dtype=complex)
+    else:
+        rows = [tuple(x)] if depth == 1 else [tuple(row) for row in x]
+        if depth == 2 and (len(rows) != n or any(len(row) != n for row in rows)):
+            raise ValueError(f"scattering matrix must be {n} x {n}")
+        ops = [op for row in rows for op in row]
+        if any(not isinstance(op, Operator) or op.space != space for op in ops):
+            raise ValueError(f"{what} must be operators on the common space")
+        arr = np.array([op.mat for op in ops], dtype=complex).reshape(shape)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must form an array of shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite (no NaN/Inf)")
+    arr.setflags(write=False)
+    return arr
+
+
+def _validated(space: HilbertSpace, s, ls, hamiltonians: dict):
+    """Stack and check the coefficients of a triple or a scaled family.
+
+    ``ls`` lists coupling stacks of one channel count n and ``s`` is
+    n x n; all are arrays or Operator sequences on ``space`` (see
+    :func:`_stack`), and ``hamiltonians`` maps names to Operators.
+    Unitarity and Hermiticity defects above UNITARITY_FAIL_TOL raise,
+    defects above UNITARITY_WARN_TOL warn.  Returns the read-only stacks
+    ``(s, ls)``.
+    """
+    ls = [l if isinstance(l, np.ndarray) else tuple(l) for l in ls]
+    n = len(ls[0])
+    if any(len(l) != n for l in ls):
+        raise ValueError("L1 and L0 must have the same channel count")
+    for name, h in hamiltonians.items():
+        if not isinstance(h, Operator) or h.space != space:
+            raise ValueError(f"{name} must be an operator on the common space")
+    ls = [_stack(space, l, n, 1, "coupling operators") for l in ls]
+    s = _stack(space, s, n, 2, "scattering entries")
+
+    u_defect = unitarity_defect(s)
+    if u_defect > UNITARITY_FAIL_TOL:
+        raise ValueError(f"scattering matrix is not blockwise unitary (defect {u_defect:.3e})")
+    if u_defect > UNITARITY_WARN_TOL:
+        warnings.warn(f"scattering matrix unitarity defect {u_defect:.3e}", stacklevel=3)
+    for name, h in hamiltonians.items():
+        defect = hermiticity_defect(h)
+        if defect > UNITARITY_FAIL_TOL:
+            raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
+        if defect > UNITARITY_WARN_TOL:
+            warnings.warn(f"{name} hermiticity defect {defect:.3e}", stacklevel=3)
+    return s, ls
 
 
 class SLHTriple:
     """Immutable (S, L, H) triple on a common Hilbert space.
+
+    ``s`` (n, n, d, d) and ``l`` (n, d, d) are read-only arrays; ``S``
+    and ``L`` are nested tuples of Operators copied from them on each
+    access.  S and L may be given as such arrays or as (nested)
+    sequences of Operators on H's space.
 
     Blockwise unitarity of S and Hermiticity of H are checked at
     construction: defects above 1e-6 are errors, defects above 1e-10 are
     reported as warnings so deliberately perturbed models remain usable.
     """
 
-    __slots__ = ("S", "L", "H", "space")
+    __slots__ = ("s", "l", "H", "space")
 
     def __init__(self, s, l, h: Operator):
-        ls = tuple(l)
         space = h.space
-        for op in ls:
-            if not isinstance(op, Operator) or op.space != space:
-                raise ValueError("coupling operators must live on the Hamiltonian's space")
-        s_rows = _as_operator_matrix(s, len(ls), space)
-
-        u_defect = unitarity_defect(s_rows)
-        if u_defect > UNITARITY_FAIL_TOL:
-            raise ValueError(f"scattering matrix is not blockwise unitary (defect {u_defect:.3e})")
-        if u_defect > UNITARITY_WARN_TOL:
-            warnings.warn(f"scattering matrix unitarity defect {u_defect:.3e}", stacklevel=2)
-        h_defect = hermiticity_defect(h)
-        if h_defect > UNITARITY_FAIL_TOL:
-            raise ValueError(f"Hamiltonian is not Hermitian (defect {h_defect:.3e})")
-        if h_defect > UNITARITY_WARN_TOL:
-            warnings.warn(f"Hamiltonian hermiticity defect {h_defect:.3e}", stacklevel=2)
-
-        object.__setattr__(self, "S", s_rows)
-        object.__setattr__(self, "L", ls)
+        s, (l,) = _validated(space, s, (l,), {"Hamiltonian": h})
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "space", space)
 
@@ -110,8 +191,18 @@ class SLHTriple:
         raise AttributeError("SLHTriple is immutable")
 
     @property
+    def S(self) -> tuple:
+        """Scattering matrix as an n x n nested tuple of Operators."""
+        return _operators(self.space, self.s)
+
+    @property
+    def L(self) -> tuple:
+        """Coupling operators as a tuple of Operators."""
+        return _operators(self.space, self.l)
+
+    @property
     def n(self) -> int:
-        return len(self.L)
+        return len(self.l)
 
     @property
     def dim(self) -> int:
@@ -123,9 +214,7 @@ class SLHTriple:
 
 def k_operator(g: SLHTriple) -> Operator:
     """Drift coefficient K = -1/2 sum_i L_i^H L_i - i H."""
-    acc = np.zeros((g.dim, g.dim), dtype=complex)
-    for op in g.L:
-        acc += op.mat.conj().T @ op.mat
+    acc = _channel_sum(_adjoint(g.l) @ g.l)
     return Operator(g.space, -0.5 * acc - 1j * g.H.mat)
 
 
@@ -135,13 +224,10 @@ def lindbladian(g: SLHTriple, x: Operator) -> Operator:
     """
     if x.space != g.space:
         raise ValueError("observable lives on a different space than the model")
-    xm, hm = x.mat, g.H.mat
-    out = -1j * (xm @ hm - hm @ xm)
-    for op in g.L:
-        lm = op.mat
-        ld = lm.conj().T
-        out += 0.5 * ld @ (xm @ lm - lm @ xm)
-        out += 0.5 * (ld @ xm - xm @ ld) @ lm
+    xm, hm, lm = x.mat, g.H.mat, g.l
+    ld = _adjoint(lm)
+    terms = 0.5 * ld @ (xm @ lm - lm @ xm) + 0.5 * (ld @ xm - xm @ ld) @ lm
+    out = -1j * (xm @ hm - hm @ xm) + _channel_sum(terms)
     return Operator(g.space, out)
 
 
@@ -158,39 +244,22 @@ class HeisenbergCoefficients:
 
 
 def heisenberg_coeffs(g: SLHTriple, x: Operator) -> HeisenbergCoefficients:
-    """Evaluate LX, M_i X = S_ji^H [X, L_j], N_i X = [L_k^H, X] S_ki and
+    """Evaluate LX, M_i X = S_ji^H [X, L_j], N_i X = [L_j^H, X] S_ji and
     S_ik X = S_ji^H X S_jk - delta_ik X (sums over repeated indices)."""
     if x.space != g.space:
         raise ValueError("observable lives on a different space than the model")
-    n = g.n
-    xm = x.mat
-    creation = []
-    annihilation = []
-    for i in range(n):
-        m_acc = np.zeros_like(xm)
-        n_acc = np.zeros_like(xm)
-        for j in range(n):
-            lm = g.L[j].mat
-            m_acc += g.S[j][i].mat.conj().T @ (xm @ lm - lm @ xm)
-            n_acc += (lm.conj().T @ xm - xm @ lm.conj().T) @ g.S[j][i].mat
-        creation.append(Operator(g.space, m_acc))
-        annihilation.append(Operator(g.space, n_acc))
-    gauge = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = np.zeros_like(xm)
-            for j in range(n):
-                acc += g.S[j][i].mat.conj().T @ xm @ g.S[j][k].mat
-            if i == k:
-                acc -= xm
-            row.append(Operator(g.space, acc))
-        gauge.append(tuple(row))
+    xm, lm, s = x.mat, g.l, g.s
+    ld, sd = _adjoint(lm), _adjoint(s)
+    # leading axis j, second axis i
+    creation = _channel_sum(sd @ (xm @ lm - lm @ xm)[:, None])
+    annihilation = _channel_sum((ld @ xm - xm @ ld)[:, None] @ s)
+    gauge = _opmul((sd @ xm).swapaxes(0, 1), s)
+    gauge[range(g.n), range(g.n)] -= xm
     return HeisenbergCoefficients(
         drift=lindbladian(g, x),
-        creation_coeffs=tuple(creation),
-        annihilation_coeffs=tuple(annihilation),
-        gauge_coeffs=tuple(gauge),
+        creation_coeffs=_operators(g.space, creation),
+        annihilation_coeffs=_operators(g.space, annihilation),
+        gauge_coeffs=_operators(g.space, gauge),
     )
 
 
@@ -198,16 +267,30 @@ def concatenation(g1: SLHTriple, g2: SLHTriple) -> SLHTriple:
     """Parallel composition: channel counts add, S is block diagonal."""
     if g1.space != g2.space:
         raise ValueError("concatenation requires a common system space")
-    n1, n2 = g1.n, g2.n
-    z = zero(g1.space)
-    s = [[z] * (n1 + n2) for _ in range(n1 + n2)]
-    for i in range(n1):
-        for j in range(n1):
-            s[i][j] = g1.S[i][j]
-    for i in range(n2):
-        for j in range(n2):
-            s[n1 + i][n1 + j] = g2.S[i][j]
-    return SLHTriple(s, g1.L + g2.L, g1.H + g2.H)
+    n1, n = g1.n, g1.n + g2.n
+    s = np.zeros((n, n, g1.dim, g1.dim), dtype=complex)
+    s[:n1, :n1] = g1.s
+    s[n1:, n1:] = g2.s
+    return SLHTriple(s, np.concatenate((g1.l, g2.l)), g1.H + g2.H)
+
+
+def _cascade(g1, g2, l1: np.ndarray, l2: np.ndarray):
+    """Series product of two models (triples or scaled families) whose
+    couplings are polynomials in k, the outputs of g1 feeding g2.
+
+    ``l1`` and ``l2`` stack the coupling coefficients of g1 and g2 power
+    by power, shape (m, n, d, d).  Returns S2 S1, the cascaded couplings
+    L2 + S2 L1 of shape (m, n, d, d), and the (m, m, d, d) cross terms
+    C_ab = sum_i L2a_i^H (S2 L1b)_i whose imaginary parts enter the
+    cascaded Hamiltonian.
+    """
+    if g1.space != g2.space:
+        raise ValueError("series product requires a common system space")
+    if g1.n != g2.n:
+        raise ValueError(f"channel count mismatch: {g1.n} vs {g2.n}")
+    s2l1 = _channel_sum(g2.s @ l1[:, None], axis=2)
+    cross = _channel_sum(_adjoint(l2)[:, None] @ s2l1[None], axis=2)
+    return _opmul(g2.s, g1.s), l2 + s2l1, cross
 
 
 def series_product(g1: SLHTriple, g2: SLHTriple) -> SLHTriple:
@@ -216,38 +299,13 @@ def series_product(g1: SLHTriple, g2: SLHTriple) -> SLHTriple:
     S = S2 S1, L = L2 + S2 L1 and H = H1 + H2 + Im{sum_ij L2_i^H S2_ij
     L1_j} with Im{X} = (X - X^H) / 2i.
     """
-    if g1.space != g2.space:
-        raise ValueError("series product requires a common system space")
-    if g1.n != g2.n:
-        raise ValueError(f"channel count mismatch: {g1.n} vs {g2.n}")
-    n = g1.n
-    dim = g1.dim
-    s = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for j in range(n):
-                acc += g2.S[i][j].mat @ g1.S[j][k].mat
-            row.append(Operator(g1.space, acc))
-        s.append(tuple(row))
-    l = []
-    for i in range(n):
-        acc = g2.L[i].mat.copy()
-        for j in range(n):
-            acc += g2.S[i][j].mat @ g1.L[j].mat
-        l.append(Operator(g1.space, acc))
-    cross = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            cross += g2.L[i].mat.conj().T @ g2.S[i][j].mat @ g1.L[j].mat
-    h = g1.H.mat + g2.H.mat + (cross - cross.conj().T) / 2j
-    return SLHTriple(tuple(s), tuple(l), Operator(g1.space, h))
+    s, l, cross = _cascade(g1, g2, g1.l[None], g2.l[None])
+    h = g1.H.mat + g2.H.mat + _im(cross[0, 0])
+    return SLHTriple(s, l[0], Operator(g1.space, h))
 
 
 def passthrough(space: HilbertSpace, n: int) -> SLHTriple:
     """Trivial n-channel model (S = I, L = 0, H = 0)."""
-    eye = Operator(space, np.eye(space.dim, dtype=complex))
-    z = zero(space)
-    s = tuple(tuple(eye if i == j else z for j in range(n)) for i in range(n))
-    return SLHTriple(s, (z,) * n, z)
+    d = space.dim
+    s = np.multiply.outer(np.eye(n), np.eye(d))
+    return SLHTriple(s, np.zeros((n, d, d)), zero(space))

@@ -127,7 +127,7 @@ class _Precomp:
         if not (0 <= channel < g.n):
             raise ValueError(f"measured channel {channel} out of range for {g.n} channels")
         self.h = g.H.mat
-        self.ls = [op.mat for op in g.L]
+        self.ls = g.l
         self.lc = self.ls[channel]
         self.lcd = self.lc.conj().T
         self.lcdlc = self.lcd @ self.lc
@@ -147,7 +147,7 @@ def _homodyne_step_mat(pre: _Precomp, m, dt: float, dw: float):
 
 def _counting_step_mat(pre: _Precomp, m, dt: float, u: float):
     rate = float(np.trace(m @ pre.lcdlc).real)
-    if rate * dt > JUMP_PROBABILITY_GUARD:
+    if not rate * dt <= JUMP_PROBABILITY_GUARD:
         raise StepSizeError(
             f"jump probability per step {rate * dt:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
         )

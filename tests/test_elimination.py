@@ -32,6 +32,7 @@ from zenoslh import (
 from zenoslh.random_models import (
     random_complex_matrix,
     random_hermitian,
+    random_unitary,
     random_zenofiable_family,
 )
 
@@ -412,6 +413,31 @@ def test_family_series_product_commutes_with_instantiation():
         assert entrymax(via_family.H, direct.H) < 1e-12
         assert entrymax(via_family.L[0], direct.L[0]) < 1e-12
         assert entrymax(via_family.S[0][0], direct.S[0][0]) < 1e-12
+
+
+def _random_two_channel_family(rng, dim):
+    # S = u x I with a random 2 x 2 unitary u, every other coefficient random
+    sp = HilbertSpace((dim,))
+    u = random_unitary(rng, 2)
+    s = tuple(tuple(Operator(sp, u[j, k] * np.eye(dim)) for k in range(2)) for j in range(2))
+    l1 = tuple(Operator(sp, random_complex_matrix(rng, dim)) for _ in range(2))
+    l0 = tuple(Operator(sp, random_complex_matrix(rng, dim)) for _ in range(2))
+    h2, h1, h0 = (Operator(sp, random_hermitian(rng, dim)) for _ in range(3))
+    return ScaledSLHFamily(s, l1, l0, h2, h1, h0)
+
+
+def test_family_series_product_two_channels_matches_series_product():
+    rng = np.random.default_rng(27)
+    f1, f2 = _random_two_channel_family(rng, 3), _random_two_channel_family(rng, 3)
+    casc = family_series_product(f1, f2)
+    for k in (0.6, 1.0, 4.2):
+        direct = series_product(instantiate(f1, k), instantiate(f2, k))
+        via_family = instantiate(casc, k)
+        assert entrymax(via_family.H, direct.H) < 1e-11
+        for j in range(2):
+            assert entrymax(via_family.L[j], direct.L[j]) < 1e-12
+            for m in range(2):
+                assert entrymax(via_family.S[j][m], direct.S[j][m]) < 1e-12
 
 
 def test_block_structure_of_expansion_after_conditions():

@@ -24,6 +24,7 @@ from zenoslh.random_models import (
     random_density_matrix,
     random_hermitian,
 )
+from zenoslh.slh import unitarity_defect
 
 from common import alkali_family, entrymax, random_triple
 
@@ -178,6 +179,52 @@ def test_series_product_matches_expanded_formula():
     x = Operator(sp, random_complex_matrix(rng, dim))
     manual = SLHTriple(((identity(sp),),), (Operator(sp, l_exp),), Operator(sp, h_exp))
     assert entrymax(lindbladian(cascade, x), lindbladian(manual, x)) < 1e-12
+
+
+def test_series_product_two_channels_matches_formula():
+    # S = S2 S1, L = L2 + S2 L1, H = H1 + H2 + Im{sum_ij L2_i^H S2_ij L1_j},
+    # evaluated entry by entry with a random unitary channel mixing
+    rng = np.random.default_rng(18)
+    g1, g2 = random_triple(rng, 3, 2), random_triple(rng, 3, 2)
+    out = series_product(g1, g2)
+    n = 2
+    cross = np.zeros((3, 3), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            cross += g2.L[i].mat.conj().T @ g2.S[i][j].mat @ g1.L[j].mat
+    h_exp = g1.H.mat + g2.H.mat + (cross - cross.conj().T) / 2j
+    assert entrymax(out.H, h_exp) < 1e-12
+    for i in range(n):
+        l_exp = g2.L[i].mat + sum(g2.S[i][j].mat @ g1.L[j].mat for j in range(n))
+        assert entrymax(out.L[i], l_exp) < 1e-12
+        for k in range(n):
+            s_exp = sum(g2.S[i][j].mat @ g1.S[j][k].mat for j in range(n))
+            assert entrymax(out.S[i][k], s_exp) < 1e-12
+    assert unitarity_defect(out.S) < 1e-12
+
+
+def test_heisenberg_coeffs_three_channels_match_formulas():
+    rng = np.random.default_rng(19)
+    g = random_triple(rng, 3, 3)
+    x = Operator(g.space, random_complex_matrix(rng, 3))
+    rec = heisenberg_coeffs(g, x)
+    xm, hm, n = x.mat, g.H.mat, 3
+    ls = [op.mat for op in g.L]
+    drift = -1j * (xm @ hm - hm @ xm)
+    for lm in ls:
+        ld = lm.conj().T
+        drift += 0.5 * ld @ (xm @ lm - lm @ xm) + 0.5 * (ld @ xm - xm @ ld) @ lm
+    assert entrymax(rec.drift, drift) < 1e-12
+    for i in range(n):
+        m_exp = sum(g.S[j][i].mat.conj().T @ (xm @ ls[j] - ls[j] @ xm) for j in range(n))
+        n_exp = sum((ls[j].conj().T @ xm - xm @ ls[j].conj().T) @ g.S[j][i].mat for j in range(n))
+        assert entrymax(rec.creation_coeffs[i], m_exp) < 1e-12
+        assert entrymax(rec.annihilation_coeffs[i], n_exp) < 1e-12
+        for k in range(n):
+            gauge = sum(g.S[j][i].mat.conj().T @ xm @ g.S[j][k].mat for j in range(n))
+            if i == k:
+                gauge = gauge - xm
+            assert entrymax(rec.gauge_coeffs[i][k], gauge) < 1e-12
 
 
 def test_series_product_associative():

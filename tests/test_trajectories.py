@@ -15,6 +15,8 @@ from zenoslh import (
     evolve,
     homodyne_step,
     identity,
+    pauli,
+    pure_state_density,
     simulate,
     simulate_ensemble,
     trace_distance,
@@ -114,6 +116,16 @@ def test_counting_guard_on_large_steps():
     rho = basis_state_density(QUBIT, 1)
     with pytest.raises(StepSizeError):
         counting_step(g, rho, 0, 0.5, 0.5)
+
+
+def test_counting_nan_rate_is_a_step_size_error():
+    # an overflowing Hamiltonian drives the jump rate to NaN within a few
+    # steps; the guard must abort rather than take the no-jump branch
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), 1e300 * pauli("x"))
+    rho0 = pure_state_density(QUBIT, [1.0, 1.0j])
+    cfg = SimConfig(dt=1e-3, t_end=0.01, scheme="counting")
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError):
+        simulate(g, rho0, cfg)
 
 
 def test_counting_zero_weight_jump_is_an_error():
