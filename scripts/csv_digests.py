@@ -9,6 +9,13 @@ runs on each shipped model.  One line per CSV or limit-triple JSON,
 ``<sha256>  <path relative to the output directory>``, sorted by path.
 Manifests carry a timestamp and are not digested.
 
+A library section follows, which no CLI command reaches: for a few
+seeded ``random_oscillator_model`` inputs it prints
+``<sha256>  oscillator/<case>/<name>`` for the raw array bytes of
+``oscillator_limit`` (``limit``), ``build_full_family`` (``family``) and
+``zeno_eliminate`` on that family (``eliminated``).  Only public API is
+used, so the script runs against any checkout that has it.
+
 Two trees produce byte-identical outputs exactly when this script prints
 the same lines for both, e.g.
 
@@ -25,7 +32,11 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
+
+from zenoslh import build_full_family, oscillator_limit, oscillator_split, zeno_eliminate
 from zenoslh.cli import main as cli
+from zenoslh.random_models import random_oscillator_model
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -57,6 +68,29 @@ def examples(models: Path):
     ]
 
 
+# (slow dimension, channels, oscillators, Fock truncation), seeded by position
+OSCILLATOR_CASES = [
+    (2, 2, 1, 3), (3, 2, 2, 4), (2, 3, 2, 5), (3, 4, 3, 3), (2, 3, 3, 4), (3, 4, 1, 5),
+]
+
+
+def oscillator_outputs():
+    """Yield (name, bytes) for the oscillator-elimination layer."""
+
+    def triple_bytes(t):
+        return t.s.tobytes() + t.l.tobytes() + t.H.mat.tobytes()
+
+    for seed, (slow_dim, n, m, trunc) in enumerate(OSCILLATOR_CASES):
+        coeffs = random_oscillator_model(np.random.default_rng(seed), slow_dim, n, m)
+        fam = build_full_family(coeffs, trunc)
+        res = zeno_eliminate(fam, oscillator_split(coeffs, trunc))
+        yield f"oscillator/{seed}/limit", triple_bytes(oscillator_limit(coeffs))
+        yield f"oscillator/{seed}/family", b"".join(
+            x.tobytes() for x in (fam.s, fam.l1, fam.l0, fam.H2.mat, fam.H1.mat, fam.H0.mat)
+        )
+        yield f"oscillator/{seed}/eliminated", triple_bytes(res.zeno_triple)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--models", default=str(REPO / "models"))
@@ -74,6 +108,8 @@ def main():
         for path in sorted(p for p in outputs if not p.name.endswith("manifest.json")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
+    for name, data in oscillator_outputs():
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 
 def _under(argv, out: Path):

@@ -280,16 +280,23 @@ def kernel_alignment(expansion: KExpansion, split: ZenoSplit) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
+def _drift_blocks(exp: KExpansion, split: ZenoSplit):
+    """The blocks A_ff, M_zf and M_fz that the limit formulas read."""
+    _, m_zf, m_fz, _ = block_split(exp.linear, split)
+    return block_split(exp.quadratic, split)[3], m_zf, m_fz
+
+
 def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
     """Evaluate the limit formulas (see module docstring).
 
     Assumes the scaling and kernel conditions hold; raises
     :class:`KernelViolation` if A_ff is numerically singular.
     """
-    exp = expand_k(family)
-    _, _, _, a_ff = block_split(exp.quadratic, split)
-    _, m_zf, m_fz, _ = block_split(exp.linear, split)
-    del exp  # free the d x d coefficients before the S-sized work below
+    return _hat_operators(family, split, *_drift_blocks(expand_k(family), split))
+
+
+def _hat_operators(family: ScaledSLHFamily, split: ZenoSplit, a_ff, m_zf, m_fz) -> HatOperators:
+    """:func:`hat_operators` given the drift blocks A_ff, M_zf and M_fz."""
     vz, vf = split.v_z.cols, split.v_f.cols
     h0_zz = vz.conj().T @ family.H0.mat @ vz
 
@@ -390,7 +397,8 @@ def zeno_eliminate(
     exp = expand_k(family)
     sigma_min = check_kernel(exp, split)
     align = kernel_alignment(exp, split)
-    del exp  # hat_operators expands again; do not hold both
+    blocks = _drift_blocks(exp, split)
+    del exp  # free the d x d coefficients before the S-sized work below
     residuals["kernel_min_singular_value"] = sigma_min
     residuals["kernel_alignment"] = align
     if align >= kernel_tol:
@@ -408,7 +416,7 @@ def zeno_eliminate(
             residuals=residuals,
         )
 
-    hats = hat_operators(family, split)
+    hats = _hat_operators(family, split, *blocks)
     d_res = check_decoupling(hats)
     residuals["decoupling_residual"] = d_res
     if d_res >= decoupling_tol:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import ScaledSLHFamily
-from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator, tensor
-from .slh import SLHTriple, _adjoint, _channel_sum, _opmul
+from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator
+from .slh import SLHTriple, _adjoint, _channel_sum, _opmul, _stack
 
 __all__ = [
     "OscillatorModelCoeffs",
@@ -69,8 +69,13 @@ _COND_GUARD = 1e12
 class OscillatorModelCoeffs:
     """Drift coefficients of a model with m fast oscillator modes.
 
-    All operator entries act on the slow space; ``osc_drift`` is the
-    m x m scalar matrix multiplying a_i^H a_j.
+    The operator coefficients act on the slow space (dimension d) and are
+    stored as read-only complex arrays: ``scattering`` (n, n, d, d),
+    ``osc_couplings`` C (n, m, d, d), ``direct_couplings`` G (n, d, d),
+    ``annihilation_coeffs`` X and ``creation_coeffs`` Z (m, d, d).  Each
+    may be given as such an array or as (nested) sequences of Operators.
+    ``osc_drift`` is the m x m scalar matrix A multiplying a_i^H a_j and
+    ``constant_drift`` the Operator R.
     """
 
     __slots__ = (
@@ -98,39 +103,20 @@ class OscillatorModelCoeffs:
         a = np.array(osc_drift, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("oscillator drift matrix must be square")
-        m = a.shape[0]
-        couplings = tuple(tuple(row) for row in osc_couplings)
-        n = len(couplings)
-        if any(len(row) != m for row in couplings):
-            raise ValueError(f"oscillator couplings must form an n x {m} array")
-        direct = tuple(direct_couplings)
-        if len(direct) != n:
-            raise ValueError("need one direct coupling per channel")
-        ann = tuple(annihilation_coeffs)
-        cre = tuple(creation_coeffs)
-        if len(ann) != m or len(cre) != m:
-            raise ValueError("need one k-linear drift coefficient per oscillator")
-        scat = tuple(tuple(row) for row in scattering)
-        if len(scat) != n or any(len(row) != n for row in scat):
-            raise ValueError(f"scattering must be {n} x {n}")
-        for op in (
-            *(op for row in couplings for op in row),
-            *direct,
-            *ann,
-            *cre,
-            *(op for row in scat for op in row),
-            constant_drift,
+        if not isinstance(constant_drift, Operator) or constant_drift.space != slow_space:
+            raise ValueError("constant drift must be an operator on the slow space")
+        n, m = len(direct_couplings), a.shape[0]
+        for name, x, outer in (
+            ("scattering", scattering, (n, n)),
+            ("osc_couplings", osc_couplings, (n, m)),
+            ("direct_couplings", direct_couplings, (n,)),
+            ("annihilation_coeffs", annihilation_coeffs, (m,)),
+            ("creation_coeffs", creation_coeffs, (m,)),
         ):
-            if not isinstance(op, Operator) or op.space != slow_space:
-                raise ValueError("all operator coefficients must live on the slow space")
+            object.__setattr__(self, name, _stack(slow_space, x, outer, name))
         a.setflags(write=False)
         object.__setattr__(self, "slow_space", slow_space)
-        object.__setattr__(self, "scattering", scat)
-        object.__setattr__(self, "osc_couplings", couplings)
-        object.__setattr__(self, "direct_couplings", direct)
         object.__setattr__(self, "osc_drift", a)
-        object.__setattr__(self, "annihilation_coeffs", ann)
-        object.__setattr__(self, "creation_coeffs", cre)
         object.__setattr__(self, "constant_drift", constant_drift)
 
     def __setattr__(self, name, value):
@@ -150,60 +136,44 @@ def _check_invertible(a: np.ndarray, what: str):
         raise ValueError(f"{what} is numerically singular (condition number > {_COND_GUARD:.0e})")
 
 
-def _mats(ops) -> np.ndarray:
-    """Array of the matrices of (nested) sequences of Operators."""
-    return np.array([x.mat if isinstance(x, Operator) else _mats(x) for x in ops], dtype=complex)
-
-
 def _pair_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of an (..., m, m, d, d) stack over the oscillator pair (p, q),
-    p-major as the nested loops added it."""
-    m, d = terms.shape[-3], terms.shape[-1]
-    return _channel_sum(terms.reshape(terms.shape[:-4] + (m * m, d, d)), axis=-3)
+    """Sum of an (..., p, q, d, d) stack over the pair (p, q), p-major as
+    nested loops would add it."""
+    d = terms.shape[-1]
+    return _channel_sum(terms.reshape(terms.shape[:-4] + (-1, d, d)), axis=-3)
+
+
+def _recover_h(space: HilbertSpace, k_mat: np.ndarray, lsq: np.ndarray, what: str) -> Operator:
+    """Hamiltonian H = i (K + 1/2 sum_j L_j^H L_j), with ``lsq`` the sum.
+
+    A non-Hermitian result (defect above 1e-8) means the supplied
+    coefficients are inconsistent and raises; otherwise H is Hermitized.
+    """
+    h = 1j * (k_mat + 0.5 * lsq)
+    defect = float(np.max(np.abs(h - h.conj().T)))
+    if defect > 1e-8:
+        raise ValueError(
+            f"recovered {what} is not Hermitian (defect {defect:.3e}); "
+            "the supplied coefficients are inconsistent"
+        )
+    return Operator(space, 0.5 * (h + h.conj().T))
 
 
 def oscillator_limit(coeffs: OscillatorModelCoeffs) -> SLHTriple:
     """Closed-form limit triple on the slow space (vacuum factor dropped)."""
     _check_invertible(coeffs.osc_drift, "oscillator drift matrix")
     w = np.linalg.inv(coeffs.osc_drift)[:, :, None, None]  # A^{-1}_pq
-    scat = _mats(coeffs.scattering)
-    c = _mats(coeffs.osc_couplings)  # C_jp, shape (n, m, d, d)
-    z = _mats(coeffs.creation_coeffs)
-    x = _mats(coeffs.annihilation_coeffs)
+    scat = coeffs.scattering
+    c = coeffs.osc_couplings  # C_jp, shape (n, m, d, d)
+    z, x = coeffs.creation_coeffs, coeffs.annihilation_coeffs
 
     # (C A^{-1} C^H)_{j j'} = sum_pq A^{-1}_pq C_jp C_j'q^H
     corr = _pair_sum(w * (c[:, None, :, None] @ _adjoint(c)[None, :, None, :]))
     s_hat = scat + _opmul(corr, scat)
-    l_hat = _mats(coeffs.direct_couplings) - _pair_sum(w * (c[:, :, None] @ z[None, None]))
+    l_hat = coeffs.direct_couplings - _pair_sum(w * (c[:, :, None] @ z[None, None]))
     k_hat = coeffs.constant_drift.mat - _pair_sum(w * (x[:, None] @ z[None]))
-
-    h_mat = 1j * (k_hat + 0.5 * _channel_sum(_adjoint(l_hat) @ l_hat))
-    defect = float(np.max(np.abs(h_mat - h_mat.conj().T)))
-    if defect > 1e-8:
-        raise ValueError(
-            f"recovered limit Hamiltonian is not Hermitian (defect {defect:.3e}); "
-            "the supplied coefficients are inconsistent"
-        )
-    h = Operator(coeffs.slow_space, 0.5 * (h_mat + h_mat.conj().T))
-    return SLHTriple(s_hat, l_hat, h)
-
-
-def _osc_operator(which: str, slot: int, m: int, truncation: int) -> Operator:
-    """Annihilator / creator / identity on oscillator slot of an m-mode bank."""
-    a = fock_annihilator(truncation)
-    eye = Operator(HilbertSpace((truncation,)), np.eye(truncation, dtype=complex))
-    ops = []
-    for i in range(m):
-        if i != slot:
-            ops.append(eye)
-        elif which == "a":
-            ops.append(a)
-        else:
-            ops.append(a.dag())
-    out = ops[0]
-    for extra in ops[1:]:
-        out = tensor(out, extra)
-    return out
+    lsq = _channel_sum(_adjoint(l_hat) @ l_hat)
+    return SLHTriple(s_hat, l_hat, _recover_h(coeffs.slow_space, k_hat, lsq, "limit Hamiltonian"))
 
 
 def build_full_family(coeffs: OscillatorModelCoeffs, fock_truncation: int) -> ScaledSLHFamily:
@@ -218,46 +188,31 @@ def build_full_family(coeffs: OscillatorModelCoeffs, fock_truncation: int) -> Sc
     if truncation < 3:
         raise ValueError("fock truncation must be >= 3")
     m = coeffs.m
-    osc_dims = (truncation,) * m
     osc_eye = np.eye(truncation**m, dtype=complex)
     slow_eye = np.eye(coeffs.slow_space.dim, dtype=complex)
-    space = HilbertSpace(coeffs.slow_space.factor_dims + osc_dims)
-    a = [_osc_operator("a", i, m, truncation).mat for i in range(m)]
-    adag = [_osc_operator("adag", i, m, truncation).mat for i in range(m)]
+    space = HilbertSpace(coeffs.slow_space.factor_dims + (truncation,) * m)
+    a1 = fock_annihilator(truncation).mat
+    eyes = [np.eye(truncation**i) for i in range(m)]
+    a = np.array([np.kron(np.kron(eyes[i], a1), eyes[m - 1 - i]) for i in range(m)])
+    adag = _adjoint(a)
+    c, z, x = coeffs.osc_couplings, coeffs.creation_coeffs, coeffs.annihilation_coeffs
 
-    s = np.array([[np.kron(op.mat, osc_eye) for op in row] for row in coeffs.scattering])
+    s = np.kron(coeffs.scattering, osc_eye)
     # L1_j = sum_i C_ji x a_i
-    l1 = _channel_sum(
-        np.array([[np.kron(op.mat, a[i]) for i, op in enumerate(row)] for row in coeffs.osc_couplings]),
-        axis=1,
-    )
-    l0 = np.array([np.kron(op.mat, osc_eye) for op in coeffs.direct_couplings])
+    l1 = _channel_sum(np.array([[np.kron(cj[i], a[i]) for i in range(m)] for cj in c]), axis=1)
+    l0 = np.kron(coeffs.direct_couplings, osc_eye)
 
     # k^2 drift: sum_ij A_ij x a_i^H a_j
-    lifted_adag = np.array([np.kron(slow_eye, op) for op in adag])
-    lifted_a = np.array([np.kron(slow_eye, op) for op in a])
+    lifted_a, lifted_adag = np.kron(slow_eye, a), np.kron(slow_eye, adag)
     k2 = _pair_sum(coeffs.osc_drift[:, :, None, None] * (lifted_adag[:, None] @ lifted_a[None]))
     # k^1 drift: sum_i Z_i x a_i^H + X_i x a_i, in the order Z_0, X_0, Z_1, ...
-    z, x = _mats(coeffs.creation_coeffs), _mats(coeffs.annihilation_coeffs)
-    k1 = _channel_sum(
-        np.array([t for i in range(m) for t in (np.kron(z[i], adag[i]), np.kron(x[i], a[i]))])
-    )
+    k1 = _pair_sum(np.array([(np.kron(z[i], adag[i]), np.kron(x[i], a[i])) for i in range(m)]))
     k0 = np.kron(coeffs.constant_drift.mat, osc_eye)
 
-    def recover_h(k_mat, lsq, order):
-        h = 1j * (k_mat + 0.5 * lsq)
-        defect = float(np.max(np.abs(h - h.conj().T)))
-        if defect > 1e-8:
-            raise ValueError(
-                f"recovered k^{order} Hamiltonian coefficient is not Hermitian "
-                f"(defect {defect:.3e}); the supplied drift is inconsistent"
-            )
-        return Operator(space, 0.5 * (h + h.conj().T))
-
     l1d, l0d = _adjoint(l1), _adjoint(l0)
-    h2 = recover_h(k2, _channel_sum(l1d @ l1), 2)
-    h1 = recover_h(k1, _channel_sum(l1d @ l0 + l0d @ l1), 1)
-    h0 = recover_h(k0, _channel_sum(l0d @ l0), 0)
+    h2 = _recover_h(space, k2, _channel_sum(l1d @ l1), "k^2 Hamiltonian coefficient")
+    h1 = _recover_h(space, k1, _channel_sum(l1d @ l0 + l0d @ l1), "k^1 Hamiltonian coefficient")
+    h0 = _recover_h(space, k0, _channel_sum(l0d @ l0), "k^0 Hamiltonian coefficient")
     return ScaledSLHFamily(s, l1, l0, h2, h1, h0)
 
 
@@ -425,7 +380,6 @@ class StabilityReport:
 
 def stability_threshold(sys: LinearMeanSystem, k_grid) -> StabilityReport:
     """Sweep the spectral abscissa over a k grid and cross-check the criterion."""
-    _check_invertible(sys.fast_block, "fast block")
     gamma0 = slow_schur(sys)
     rows = []
     for k in sorted(float(k) for k in k_grid):

@@ -92,6 +92,8 @@ class DensityMatrix:
         m = np.array(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != space.dim:
             raise ValueError(f"density matrix must be {space.dim} x {space.dim}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite (no NaN/Inf)")
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > herm_tol:
             raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
@@ -267,7 +269,9 @@ def evolve(
     for step in range(1, n_steps + 1):
         v = phi @ m.reshape(-1, order="F")
         m = v.reshape((d, d), order="F")
-        h_defect = float(np.max(np.abs(m - m.conj().T)))
+        saved = step % save_every == 0 or step == n_steps
+        if saved:
+            h_defect = float(np.max(np.abs(m - m.conj().T)))
         m = 0.5 * (m + m.conj().T)
         drift = abs(float(np.trace(m).real) - 1.0)
         if not drift <= TRACE_ABORT_TOL:
@@ -275,7 +279,7 @@ def evolve(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
                 f"{TRACE_ABORT_TOL:.1e}; reduce dt"
             )
-        if step % save_every == 0 or step == n_steps:
+        if saved:
             j += 1
             times[j], rho[j], tdrift[j], hdrift[j] = step * dt_eff, m, drift, h_defect
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -74,21 +74,7 @@ class RunManifest:
         )
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "command": self.command,
-                    "input_digest": self.input_digest,
-                    "tolerances": self.tolerances,
-                    "seed": self.seed,
-                    "version": self.version,
-                    "timestamp": self.timestamp,
-                },
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
+        write_json(path, asdict(self))
 
 
 def digest_bytes(data: bytes) -> str:

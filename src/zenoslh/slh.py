@@ -105,20 +105,22 @@ def unitarity_defect(s) -> float:
     return worst
 
 
-def _stack(space: HilbertSpace, x, n: int, depth: int, what: str) -> np.ndarray:
-    """Read-only complex array of shape (n,) * depth + (d, d).
+def _stack(space: HilbertSpace, x, outer: tuple, what: str) -> np.ndarray:
+    """Read-only complex array of shape outer + (d, d).
 
-    ``x`` is such an array, or (for depth 2, nested) sequences of
-    Operators on ``space``.  Entries must be finite, as for an Operator.
+    ``x`` is such an array, or nested sequences of Operators on ``space``
+    with lengths ``outer``.  Entries must be finite, as for an Operator.
     """
-    shape = (n,) * depth + (space.dim, space.dim)
+    shape = tuple(outer) + (space.dim, space.dim)
     if isinstance(x, np.ndarray):
         arr = np.array(x, dtype=complex)
     else:
-        rows = [tuple(x)] if depth == 1 else [tuple(row) for row in x]
-        if depth == 2 and (len(rows) != n or any(len(row) != n for row in rows)):
-            raise ValueError(f"scattering matrix must be {n} x {n}")
-        ops = [op for row in rows for op in row]
+        ops = [x]
+        for size in outer:
+            ops = [tuple(row) for row in ops]
+            if any(len(row) != size for row in ops):
+                raise ValueError(f"{what} must form an array of shape {shape}")
+            ops = [op for row in ops for op in row]
         if any(not isinstance(op, Operator) or op.space != space for op in ops):
             raise ValueError(f"{what} must be operators on the common space")
         arr = np.array([op.mat for op in ops], dtype=complex).reshape(shape)
@@ -147,8 +149,8 @@ def _validated(space: HilbertSpace, s, ls, hamiltonians: dict):
     for name, h in hamiltonians.items():
         if not isinstance(h, Operator) or h.space != space:
             raise ValueError(f"{name} must be an operator on the common space")
-    ls = [_stack(space, l, n, 1, "coupling operators") for l in ls]
-    s = _stack(space, s, n, 2, "scattering entries")
+    ls = [_stack(space, l, (n,), "coupling operators") for l in ls]
+    s = _stack(space, s, (n, n), "scattering entries")
 
     u_defect = unitarity_defect(s)
     if u_defect > UNITARITY_FAIL_TOL:

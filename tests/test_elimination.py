@@ -29,6 +29,7 @@ from zenoslh import (
     zeno_eliminate,
     zero,
 )
+from zenoslh import elimination
 from zenoslh.random_models import (
     random_complex_matrix,
     random_hermitian,
@@ -312,6 +313,19 @@ def test_zeno_eliminate_alkali():
             assert entrymax(res.zeno_triple.S[j][k], s_exp[j][k]) < 1e-12
         assert entrymax(res.zeno_triple.L[j]) < 1e-12
     assert entrymax(res.zeno_triple.H, h_exp) < 1e-12
+
+
+def test_zeno_eliminate_expands_k_once(monkeypatch):
+    calls = []
+
+    def counting_expand_k(family):
+        calls.append(family)
+        return expand_k(family)
+
+    monkeypatch.setattr(elimination, "expand_k", counting_expand_k)
+    fam, split = kerr_family()
+    zeno_eliminate(fam, split)
+    assert len(calls) == 1
 
 
 def test_zeno_eliminate_scaling_violation():

@@ -9,6 +9,7 @@ from zenoslh import (
     build_full_family,
     expand_k,
     find_zeno_subspace,
+    fock_annihilator,
     full_spectrum,
     identity,
     is_strictly_hurwitz,
@@ -134,6 +135,98 @@ def test_build_full_family_k_independent_when_uncoupled():
         assert entrymax(op) == 0.0
     assert entrymax(fam.H1) == 0.0
     assert entrymax(fam.H2) == 0.0
+
+
+def _stack(x) -> np.ndarray:
+    """Array of a coefficient stack given as an array or nested Operators."""
+    if isinstance(x, np.ndarray):
+        return x
+    return np.array([y.mat if isinstance(y, Operator) else _stack(y) for y in x])
+
+
+def test_oscillator_limit_matches_loop_formulas():
+    rng = np.random.default_rng(52)
+    n, m = 3, 2
+    coeffs = random_oscillator_model(rng, 2, n, m)
+    s, c = _stack(coeffs.scattering), _stack(coeffs.osc_couplings)
+    g = _stack(coeffs.direct_couplings)
+    z, x = _stack(coeffs.creation_coeffs), _stack(coeffs.annihilation_coeffs)
+    r = coeffs.constant_drift.mat
+    w = np.linalg.inv(coeffs.osc_drift)
+    s_hat = s.copy()
+    l_hat = g.copy()
+    k_hat = r.copy()
+    for p in range(m):
+        for q in range(m):
+            k_hat -= w[p, q] * x[p] @ z[q]
+            for j in range(n):
+                l_hat[j] -= w[p, q] * c[j, p] @ z[q]
+                for jj in range(n):
+                    for kk in range(n):
+                        s_hat[j, kk] += w[p, q] * c[j, p] @ c[jj, q].conj().T @ s[jj, kk]
+    h = 1j * (k_hat + 0.5 * sum(lj.conj().T @ lj for lj in l_hat))
+    t = oscillator_limit(coeffs)
+    for j in range(n):
+        for kk in range(n):
+            assert entrymax(t.S[j][kk], s_hat[j, kk]) < 1e-12
+        assert entrymax(t.L[j], l_hat[j]) < 1e-12
+    assert entrymax(t.H, h) < 1e-12
+
+
+def test_build_full_family_reproduces_drift():
+    rng = np.random.default_rng(53)
+    m, trunc = 2, 3
+    coeffs = random_oscillator_model(rng, 2, 2, m)
+    slow_eye = np.eye(coeffs.slow_space.dim)
+    a1 = fock_annihilator(trunc).mat
+    a = [np.kron(a1, np.eye(trunc)), np.kron(np.eye(trunc), a1)]
+    z, x = _stack(coeffs.creation_coeffs), _stack(coeffs.annihilation_coeffs)
+    r = coeffs.constant_drift.mat
+    quad = sum(
+        coeffs.osc_drift[i, j] * np.kron(slow_eye, a[i].conj().T @ a[j])
+        for i in range(m)
+        for j in range(m)
+    )
+    lin = sum(np.kron(z[i], a[i].conj().T) + np.kron(x[i], a[i]) for i in range(m))
+    exp = expand_k(build_full_family(coeffs, trunc))
+    assert entrymax(exp.quadratic, quad) < 1e-12
+    assert entrymax(exp.linear, lin) < 1e-12
+    assert entrymax(exp.constant, np.kron(r, np.eye(trunc**m))) < 1e-12
+
+
+def test_oscillator_coeffs_array_input_and_validation():
+    rng = np.random.default_rng(54)
+    coeffs = random_oscillator_model(rng, 2, 3, 2)
+    sp = coeffs.slow_space
+    stacks = {
+        "scattering": _stack(coeffs.scattering),
+        "osc_couplings": _stack(coeffs.osc_couplings),
+        "direct_couplings": _stack(coeffs.direct_couplings),
+        "annihilation_coeffs": _stack(coeffs.annihilation_coeffs),
+        "creation_coeffs": _stack(coeffs.creation_coeffs),
+    }
+    rest = {"osc_drift": coeffs.osc_drift, "constant_drift": coeffs.constant_drift}
+    from_arrays = OscillatorModelCoeffs(sp, **stacks, **rest)
+    t, ref = oscillator_limit(from_arrays), oscillator_limit(coeffs)
+    assert entrymax(t.s, ref.s) == 0.0
+    assert entrymax(t.l, ref.l) == 0.0
+    assert entrymax(t.H, ref.H) == 0.0
+
+    nan = stacks["direct_couplings"].copy()
+    nan[1, 0, 1] = np.nan
+    wrong_space = tuple(Operator(HilbertSpace((3,)), np.eye(3)) for _ in range(3))
+    for name, bad in [
+        ("osc_couplings", stacks["osc_couplings"][:, :1]),
+        ("scattering", stacks["scattering"][:2]),
+        ("direct_couplings", nan),
+        ("direct_couplings", wrong_space),
+    ]:
+        with pytest.raises(ValueError):
+            OscillatorModelCoeffs(sp, **{**stacks, name: bad}, **rest)
+    with pytest.raises(ValueError):
+        OscillatorModelCoeffs(
+            sp, **stacks, osc_drift=coeffs.osc_drift, constant_drift=identity(HilbertSpace((3,)))
+        )
 
 
 def test_vacuum_kernel_under_hurwitz_drift():

@@ -48,6 +48,14 @@ def test_density_matrix_validation():
     assert rho.purity() > 1.0
 
 
+def test_density_matrix_rejects_nan():
+    nan = [[np.nan, 0.0], [0.0, np.nan]]
+    with pytest.raises(ValueError):
+        DensityMatrix(QUBIT, nan)
+    with pytest.raises(ValueError):
+        DensityMatrix(QUBIT, nan, min_eig_tol=None)
+
+
 def test_pure_state_density_normalizes():
     from zenoslh import pure_state_density
 
