@@ -52,6 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
+# bytes of trajectory states that ``traj`` holds in memory at once
+TRAJ_CHUNK_BYTES = 4 * 2**20
+
 
 class _Parser(argparse.ArgumentParser):
     # the exit-code contract reserves 2 for condition violations
@@ -229,6 +232,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_traj(args) -> int:
+    if args.n < 1:
+        raise ModelParseError(f"--n must be at least 1, got {args.n}")
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     g = _eliminate(doc, tols).zeno_triple
@@ -242,11 +247,17 @@ def _cmd_traj(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one trajectory in memory at a time: member i of the ensemble is the
-    # one-member ensemble seeded base + i
-    for i in range(args.n):
-        (r,) = simulate_ensemble(g, rho0, replace(config, seed=args.seed + i), 1)
-        write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
+    # members run in chunks of about TRAJ_CHUNK_BYTES of states, and each
+    # chunk is written before the next is simulated; a chunk starting at
+    # member i is the ensemble seeded base + i
+    chunk = max(1, TRAJ_CHUNK_BYTES // ((config.n_steps + 1) * g.dim**2 * 16))
+    for start in range(0, args.n, chunk):
+        runs = simulate_ensemble(
+            g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
+        )
+        for i, r in enumerate(runs, start):
+            write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
+        del runs, r  # free this chunk before the next is simulated
     RunManifest.create(
         f"traj --scheme {args.scheme} --n {args.n}", model_digest(doc), tols, seed=args.seed
     ).write(out_dir / "manifest.json")

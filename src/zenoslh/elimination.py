@@ -229,15 +229,21 @@ def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
     return SLHTriple(family.s, l, h)
 
 
+def _k_quadratic(family: ScaledSLHFamily) -> Operator:
+    """The k^2 coefficient of K(k), -1/2 sum_i L1_i^H L1_i - i H2."""
+    m1 = family.l1
+    quad = _channel_sum(_adjoint(m1) @ m1)
+    return Operator(family.space, -0.5 * quad - 1j * family.H2.mat)
+
+
 def expand_k(family: ScaledSLHFamily) -> KExpansion:
     """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k)."""
     m1, m0 = family.l1, family.l0
     m1d, m0d = _adjoint(m1), _adjoint(m0)
-    quad = _channel_sum(m1d @ m1)
     lin = _channel_sum(m1d @ m0 + m0d @ m1)
     const = _channel_sum(m0d @ m0)
     return KExpansion(
-        quadratic=Operator(family.space, -0.5 * quad - 1j * family.H2.mat),
+        quadratic=_k_quadratic(family),
         linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
         constant=Operator(family.space, -0.5 * const - 1j * family.H0.mat),
     )
@@ -437,8 +443,7 @@ def find_zeno_subspace(family: ScaledSLHFamily, tol: float = 1e-10) -> ZenoSplit
     The kernel basis is canonicalized, so kernels aligned with the
     computational basis come back as exact basis vectors.
     """
-    a = expand_k(family).quadratic
-    v_z = kernel_basis(a, tol)
+    v_z = kernel_basis(_k_quadratic(family), tol)
     d = v_z.subspace_dim
     if d == 0:
         raise ValueError(

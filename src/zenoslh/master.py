@@ -148,11 +148,17 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
     return DensityMatrix(space, np.outer(v, v.conj()))
 
 
-def _dissipator_mat(ls, h, rho):
+def _dissipator_terms(h, ls):
+    """H and one (L, L^H, L^H L) per channel, formed once per model."""
+    lds = [lm.conj().T for lm in ls]
+    return h, [(lm, ld, ld @ lm) for lm, ld in zip(ls, lds)]
+
+
+def _dissipator_mat(terms, rho):
+    """D(rho) for one matrix or a stack of them, from ``_dissipator_terms``."""
+    h, channels = terms
     out = 1j * (rho @ h - h @ rho)
-    for lm in ls:
-        ld = lm.conj().T
-        ldl = ld @ lm
+    for lm, ld, ldl in channels:
         out += lm @ rho @ ld - 0.5 * (rho @ ldl + ldl @ rho)
     return out
 
@@ -161,7 +167,7 @@ def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
     """Predual generator applied to a state; the result is traceless."""
     if rho.space != g.space:
         raise ValueError("state lives on a different space than the model")
-    out = _dissipator_mat(g.l, g.H.mat, rho.mat)
+    out = _dissipator_mat(_dissipator_terms(g.H.mat, g.l), rho.mat)
     return Operator(g.space, out)
 
 

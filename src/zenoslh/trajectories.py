@@ -27,10 +27,11 @@ access (trace to 1e-8, no eigenvalue check).
 
 Randomness comes from a seedable 64-bit generator
 (``numpy.random.default_rng``); within an ensemble, trajectory i uses
-seed base_seed + i.  Identical (model, state, config) inputs produce
-bit-identical records.  Individual trajectories are independent pure
-computations and can run fully in parallel; a single trajectory is
-sequential.
+seed base_seed + i and draws its whole record before the first step.
+The members of an ensemble step in lockstep, in one process, as one
+(M, d, d) stack; a single trajectory is the ensemble of one.  Member i is
+bit-identical to a lone run seeded base_seed + i, and a member that fails
+raises the error that run would raise.
 
 The scattering matrix does not enter these filter equations; for
 counting with a nontrivial scattering matrix this is a documented
@@ -39,12 +40,13 @@ limitation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .master import DensityMatrix, EvolutionResult, StepSizeError, _dissipator_mat, _StateViews
+from .master import DensityMatrix, EvolutionResult, StepSizeError, _StateViews
+from .master import _dissipator_mat, _dissipator_terms
 from .operators import HilbertSpace
 from .slh import SLHTriple
 
@@ -83,6 +85,10 @@ class SimConfig:
         if self.measured_channel < 0:
             raise ValueError("measured_channel must be a nonnegative index")
 
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_end / self.dt)))
+
 
 @dataclass(frozen=True)
 class MeasurementRecord:
@@ -120,58 +126,76 @@ class TrajectoryResult(_StateViews):
     trace_tol: ClassVar[float] = 1e-8
 
 
-class _Precomp:
-    """Matrices reused across steps of one trajectory."""
+class _Ops:
+    """Matrices of one model and measured channel, formed once per run."""
 
     def __init__(self, g: SLHTriple, channel: int):
         if not (0 <= channel < g.n):
             raise ValueError(f"measured channel {channel} out of range for {g.n} channels")
-        self.h = g.H.mat
-        self.ls = g.l
-        self.lc = self.ls[channel]
-        self.lcd = self.lc.conj().T
-        self.lcdlc = self.lcd @ self.lc
+        self.terms = _dissipator_terms(g.H.mat, g.l)
+        self.lc, self.lcd, self.lcdlc = self.terms[1][channel]
+        self.lc_sum = self.lc + self.lcd
 
 
-def _normalize(m):
-    m = 0.5 * (m + m.conj().T)
-    return m / float(np.trace(m).real)
+def _trace(x):
+    return x.trace(axis1=1, axis2=2)
 
 
-def _homodyne_step_mat(pre: _Precomp, m, dt: float, dw: float):
-    mean = float(np.trace(m @ (pre.lc + pre.lcd)).real)
-    gain = pre.lc @ m + m @ pre.lcd - mean * m
-    m2 = m + _dissipator_mat(pre.ls, pre.h, m) * dt + gain * dw
-    return _normalize(m2), mean * dt + dw, dw
+def _normalize(x):
+    x = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    return x / _trace(x).real[:, None, None]
 
 
-def _counting_step_mat(pre: _Precomp, m, dt: float, u: float):
-    rate = float(np.trace(m @ pre.lcdlc).real)
-    if not rate * dt <= JUMP_PROBABILITY_GUARD:
-        raise StepSizeError(
-            f"jump probability per step {rate * dt:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
-        )
-    if u < rate * dt:
-        jm = pre.lc @ m @ pre.lcd
-        w = float(np.trace(jm).real)
-        if w < 1e-14:
-            raise ValueError("jump attempted from a state with zero jump probability")
-        return jm / w, True, rate
-    m2 = m + (_dissipator_mat(pre.ls, pre.h, m) - (pre.lc @ m @ pre.lcd - rate * m)) * dt
-    return _normalize(m2), False, rate
+def _homodyne_step(ops: _Ops, x, dt: float, dw):
+    """One diffusive update of an (M, d, d) stack, dw holding one increment
+    per member.  Returns the next states and the means tr(rho (L_c + L_c^H))."""
+    mean = _trace(x @ ops.lc_sum).real
+    gain = ops.lc @ x + x @ ops.lcd - mean[:, None, None] * x
+    return _normalize(x + _dissipator_mat(ops.terms, x) * dt + gain * dw[:, None, None]), mean
 
 
-def homodyne_step(
-    g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, dw: float
-):
+def _counting_step(ops: _Ops, x, dt: float, u):
+    """One jump/no-jump update of an (M, d, d) stack, u holding one uniform
+    per member.  Returns (next states, jumped, rates, error).
+
+    error is None, or the exception of the lowest-index member whose step
+    fails (jump guard, NaN rate, zero-weight jump); the other three then
+    cover only the members before it.
+    """
+    rate = _trace(x @ ops.lcdlc).real
+    p = rate * dt
+    jumped = u < p
+    jm = ops.lc @ x @ ops.lcd
+    bad = ~(p <= JUMP_PROBABILITY_GUARD)  # a NaN p is over the guard
+    any_jump = jumped.any()
+    if any_jump:
+        bad |= jumped & (_trace(jm).real < 1e-14)
+    error = None
+    if bad.any():
+        i = int(np.argmax(bad))
+        if p[i] <= JUMP_PROBABILITY_GUARD:
+            error = ValueError("jump attempted from a state with zero jump probability")
+        else:
+            error = StepSizeError(
+                f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
+            )
+        x, rate, jm, jumped = x[:i], rate[:i], jm[:i], jumped[:i]
+        any_jump = jumped.any()
+    nxt = _normalize(x + (_dissipator_mat(ops.terms, x) - (jm - rate[:, None, None] * x)) * dt)
+    if any_jump:
+        jm = jm[jumped]
+        nxt[jumped] = jm / _trace(jm).real[:, None, None]
+    return nxt, jumped, rate, error
+
+
+def homodyne_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, dw: float):
     """One diffusive update; dw is a Gaussian increment of variance dt.
 
     Returns (rho_next, dY, dI); the state is re-Hermitized and
     trace-renormalized.
     """
-    pre = _Precomp(g, channel)
-    m, dy, di = _homodyne_step_mat(pre, rho.mat, dt, dw)
-    return DensityMatrix(g.space, m, min_eig_tol=None), dy, di
+    m, mean = _homodyne_step(_Ops(g, channel), rho.mat[None], dt, np.array([dw]))
+    return DensityMatrix(g.space, m[0], min_eig_tol=None), float(mean[0]) * dt + dw, dw
 
 
 def counting_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, u: float):
@@ -180,9 +204,10 @@ def counting_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, u: 
     Returns (rho_next, jumped).  Aborts if the per-step jump probability
     exceeds the guard, which keeps the first-order splitting valid.
     """
-    pre = _Precomp(g, channel)
-    m, jumped, _ = _counting_step_mat(pre, rho.mat, dt, u)
-    return DensityMatrix(g.space, m, min_eig_tol=None), jumped
+    m, jumped, _, error = _counting_step(_Ops(g, channel), rho.mat[None], dt, np.array([u]))
+    if error is not None:
+        raise error
+    return DensityMatrix(g.space, m[0], min_eig_tol=None), bool(jumped[0])
 
 
 def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> TrajectoryResult:
@@ -191,48 +216,61 @@ def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> Trajectory
     The record is generated before any estimation query, so its
     statistics depend only on (model, initial state, seed).
     """
-    if rho0.space != g.space:
-        raise ValueError("initial state lives on a different space than the model")
-    pre = _Precomp(g, config.measured_channel)
-    n = max(1, int(round(config.t_end / config.dt)))
-    dt = config.t_end / n
-    rng = np.random.default_rng(config.seed)
-
-    times = np.linspace(0.0, config.t_end, n + 1)
-    rho = np.empty((n + 1, g.dim, g.dim), dtype=complex)
-    m = rho[0] = rho0.mat
-    innovations = np.empty(n)
-
-    if config.scheme == "homodyne":
-        dws = rng.normal(0.0, np.sqrt(dt), size=n)
-        increments = np.empty(n)
-        for i in range(n):
-            m, increments[i], innovations[i] = _homodyne_step_mat(pre, m, dt, dws[i])
-            rho[i + 1] = m
-        record = MeasurementRecord(kind="homodyne", times=times, increments=increments)
-    else:
-        us = rng.random(size=n)
-        jump_times = []
-        for i in range(n):
-            m, jumped, rate = _counting_step_mat(pre, m, dt, us[i])
-            if jumped:
-                jump_times.append(times[i + 1])
-            innovations[i] = (1.0 if jumped else 0.0) - rate * dt
-            rho[i + 1] = m
-        record = MeasurementRecord(
-            kind="counting", times=times, jump_times=np.array(jump_times)
-        )
-    rho.setflags(write=False)
-    return TrajectoryResult(times, g.space, rho, record, innovations)
+    return simulate_ensemble(g, rho0, config, 1)[0]
 
 
 def simulate_ensemble(
     g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_trajectories: int
 ) -> list[TrajectoryResult]:
-    """Independent trajectories with the documented seed split base + i."""
+    """Trajectories i < n_trajectories, seeded config.seed + i, in lockstep.
+
+    Each ``rho`` is a read-only view of one array.  A member whose step
+    fails leaves the batch with every higher-index member; the error of
+    the lowest-index member that failed is raised once the rest have
+    finished, as running the members one by one would raise it.
+    """
+    members = int(n_trajectories)
+    if members < 1:
+        raise ValueError(f"need at least one trajectory, got {n_trajectories}")
+    if rho0.space != g.space:
+        raise ValueError("initial state lives on a different space than the model")
+    ops = _Ops(g, config.measured_channel)
+    n = config.n_steps
+    dt = config.t_end / n
+    homodyne = config.scheme == "homodyne"
+    rngs = [np.random.default_rng(config.seed + i) for i in range(members)]
+    draws = np.array(
+        [r.normal(0.0, np.sqrt(dt), size=n) if homodyne else r.random(size=n) for r in rngs]
+    )
+    times = np.linspace(0.0, config.t_end, n + 1)
+    times.setflags(write=False)
+    rho = np.empty((members, n + 1, g.dim, g.dim), dtype=complex)
+    rho[:, 0] = rho0.mat
+    m, error = rho[:, 0], None
+    # per member and step: tr(rho (L_c + L_c^H)) or the jump rate, and the jump flag
+    means, jumps = np.empty((members, n)), np.zeros((members, n), dtype=bool)
+    for s in range(n):
+        if homodyne:
+            m, means[:, s] = _homodyne_step(ops, m, dt, draws[:, s])
+        else:
+            m, jumped, rate, err = _counting_step(ops, m, dt, draws[: len(m), s])
+            jumps[: len(m), s], means[: len(m), s] = jumped, rate
+            if err is not None:  # each failure has a lower index than the one before
+                error = err
+                if not len(m):
+                    break
+        rho[: len(m), s + 1] = m
+    if error is not None:
+        raise error
+    rho.setflags(write=False)
+    if homodyne:
+        innovations = draws
+        records = [MeasurementRecord("homodyne", times, increments=dy) for dy in means * dt + draws]
+    else:
+        innovations = jumps - means * dt
+        records = [MeasurementRecord("counting", times, jump_times=times[1:][j]) for j in jumps]
     return [
-        simulate(g, rho0, replace(config, seed=config.seed + i))
-        for i in range(int(n_trajectories))
+        TrajectoryResult(times, g.space, rho[i], records[i], innovations[i]) for i in range(members)
     ]
 
 

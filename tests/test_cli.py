@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
+from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
+from zenoslh import cli
 from zenoslh.cli import main
-from zenoslh.outputs import pairs_to_matrix
+from zenoslh.outputs import pairs_to_matrix, write_trajectory_csv
 
 from common import MODELS, alkali_expected, entrymax
 
@@ -135,6 +139,47 @@ def test_traj_counting_lambda(tmp_path):
     assert body[0].split(",")[1] == "jump"
     jumps = sum(float(line.split(",")[1]) for line in body[1:])
     assert jumps <= 1
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_traj_needs_a_trajectory(tmp_path, capsys, n):
+    out = tmp_path / "none"
+    argv = ["traj", KERR, "--scheme", "homodyne", "--n", n, "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "--n must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_traj_chunks_write_what_lone_runs_write(tmp_path, monkeypatch, scheme):
+    # 101 states of 2 x 2 per member: a budget of two members' states
+    # splits --n 5 into chunks of 2, 2 and 1
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
+    sizes = []
+    real = cli.simulate_ensemble
+
+    def recording(g, rho0, config, n):
+        sizes.append(n)
+        return real(g, rho0, config, n)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", recording)
+    out = tmp_path / scheme
+    argv = ["traj", KERR, "--scheme", scheme, "--seed", "11", "--n", "5", "--t-end", "0.5",
+            "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert sizes == [2, 2, 1]
+
+    doc = load_model(KERR)
+    g = zeno_eliminate(doc.family, doc.split()).zeno_triple
+    rho0 = basis_state_density(g.space, 1)
+    jumps = 0
+    for i in range(5):
+        lone = simulate(g, rho0, SimConfig(dt=0.005, t_end=0.5, seed=11 + i, scheme=scheme))
+        write_trajectory_csv(tmp_path / "lone.csv", lone)
+        assert (out / f"traj_{i:04d}.csv").read_bytes() == (tmp_path / "lone.csv").read_bytes()
+        if scheme == "counting":
+            jumps += len(lone.record.jump_times)
+    assert scheme == "homodyne" or jumps > 0  # the counting records include jumps
 
 
 def test_converge_csv(tmp_path):

@@ -29,7 +29,8 @@ from zenoslh import (
     zeno_eliminate,
     zero,
 )
-from zenoslh import elimination
+from zenoslh import elimination, load_model
+from zenoslh.operators import kernel_basis
 from zenoslh.random_models import (
     random_complex_matrix,
     random_hermitian,
@@ -38,6 +39,7 @@ from zenoslh.random_models import (
 )
 
 from common import (
+    MODELS,
     alkali_expected,
     alkali_family,
     entrymax,
@@ -326,6 +328,21 @@ def test_zeno_eliminate_expands_k_once(monkeypatch):
     fam, split = kerr_family()
     zeno_eliminate(fam, split)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["kerr_qubit", "lambda_system", "alkali"])
+def test_find_zeno_subspace_skips_the_full_expansion(monkeypatch, name):
+    fam = load_model(MODELS / f"{name}.model").family
+    # the split as find_zeno_subspace formed it from the whole expansion
+    before = ZenoSplit.from_zeno(kernel_basis(expand_k(fam).quadratic, 1e-10))
+
+    def no_expand_k(family):
+        raise AssertionError("find_zeno_subspace expanded K(k) in full")
+
+    monkeypatch.setattr(elimination, "expand_k", no_expand_k)
+    split = find_zeno_subspace(fam)
+    assert np.array_equal(split.v_z.cols, before.v_z.cols)
+    assert split.zeno_space == before.zeno_space
 
 
 def test_zeno_eliminate_scaling_violation():

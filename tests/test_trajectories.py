@@ -6,6 +6,7 @@ import pytest
 from zenoslh import (
     DensityMatrix,
     HilbertSpace,
+    Operator,
     SimConfig,
     SLHTriple,
     basis_ketbra,
@@ -24,6 +25,7 @@ from zenoslh import (
     zero,
 )
 from zenoslh.master import StepSizeError, dissipator
+from zenoslh.random_models import random_complex_matrix, random_density_matrix, random_hermitian
 
 from common import entrymax, kerr_family, lambda_family
 
@@ -269,3 +271,171 @@ def test_homodyne_purity_preserved_from_pure_start():
     r = simulate(g, rho0, cfg)
     purities = np.array([s.purity() for s in r.states])
     assert purities.min() > 1 - 1e-4
+
+
+def test_simulate_ensemble_needs_a_member():
+    g = zeno_kerr()
+    rho0 = basis_state_density(QUBIT, 1)
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            simulate_ensemble(g, rho0, cfg, n)
+
+
+class _ScriptedRng:
+    """Stands in for a generator: hands out a fixed record of uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size):
+        return self.uniforms[:size].copy()
+
+
+def scripted_uniforms(monkeypatch, n_steps, forced, base, members):
+    """Counting members base .. base + members - 1 draw u = 0.99 at every
+    step (never a jump, as the guard keeps rate dt <= 0.1), except where
+    ``forced[i]`` maps a step of member i to the uniform drawn there."""
+    scripts = {}
+    for i in range(members):
+        u = np.full(n_steps, 0.99)
+        for step, value in forced.get(i, {}).items():
+            u[step] = value
+        scripts[base + i] = u
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedRng(scripts[seed]))
+
+
+def assert_same_error(g, rho0, cfg, members, failing):
+    """The ensemble raises what a lone run of member ``failing`` raises,
+    and member 0 alone runs through."""
+    simulate(g, rho0, cfg)
+    with pytest.raises(Exception) as lone:
+        simulate(g, rho0, replace(cfg, seed=cfg.seed + failing))
+    with pytest.raises(Exception) as batch:
+        simulate_ensemble(g, rho0, cfg, members)
+    assert type(batch.value) is type(lone.value)
+    assert str(batch.value) == str(lone.value)
+    return batch.value
+
+
+def test_ensemble_guard_error_is_the_failing_members(monkeypatch):
+    # a strong drive out of the dark state |0> pushes the jump probability
+    # over the guard unless a jump resets the state first
+    g = SLHTriple(((identity(QUBIT),),), (np.sqrt(10.0) * SIGMA_OP,), 10.0 * pauli("x"))
+    rho0 = basis_state_density(QUBIT, 0)
+    cfg = SimConfig(dt=0.01, t_end=1.0, seed=40, scheme="counting")
+    jump_always = {step: 0.0 for step in range(cfg.n_steps)}
+    forced = {i: jump_always for i in range(6) if i != 3}
+    scripted_uniforms(monkeypatch, cfg.n_steps, forced, cfg.seed, 6)
+    err = assert_same_error(g, rho0, cfg, 6, failing=3)
+    assert isinstance(err, StepSizeError) and "exceeds" in str(err)
+
+
+def nan_model():
+    # H = 1e300 sigma_z commutes with diagonal states; a coherence
+    # overflows within two steps and the jump rate turns NaN.  A jump of
+    # sigma_- lands on |0><0|, which is diagonal and dark.
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), 1e300 * pauli("z"))
+    return g, pure_state_density(QUBIT, [1.0, 1.0])
+
+
+def test_ensemble_nan_rate_error_is_the_failing_members(monkeypatch):
+    g, rho0 = nan_model()
+    cfg = SimConfig(dt=1e-3, t_end=0.01, seed=50, scheme="counting")
+    forced = {i: {0: -1.0} for i in range(6) if i != 3}  # jump to |0><0| at once
+    scripted_uniforms(monkeypatch, cfg.n_steps, forced, cfg.seed, 6)
+    with np.errstate(all="ignore"):
+        err = assert_same_error(g, rho0, cfg, 6, failing=3)
+    assert isinstance(err, StepSizeError) and "nan" in str(err)
+
+
+def test_ensemble_zero_weight_jump_error_is_the_failing_members(monkeypatch):
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), zero(QUBIT))
+    rho0 = basis_state_density(QUBIT, 0)  # dark and stationary
+    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=60, scheme="counting")
+    scripted_uniforms(monkeypatch, cfg.n_steps, {3: {12: -1.0}}, cfg.seed, 6)
+    err = assert_same_error(g, rho0, cfg, 6, failing=3)
+    assert type(err) is ValueError and "zero jump probability" in str(err)
+
+
+def test_ensemble_raises_lowest_failing_member_not_earliest(monkeypatch):
+    # member 5 fails first (a zero-weight jump at step 1), member 3 later
+    # (NaN rate at step 2); a member-by-member run stops at member 3
+    g, rho0 = nan_model()
+    cfg = SimConfig(dt=1e-3, t_end=0.01, seed=70, scheme="counting")
+    forced = {i: {0: -1.0} for i in range(6) if i != 3}
+    forced[5] = {0: -1.0, 1: -1.0}
+    scripted_uniforms(monkeypatch, cfg.n_steps, forced, cfg.seed, 6)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="zero jump probability"):
+            simulate(g, rho0, replace(cfg, seed=cfg.seed + 5, t_end=0.002))
+        simulate(g, rho0, replace(cfg, seed=cfg.seed + 3, t_end=0.002))  # steps 0 and 1 pass
+        err = assert_same_error(g, rho0, cfg, 6, failing=3)
+    assert isinstance(err, StepSizeError) and "nan" in str(err)
+
+
+def serial_reference(g, rho0, cfg):
+    """One member stepped on its own, in the loop form the lockstep kernel
+    replaced: (d, d) matrices and Python-float scalars."""
+    h, ls = g.H.mat, g.l
+    lc = ls[cfg.measured_channel]
+    lcd = lc.conj().T
+
+    def diss(m):
+        out = 1j * (m @ h - h @ m)
+        for lm in ls:
+            ld = lm.conj().T
+            ldl = ld @ lm
+            out += lm @ m @ ld - 0.5 * (m @ ldl + ldl @ m)
+        return out
+
+    def normalize(m):
+        m = 0.5 * (m + m.conj().T)
+        return m / float(np.trace(m).real)
+
+    n = cfg.n_steps
+    dt = cfg.t_end / n
+    rng = np.random.default_rng(cfg.seed)
+    m, states, innovations = rho0.mat, [rho0.mat], []
+    if cfg.scheme == "homodyne":
+        for dw in rng.normal(0.0, np.sqrt(dt), size=n):
+            mean = float(np.trace(m @ (lc + lcd)).real)
+            m = normalize(m + diss(m) * dt + (lc @ m + m @ lcd - mean * m) * dw)
+            states.append(m)
+            innovations.append(dw)
+    else:
+        for u in rng.random(size=n):
+            rate = float(np.trace(m @ (lcd @ lc)).real)
+            jm = lc @ m @ lcd
+            jumped = u < rate * dt
+            if jumped:
+                m = jm / float(np.trace(jm).real)
+            else:
+                m = normalize(m + (diss(m) - (jm - rate * m)) * dt)
+            states.append(m)
+            innovations.append((1.0 if jumped else 0.0) - rate * dt)
+    return np.array(states), np.array(innovations)
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_lockstep_matches_serial_reference(scheme):
+    # a three-level model with two channels, so traces sum three terms
+    rng = np.random.default_rng(2024)
+    sp = HilbertSpace((3,))
+    ls = tuple(Operator(sp, 0.8 * random_complex_matrix(rng, 3)) for _ in range(2))
+    g = SLHTriple(
+        tuple(tuple(identity(sp) if i == j else zero(sp) for j in range(2)) for i in range(2)),
+        ls,
+        Operator(sp, random_hermitian(rng, 3)),
+    )
+    rho0 = DensityMatrix(sp, random_density_matrix(rng, 3))
+    cfg = SimConfig(dt=2e-3, t_end=0.6, measured_channel=1, seed=90, scheme=scheme)
+    ens = simulate_ensemble(g, rho0, cfg, 7)
+    jumps = 0
+    for i, r in enumerate(ens):
+        states, innovations = serial_reference(g, rho0, replace(cfg, seed=cfg.seed + i))
+        assert np.array_equal(r.rho, states)
+        assert np.array_equal(r.innovations, innovations)
+        if scheme == "counting":
+            jumps += len(r.record.jump_times)
+    assert scheme == "homodyne" or jumps > 0
