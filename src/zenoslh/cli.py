@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -99,11 +100,40 @@ def _add_tol_flags(p):
     p.add_argument("--decoupling-tol", type=float, default=None)
 
 
+# numeric flags checked at the argv boundary: (attribute, flag, whether 0 is allowed);
+# each value must be finite and positive, or nonnegative where 0 is allowed
+_NUMBER_FLAGS = (("t_end", "--t-end", True), ("dt", "--dt", False), ("k", "--k", False),
+                 ("ks", "--ks", False))
+
+
+def _check_numbers(args) -> None:
+    """Parse ``--ks`` into floats and range-check every numeric flag."""
+    if hasattr(args, "ks"):
+        try:
+            args.ks = [float(x) for x in args.ks.split(",") if x.strip()]
+        except ValueError:
+            raise ModelParseError(f"--ks must be comma-separated numbers, got {args.ks!r}") from None
+        if not args.ks:
+            raise ModelParseError("--ks needs at least one value")
+    for attr, flag, zero_ok in _NUMBER_FLAGS:
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        for v in value if attr == "ks" else [value]:
+            if not (math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
+                need = "nonnegative" if zero_ok else "positive"
+                raise ModelParseError(f"{flag} must be finite and {need}, got {v!r}")
+
+
 def _initial_state(space, label: str) -> DensityMatrix:
     if label == "mixed":
         return maximally_mixed(space)
     if label.startswith("basis:"):
-        return basis_state_density(space, int(label.split(":", 1)[1]))
+        try:
+            index = int(label.split(":", 1)[1])
+        except ValueError:
+            raise ModelParseError(f"basis index must be an integer, got {label!r}") from None
+        return basis_state_density(space, index)
     raise ModelParseError(f"unknown initial state {label!r}; use 'mixed' or 'basis:<index>'")
 
 
@@ -225,9 +255,9 @@ def _cmd_evolve(args) -> int:
     rho0 = _initial_state(g.space, args.initial)
     result = evolve(g, rho0, args.t_end, args.dt)
     write_evolution_csv(args.out, result)
-    RunManifest.create(f"evolve --model {args.model}", model_digest(doc), tols).write(
-        _manifest_path(args.out)
-    )
+    RunManifest.create(
+        f"evolve --model {args.model}", model_digest(doc), tols, method=result.method
+    ).write(_manifest_path(args.out))
     return EXIT_OK
 
 
@@ -267,13 +297,10 @@ def _cmd_traj(args) -> int:
 def _cmd_converge(args) -> int:
     doc = load_model(args.model_file)
     tols = _tolerances(args)
-    ks = [float(x) for x in args.ks.split(",") if x.strip()]
-    if not ks:
-        raise ModelParseError("--ks needs at least one value")
     split = doc.split()
     rho0 = _initial_state(split.zeno_space, args.initial)
     points = convergence_harness(
-        doc.family, split, rho0, ks, args.t_end, args.dt, **_tol_kwargs(tols)
+        doc.family, split, rho0, args.ks, args.t_end, args.dt, **_tol_kwargs(tols)
     )
     write_convergence_csv(args.out, points)
     RunManifest.create("converge", model_digest(doc), tols).write(_manifest_path(args.out))
@@ -288,11 +315,8 @@ def _cmd_linstab(args) -> int:
     except (json.JSONDecodeError, KeyError, ValueError) as e:
         raise ModelParseError(f"gamma file: {e}") from None
     sys_ = LinearMeanSystem(*blocks)
-    ks = [float(x) for x in args.ks.split(",") if x.strip()]
-    if not ks:
-        raise ModelParseError("--ks needs at least one value")
     try:
-        report = stability_threshold(sys_, ks)
+        report = stability_threshold(sys_, args.ks)
     except ValueError as e:
         print(f"zenoslh: {e}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -328,6 +352,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_numbers(args)
         return _COMMANDS[args.command](args)
     except ZenofiabilityError as e:
         print(f"zenoslh: {type(e).__name__}: {e}", file=sys.stderr)

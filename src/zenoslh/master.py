@@ -12,6 +12,16 @@ stepping, so order-of-accuracy tests and diagnostics are reproducible.
 States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
+``evolve`` applies that one-step map in one of two ways, chosen once per
+call by a flop-count model over (d, steps, channels).  Up to a size
+crossover it builds the dense d^2 x d^2 step map (d^6 flops and
+16 d^4 bytes per matrix, then d^4 per step); above it, it runs the four
+RK4 stages on the d x d matrix through the dissipator, with no d^2 x d^2
+array (about d^3 flops per step).  Both are the same RK4 map, so they
+differ by rounding only.  d <= ``DENSE_ALWAYS_DIM`` always takes the
+dense path, and a dense matrix above ``DENSE_MATRIX_MAX_BYTES`` is never
+built.  The result records the path as ``method``.
+
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
 :class:`DensityMatrix` views of it, built and validated on each access
@@ -27,6 +37,7 @@ k^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +72,13 @@ __all__ = [
 ]
 
 TRACE_ABORT_TOL = 1e-6
+
+# evolve's stepping path (see the module docstring): dense at any cost up
+# to this dimension, so results there stay bit-identical to the dense map
+DENSE_ALWAYS_DIM = 12
+# bytes of one d^2 x d^2 matrix above which the dense map is never built
+# (the build holds several such matrices at once)
+DENSE_MATRIX_MAX_BYTES = 2**27
 
 
 class StepSizeError(RuntimeError):
@@ -209,7 +227,12 @@ class _StateViews:
 
 @dataclass(frozen=True)
 class EvolutionResult(_StateViews):
-    """Time grid, read-only (T, d, d) states, per-saved-step diagnostics."""
+    """Time grid, read-only (T, d, d) states, per-saved-step diagnostics.
+
+    ``method`` is the stepping path of :func:`evolve`, ``"dense"`` or
+    ``"matrix_free"`` (comma-joined over the segments of
+    :func:`evolve_piecewise`); None for results not made by stepping.
+    """
 
     times: np.ndarray
     space: HilbertSpace
@@ -217,6 +240,7 @@ class EvolutionResult(_StateViews):
     trace_drift: np.ndarray
     hermiticity_drift: np.ndarray
     trace_tol: float = TRACE_ABORT_TOL
+    method: str | None = None
 
     def expectations(self, x: Operator) -> np.ndarray:
         return np.trace(self.rho @ x.mat, axis1=1, axis2=2)
@@ -234,6 +258,32 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _rk4_step(terms, m, dt: float):
+    """One classical RK4 step of d m / dt = D(m) on the d x d matrix."""
+    k1 = _dissipator_mat(terms, m)
+    k2 = _dissipator_mat(terms, m + (0.5 * dt) * k1)
+    k3 = _dissipator_mat(terms, m + (0.5 * dt) * k2)
+    k4 = _dissipator_mat(terms, m + dt * k3)
+    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _choose_method(d: int, n_steps: int, n_channels: int) -> str:
+    """``"dense"`` or ``"matrix_free"`` for ``evolve``, by flop counts.
+
+    Dense: about 3 d^6 to build the step map, then d^4 per step.
+    Matrix-free: 4 dissipator evaluations of 2 + 4n products of d x d
+    matrices per step.  d <= DENSE_ALWAYS_DIM is always dense; a step map
+    above DENSE_MATRIX_MAX_BYTES is never built.
+    """
+    if d <= DENSE_ALWAYS_DIM:
+        return "dense"
+    if 16 * d**4 > DENSE_MATRIX_MAX_BYTES:
+        return "matrix_free"
+    dense = 3 * d**6 + n_steps * d**4
+    matrix_free = n_steps * 4 * (2 + 4 * n_channels) * d**3
+    return "dense" if dense <= matrix_free else "matrix_free"
+
+
 def evolve(
     g: SLHTriple,
     rho0: DensityMatrix,
@@ -245,12 +295,16 @@ def evolve(
     """Integrate d rho / dt = D rho with fixed-step 4th-order stepping.
 
     The number of steps is round(t_end / dt) and the step is adjusted to
-    hit t_end exactly.  States are re-Hermitized each step; trace drift
-    beyond ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`.
-    Saved states go into ``rho``; the ``states`` views are validated with
-    the trace tolerance relaxed to the abort threshold, since the drift is
-    a recorded diagnostic.
+    hit t_end exactly.  The step is applied densely or matrix-free, as
+    ``_choose_method`` picks (see the module docstring), and the result's
+    ``method`` records which.  States are re-Hermitized each step; trace
+    drift beyond ``TRACE_ABORT_TOL`` (or NaN) raises
+    :class:`StepSizeError`.  Saved states go into ``rho``; the ``states``
+    views are validated with the trace tolerance relaxed to the abort
+    threshold, since the drift is a recorded diagnostic.
     """
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
@@ -264,7 +318,19 @@ def evolve(
     save_every = max(1, int(save_every))
 
     d = g.dim
-    phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
+    method = _choose_method(d, n_steps, g.n)
+    if method == "dense":
+        phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
+
+        def step_map(m):
+            return (phi @ m.reshape(-1, order="F")).reshape((d, d), order="F")
+
+    else:
+        terms = _dissipator_terms(g.H.mat, g.l)
+
+        def step_map(m):
+            return _rk4_step(terms, m, dt_eff)
+
     n_saved = 1 + -(-n_steps // save_every)
     times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
     rho = np.empty((n_saved, d, d), dtype=complex)
@@ -273,8 +339,7 @@ def evolve(
     j = 0
 
     for step in range(1, n_steps + 1):
-        v = phi @ m.reshape(-1, order="F")
-        m = v.reshape((d, d), order="F")
+        m = step_map(m)
         saved = step % save_every == 0 or step == n_steps
         if saved:
             h_defect = float(np.max(np.abs(m - m.conj().T)))
@@ -290,7 +355,7 @@ def evolve(
             times[j], rho[j], tdrift[j], hdrift[j] = step * dt_eff, m, drift, h_defect
 
     rho.setflags(write=False)
-    return EvolutionResult(times, g.space, rho, tdrift, hdrift)
+    return EvolutionResult(times, g.space, rho, tdrift, hdrift, method=method)
 
 
 def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResult:
@@ -299,7 +364,8 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     ``segments`` is a sequence of (SLHTriple, duration) pairs; the
     generator is re-assembled at segment boundaries.  Covers
     piecewise-constant drives, for which the triple is re-built per
-    segment.
+    segment.  ``method`` joins the segments' distinct methods, in order of
+    first use, with ``,``.
     """
     times = [np.array([0.0])]
     rho = [rho0.mat[None]]
@@ -307,8 +373,11 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     hdrift = [np.array([0.0])]
     state = rho0
     t0 = 0.0
+    methods = []
     for g, duration in segments:
         res = evolve(g, state, duration, dt)
+        if res.method not in methods:
+            methods.append(res.method)
         times.append(res.times[1:] + t0)
         rho.append(res.rho[1:])
         tdrift.append(res.trace_drift[1:])
@@ -318,7 +387,12 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     rho = np.concatenate(rho)
     rho.setflags(write=False)
     return EvolutionResult(
-        np.concatenate(times), rho0.space, rho, np.concatenate(tdrift), np.concatenate(hdrift)
+        np.concatenate(times),
+        rho0.space,
+        rho,
+        np.concatenate(tdrift),
+        np.concatenate(hdrift),
+        method=",".join(methods) or None,
     )
 
 

@@ -16,9 +16,11 @@ routines.
 All values are immutable after construction (matrices are stored
 read-only) and the functions below are pure, so everything can be shared
 freely between threads.  Storage is dense.  Operators of a few hundred
-dimensions are fine here, but the master-equation integrators
-(``evolve``, ``convergence_harness``) build a dense d^2 x d^2
-generator, 16 d^4 bytes per matrix, which limits them to small d.
+dimensions are fine here.  The master-equation integrator ``evolve``
+(and ``convergence_harness`` through it) builds a dense d^2 x d^2 step
+map, 16 d^4 bytes per matrix, only up to a size crossover and steps
+matrix-free on the d x d state above it; both are the same RK4 map and
+differ by rounding only.
 """
 
 from __future__ import annotations

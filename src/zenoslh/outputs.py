@@ -61,9 +61,17 @@ class RunManifest:
     seed: int | None
     version: str
     timestamp: str
+    method: str | None = None
 
     @classmethod
-    def create(cls, command: str, input_digest: str, tolerances: dict, seed: int | None = None):
+    def create(
+        cls,
+        command: str,
+        input_digest: str,
+        tolerances: dict,
+        seed: int | None = None,
+        method: str | None = None,
+    ):
         return cls(
             command=command,
             input_digest=input_digest,
@@ -71,6 +79,7 @@ class RunManifest:
             seed=seed,
             version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
+            method=method,
         )
 
     def write(self, path):

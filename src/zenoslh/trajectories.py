@@ -262,6 +262,15 @@ def simulate_ensemble(
         rho[: len(m), s + 1] = m
     if error is not None:
         raise error
+    # a homodyne state that blew up steps on as NaN; name the first such member and t
+    bad = ~np.isfinite(means)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        s = int(np.argmax(bad[i]))
+        raise StepSizeError(
+            f"trajectory {i}: measurement mean {means[i, s]} at t={times[s]:.6g} is not finite; "
+            "reduce dt"
+        )
     rho.setflags(write=False)
     if homodyne:
         innovations = draws

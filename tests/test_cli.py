@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zenoslh
 from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
 from zenoslh import cli
 from zenoslh.cli import main
@@ -246,3 +251,90 @@ def test_converge_honours_tolerance_override(tmp_path, monkeypatch, capsys):
     assert "KernelViolation" in capsys.readouterr().err
     monkeypatch.delenv("ZENOSLH_TOL")
     assert main(argv + ["--kernel-tol", "10"]) == 2
+
+
+def test_evolve_infinite_horizon_exits_one(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--t-end", "inf", "--out", str(out)]) == 1
+    assert "--t-end must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_nan_step_exits_one(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--dt", "nan", "--out", str(out)]) == 1
+    assert "--dt must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-2", "nan"])
+def test_evolve_full_bad_k_exits_one(tmp_path, capsys, k):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--model", "full", "--k", k, "--out", str(out)]) == 1
+    assert "--k must be finite and positive" in capsys.readouterr().err
+
+
+def test_converge_non_numeric_k_exits_one(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["converge", KERR, "--ks", "1,x", "--out", str(out)]) == 1
+    assert "--ks must be comma-separated numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_linstab_zero_k_exits_one(tmp_path, capsys):
+    out = tmp_path / "stab.csv"
+    assert main(["linstab", GAMMA, "--ks", "0", "--out", str(out)]) == 1
+    assert "--ks must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_basis_index_must_be_an_integer(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--initial", "basis:x", "--out", str(out)]) == 1
+    assert "basis index must be an integer" in capsys.readouterr().err
+
+
+def test_evolve_manifest_records_method(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert manifest["method"] == "dense"
+
+
+# The child caps its own address space before it imports anything, runs one
+# CLI command in-process and prints its exit code and peak RSS (VmHWM, kB).
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from zenoslh.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as f:
+    hwm = next(line for line in f if line.startswith("VmHWM:"))
+print(code, hwm.split()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_evolve_at_d150_fits_in_a_capped_address_space(tmp_path):
+    # one dense d^2 x d^2 matrix at d = 150 needs 8.1 GB; the matrix-free
+    # path stays far below the 1.5 GB cap on the child's address space
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["spaces"]["mode"]["n_max"] = 150
+    model = tmp_path / "kerr150.model"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "e.csv"
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    argv = ["evolve", str(model), "--model", "full", "--k", "1", "--t-end", "1e-4",
+            "--dt", "1e-5", "--initial", "basis:1", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(1536 * 2**20), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, hwm_kb = proc.stdout.split()
+    assert code == "0"
+    assert int(hwm_kb) < 200 * 1024  # about 80 MB measured, against 8.1 GB for one dense matrix
+    assert len(out.read_text().splitlines()) == 12  # header + 11 saved states of 10 steps
+    assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "matrix_free"

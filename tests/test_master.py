@@ -14,6 +14,7 @@ from zenoslh import (
     ehrenfest_residual,
     evolve,
     evolve_piecewise,
+    fock_annihilator,
     identity,
     instantiate,
     lindbladian,
@@ -24,8 +25,9 @@ from zenoslh import (
     zeno_eliminate,
     zero,
 )
+from zenoslh import master
 from zenoslh.elimination import ScaledSLHFamily
-from zenoslh.random_models import random_complex_matrix, random_density_matrix
+from zenoslh.random_models import random_complex_matrix, random_density_matrix, random_hermitian
 
 from common import entrymax, kerr_family, random_triple
 
@@ -258,3 +260,130 @@ def test_duality_evolve_consistency():
     lhs = np.trace(dissipator(g, rho).mat @ x.mat)
     rhs = np.trace(rho.mat @ lindbladian(g, x).mat)
     assert abs(lhs - rhs) < 1e-11
+
+
+# -- dense and matrix-free stepping ----------------------------------------
+
+
+def scaled_triple(rng, dim, n_channels):
+    """Random model with unit-norm couplings and Hamiltonian, so that RK4 at
+    dt = 1e-3 is exact to rounding against the matrix exponential."""
+    sp = HilbertSpace((dim,))
+    s = tuple(
+        tuple(identity(sp) if j == k else zero(sp) for k in range(n_channels))
+        for j in range(n_channels)
+    )
+    ls = []
+    for _ in range(n_channels):
+        a = random_complex_matrix(rng, dim)
+        ls.append(Operator(sp, a / np.linalg.norm(a, 2)))
+    h = random_hermitian(rng, dim)
+    return SLHTriple(s, tuple(ls), Operator(sp, h / np.linalg.norm(h, 2)))
+
+
+def evolve_by(monkeypatch, method, *args, **kwargs):
+    """``evolve`` with its stepping path forced to ``method``."""
+    with monkeypatch.context() as m:
+        m.setattr(master, "_choose_method", lambda *a: method)
+        res = evolve(*args, **kwargs)
+    assert res.method == method
+    return res
+
+
+@pytest.mark.parametrize(
+    "dim, n_channels, save_every",
+    [(13, 1, 1), (13, 3, 7), (17, 2, 1), (20, 2, 7), (24, 3, 1), (24, 1, 7)],
+)
+def test_matrix_free_matches_dense_and_expm_multiply(monkeypatch, dim, n_channels, save_every):
+    from scipy.sparse.linalg import expm_multiply
+
+    rng = np.random.default_rng([dim, n_channels, save_every])
+    g = scaled_triple(rng, dim, n_channels)
+    rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
+    t_end, dt = 0.05, 1e-3
+    free = evolve(g, rho0, t_end, dt, save_every=save_every)
+    assert free.method == "matrix_free"  # 50 steps at d > 12
+    dense = evolve_by(monkeypatch, "dense", g, rho0, t_end, dt, save_every=save_every)
+    np.testing.assert_array_equal(free.times, dense.times)
+    assert np.max(np.abs(free.rho - dense.rho)) < 1e-12
+
+    v = rho0.mat.reshape(-1, order="F")
+    exact = expm_multiply(liouvillian_matrix(g), v, start=0.0, stop=t_end, num=51, endpoint=True)
+    steps = np.rint(free.times / dt).astype(int)
+    exact = exact[steps].reshape(-1, dim, dim).transpose(0, 2, 1)  # column-major vec
+    assert np.max(np.abs(free.rho - exact)) < 1e-12
+    assert np.max(np.abs(dense.rho - exact)) < 1e-12
+
+
+def abort_messages(monkeypatch, g, rho0, t_end, dt):
+    """The StepSizeError message of ``evolve`` on the dense and matrix-free paths."""
+    messages = []
+    for method in ("dense", "matrix_free"):
+        with monkeypatch.context() as m:
+            m.setattr(master, "_choose_method", lambda *args: method)
+            with np.errstate(all="ignore"), pytest.raises(StepSizeError) as err:
+                evolve(g, rho0, t_end, dt)
+        messages.append(str(err.value))
+    return messages
+
+
+def test_trace_drift_abort_is_the_same_on_both_paths(monkeypatch):
+    a = fock_annihilator(13)
+    sp = a.space
+    # an overflowing Hamiltonian that mixes populations and coherences
+    # turns the trace NaN in the first step on both paths
+    g = SLHTriple(((identity(sp),),), (a,), 1e200 * (a + a.dag()))
+    dense, free = abort_messages(monkeypatch, g, basis_state_density(sp, 1), 0.01, 1e-3)
+    assert dense == free == "trace drift nan at t=0.001 exceeds 1.0e-06; reduce dt"
+    # strong decay of the top Fock level at a huge step: the trace is
+    # conserved up to rounding, whose size differs between the paths, and
+    # both abort at the same t once the state has blown up
+    g = SLHTriple(((identity(sp),),), (np.sqrt(80.0) * a,), zero(sp))
+    dense, free = abort_messages(monkeypatch, g, basis_state_density(sp, 12), 10.0, 0.5)
+    for msg in (dense, free):
+        assert msg.startswith("trace drift ") and msg.endswith(" at t=1 exceeds 1.0e-06; reduce dt")
+
+
+def test_method_selection_rule():
+    choose = master._choose_method
+    # small models are dense whatever the step count and channel count
+    for d in range(1, master.DENSE_ALWAYS_DIM + 1):
+        for n_steps in (0, 1, 100, 10**9):
+            assert choose(d, n_steps, 10) == "dense"
+    # evolve at d = 30 with 2 channels and 100 steps
+    assert choose(30, 100, 2) == "matrix_free"
+    # converge on a d = 6 Kerr model over the k grid 1, 2, 3, 4, 6 at dt = 1e-3
+    for k in (1, 2, 3, 4, 6):
+        assert choose(6, round(0.5 / (1e-3 / k**2)), 2) == "dense"
+    # just above the matrix cap, 10 channels and 10^6 steps: the flop counts
+    # alone pick dense, the cap picks matrix-free
+    d = next(d for d in range(13, 1000) if 16 * d**4 > master.DENSE_MATRIX_MAX_BYTES)
+    n_steps, n = 10**6, 10
+    assert 3 * d**6 + n_steps * d**4 <= n_steps * 4 * (2 + 4 * n) * d**3
+    assert choose(d, n_steps, n) == "matrix_free"
+    assert choose(d - 1, n_steps, n) == "dense"
+
+
+def test_evolve_records_method():
+    g = qubit_decay(1.0)
+    rho0 = basis_state_density(QUBIT, 1)
+    assert evolve(g, rho0, 0.1, 1e-3).method == "dense"
+    assert evolve_piecewise([(g, 0.1), (g, 0.1)], rho0, 1e-3).method == "dense"
+    # at d = 13 with one channel, 100 steps are matrix-free and 2000 dense
+    rng = np.random.default_rng(35)
+    g13 = scaled_triple(rng, 13, 1)
+    rho13 = DensityMatrix(g13.space, random_density_matrix(rng, 13))
+    res = evolve_piecewise([(g13, 0.1), (g13, 2.0), (g13, 0.1)], rho13, 1e-3)
+    assert res.method == "matrix_free,dense"
+    part1 = evolve(g13, rho13, 0.1, 1e-3)
+    part2 = evolve(g13, part1.final, 2.0, 1e-3)
+    part3 = evolve(g13, part2.final, 0.1, 1e-3)
+    assert (part1.method, part2.method, part3.method) == ("matrix_free", "dense", "matrix_free")
+    np.testing.assert_array_equal(res.final.mat, part3.final.mat)
+
+
+@pytest.mark.parametrize("t_end, dt", [(np.inf, 1e-3), (1.0, np.nan), (np.nan, 1e-3), (1.0, np.inf)])
+def test_evolve_rejects_non_finite_horizon_and_step(t_end, dt):
+    g = qubit_decay(1.0)
+    with pytest.raises(ValueError, match="finite"):
+        evolve(g, basis_state_density(QUBIT, 1), t_end, dt)
