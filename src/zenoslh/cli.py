@@ -100,10 +100,14 @@ def _add_tol_flags(p):
     p.add_argument("--decoupling-tol", type=float, default=None)
 
 
-# numeric flags checked at the argv boundary: (attribute, flag, whether 0 is allowed);
-# each value must be finite and positive, or nonnegative where 0 is allowed
-_NUMBER_FLAGS = (("t_end", "--t-end", True), ("dt", "--dt", False), ("k", "--k", False),
-                 ("ks", "--ks", False))
+# numeric flags checked at the argv boundary, as (attribute, flag, whether 0
+# is allowed): each value must be finite and positive, or nonnegative
+_NUMBER_FLAGS = (
+    ("t_end", "--t-end", True),
+    ("dt", "--dt", False),
+    ("k", "--k", False),
+    ("ks", "--ks", False),
+)
 
 
 def _check_numbers(args) -> None:

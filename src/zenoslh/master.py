@@ -309,6 +309,8 @@ def evolve(
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"step count t_end / dt = {t_end / dt} is not finite")
     if rho0.space != g.space:
         raise ValueError("initial state lives on a different space than the model")
     n_steps = max(0, int(round(t_end / dt)))

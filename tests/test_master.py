@@ -281,15 +281,6 @@ def scaled_triple(rng, dim, n_channels):
     return SLHTriple(s, tuple(ls), Operator(sp, h / np.linalg.norm(h, 2)))
 
 
-def evolve_by(monkeypatch, method, *args, **kwargs):
-    """``evolve`` with its stepping path forced to ``method``."""
-    with monkeypatch.context() as m:
-        m.setattr(master, "_choose_method", lambda *a: method)
-        res = evolve(*args, **kwargs)
-    assert res.method == method
-    return res
-
-
 @pytest.mark.parametrize(
     "dim, n_channels, save_every",
     [(13, 1, 1), (13, 3, 7), (17, 2, 1), (20, 2, 7), (24, 3, 1), (24, 1, 7)],
@@ -303,7 +294,9 @@ def test_matrix_free_matches_dense_and_expm_multiply(monkeypatch, dim, n_channel
     t_end, dt = 0.05, 1e-3
     free = evolve(g, rho0, t_end, dt, save_every=save_every)
     assert free.method == "matrix_free"  # 50 steps at d > 12
-    dense = evolve_by(monkeypatch, "dense", g, rho0, t_end, dt, save_every=save_every)
+    monkeypatch.setattr(master, "_choose_method", lambda *args: "dense")
+    dense = evolve(g, rho0, t_end, dt, save_every=save_every)
+    assert dense.method == "dense"
     np.testing.assert_array_equal(free.times, dense.times)
     assert np.max(np.abs(free.rho - dense.rho)) < 1e-12
 
@@ -382,7 +375,9 @@ def test_evolve_records_method():
     np.testing.assert_array_equal(res.final.mat, part3.final.mat)
 
 
-@pytest.mark.parametrize("t_end, dt", [(np.inf, 1e-3), (1.0, np.nan), (np.nan, 1e-3), (1.0, np.inf)])
+@pytest.mark.parametrize(
+    "t_end, dt", [(np.inf, 1e-3), (1.0, np.nan), (np.nan, 1e-3), (1.0, np.inf), (1e300, 1e-300)]
+)
 def test_evolve_rejects_non_finite_horizon_and_step(t_end, dt):
     g = qubit_decay(1.0)
     with pytest.raises(ValueError, match="finite"):
