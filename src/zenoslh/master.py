@@ -13,14 +13,15 @@ States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
 ``evolve`` applies that one-step map in one of two ways, chosen once per
-call by a flop-count model over (d, steps, channels).  Up to a size
-crossover it builds the dense d^2 x d^2 step map (d^6 flops and
-16 d^4 bytes per matrix, then d^4 per step); above it, it runs the four
-RK4 stages on the d x d matrix through the dissipator, with no d^2 x d^2
-array (about d^3 flops per step).  Both are the same RK4 map, so they
-differ by rounding only.  d <= ``DENSE_ALWAYS_DIM`` always takes the
-dense path, and a dense matrix above ``DENSE_MATRIX_MAX_BYTES`` is never
-built.  The result records the path as ``method``.
+call from (d, steps, channels).  Up to a size crossover it builds the
+dense d^2 x d^2 step map (d^6 work and 16 d^4 bytes per matrix, then
+d^4 per step); above it, it runs the four RK4 stages on the d x d matrix
+through the dissipator, with no d^2 x d^2 array (d^3 per step and
+channel).  Both are the same RK4 map, so they differ by rounding only.
+d <= ``DENSE_ALWAYS_DIM`` is always dense and d >= ``MATRIX_FREE_ALWAYS_DIM``
+always matrix-free; in between, dense when the step time it saves over
+the run pays for its build, at measured per-step and build costs.  The
+result records the path as ``method``.
 
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
@@ -76,9 +77,21 @@ TRACE_ABORT_TOL = 1e-6
 # evolve's stepping path (see the module docstring): dense at any cost up
 # to this dimension, so results there stay bit-identical to the dense map
 DENSE_ALWAYS_DIM = 12
-# bytes of one d^2 x d^2 matrix above which the dense map is never built
-# (the build holds several such matrices at once)
-DENSE_MATRIX_MAX_BYTES = 2**27
+# matrix-free from this dimension: with one or two channels its step is no
+# slower than the dense one here, and the dense build takes >= 0.5 s and a
+# >= 13 MB step map, growing as d^6 and d^4 (with 3+ channels a dense run
+# of a few thousand steps would still be faster at d = 30)
+MATRIX_FREE_ALWAYS_DIM = 30
+# costs in seconds for 12 < d < 30, least-squares fits to timings of d = 13
+# to 30 with 1 to 8 channels (numpy 2.4 on OpenBLAS, one thread, Intel
+# Xeon); the fitted break-even step counts are within a factor 1.6 of the
+# timed ones, e.g. d = 20, 2 channels: build 64 ms, dense step 140 us,
+# matrix-free step 322 us, break-even 352 steps (fit: 309)
+DENSE_BUILD_S_PER_D6 = 8.2e-10
+DENSE_STEP_S_PER_D4 = 8.8e-10
+MATRIX_FREE_STEP_S = 7.7e-5
+MATRIX_FREE_CHANNEL_S = 5.9e-5
+MATRIX_FREE_CHANNEL_S_PER_D3 = 7.2e-9
 
 
 class StepSizeError(RuntimeError):
@@ -268,20 +281,18 @@ def _rk4_step(terms, m, dt: float):
 
 
 def _choose_method(d: int, n_steps: int, n_channels: int) -> str:
-    """``"dense"`` or ``"matrix_free"`` for ``evolve``, by flop counts.
+    """``"dense"`` or ``"matrix_free"`` for ``evolve``, by measured costs.
 
-    Dense: about 3 d^6 to build the step map, then d^4 per step.
-    Matrix-free: 4 dissipator evaluations of 2 + 4n products of d x d
-    matrices per step.  d <= DENSE_ALWAYS_DIM is always dense; a step map
-    above DENSE_MATRIX_MAX_BYTES is never built.
+    For DENSE_ALWAYS_DIM < d < MATRIX_FREE_ALWAYS_DIM, dense when the
+    step time it saves over the run exceeds the time to build its step map.
     """
     if d <= DENSE_ALWAYS_DIM:
         return "dense"
-    if 16 * d**4 > DENSE_MATRIX_MAX_BYTES:
+    if d >= MATRIX_FREE_ALWAYS_DIM:
         return "matrix_free"
-    dense = 3 * d**6 + n_steps * d**4
-    matrix_free = n_steps * 4 * (2 + 4 * n_channels) * d**3
-    return "dense" if dense <= matrix_free else "matrix_free"
+    channel_s = MATRIX_FREE_CHANNEL_S + MATRIX_FREE_CHANNEL_S_PER_D3 * d**3
+    saved_s = MATRIX_FREE_STEP_S + n_channels * channel_s - DENSE_STEP_S_PER_D4 * d**4
+    return "dense" if n_steps * saved_s > DENSE_BUILD_S_PER_D6 * d**6 else "matrix_free"
 
 
 def evolve(

@@ -262,14 +262,15 @@ def simulate_ensemble(
         rho[: len(m), s + 1] = m
     if error is not None:
         raise error
-    # a homodyne state that blew up steps on as NaN; name the first such member and t
+    # a homodyne state that blew up steps on as NaN; name the first such
+    # member by its seed, which is the same in a lone run and in any chunk
     bad = ~np.isfinite(means)
     if bad.any():
         i = int(np.argmax(bad.any(axis=1)))
         s = int(np.argmax(bad[i]))
         raise StepSizeError(
-            f"trajectory {i}: measurement mean {means[i, s]} at t={times[s]:.6g} is not finite; "
-            "reduce dt"
+            f"trajectory seed {config.seed + i}: measurement mean {means[i, s]} at "
+            f"t={times[s]:.6g} is not finite; reduce dt"
         )
     rho.setflags(write=False)
     if homodyne:

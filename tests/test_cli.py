@@ -4,13 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zenoslh
 from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
 from zenoslh import cli
 from zenoslh.cli import main
+from zenoslh.operators import Operator
 from zenoslh.outputs import pairs_to_matrix, write_trajectory_csv
+from zenoslh.slh import SLHTriple
 
 from common import MODELS, alkali_expected, entrymax
 
@@ -185,6 +188,28 @@ def test_traj_chunks_write_what_lone_runs_write(tmp_path, monkeypatch, scheme):
         if scheme == "counting":
             jumps += len(lone.record.jump_times)
     assert scheme == "homodyne" or jumps > 0  # the counting records include jumps
+
+
+def test_traj_chunked_homodyne_nan_names_the_member_seed(tmp_path, monkeypatch, capsys):
+    # chunks of 2 members; the second chunk (members 2 and 3, seeds 13 and
+    # 14) runs an overflowing Hamiltonian, so member 2 is the first to blow up
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
+    real = cli.simulate_ensemble
+
+    def second_chunk_blows_up(g, rho0, config, n):
+        if config.seed != 11:
+            sx = Operator(g.space, np.array([[0, 1], [1, 0]], dtype=complex))
+            g = SLHTriple(g.s, g.l, 1e300 * sx)
+        with np.errstate(all="ignore"):
+            return real(g, rho0, config, n)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", second_chunk_blows_up)
+    out = tmp_path / "out"
+    argv = ["traj", KERR, "--scheme", "homodyne", "--seed", "11", "--n", "5", "--t-end", "0.5",
+            "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "trajectory seed 13: measurement mean nan at t=" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["traj_0000.csv", "traj_0001.csv"]
 
 
 def test_converge_csv(tmp_path):

@@ -292,8 +292,9 @@ def test_matrix_free_matches_dense_and_expm_multiply(monkeypatch, dim, n_channel
     g = scaled_triple(rng, dim, n_channels)
     rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
     t_end, dt = 0.05, 1e-3
+    monkeypatch.setattr(master, "_choose_method", lambda *args: "matrix_free")
     free = evolve(g, rho0, t_end, dt, save_every=save_every)
-    assert free.method == "matrix_free"  # 50 steps at d > 12
+    assert free.method == "matrix_free"
     monkeypatch.setattr(master, "_choose_method", lambda *args: "dense")
     dense = evolve(g, rho0, t_end, dt, save_every=save_every)
     assert dense.method == "dense"
@@ -348,13 +349,15 @@ def test_method_selection_rule():
     # converge on a d = 6 Kerr model over the k grid 1, 2, 3, 4, 6 at dt = 1e-3
     for k in (1, 2, 3, 4, 6):
         assert choose(6, round(0.5 / (1e-3 / k**2)), 2) == "dense"
-    # just above the matrix cap, 10 channels and 10^6 steps: the flop counts
-    # alone pick dense, the cap picks matrix-free
-    d = next(d for d in range(13, 1000) if 16 * d**4 > master.DENSE_MATRIX_MAX_BYTES)
-    n_steps, n = 10**6, 10
-    assert 3 * d**6 + n_steps * d**4 <= n_steps * 4 * (2 + 4 * n) * d**3
-    assert choose(d, n_steps, n) == "matrix_free"
-    assert choose(d - 1, n_steps, n) == "dense"
+    # large models are matrix-free whatever the step count and channel count
+    for d in (master.MATRIX_FREE_ALWAYS_DIM, 54, 150):
+        assert choose(d, 10**9, 10) == "matrix_free"
+    # in between, at the timed break-evens: d = 13 with one channel breaks
+    # even at 37 steps, d = 20 with two at 352, and at d = 28 with two
+    # channels the dense step is no faster
+    assert (choose(13, 10, 1), choose(13, 100, 1)) == ("matrix_free", "dense")
+    assert (choose(20, 200, 2), choose(20, 500, 2)) == ("matrix_free", "dense")
+    assert choose(28, 10**9, 2) == "matrix_free"
 
 
 def test_evolve_records_method():
@@ -362,15 +365,15 @@ def test_evolve_records_method():
     rho0 = basis_state_density(QUBIT, 1)
     assert evolve(g, rho0, 0.1, 1e-3).method == "dense"
     assert evolve_piecewise([(g, 0.1), (g, 0.1)], rho0, 1e-3).method == "dense"
-    # at d = 13 with one channel, 100 steps are matrix-free and 2000 dense
+    # at d = 13 with one channel, 10 steps are matrix-free and 2000 dense
     rng = np.random.default_rng(35)
     g13 = scaled_triple(rng, 13, 1)
     rho13 = DensityMatrix(g13.space, random_density_matrix(rng, 13))
-    res = evolve_piecewise([(g13, 0.1), (g13, 2.0), (g13, 0.1)], rho13, 1e-3)
+    res = evolve_piecewise([(g13, 0.01), (g13, 2.0), (g13, 0.01)], rho13, 1e-3)
     assert res.method == "matrix_free,dense"
-    part1 = evolve(g13, rho13, 0.1, 1e-3)
+    part1 = evolve(g13, rho13, 0.01, 1e-3)
     part2 = evolve(g13, part1.final, 2.0, 1e-3)
-    part3 = evolve(g13, part2.final, 0.1, 1e-3)
+    part3 = evolve(g13, part2.final, 0.01, 1e-3)
     assert (part1.method, part2.method, part3.method) == ("matrix_free", "dense", "matrix_free")
     np.testing.assert_array_equal(res.final.mat, part3.final.mat)
 

@@ -443,10 +443,12 @@ def test_lockstep_matches_serial_reference(scheme):
 
 def test_homodyne_nan_state_is_a_step_size_error():
     # the state overflows to NaN in the first steps; the run must end in the
-    # typed error the counting scheme raises, naming the member and t
+    # typed error the counting scheme raises, naming the member's seed and t
     g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), 1e300 * pauli("x"))
     rho0 = pure_state_density(QUBIT, [1.0, 1.0j])
-    cfg = SimConfig(dt=1e-3, t_end=1.0, scheme="homodyne")
-    match = r"trajectory 0: measurement mean nan at t=0\.001 is not finite"
+    cfg = SimConfig(dt=1e-3, t_end=1.0, seed=3, scheme="homodyne")
+    match = r"trajectory seed 3: measurement mean nan at t=0\.001 is not finite"
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match=match):
         simulate(g, rho0, cfg)
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match=match):
+        simulate_ensemble(g, rho0, cfg, 4)
