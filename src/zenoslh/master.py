@@ -84,9 +84,10 @@ DENSE_ALWAYS_DIM = 12
 MATRIX_FREE_ALWAYS_DIM = 30
 # costs in seconds for 12 < d < 30, least-squares fits to timings of d = 13
 # to 30 with 1 to 8 channels (numpy 2.4 on OpenBLAS, one thread, Intel
-# Xeon); the fitted break-even step counts are within a factor 1.6 of the
-# timed ones, e.g. d = 20, 2 channels: build 64 ms, dense step 140 us,
-# matrix-free step 322 us, break-even 352 steps (fit: 309)
+# Xeon); the fitted break-even step counts are within a factor 2.1 of the
+# timed ones wherever the two steps differ by more than 15%, e.g. d = 20,
+# 2 channels: build 64 ms, dense step 140 us, matrix-free step 322 us,
+# break-even 352 steps (fit: 309)
 DENSE_BUILD_S_PER_D6 = 8.2e-10
 DENSE_STEP_S_PER_D4 = 8.8e-10
 MATRIX_FREE_STEP_S = 7.7e-5
