@@ -137,6 +137,8 @@ def _initial_state(space, label: str) -> DensityMatrix:
             index = int(label.split(":", 1)[1])
         except ValueError:
             raise ModelParseError(f"basis index must be an integer, got {label!r}") from None
+        if not 0 <= index < space.dim:
+            raise ModelParseError(f"basis index {index} out of range for dimension {space.dim}")
         return basis_state_density(space, index)
     raise ModelParseError(f"unknown initial state {label!r}; use 'mixed' or 'basis:<index>'")
 
@@ -268,9 +270,13 @@ def _cmd_evolve(args) -> int:
 def _cmd_traj(args) -> int:
     if args.n < 1:
         raise ModelParseError(f"--n must be at least 1, got {args.n}")
+    if args.dt > args.t_end:
+        raise ModelParseError(f"--dt must not exceed --t-end, got {args.dt} > {args.t_end}")
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     g = _eliminate(doc, tols).zeno_triple
+    if not 0 <= args.channel < g.n:
+        raise ModelParseError(f"--channel must be in [0, {g.n}), got {args.channel}")
     rho0 = _initial_state(g.space, args.initial)
     config = SimConfig(
         dt=args.dt,

@@ -21,19 +21,28 @@ A model file is a JSON document with up to six sections::
 
 Spaces declare named tensor factors in order: kind ``qubit`` or ``spin``
 (dimension 2), ``level`` with ``dim``, ``fock`` with ``n_max``.
-Parameters are named scalars; complex values are written as [re, im]
-pairs.
+Parameters are named finite scalars; complex values are written as
+[re, im] pairs.  Names of factors, parameters and operators may be
+neither primitives nor Python keywords (``lambda``, ``in``, ``None``, ...).
 
-Operator expressions form a restricted declarative language with no
-loops and no user functions.  Primitives: ``annihilator(factor)``,
-``pauli(factor, axis)``, ``ketbra(factor, i, j)``, ``identity(factor)``,
-``tensor(A, B)``, ``adjoint(A)``, plus the scalar helpers ``sqrt(x)``
-and ``conj(x)`` and the imaginary unit ``i``.  ``*`` multiplies scalars
+Operator expressions are a whitelisted subset of Python expressions,
+parsed by :mod:`ast`: ``+ - * /`` between values, unary ``-``,
+parentheses, decimal number literals in ASCII digits (``2``, ``.5``,
+``1e-3``), names, and calls of a primitive by its bare name.  Anything
+else (``**``, attributes, ``0x1``, ``1_0``, ``1j``, trailing commas, ...)
+is rejected with the column it starts at, and leading-zero integers
+such as ``007`` are rejected as Python rejects them.  Syntax errors
+carry Python's message.  There are no loops and no user functions.
+
+Primitives: ``annihilator(factor)``, ``pauli(factor, axis)``,
+``ketbra(factor, i, j)``, ``identity(factor)``, ``tensor(A, B)``,
+``adjoint(A)``, plus the scalar helpers ``sqrt(x)`` and ``conj(x)`` and
+the imaginary unit ``i``.  ``*`` multiplies scalars
 and operators (operator products align factor coverage automatically),
 ``/`` divides by scalars, ``+``/``-`` combine operators.  Operators
 named earlier in the section may be referenced later.  Family slots take
 the same expressions; a bare scalar c is coerced to c * identity on the
-full space.
+full space, and a value that is not finite is rejected.
 
 The ``subspace`` section is either ``"auto"`` (compute the split from
 the kernel of the k^2 drift coefficient), or a ``basis`` list whose
@@ -43,9 +52,11 @@ section means ``"auto"``.
 
 from __future__ import annotations
 
+import ast
 import cmath
 import hashlib
 import json
+import keyword
 import re
 from dataclasses import dataclass
 
@@ -86,113 +97,14 @@ class ModelParseError(ValueError):
 # expression language
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[()+\-*/,])"
-    r")"
-)
+# characters an expression may hold besides whitespace
+_FOREIGN = re.compile(r"[^A-Za-z0-9_.+\-*/(),\s]")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-def _tokenize(text: str, where: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ModelParseError(f"{where}: column {col}: unexpected character {stripped[0]!r}")
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num")), m.start("num") + 1))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name"), m.start("name") + 1))
-        else:
-            out.append(("sym", m.group("sym"), m.start("sym") + 1))
-        pos = m.end()
-    out.append(("end", None, len(text) + 1))
-    return out
-
-
-class _Parser:
-    """Recursive-descent parser producing a small tuple AST."""
-
-    def __init__(self, text: str, where: str):
-        self.tokens = _tokenize(text, where)
-        self.idx = 0
-        self.where = where
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise ModelParseError(f"{self.where}: column {tok[2]}: {msg}")
-
-    def expect_sym(self, sym):
-        kind, val, _ = self.peek()
-        if kind != "sym" or val != sym:
-            self.fail(f"expected {sym!r}")
-        return self.advance()
-
-    def parse(self):
-        node = self.parse_sum()
-        if self.peek()[0] != "end":
-            self.fail("unexpected trailing input")
-        return node
-
-    def parse_sum(self):
-        node = self.parse_product()
-        while self.peek()[0] == "sym" and self.peek()[1] in "+-":
-            _, op, pos = self.advance()
-            rhs = self.parse_product()
-            node = ("bin", op, node, rhs, pos)
-        return node
-
-    def parse_product(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "sym" and self.peek()[1] in "*/":
-            _, op, pos = self.advance()
-            rhs = self.parse_unary()
-            node = ("bin", op, node, rhs, pos)
-        return node
-
-    def parse_unary(self):
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == "-":
-            self.advance()
-            return ("neg", self.parse_unary(), pos)
-        return self.parse_atom()
-
-    def parse_atom(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return ("num", val, pos)
-        if kind == "name":
-            if self.peek()[0] == "sym" and self.peek()[1] == "(":
-                self.advance()
-                args = []
-                if not (self.peek()[0] == "sym" and self.peek()[1] == ")"):
-                    args.append(self.parse_sum())
-                    while self.peek()[0] == "sym" and self.peek()[1] == ",":
-                        self.advance()
-                        args.append(self.parse_sum())
-                self.expect_sym(")")
-                return ("call", val, tuple(args), pos)
-            return ("name", val, pos)
-        if kind == "sym" and val == "(":
-            node = self.parse_sum()
-            self.expect_sym(")")
-            return node
-        self.fail("expected a value", ("", "", pos))
+def _reserved(name) -> bool:
+    return name in _RESERVED or keyword.iskeyword(name)
 
 
 @dataclass(frozen=True)
@@ -204,16 +116,36 @@ class _Tagged:
 
 
 class _Evaluator:
-    def __init__(self, factor_order, factor_dims, factor_kinds, params, where):
+    def __init__(self, factor_order, factor_dims, factor_kinds, params):
         self.order = tuple(factor_order)
         self.dims = dict(factor_dims)
         self.kinds = dict(factor_kinds)
         self.params = params
         self.named = {}
-        self.where = where
+        self.where = ""
+        self.src = ""
 
     def fail(self, pos, msg):
-        raise ModelParseError(f"{self.where}: column {pos}: {msg}")
+        # a node that starts with the wrapping "(", as in "a, b", has offset 0
+        raise ModelParseError(f"{self.where}: column {max(1, pos)}: {msg}")
+
+    def evaluate(self, text, where):
+        """Value of one expression: a scalar or a _Tagged operator."""
+        self.where = where
+        if not isinstance(text, str):
+            raise ModelParseError(f"{where}: expected an expression string")
+        foreign = _FOREIGN.search(text)
+        if foreign:
+            self.fail(foreign.start() + 1, f"unexpected character {foreign.group()!r}")
+        # the text is now ASCII on one line, and the leading "(" makes each
+        # node's col_offset its 1-based column in the text
+        self.src = "(" + re.sub(r"\s", " ", text) + ")"
+        try:
+            return self.eval(ast.parse(self.src, mode="eval").body)
+        except SyntaxError as e:
+            raise ModelParseError(f"{where}: column {max(1, e.offset - 1)}: {e.msg}") from None
+        except RecursionError:
+            raise ModelParseError(f"{where}: expression nested too deeply") from None
 
     # -- alignment ---------------------------------------------------------
 
@@ -239,29 +171,44 @@ class _Evaluator:
         union = tuple(f for f in self.order if f in a.factors or f in b.factors)
         return self.embed(a, union), self.embed(b, union)
 
-    def to_full_operator(self, val, pos) -> Operator:
+    def to_full_operator(self, val) -> Operator:
         space = HilbertSpace(tuple(self.dims[f] for f in self.order))
         if isinstance(val, _Tagged):
-            full = self.embed(val, self.order)
-            return Operator(space, full.mat)
-        return Operator(space, complex(val) * np.eye(space.dim, dtype=complex))
+            mat = self.embed(val, self.order).mat
+        else:
+            mat = complex(val) * np.eye(space.dim, dtype=complex)
+        if not np.isfinite(mat).all():
+            raise ModelParseError(f"{self.where}: value is not finite")
+        return Operator(space, mat)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, node):
-        tag = node[0]
-        if tag == "num":
-            return complex(node[1])
-        if tag == "name":
-            return self.lookup(node[1], node[2])
-        if tag == "neg":
-            v = self.eval(node[1])
-            return _Tagged(-v.mat, v.factors) if isinstance(v, _Tagged) else -v
-        if tag == "bin":
+        """Check one node against the grammar and evaluate it."""
+        if isinstance(node, ast.BinOp):
             return self.eval_bin(node)
-        if tag == "call":
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            v = self.eval(node.operand)
+            return _Tagged(-v.mat, v.factors) if isinstance(v, _Tagged) else -v
+        if isinstance(node, ast.Call):
             return self.eval_call(node)
-        raise AssertionError(f"unknown node {tag}")
+        if isinstance(node, ast.Name):
+            return self.lookup(node.id, node.col_offset)
+        if isinstance(node, ast.Constant):
+            if node.value is None or isinstance(node.value, bool):
+                return self.lookup(str(node.value), node.col_offset)
+            value = self.number(node)
+            if value is not None:
+                return complex(value)
+        self.fail(node.col_offset, "unsupported syntax")
+
+    def number(self, node):
+        """The float a plain decimal literal denotes; None for any other node."""
+        if isinstance(node, ast.Constant):
+            text = self.src[node.col_offset : node.end_col_offset]
+            if _NUMBER.fullmatch(text):
+                return float(text)
+        return None
 
     def lookup(self, name, pos):
         if name == "i":
@@ -275,9 +222,14 @@ class _Evaluator:
         self.fail(pos, f"unresolved reference {name!r}")
 
     def eval_bin(self, node):
-        _, op, lhs_n, rhs_n, pos = node
-        lhs = self.eval(lhs_n)
-        rhs = self.eval(rhs_n)
+        # the operator is the first token after the left operand's ")"s
+        gap = self.src[node.left.end_col_offset : node.right.col_offset]
+        pos = node.left.end_col_offset + len(gap) - len(gap.lstrip(" )"))
+        op = _BINOPS.get(type(node.op))
+        if op is None:
+            self.fail(pos, "unsupported operator")
+        lhs = self.eval(node.left)
+        rhs = self.eval(node.right)
         l_op = isinstance(lhs, _Tagged)
         r_op = isinstance(rhs, _Tagged)
         if op in "+-":
@@ -308,17 +260,26 @@ class _Evaluator:
         raise AssertionError(op)
 
     def factor_arg(self, args, idx, fname, pos):
-        if len(args) <= idx or args[idx][0] != "name" or args[idx][1] not in self.dims:
+        if len(args) <= idx or not isinstance(args[idx], ast.Name) or args[idx].id not in self.dims:
             self.fail(pos, f"{fname} expects a declared factor name as argument {idx + 1}")
-        return args[idx][1]
+        return args[idx].id
 
     def int_arg(self, args, idx, fname, pos):
-        if len(args) <= idx or args[idx][0] != "num" or args[idx][1] != int(args[idx][1]):
+        value = self.number(args[idx]) if len(args) > idx else None
+        if value is None or not value.is_integer():  # also rejects inf and nan
             self.fail(pos, f"{fname} expects an integer as argument {idx + 1}")
-        return int(args[idx][1])
+        return int(value)
 
     def eval_call(self, node):
-        _, fname, args, pos = node
+        pos, func, args = node.col_offset, node.func, node.args
+        # a bare name directly before "(": rejects (sqrt)(g) and sqrt(g)(g)
+        if not (isinstance(func, ast.Name) and self.src[func.end_col_offset :].lstrip()[0] == "("):
+            self.fail(pos, "only a primitive name can be called")
+        if node.keywords:
+            self.fail(pos, f"{func.id} takes no keyword arguments")
+        if self.src[: node.end_col_offset - 1].rstrip().endswith(","):
+            self.fail(node.end_col_offset - 1, "expected a value")
+        fname = func.id
 
         def arity(n):
             if len(args) != n:
@@ -335,9 +296,9 @@ class _Evaluator:
             f = self.factor_arg(args, 0, fname, pos)
             if self.dims[f] != 2:
                 self.fail(pos, f"pauli needs a dimension-2 factor, {f!r} has dim {self.dims[f]}")
-            if args[1][0] != "name" or args[1][1] not in ("x", "y", "z"):
+            if not (isinstance(args[1], ast.Name) and args[1].id in ("x", "y", "z")):
                 self.fail(pos, "pauli axis must be x, y or z")
-            return _Tagged(pauli(args[1][1]).mat, (f,))
+            return _Tagged(pauli(args[1].id).mat, (f,))
         if fname == "ketbra":
             arity(3)
             f = self.factor_arg(args, 0, fname, pos)
@@ -418,15 +379,17 @@ def _require(cond, msg):
 
 
 def _parse_scalar(name, value):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
-        return complex(value[0], value[1])
-    raise ModelParseError(f"parameters.{name}: expected a number or [re, im] pair")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    _require(
+        all(isinstance(x, (int, float)) for x in parts),
+        f"parameters.{name}: expected a number or [re, im] pair",
+    )
+    try:
+        z = complex(*parts)
+    except OverflowError:  # an integer too large for a float
+        z = complex(cmath.inf)
+    _require(cmath.isfinite(z), f"parameters.{name}: value is not finite")
+    return z
 
 
 def _parse_spaces(spaces):
@@ -437,7 +400,7 @@ def _parse_spaces(spaces):
             isinstance(name, str) and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name),
             f"spaces: invalid factor name {name!r}",
         )
-        _require(name not in _RESERVED, f"spaces: factor name {name!r} is reserved")
+        _require(not _reserved(name), f"spaces: factor name {name!r} is reserved")
         _require(isinstance(decl, dict) and "kind" in decl, f"spaces.{name}: need a kind")
         kind = decl["kind"]
         _require(kind in _SPACE_KINDS, f"spaces.{name}: unknown kind {kind!r}")
@@ -458,11 +421,7 @@ def _parse_spaces(spaces):
 
 
 def _eval_slot(ev: _Evaluator, text, where) -> Operator:
-    _require(isinstance(text, str), f"{where}: expected an expression string")
-    node = _Parser(text, where).parse()
-    ev.where = where
-    val = ev.eval(node)
-    return ev.to_full_operator(val, 1)
+    return ev.to_full_operator(ev.evaluate(text, where))
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -484,24 +443,21 @@ def parse_model(text: str) -> ModelDocument:
 
     params = {}
     for pname, pval in (raw.get("parameters") or {}).items():
-        _require(pname not in _RESERVED, f"parameters: name {pname!r} is reserved")
+        _require(not _reserved(pname), f"parameters: name {pname!r} is reserved")
         _require(pname not in dims, f"parameters: name {pname!r} collides with a factor")
         params[pname] = _parse_scalar(pname, pval)
 
-    ev = _Evaluator(factor_names, dims, kinds, params, "operators")
+    ev = _Evaluator(factor_names, dims, kinds, params)
     operators = {}
     for oname, expr in (raw.get("operators") or {}).items():
-        _require(oname not in _RESERVED, f"operators: name {oname!r} is reserved")
+        _require(not _reserved(oname), f"operators: name {oname!r} is reserved")
         _require(oname not in dims, f"operators: name {oname!r} collides with a factor")
         _require(oname not in params, f"operators: name {oname!r} collides with a parameter")
-        _require(isinstance(expr, str), f"operators.{oname}: expected an expression string")
-        node = _Parser(expr, f"operators.{oname}").parse()
-        ev.where = f"operators.{oname}"
-        val = ev.eval(node)
+        val = ev.evaluate(expr, f"operators.{oname}")
         if not isinstance(val, _Tagged):
             raise ModelParseError(f"operators.{oname}: expression is a scalar, not an operator")
         ev.named[oname] = val
-        operators[oname] = ev.to_full_operator(val, 1)
+        operators[oname] = ev.to_full_operator(val)
 
     fam_raw = raw["family"]
     _require(isinstance(fam_raw, dict), "family: expected an object")

@@ -363,3 +363,49 @@ def test_evolve_at_d150_fits_in_a_capped_address_space(tmp_path):
     assert int(hwm_kb) < 200 * 1024  # about 80 MB measured, against 8.1 GB for one dense matrix
     assert len(out.read_text().splitlines()) == 12  # header + 11 saved states of 10 steps
     assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "matrix_free"
+
+
+@pytest.mark.parametrize(
+    "slot, value",
+    [
+        ("H1", "ketbra(mode, 1e400, 0)"),  # overflowed int() in the index check
+        ("H1", "1e400*identity(mode)"),
+        ("chi0", float("nan")),
+        ("chi0", float("inf")),
+    ],
+)
+def test_check_non_finite_model_exits_one(tmp_path, capsys, slot, value):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    if slot == "H1":
+        doc["family"]["H1"] = value
+    else:
+        doc["parameters"][slot] = value
+    model = tmp_path / "nonfinite.model"
+    model.write_text(json.dumps(doc))
+    assert main(["check", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "family.H1: " in err if slot == "H1" else "parameters.chi0: value is not finite" in err
+
+
+def test_evolve_basis_index_out_of_range_exits_one(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--initial", "basis:99", "--out", str(out)]) == 1
+    assert "basis index 99 out of range for dimension 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_traj_step_longer_than_horizon_exits_one(tmp_path, capsys):
+    out = tmp_path / "t"
+    argv = ["traj", KERR, "--scheme", "homodyne", "--t-end", "0.1", "--dt", "0.5",
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "--dt must not exceed --t-end" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_traj_channel_out_of_range_exits_one(tmp_path, capsys):
+    out = tmp_path / "t"
+    argv = ["traj", KERR, "--scheme", "counting", "--channel", "7", "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert "--channel must be in [0, 2), got 7" in capsys.readouterr().err
+    assert not out.exists()

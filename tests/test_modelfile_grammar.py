@@ -263,6 +263,77 @@ def test_expressions_parse_or_raise_model_parse_error(expr, splice):
             parse_model(json.dumps(_document(text)))
         except ModelParseError as e:
             assert str(e).startswith(SLOT + ": ")
+            col = _column(str(e))
+            assert col is None or 1 <= col <= len(text) + 1
+
+
+def _parse(expr, **parameters):
+    raw = _document(expr)
+    raw["parameters"].update(parameters)
+    return parse_model(json.dumps(raw))
+
+
+def test_non_finite_ketbra_index_is_a_parse_error():
+    with pytest.raises(ModelParseError, match=r"column 1: ketbra expects an integer as argument 2"):
+        _parse("ketbra(lv, 1e400, 0)")
+
+
+def test_non_finite_slot_value_names_the_slot():
+    with pytest.raises(ModelParseError, match=r"^family\.L0\[0\]: value is not finite$"):
+        _parse("1e400*identity(lv)")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), [0.0, float("-inf")], 10**400],
+    ids=["nan", "inf", "pair", "huge-int"],
+)
+def test_non_finite_parameter_is_a_parse_error(value):
+    # json writes NaN and Infinity, and reads 1e400 as inf
+    with pytest.raises(ModelParseError, match=r"^parameters\.g: value is not finite$"):
+        _parse("g*a", g=value)
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("(" * 400 + "g" + ")" * 400, "column 200: too many nested parentheses"),
+        (" + ".join(["g"] * 2000), "expression nested too deeply"),
+        ("-" * 2000 + "g", "expression nested too deeply"),
+    ],
+    ids=["parentheses", "sum", "negation"],
+)
+def test_deep_nesting_is_a_parse_error(expr, message):
+    with pytest.raises(ModelParseError, match=rf"^family\.L0\[0\]: {message}$"):
+        _parse(expr)
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [("spaces", "lambda", {"kind": "qubit"}), ("parameters", "None", 1.0), ("operators", "in", "a")],
+)
+def test_python_keywords_are_reserved_names(section, name, value):
+    raw = _document("0")
+    raw[section][name] = value
+    with pytest.raises(ModelParseError, match=rf"{section}: .*{name!r} is reserved"):
+        parse_model(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("g + 007", "column 5: leading zeros in decimal integer literals"),
+        ("g + lambda", "column 5: invalid syntax"),
+        ("g + \u0663", "column 5: unexpected character"),  # a digit, but not ASCII
+        ("g +", "column 4: invalid syntax"),
+        ("g ** 2", "column 3: unsupported operator"),
+        ("(sqrt)(g)", "column 1: only a primitive name can be called"),
+        ("sqrt(g, )", "column 9: expected a value"),
+    ],
+)
+def test_syntax_errors_name_a_column(expr, message):
+    with pytest.raises(ModelParseError, match=rf"^family\.L0\[0\]: {re.escape(message)}"):
+        _parse(expr)
 
 
 def _record():
