@@ -177,9 +177,10 @@ class _Evaluator:
             mat = self.embed(val, self.order).mat
         else:
             mat = complex(val) * np.eye(space.dim, dtype=complex)
-        if not np.isfinite(mat).all():
-            raise ModelParseError(f"{self.where}: value is not finite")
-        return Operator(space, mat)
+        try:
+            return Operator(space, mat)
+        except ValueError:  # the only check mat can fail: entries not finite
+            raise ModelParseError(f"{self.where}: value is not finite") from None
 
     # -- evaluation --------------------------------------------------------
 
