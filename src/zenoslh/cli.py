@@ -324,12 +324,7 @@ def _cmd_linstab(args) -> int:
         blocks = [pairs_to_matrix(data[k]) for k in ("Gamma1", "Gamma2", "Gamma3", "Gamma4")]
     except (json.JSONDecodeError, KeyError, ValueError) as e:
         raise ModelParseError(f"gamma file: {e}") from None
-    sys_ = LinearMeanSystem(*blocks)
-    try:
-        report = stability_threshold(sys_, args.ks)
-    except ValueError as e:
-        print(f"zenoslh: {e}", file=sys.stderr)
-        return EXIT_VIOLATION
+    report = stability_threshold(LinearMeanSystem(*blocks), args.ks)
     write_stability_csv(args.out, report)
     verdict = {
         "predicted_stable_tail": report.predicted_stable_tail,

@@ -50,6 +50,7 @@ from .operators import (
     Operator,
     SubspaceIsometry,
     ZenoSplit,
+    _Immutable,
     block_split,
     kernel_basis,
 )
@@ -115,7 +116,7 @@ class DecouplingViolation(ZenofiabilityError):
     pass
 
 
-class ScaledSLHFamily:
+class ScaledSLHFamily(_Immutable):
     """Coefficients (S, L1, L0, H2, H1, H0) defining G(k) for all k > 0.
 
     S and the couplings are given and checked as for :class:`SLHTriple`,
@@ -127,16 +128,7 @@ class ScaledSLHFamily:
     def __init__(self, s, l1, l0, h2: Operator, h1: Operator, h0: Operator):
         space = h0.space
         s, (l1, l0) = _validated(space, s, (l1, l0), {"H2": h2, "H1": h1, "H0": h0})
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "l0", l0)
-        object.__setattr__(self, "H2", h2)
-        object.__setattr__(self, "H1", h1)
-        object.__setattr__(self, "H0", h0)
-        object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaledSLHFamily is immutable")
+        super().__init__(s=s, l1=l1, l0=l0, H2=h2, H1=h1, H0=h0, space=space)
 
     @property
     def S(self) -> tuple:
@@ -437,13 +429,13 @@ def zeno_eliminate(
     return EliminationResult(zeno_triple=triple, v_z=v_z, residuals=residuals)
 
 
-def find_zeno_subspace(family: ScaledSLHFamily, tol: float = 1e-10) -> ZenoSplit:
+def find_zeno_subspace(family: ScaledSLHFamily) -> ZenoSplit:
     """Compute the split from the kernel of the k^2 drift coefficient.
 
     The kernel basis is canonicalized, so kernels aligned with the
     computational basis come back as exact basis vectors.
     """
-    v_z = kernel_basis(_k_quadratic(family), tol)
+    v_z = kernel_basis(_k_quadratic(family))
     d = v_z.subspace_dim
     if d == 0:
         raise ValueError(

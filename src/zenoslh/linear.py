@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import ScaledSLHFamily
-from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator
+from .operators import HilbertSpace, Operator, ZenoSplit, _Immutable, fock_annihilator
 from .slh import SLHTriple, _adjoint, _channel_sum, _opmul, _stack
 
 __all__ = [
@@ -66,7 +66,7 @@ __all__ = [
 _COND_GUARD = 1e12
 
 
-class OscillatorModelCoeffs:
+class OscillatorModelCoeffs(_Immutable):
     """Drift coefficients of a model with m fast oscillator modes.
 
     The operator coefficients act on the slow space (dimension d) and are
@@ -106,6 +106,7 @@ class OscillatorModelCoeffs:
         if not isinstance(constant_drift, Operator) or constant_drift.space != slow_space:
             raise ValueError("constant drift must be an operator on the slow space")
         n, m = len(direct_couplings), a.shape[0]
+        fields = {"slow_space": slow_space, "constant_drift": constant_drift}
         for name, x, outer in (
             ("scattering", scattering, (n, n)),
             ("osc_couplings", osc_couplings, (n, m)),
@@ -113,14 +114,9 @@ class OscillatorModelCoeffs:
             ("annihilation_coeffs", annihilation_coeffs, (m,)),
             ("creation_coeffs", creation_coeffs, (m,)),
         ):
-            object.__setattr__(self, name, _stack(slow_space, x, outer, name))
+            fields[name] = _stack(slow_space, x, outer, name)
         a.setflags(write=False)
-        object.__setattr__(self, "slow_space", slow_space)
-        object.__setattr__(self, "osc_drift", a)
-        object.__setattr__(self, "constant_drift", constant_drift)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OscillatorModelCoeffs is immutable")
+        super().__init__(osc_drift=a, **fields)
 
     @property
     def n(self) -> int:
@@ -237,18 +233,17 @@ class HurwitzReport:
 
     numerical_range_margin: float
     eigenvalue_margin: float
-    tol: float
 
     @property
     def dissipative(self) -> bool:
-        return self.numerical_range_margin < -self.tol
+        return self.numerical_range_margin < 0.0
 
     @property
     def eigenvalue_stable(self) -> bool:
-        return self.eigenvalue_margin < -self.tol
+        return self.eigenvalue_margin < 0.0
 
 
-def is_strictly_hurwitz(a, tol: float = 0.0) -> HurwitzReport:
+def is_strictly_hurwitz(a) -> HurwitzReport:
     """Strict Hurwitz test in the numerical-range sense, both margins reported."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -256,12 +251,10 @@ def is_strictly_hurwitz(a, tol: float = 0.0) -> HurwitzReport:
     herm_part = 0.5 * (m + m.conj().T)
     nr_margin = float(np.max(np.linalg.eigvalsh(herm_part)))
     eig_margin = float(np.max(np.linalg.eigvals(m).real))
-    return HurwitzReport(
-        numerical_range_margin=nr_margin, eigenvalue_margin=eig_margin, tol=float(tol)
-    )
+    return HurwitzReport(numerical_range_margin=nr_margin, eigenvalue_margin=eig_margin)
 
 
-class LinearMeanSystem:
+class LinearMeanSystem(_Immutable):
     """First-moment dynamics blocks of a fast/slow oscillator assembly."""
 
     __slots__ = ("slow_block", "slow_fast", "fast_slow", "fast_block")
@@ -282,13 +275,7 @@ class LinearMeanSystem:
             )
         for x in (g1, g2, g3, g4):
             x.setflags(write=False)
-        object.__setattr__(self, "slow_block", g1)
-        object.__setattr__(self, "slow_fast", g2)
-        object.__setattr__(self, "fast_slow", g3)
-        object.__setattr__(self, "fast_block", g4)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMeanSystem is immutable")
+        super().__init__(slow_block=g1, slow_fast=g2, fast_slow=g3, fast_block=g4)
 
     @property
     def r(self) -> int:

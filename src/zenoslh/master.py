@@ -99,35 +99,33 @@ class StepSizeError(RuntimeError):
     """Trace drift exceeded the abort threshold; reduce the step size."""
 
 
-class DensityMatrix:
+class DensityMatrix(Operator):
     """Hermitian, unit-trace, positive-semidefinite state matrix.
 
-    Validation tolerances are per-instance so integrators can store
+    A DensityMatrix is an :class:`Operator` (arithmetic on it returns
+    plain Operators) that is also Hermitian to 1e-10.  The trace and
+    eigenvalue tolerances are per-instance so integrators can store
     states carrying their documented drift; the defaults are the strict
-    contract (Hermitian and unit trace to 1e-10, smallest eigenvalue
-    above -1e-8).  Pass ``min_eig_tol=None`` to skip the eigenvalue
-    check (used for conditioned states, which can transiently leave the
-    cone at finite step size).
+    contract (unit trace to 1e-10, smallest eigenvalue above -1e-8).
+    Pass ``min_eig_tol=None`` to skip the eigenvalue check (used for
+    conditioned states, which can transiently leave the cone at finite
+    step size).
     """
 
-    __slots__ = ("space", "mat")
+    __slots__ = ()
 
     def __init__(
         self,
         space: HilbertSpace,
         mat,
         *,
-        herm_tol: float = 1e-10,
         trace_tol: float = 1e-10,
         min_eig_tol: float | None = 1e-8,
     ):
-        m = np.array(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != space.dim:
-            raise ValueError(f"density matrix must be {space.dim} x {space.dim}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite (no NaN/Inf)")
+        super().__init__(space, mat)
+        m = self.mat
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > herm_tol:
+        if herm > 1e-10:
             raise ValueError(f"density matrix is not Hermitian (defect {herm:.3e})")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > trace_tol:
@@ -136,25 +134,12 @@ class DensityMatrix:
             w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
             if w[0] < -min_eig_tol:
                 raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < -{min_eig_tol:.1e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     def expectation(self, x: Operator) -> complex:
         return complex(np.trace(self.mat @ x.mat))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
-
-    def __repr__(self):
-        return f"DensityMatrix(dim={self.dim})"
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

@@ -22,8 +22,10 @@ A model file is a JSON document with up to six sections::
 Spaces declare named tensor factors in order: kind ``qubit`` or ``spin``
 (dimension 2), ``level`` with ``dim``, ``fock`` with ``n_max``.
 Parameters are named finite scalars; complex values are written as
-[re, im] pairs.  Names of factors, parameters and operators may be
-neither primitives nor Python keywords (``lambda``, ``in``, ``None``, ...).
+[re, im] pairs.  JSON ``true`` and ``false`` are never numbers.  Names
+of factors, parameters and operators are identifiers matching
+``[A-Za-z_][A-Za-z_0-9]*`` and neither primitives nor Python keywords
+(``lambda``, ``in``, ``None``, ...).
 
 Operator expressions are a whitelisted subset of Python expressions,
 parsed by :mod:`ast`: ``+ - * /`` between values, unary ``-``,
@@ -141,7 +143,9 @@ class _Evaluator:
         # node's col_offset its 1-based column in the text
         self.src = "(" + re.sub(r"\s", " ", text) + ")"
         try:
-            return self.eval(ast.parse(self.src, mode="eval").body)
+            # a value that is not finite stays so and is rejected once whole
+            with np.errstate(all="ignore"):
+                return self.eval(ast.parse(self.src, mode="eval").body)
         except SyntaxError as e:
             raise ModelParseError(f"{where}: column {max(1, e.offset - 1)}: {e.msg}") from None
         except RecursionError:
@@ -173,10 +177,11 @@ class _Evaluator:
 
     def to_full_operator(self, val) -> Operator:
         space = HilbertSpace(tuple(self.dims[f] for f in self.order))
-        if isinstance(val, _Tagged):
-            mat = self.embed(val, self.order).mat
-        else:
-            mat = complex(val) * np.eye(space.dim, dtype=complex)
+        with np.errstate(all="ignore"):
+            if isinstance(val, _Tagged):
+                mat = self.embed(val, self.order).mat
+            else:
+                mat = complex(val) * np.eye(space.dim, dtype=complex)
         try:
             return Operator(space, mat)
         except ValueError:  # the only check mat can fail: entries not finite
@@ -379,10 +384,23 @@ def _require(cond, msg):
         raise ModelParseError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true and false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_name(section, name, **taken):
+    """A declared name must be one that expressions can refer to."""
+    _require(re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name), f"{section}: invalid name {name!r}")
+    _require(not _reserved(name), f"{section}: name {name!r} is reserved")
+    for kind, names in taken.items():
+        _require(name not in names, f"{section}: name {name!r} collides with a {kind}")
+
+
 def _parse_scalar(name, value):
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
     _require(
-        all(isinstance(x, (int, float)) for x in parts),
+        all(_is_int(x) or isinstance(x, float) for x in parts),
         f"parameters.{name}: expected a number or [re, im] pair",
     )
     try:
@@ -397,11 +415,7 @@ def _parse_spaces(spaces):
     _require(isinstance(spaces, dict) and spaces, "spaces: need at least one named factor")
     names, dims, kinds = [], {}, {}
     for name, decl in spaces.items():
-        _require(
-            isinstance(name, str) and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name),
-            f"spaces: invalid factor name {name!r}",
-        )
-        _require(not _reserved(name), f"spaces: factor name {name!r} is reserved")
+        _check_name("spaces", name)
         _require(isinstance(decl, dict) and "kind" in decl, f"spaces.{name}: need a kind")
         kind = decl["kind"]
         _require(kind in _SPACE_KINDS, f"spaces.{name}: unknown kind {kind!r}")
@@ -411,10 +425,10 @@ def _parse_spaces(spaces):
             dim = 2
         elif kind == "level":
             dim = decl.get("dim")
-            _require(isinstance(dim, int) and dim >= 2, f"spaces.{name}: level needs dim >= 2")
+            _require(_is_int(dim) and dim >= 2, f"spaces.{name}: level needs dim >= 2")
         else:
             dim = decl.get("n_max")
-            _require(isinstance(dim, int) and dim >= 2, f"spaces.{name}: fock needs n_max >= 2")
+            _require(_is_int(dim) and dim >= 2, f"spaces.{name}: fock needs n_max >= 2")
         names.append(name)
         dims[name] = dim
         kinds[name] = kind
@@ -444,16 +458,13 @@ def parse_model(text: str) -> ModelDocument:
 
     params = {}
     for pname, pval in (raw.get("parameters") or {}).items():
-        _require(not _reserved(pname), f"parameters: name {pname!r} is reserved")
-        _require(pname not in dims, f"parameters: name {pname!r} collides with a factor")
+        _check_name("parameters", pname, factor=dims)
         params[pname] = _parse_scalar(pname, pval)
 
     ev = _Evaluator(factor_names, dims, kinds, params)
     operators = {}
     for oname, expr in (raw.get("operators") or {}).items():
-        _require(not _reserved(oname), f"operators: name {oname!r} is reserved")
-        _require(oname not in dims, f"operators: name {oname!r} collides with a factor")
-        _require(oname not in params, f"operators: name {oname!r} collides with a parameter")
+        _check_name("operators", oname, factor=dims, parameter=params)
         val = ev.evaluate(expr, f"operators.{oname}")
         if not isinstance(val, _Tagged):
             raise ModelParseError(f"operators.{oname}: expression is a scalar, not an operator")
@@ -467,7 +478,7 @@ def parse_model(text: str) -> ModelDocument:
     extra = set(fam_raw) - {"channels", "S", "L1", "L0", "H2", "H1", "H0"}
     _require(not extra, f"family: unknown slots {sorted(extra)}")
     n = fam_raw["channels"]
-    _require(isinstance(n, int) and n >= 1, "family.channels must be a positive integer")
+    _require(_is_int(n) and n >= 1, "family.channels must be a positive integer")
 
     s_rows = fam_raw["S"]
     _require(
@@ -522,10 +533,10 @@ def _parse_subspace(sub, factor_names, dims, space):
     shape = tuple(dims[f] for f in factor_names)
     out = []
     for entry in basis:
-        if isinstance(entry, int):
+        if _is_int(entry):
             _require(0 <= entry < space.dim, f"subspace.basis: index {entry} out of range")
             out.append(entry)
-        elif isinstance(entry, list) and all(isinstance(x, int) for x in entry):
+        elif isinstance(entry, list) and all(_is_int(x) for x in entry):
             _require(
                 len(entry) == len(factor_names),
                 f"subspace.basis: need one index per factor ({len(factor_names)})",

@@ -13,12 +13,16 @@ Three value types carry everything downstream:
 ranges and induces the 2x2 block decompositions used by the elimination
 routines.
 
-All values are immutable after construction (matrices are stored
-read-only) and the functions below are pure, so everything can be shared
-freely between threads.  Storage is dense.  Operators of a few hundred
-dimensions are fine here.  The master-equation integrator ``evolve``
-(and ``convergence_harness`` through it) builds a dense d^2 x d^2 step
-map, 16 d^4 bytes per matrix, only up to a size crossover and steps
+All values are immutable after construction and the functions below are
+pure, so everything can be shared freely between threads.  ``Operator``,
+``SubspaceIsometry``, ``ZenoSplit`` and the value types of the modules
+built on this one (a ``DensityMatrix`` is an ``Operator``) share one
+private base, which sets their slots once and refuses any later
+assignment; matrices are stored read-only.  ``HilbertSpace`` is a frozen
+dataclass.  Storage is dense.  Operators of a few hundred dimensions are
+fine here.  The master-equation integrator ``evolve`` (and
+``convergence_harness`` through it) builds a dense d^2 x d^2 step map,
+16 d^4 bytes per matrix, only up to a size crossover and steps
 matrix-free on the d x d state above it; both are the same RK4 map and
 differ by rounding only.
 """
@@ -79,7 +83,20 @@ class HilbertSpace:
         return f"HilbertSpace{self.factor_dims}"
 
 
-class Operator:
+class _Immutable:
+    """Base of the value types: the slots are set once, at construction."""
+
+    __slots__ = ()
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Operator(_Immutable):
     """Square complex matrix acting on a fixed Hilbert space.
 
     Instances are immutable; arithmetic returns new operators.  ``@`` is
@@ -99,11 +116,7 @@ class Operator:
         if not np.all(np.isfinite(m)):
             raise ValueError("operator entries must be finite (no NaN/Inf)")
         m.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
+        super().__init__(space=space, mat=m)
 
     @property
     def dim(self) -> int:
@@ -158,7 +171,7 @@ class Operator:
         return Operator(self.space, self.mat @ other.mat)
 
     def __repr__(self):
-        return f"Operator(dim={self.dim}, factors={self.space.factor_dims})"
+        return f"{type(self).__name__}(dim={self.dim}, factors={self.space.factor_dims})"
 
 
 def identity(space: HilbertSpace) -> Operator:
@@ -219,7 +232,7 @@ def adjoint(a: Operator) -> Operator:
     return a.dag()
 
 
-class SubspaceIsometry:
+class SubspaceIsometry(_Immutable):
     """Matrix with orthonormal columns spanning a subspace.
 
     The induced projection is ``V V^H``; compression of an operator is
@@ -241,11 +254,7 @@ class SubspaceIsometry:
         if defect > ISOMETRY_TOL:
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
         c.setflags(write=False)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "cols", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SubspaceIsometry is immutable")
+        super().__init__(space=space, cols=c)
 
     @property
     def subspace_dim(self) -> int:
@@ -330,7 +339,7 @@ def complement_basis(v: SubspaceIsometry) -> SubspaceIsometry:
     return SubspaceIsometry(v.space, _canonical_basis_from_projector(p, d))
 
 
-class ZenoSplit:
+class ZenoSplit(_Immutable):
     """Pair of isometries onto the Zeno (slow) and fast subspaces."""
 
     __slots__ = ("v_z", "v_f")
@@ -349,11 +358,7 @@ class ZenoSplit:
         defect = float(np.max(np.abs(cross))) if cross.size else 0.0
         if defect > 1e-10:
             raise ValueError(f"subspace ranges are not orthogonal (defect {defect:.3e})")
-        object.__setattr__(self, "v_z", v_z)
-        object.__setattr__(self, "v_f", v_f)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ZenoSplit is immutable")
+        super().__init__(v_z=v_z, v_f=v_f)
 
     @classmethod
     def from_zeno(cls, v_z: SubspaceIsometry) -> "ZenoSplit":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HilbertSpace, Operator, zero
+from .operators import HilbertSpace, Operator, _Immutable, zero
 
 __all__ = [
     "SLHTriple",
@@ -166,7 +166,7 @@ def _validated(space: HilbertSpace, s, ls, hamiltonians: dict):
     return s, ls
 
 
-class SLHTriple:
+class SLHTriple(_Immutable):
     """Immutable (S, L, H) triple on a common Hilbert space.
 
     ``s`` (n, n, d, d) and ``l`` (n, d, d) are read-only arrays; ``S``
@@ -184,13 +184,7 @@ class SLHTriple:
     def __init__(self, s, l, h: Operator):
         space = h.space
         s, (l,) = _validated(space, s, (l,), {"Hamiltonian": h})
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "H", h)
-        object.__setattr__(self, "space", space)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SLHTriple is immutable")
+        super().__init__(s=s, l=l, H=h, space=space)
 
     @property
     def S(self) -> tuple:

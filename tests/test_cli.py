@@ -387,6 +387,32 @@ def test_check_non_finite_model_exits_one(tmp_path, capsys, slot, value):
     assert "family.H1: " in err if slot == "H1" else "parameters.chi0: value is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["parameters"].update(chi0=True), "parameters.chi0: expected a number"),
+        (
+            lambda d: d["family"].update(channels=True, S=[["1"]], L1=["0"], L0=["a"]),
+            "family.channels must be a positive integer",
+        ),
+        (lambda d: d.update(subspace={"basis": [False, True]}), "subspace.basis: entries must"),
+        (lambda d: d.update(subspace={"basis": [[False], [True]]}), "subspace.basis: entries must"),
+        (lambda d: d["parameters"].update({"two words": 1.0}), "parameters: invalid name"),
+        (lambda d: d["operators"].update({"9x": "a"}), "operators: invalid name '9x'"),
+    ],
+    ids=[
+        "bool-parameter", "bool-channels", "bool-basis", "bool-basis-tuple", "param-name", "op-name"
+    ],
+)
+def test_check_rejects_booleans_and_unreachable_names(tmp_path, capsys, edit, message):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    edit(doc)
+    model = tmp_path / "bad.model"
+    model.write_text(json.dumps(doc))
+    assert main(["check", str(model)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_evolve_basis_index_out_of_range_exits_one(tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert main(["evolve", KERR, "--initial", "basis:99", "--out", str(out)]) == 1

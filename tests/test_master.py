@@ -58,6 +58,15 @@ def test_density_matrix_rejects_nan():
         DensityMatrix(QUBIT, nan, min_eig_tol=None)
 
 
+def test_density_matrix_arithmetic_returns_operators():
+    rho = DensityMatrix(QUBIT, [[0.75, 0.25], [0.25, 0.25]])
+    assert isinstance(rho, Operator)
+    for out in (rho + rho, rho - rho, -rho, 2.0 * rho, rho / 2.0, rho @ rho, rho.dag()):
+        assert type(out) is Operator
+    assert entrymax(rho + rho, 2.0 * rho.mat) == 0.0
+    assert repr(rho) == "DensityMatrix(dim=2, factors=(2,))"
+
+
 def test_pure_state_density_normalizes():
     from zenoslh import pure_state_density
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from zenoslh import (
     HilbertSpace,
+    LinearMeanSystem,
     Operator,
     SubspaceIsometry,
     ZenoSplit,
@@ -13,13 +14,15 @@ from zenoslh import (
     complement_basis,
     fock_annihilator,
     identity,
+    instantiate,
     kernel_basis,
+    maximally_mixed,
     pauli,
     tensor,
 )
-from zenoslh.random_models import random_complex_matrix, random_hermitian
+from zenoslh.random_models import random_complex_matrix, random_hermitian, random_oscillator_model
 
-from common import entrymax
+from common import entrymax, kerr_family
 
 
 def test_hilbert_space_validation():
@@ -47,6 +50,34 @@ def test_operator_is_immutable():
         a.mat = np.eye(3)
     with pytest.raises(ValueError):
         a.mat[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "cls_name, make",
+    [
+        ("Operator", lambda: fock_annihilator(3)),
+        ("SubspaceIsometry", lambda: kerr_family()[1].v_z),
+        ("ZenoSplit", lambda: kerr_family()[1]),
+        ("SLHTriple", lambda: instantiate(kerr_family()[0], 2.0)),
+        ("ScaledSLHFamily", lambda: kerr_family()[0]),
+        (
+            "OscillatorModelCoeffs",
+            lambda: random_oscillator_model(np.random.default_rng(0), 2, 1, 1),
+        ),
+        ("LinearMeanSystem", lambda: LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])),
+        ("DensityMatrix", lambda: maximally_mixed(HilbertSpace((2,)))),
+    ],
+)
+def test_value_types_refuse_assignment(cls_name, make):
+    value = make()
+    assert type(value).__name__ == cls_name
+    slots = [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots
+    for name in [*slots, "extra"]:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^{cls_name} is immutable$"):
+            setattr(value, name, None)
+        assert getattr(value, name, None) is before
 
 
 def test_fock_annihilator_two_level():
