@@ -12,16 +12,22 @@ stepping, so order-of-accuracy tests and diagnostics are reproducible.
 States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
-``evolve`` applies that one-step map in one of two ways, chosen once per
-call from (d, steps, channels).  Up to a size crossover it builds the
-dense d^2 x d^2 step map (d^6 work and 16 d^4 bytes per matrix, then
-d^4 per step); above it, it runs the four RK4 stages on the d x d matrix
-through the dissipator, with no d^2 x d^2 array (d^3 per step and
-channel).  Both are the same RK4 map, so they differ by rounding only.
-d <= ``DENSE_ALWAYS_DIM`` is always dense and d >= ``MATRIX_FREE_ALWAYS_DIM``
-always matrix-free; in between, dense when the step time it saves over
-the run pays for its build, at measured per-step and build costs.  The
-result records the path as ``method``.
+``evolve`` keeps the state as its column-stacked vector v = vec(rho)
+for the whole run, in one stepping loop.  It applies the one-step map in
+one of two ways, chosen once per call from (d, steps, channels).  Up to a
+size crossover it builds the dense d^2 x d^2 step map (d^6 work and
+16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
+it, each step views v as the d x d matrix, runs the four RK4 stages on it
+through the dissipator and stacks the result back, with no d^2 x d^2
+array (d^3 per step and channel, against a d^2 copy).  Both are the same
+RK4 map, so they differ by rounding only.  d <= ``DENSE_ALWAYS_DIM`` is
+always dense and d >= ``MATRIX_FREE_ALWAYS_DIM`` always matrix-free; in
+between, dense when the step time it saves over the run pays for its
+build, at measured per-step and build costs.  The result records the path
+as ``method``.  Re-Hermitizing, v = (w + conj(w[perm])) / 2 with ``perm``
+the index of the transposed entry, and the trace, the sum of v over the
+diagonal entries, are elementwise the arithmetic of the same steps on the
+d x d matrix, so stepping in vec space rounds exactly as that would.
 
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
@@ -73,6 +79,10 @@ __all__ = [
 ]
 
 TRACE_ABORT_TOL = 1e-6
+# largest step count of ``evolve``: up to 2**53 every step index is exact as
+# a float, so ``step * dt_eff`` (saved times, abort messages) is one rounding
+# from the true time
+MAX_STEPS = 2**53
 
 # evolve's stepping path (see the module docstring): dense at any cost up
 # to this dimension, so results there stay bit-identical to the dense map
@@ -292,13 +302,16 @@ def evolve(
     """Integrate d rho / dt = D rho with fixed-step 4th-order stepping.
 
     The number of steps is round(t_end / dt) and the step is adjusted to
-    hit t_end exactly.  The step is applied densely or matrix-free, as
-    ``_choose_method`` picks (see the module docstring), and the result's
-    ``method`` records which.  States are re-Hermitized each step; trace
-    drift beyond ``TRACE_ABORT_TOL`` (or NaN) raises
-    :class:`StepSizeError`.  Saved states go into ``rho``; the ``states``
-    views are validated with the trace tolerance relaxed to the abort
-    threshold, since the drift is a recorded diagnostic.
+    hit t_end exactly; more than ``MAX_STEPS`` steps raise ValueError.
+    The step is applied densely or matrix-free, as ``_choose_method``
+    picks (see the module docstring), and the result's ``method`` records
+    which.  States are re-Hermitized each step; trace drift beyond
+    ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`.  Every
+    ``save_every``-th state and the final one go into ``rho``, after the
+    initial one; ``save_every=MAX_STEPS`` keeps the initial and final
+    states only, whatever the step count.  The ``states`` views are
+    validated with the trace tolerance relaxed to the abort threshold,
+    since the drift is a recorded diagnostic.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
@@ -313,6 +326,8 @@ def evolve(
     n_steps = max(0, int(round(t_end / dt)))
     if t_end > 0 and n_steps == 0:
         n_steps = 1
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"step count {n_steps} exceeds 2**53; increase dt")
     dt_eff = t_end / n_steps if n_steps else dt
     save_every = max(1, int(save_every))
 
@@ -321,37 +336,47 @@ def evolve(
     if method == "dense":
         phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
 
-        def step_map(m):
-            return (phi @ m.reshape(-1, order="F")).reshape((d, d), order="F")
+        def step_map(v):
+            return phi @ v
 
     else:
         terms = _dissipator_terms(g.H.mat, g.l)
 
-        def step_map(m):
-            return _rk4_step(terms, m, dt_eff)
+        def step_map(v):
+            # d x d states are C-ordered everywhere else; a copy in that
+            # layout (d^2, against d^3 per product) keeps BLAS rounding
+            # the products as it does there
+            m = np.ascontiguousarray(v.reshape((d, d), order="F"))
+            return _rk4_step(terms, m, dt_eff).reshape(-1, order="F")
 
+    # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
+    # takes each entry to its transposed one and ``diag`` picks the diagonal
+    idx = np.arange(d * d)
+    perm = idx // d + (idx % d) * d
+    diag = np.arange(d) * (d + 1)
     n_saved = 1 + -(-n_steps // save_every)
     times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
     rho = np.empty((n_saved, d, d), dtype=complex)
-    m = rho[0] = rho0.mat
-    tdrift[0] = abs(np.trace(m).real - 1.0)
+    rho[0] = rho0.mat
+    v = rho0.mat.reshape(-1, order="F")
+    tdrift[0] = abs(v[diag].sum().real - 1.0)
     j = 0
 
     for step in range(1, n_steps + 1):
-        m = step_map(m)
-        saved = step % save_every == 0 or step == n_steps
-        if saved:
-            h_defect = float(np.max(np.abs(m - m.conj().T)))
-        m = 0.5 * (m + m.conj().T)
-        drift = abs(float(np.trace(m).real) - 1.0)
+        w = step_map(v)
+        wh = w[perm].conj()
+        v = 0.5 * (w + wh)
+        drift = abs(float(v[diag].sum().real) - 1.0)
         if not drift <= TRACE_ABORT_TOL:
             raise StepSizeError(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
                 f"{TRACE_ABORT_TOL:.1e}; reduce dt"
             )
-        if saved:
+        if step % save_every == 0 or step == n_steps:
             j += 1
-            times[j], rho[j], tdrift[j], hdrift[j] = step * dt_eff, m, drift, h_defect
+            times[j], tdrift[j] = step * dt_eff, drift
+            hdrift[j] = np.max(np.abs(w - wh))
+            rho[j] = v.reshape((d, d), order="F")
 
     rho.setflags(write=False)
     return EvolutionResult(times, g.space, rho, tdrift, hdrift, method=method)
@@ -452,18 +477,16 @@ def convergence_harness(
     limit = zeno_eliminate(
         family, split, scaling_tol=scaling_tol, kernel_tol=kernel_tol, decoupling_tol=decoupling_tol
     )
-    zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=10**9).rho[-1]
+    zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=MAX_STEPS).rho[-1]
 
     vz = split.v_z.cols
+    rho0_full = DensityMatrix(family.space, vz @ rho0_z.mat @ vz.conj().T, min_eig_tol=None)
     points = []
     for k in ks:
         k = float(k)
         g_full = instantiate(family, k)
-        rho0_full = DensityMatrix(
-            family.space, vz @ rho0_z.mat @ vz.conj().T, min_eig_tol=None
-        )
         dt_k = dt / max(1.0, k * k)
-        final = evolve(g_full, rho0_full, t_end, dt_k, save_every=10**9).rho[-1]
+        final = evolve(g_full, rho0_full, t_end, dt_k, save_every=MAX_STEPS).rho[-1]
         comp = vz.conj().T @ final @ vz
         tr = float(np.trace(comp).real)
         leaked = 1.0 - tr

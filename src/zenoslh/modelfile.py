@@ -457,13 +457,15 @@ def parse_model(text: str) -> ModelDocument:
     factor_names, dims, kinds = _parse_spaces(raw["spaces"])
 
     params = {}
-    for pname, pval in (raw.get("parameters") or {}).items():
+    for section in ("parameters", "operators"):
+        _require(isinstance(raw.get(section, {}), dict), f"{section}: expected an object")
+    for pname, pval in raw.get("parameters", {}).items():
         _check_name("parameters", pname, factor=dims)
         params[pname] = _parse_scalar(pname, pval)
 
     ev = _Evaluator(factor_names, dims, kinds, params)
     operators = {}
-    for oname, expr in (raw.get("operators") or {}).items():
+    for oname, expr in raw.get("operators", {}).items():
         _check_name("operators", oname, factor=dims, parameter=params)
         val = ev.evaluate(expr, f"operators.{oname}")
         if not isinstance(val, _Tagged):

@@ -18,13 +18,13 @@ pure, so everything can be shared freely between threads.  ``Operator``,
 ``SubspaceIsometry``, ``ZenoSplit`` and the value types of the modules
 built on this one (a ``DensityMatrix`` is an ``Operator``) share one
 private base, which sets their slots once and refuses any later
-assignment; matrices are stored read-only.  ``HilbertSpace`` is a frozen
+assignment or deletion; matrices are stored read-only.  ``HilbertSpace`` is a frozen
 dataclass.  Storage is dense.  Operators of a few hundred dimensions are
 fine here.  The master-equation integrator ``evolve`` (and
-``convergence_harness`` through it) builds a dense d^2 x d^2 step map,
-16 d^4 bytes per matrix, only up to a size crossover and steps
-matrix-free on the d x d state above it; both are the same RK4 map and
-differ by rounding only.
+``convergence_harness`` through it) steps the column-stacked state
+vector: through a dense d^2 x d^2 step map, 16 d^4 bytes per matrix, only
+up to a size crossover, and matrix-free on the d x d view of the vector
+above it; both are the same RK4 map and differ by rounding only.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ class _Immutable:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 

@@ -435,3 +435,26 @@ def test_traj_channel_out_of_range_exits_one(tmp_path, capsys):
     assert main(argv) == 1
     assert "--channel must be in [0, 2), got 7" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, value", [("parameters", [1]), ("operators", "a")], ids=["parameters", "operators"]
+)
+def test_check_non_object_section_exits_one(tmp_path, capsys, section, value):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc[section] = value
+    model = tmp_path / "bad.model"
+    model.write_text(json.dumps(doc))
+    assert main(["check", str(model)]) == 1
+    assert f"{section}: expected an object" in capsys.readouterr().err
+
+
+def test_converge_past_2_to_the_53_steps_exits_two(tmp_path, capsys):
+    # k = 1e9 needs 1e19 full-model steps; saving every 10**9 of them once
+    # sized the run for 10**10 rows
+    out = tmp_path / "c.csv"
+    argv = ["converge", KERR, "--ks", "1,1e9", "--t-end", "0.01", "--dt", "0.001",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "step count 10000000000000000000 exceeds 2**53" in capsys.readouterr().err
+    assert not out.exists()

@@ -394,3 +394,121 @@ def test_evolve_rejects_non_finite_horizon_and_step(t_end, dt):
     g = qubit_decay(1.0)
     with pytest.raises(ValueError, match="finite"):
         evolve(g, basis_state_density(QUBIT, 1), t_end, dt)
+
+
+# -- stepping in vec space -------------------------------------------------
+
+
+def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
+    """``evolve``'s loop as it stepped the d x d matrix before it stepped the
+    column-stacked vector; kept to check that the two round alike."""
+    n_steps = max(0, int(round(t_end / dt)))
+    if t_end > 0 and n_steps == 0:
+        n_steps = 1
+    dt_eff = t_end / n_steps if n_steps else dt
+    save_every = max(1, int(save_every))
+    d = g.dim
+    if method == "dense":
+        phi = master._rk4_step_matrix(liouvillian_matrix(g), dt_eff)
+
+        def step_map(m):
+            return (phi @ m.reshape(-1, order="F")).reshape((d, d), order="F")
+
+    else:
+        terms = master._dissipator_terms(g.H.mat, g.l)
+
+        def step_map(m):
+            return master._rk4_step(terms, m, dt_eff)
+
+    n_saved = 1 + -(-n_steps // save_every)
+    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
+    rho = np.empty((n_saved, d, d), dtype=complex)
+    m = rho[0] = rho0.mat
+    tdrift[0] = abs(np.trace(m).real - 1.0)
+    j = 0
+    for step in range(1, n_steps + 1):
+        m = step_map(m)
+        saved = step % save_every == 0 or step == n_steps
+        if saved:
+            h_defect = float(np.max(np.abs(m - m.conj().T)))
+        m = 0.5 * (m + m.conj().T)
+        drift = abs(float(np.trace(m).real) - 1.0)
+        if not drift <= master.TRACE_ABORT_TOL:
+            raise StepSizeError(
+                f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
+                f"{master.TRACE_ABORT_TOL:.1e}; reduce dt"
+            )
+        if saved:
+            j += 1
+            times[j], rho[j], tdrift[j], hdrift[j] = step * dt_eff, m, drift, h_defect
+    return times, rho, tdrift, hdrift
+
+
+@pytest.mark.parametrize(
+    "dim, method, save_every",
+    [
+        *((d, "dense", s) for d in (4, 6, 12) for s in (1, 7, master.MAX_STEPS)),
+        *((d, "matrix_free", s) for d in (13, 30) for s in (1, 7)),
+    ],
+)
+def test_vec_space_stepping_is_bit_exact(monkeypatch, dim, method, save_every):
+    rng = np.random.default_rng([dim, save_every % 1000])
+    g = scaled_triple(rng, dim, 2)
+    rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
+    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    res = evolve(g, rho0, 0.05, 1e-3, save_every=save_every)
+    assert res.method == method
+    times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
+    assert len(times) == (2 if save_every > 50 else 1 + -(-50 // save_every))
+    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
+                         (times, rho, tdrift, hdrift)):
+        assert np.array_equal(got, want)
+
+
+def test_vec_space_abort_matches_matrix_space(monkeypatch):
+    a = fock_annihilator(13)
+    sp = a.space
+    cases = [
+        # NaN in the first step
+        (SLHTriple(((identity(sp),),), (a,), 1e200 * (a + a.dag())), 1, 0.01, 1e-3),
+        # finite drift past the threshold after the state has blown up
+        (SLHTriple(((identity(sp),),), (np.sqrt(80.0) * a,), zero(sp)), 12, 10.0, 0.5),
+    ]
+    for g, level, t_end, dt in cases:
+        rho0 = basis_state_density(sp, level)
+        for method in ("dense", "matrix_free"):
+            monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+            with np.errstate(all="ignore"):
+                with pytest.raises(StepSizeError) as got:
+                    evolve(g, rho0, t_end, dt)
+                with pytest.raises(StepSizeError) as want:
+                    matrix_space_reference(g, rho0, t_end, dt, 1, method)
+            assert str(got.value) == str(want.value)
+            assert " at t=" in str(got.value)
+
+
+def test_evolve_rejects_more_than_2_to_the_53_steps():
+    g = qubit_decay(1.0)
+    rho0 = basis_state_density(QUBIT, 1)
+    with pytest.raises(ValueError, match=r"step count 18014398509481984 exceeds 2\*\*53"):
+        evolve(g, rho0, 1.0, 2.0**-54)
+
+
+def test_final_only_convergence_run_holds_two_rows():
+    import tracemalloc
+
+    # at k = 1e6 the full model takes 1e13 steps; a huge Kerr term (which the
+    # limit qubit does not see) makes it abort in the first one, so the
+    # run's memory is what it allocated up front
+    fam, split = kerr_family(chi0=1e30)
+    rho0 = basis_state_density(split.zeno_space, 1)
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="at t=1e-15 "):
+            convergence_harness(fam, split, rho0, (1e6,), 0.01, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two saved rows at d = 6 take about 1 kB; saving every 10**9 steps
+    # would take 10**4 rows, about 6 MB
+    assert peak < 2**20

@@ -80,6 +80,30 @@ def test_value_types_refuse_assignment(cls_name, make):
         assert getattr(value, name, None) is before
 
 
+VALUE_TYPES = [
+    ("Operator", lambda: fock_annihilator(3)),
+    ("SubspaceIsometry", lambda: kerr_family()[1].v_z),
+    ("ZenoSplit", lambda: kerr_family()[1]),
+    ("SLHTriple", lambda: instantiate(kerr_family()[0], 2.0)),
+    ("ScaledSLHFamily", lambda: kerr_family()[0]),
+    ("OscillatorModelCoeffs", lambda: random_oscillator_model(np.random.default_rng(0), 2, 1, 1)),
+    ("LinearMeanSystem", lambda: LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])),
+    ("DensityMatrix", lambda: maximally_mixed(HilbertSpace((2,)))),
+]
+
+
+@pytest.mark.parametrize("cls_name, make", VALUE_TYPES)
+def test_value_types_refuse_deletion(cls_name, make):
+    value = make()
+    assert type(value).__name__ == cls_name
+    slots = [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+    for name in [*slots, "extra"]:
+        before = getattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"^{cls_name} is immutable$"):
+            delattr(value, name)
+        assert getattr(value, name, None) is before
+
+
 def test_fock_annihilator_two_level():
     a = fock_annihilator(2)
     assert entrymax(a, [[0, 1], [0, 0]]) == 0.0
