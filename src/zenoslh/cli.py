@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: check, eliminate, evolve, traj, converge, linstab.
-Exit codes: 0 success, 1 usage or parse errors, 2 condition violations
-(e.g. a model that is not zenofiable, or a singular fast block).
+Exit codes: 0 success, 1 usage or parse errors and runs that do not fit
+in memory, 2 condition violations (e.g. a model that is not zenofiable,
+or a singular fast block).
 The environment variable ZENOSLH_TOL overrides the default condition
 tolerances.
 """
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except (ValueError, StepSizeError) as e:
         print(f"zenoslh: {e}", file=sys.stderr)
         return EXIT_VIOLATION
+    except MemoryError as e:
+        print(f"zenoslh: out of memory: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from numbers import Number
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "HilbertSpace",
@@ -292,19 +291,40 @@ class SubspaceIsometry(_Immutable):
         return f"SubspaceIsometry(dim={self.space.dim} -> {self.subspace_dim})"
 
 
+def _projector_pivots(p: np.ndarray, d: int) -> np.ndarray:
+    """The d pivot columns of a rank-d projector, in the order chosen.
+
+    Greedy pivoted Cholesky on p, which is its own Gram matrix
+    (P^H P = P): each pivot is the largest residual diagonal, the first
+    index on ties, and the residual diagonal then drops by the squared
+    modulus of the pivot's new Cholesky column.  The residual diagonal is
+    the squared norm of each column's residual, so in exact arithmetic
+    this is the pivot order of QR with column pivoting (Businger & Golub
+    1965), without updating an n x n residual.
+    """
+    resid = p.diagonal().real.copy()
+    chol = np.zeros((p.shape[0], d), dtype=complex)
+    piv = np.empty(d, dtype=int)
+    for k in range(d):
+        j = piv[k] = int(np.argmax(resid))
+        chol[:, k] = (p[:, j] - chol[:, :k] @ chol[j, :k].conj()) / np.sqrt(resid[j])
+        resid -= np.abs(chol[:, k]) ** 2
+    return piv
+
+
 def _canonical_basis_from_projector(p: np.ndarray, d: int) -> np.ndarray:
     """Deterministic orthonormal basis of the range of a rank-d projector.
 
-    Column-pivoted QR picks the d best-conditioned columns of the
-    projector; sorting the pivots and fixing each column's global phase
-    makes the result deterministic, and recovers the canonical basis
-    vectors exactly whenever the subspace is spanned by them.
+    The columns of p at the pivots of ``_projector_pivots`` span its
+    range; sorting the pivots, orthonormalizing those columns by QR and
+    fixing each column's global phase on its largest-modulus entry makes
+    the result deterministic, and recovers the canonical basis vectors
+    exactly whenever the subspace is spanned by them.
     """
     dim = p.shape[0]
     if d == 0:
         return np.zeros((dim, 0), dtype=complex)
-    _, _, piv = scipy.linalg.qr(p, pivoting=True)
-    chosen = np.sort(piv[:d])
+    chosen = np.sort(_projector_pivots(p, d))
     q, _ = np.linalg.qr(p[:, chosen])
     q = np.array(q[:, :d])
     for j in range(d):

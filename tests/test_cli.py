@@ -365,6 +365,34 @@ def test_evolve_at_d150_fits_in_a_capped_address_space(tmp_path):
     assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "matrix_free"
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_evolve_that_cannot_fit_in_memory_exits_one(tmp_path):
+    # saving each of 1e12 steps asks for 7.28 TiB up front
+    out = tmp_path / "e.csv"
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["evolve", KERR, "--t-end", "1e9", "--dt", "1e-3", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(1536 * 2**20), *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "1"
+    assert proc.stderr.startswith("zenoslh: out of memory: ")
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("module", ["zenoslh", "zenoslh.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "slot, value",
     [

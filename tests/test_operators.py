@@ -20,6 +20,7 @@ from zenoslh import (
     pauli,
     tensor,
 )
+from zenoslh.operators import _projector_pivots
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_oscillator_model
 
 from common import entrymax, kerr_family
@@ -231,6 +232,43 @@ def test_complement_basis_spans_rest():
     w = complement_basis(v)
     assert w.subspace_dim == 4
     assert entrymax(v.cols.conj().T @ w.cols) < 1e-12
+
+
+def _pivot_cases(n, rng):
+    """(projector, rank) pairs of dimension n whose pivots do not hinge on rounding."""
+    for r in sorted({1, 2, 3, n // 2, n - 1}):
+        q, _ = np.linalg.qr(random_complex_matrix(rng, n, r))
+        yield q @ q.conj().T, r
+        sub = np.eye(n, dtype=complex)[:, rng.choice(n, size=r, replace=False)]
+        yield sub @ sub.conj().T, r
+        yield np.eye(n) - sub @ sub.conj().T, n - r
+    for _ in range(3):
+        i, j = rng.choice(n, size=2, replace=False)
+        dark = (np.eye(n)[:, i] - np.eye(n)[:, j]) / np.sqrt(2)
+        yield np.outer(dark, dark).astype(complex), 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 33, 64, 120, 180])
+def test_projector_pivots_match_column_pivoted_qr(n):
+    import scipy.linalg
+
+    for p, r in _pivot_cases(n, np.random.default_rng(n)):
+        _, _, piv = scipy.linalg.qr(p, pivoting=True)
+        np.testing.assert_array_equal(_projector_pivots(p, r), piv[:r])
+
+
+@pytest.mark.parametrize("n, i, j", [(4, 0, 1), (5, 3, 1), (12, 7, 11), (40, 39, 0)])
+def test_dark_state_complement_breaks_the_pivot_tie_on_the_first_index(n, i, j):
+    # the columns i and j of 1 - |v><v| have equal residual norms once the
+    # other columns are taken; LAPACK breaks that tie by rounding
+    dark = (np.eye(n)[:, i] - np.eye(n)[:, j]) / np.sqrt(2)
+    v = SubspaceIsometry(HilbertSpace((n,)), dark[:, None])
+    p = np.eye(n) - v.projector()
+    expected = [m for m in range(n) if m != max(i, j)]
+    assert sorted(_projector_pivots(p, n - 1)) == expected
+    w = complement_basis(v)
+    assert entrymax(w.cols.conj().T @ w.cols, np.eye(n - 1)) < 1e-12
+    assert entrymax(w.projector(), p) < 1e-12
 
 
 def test_block_split_identity_and_annihilator():
