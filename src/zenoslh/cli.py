@@ -40,7 +40,7 @@ from .outputs import (
     RunManifest,
     digest_bytes,
     pairs_to_matrix,
-    triple_to_jsonable,
+    triple_json,
     write_convergence_csv,
     write_evolution_csv,
     write_json,
@@ -246,7 +246,7 @@ def _cmd_eliminate(args) -> int:
         write_triple_json(args.out, result)
         RunManifest.create("eliminate", model_digest(doc), tols).write(_manifest_path(args.out))
     else:
-        print(json.dumps(triple_to_jsonable(result), indent=2, sort_keys=True))
+        print(triple_json(result))
     return EXIT_OK
 
 

@@ -359,14 +359,14 @@ def evolve(
     rho = np.empty((n_saved, d, d), dtype=complex)
     rho[0] = rho0.mat
     v = rho0.mat.reshape(-1, order="F")
-    tdrift[0] = abs(v[diag].sum().real - 1.0)
+    tdrift[0] = abs(np.add.reduce(v[diag]).real - 1.0)
     j = 0
 
     for step in range(1, n_steps + 1):
         w = step_map(v)
         wh = w[perm].conj()
         v = 0.5 * (w + wh)
-        drift = abs(float(v[diag].sum().real) - 1.0)
+        drift = abs(float(np.add.reduce(v[diag]).real) - 1.0)
         if not drift <= TRACE_ABORT_TOL:
             raise StepSizeError(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "

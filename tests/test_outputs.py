@@ -1,9 +1,22 @@
-"""CSV writers against a reference built value by value from the state views."""
+"""Writers against references built value by value: the CSVs from `repr`
+of each entry of the state views, the limit-triple JSON from `json.dumps`."""
 
+import json
+import math
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenoslh import (
+    HilbertSpace,
+    Operator,
     SimConfig,
+    SLHTriple,
+    SubspaceIsometry,
     basis_state_density,
     evolve,
     instantiate,
@@ -11,9 +24,21 @@ from zenoslh import (
     simulate,
     zeno_eliminate,
 )
-from zenoslh.outputs import write_evolution_csv, write_trajectory_csv
+from zenoslh import outputs
+from zenoslh.cli import main as cli
+from zenoslh.elimination import EliminationResult
+from zenoslh.master import ConvergencePoint, EvolutionResult
+from zenoslh.outputs import (
+    _format_block,
+    matrix_to_pairs,
+    triple_json,
+    write_convergence_csv,
+    write_evolution_csv,
+    write_trajectory_csv,
+)
+from zenoslh.random_models import random_complex_matrix, random_hermitian, random_unitary
 
-from common import kerr_family
+from common import MODELS, kerr_family
 
 
 def reference_csv(header, rows) -> str:
@@ -72,3 +97,202 @@ def test_write_trajectory_csv_matches_reference(tmp_path, scheme):
         for i in range(len(res.innovations))
     ]
     assert path.read_bytes() == reference_csv(header, rows).encode()
+
+
+# --- the block formatter: exactly repr, value by value -----------------------
+
+F64_SPECIALS = [
+    0x0000000000000000,  # +0.0
+    0x8000000000000000,  # -0.0
+    0x7FF8000000000000,  # nan
+    0xFFF8000000000000,  # nan with the sign bit set
+    0x7FF0000000000001,  # signalling nan with a payload
+    0xFFF80000DEADBEEF,  # negative quiet nan with a payload
+    0x7FF0000000000000,  # inf
+    0xFFF0000000000000,  # -inf
+    0x0000000000000001,  # smallest subnormal
+    0x800FFFFFFFFFFFFF,  # largest subnormal, negative
+    0x0010000000000000,  # smallest normal
+    0x7FEFFFFFFFFFFFFF,  # largest finite
+]
+for _x in (1e-4, 1e16, -1e-4, -1e16):  # where repr switches notation
+    for _y in (np.nextafter(_x, -np.inf), _x, np.nextafter(_x, np.inf)):
+        F64_SPECIALS.append(int(np.float64(_y).view(np.uint64)))
+
+F64_BITS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(F64_SPECIALS))
+
+
+def floats_from_bits(bits, shape) -> np.ndarray:
+    return np.array(bits, dtype=np.uint64).view(float).reshape(shape)
+
+
+def repr_rows(a):
+    return [[repr(float(x)) for x in row] for row in a]
+
+
+@settings(max_examples=200)
+@given(data=st.data(), rows=st.integers(0, 5), cols=st.integers(0, 12))
+def test_format_block_is_repr(data, rows, cols):
+    bits = data.draw(st.lists(F64_BITS, min_size=rows * cols, max_size=rows * cols))
+    a = floats_from_bits(bits, (rows, cols))
+    # repeats with either sign make the table lookups carry the result
+    a = np.hstack([a, -a[:, ::-1], a])
+    assert _format_block(a) == repr_rows(a)
+
+
+def test_format_block_specials():
+    a = floats_from_bits(F64_SPECIALS, (1, -1))
+    assert _format_block(a) == repr_rows(a)
+    assert _format_block(-a) == repr_rows(-a)
+    assert _format_block(np.zeros((3, 0))) == [[], [], []]
+
+
+def evolution_result(rng, bits, n_rows, dim) -> EvolutionResult:
+    """Rows of arbitrary, not Hermitian, states and diagnostics."""
+    vals = floats_from_bits(bits, -1)
+    take = rng.integers(0, len(vals), size=(n_rows, 3 + 2 * dim * dim))
+    x = vals[take]
+    rho = np.ascontiguousarray(x[:, 3:]).view(complex).reshape(n_rows, dim, dim)
+    return EvolutionResult(x[:, 0], HilbertSpace((dim,)), rho, x[:, 1], x[:, 2])
+
+
+def evolution_reference(res) -> str:
+    dim = res.rho.shape[1]
+    header = ["time", *state_columns(dim), "trace_drift", "hermiticity_drift"]
+    rows = [
+        [t, *[v for z in r.ravel() for v in (z.real, z.imag)], td, hd]
+        for t, r, td, hd in zip(res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+    ]
+    return reference_csv(header, rows)
+
+
+@settings(max_examples=60)
+@given(
+    bits=st.lists(F64_BITS, min_size=1, max_size=40),
+    n_rows=st.integers(1, 30),
+    dim=st.integers(1, 3),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 10_000),
+)
+def test_write_evolution_csv_any_block_size(tmp_path_factory, bits, n_rows, dim, block, seed):
+    # row counts off a multiple of the block, and rows wider than one block
+    res = evolution_result(np.random.default_rng(seed), bits, n_rows, dim)
+    path = tmp_path_factory.mktemp("csv") / "e.csv"
+    with mock.patch.object(outputs, "_BLOCK_VALUES", block):
+        write_evolution_csv(path, res)
+    assert path.read_text() == evolution_reference(res)
+
+
+def test_write_evolution_csv_row_wider_than_default_block(tmp_path):
+    dim = 1 + math.isqrt(outputs._BLOCK_VALUES // 2)
+    rng = np.random.default_rng(3)
+    res = evolution_result(rng, rng.integers(0, 2**64, 500, dtype=np.uint64), 5, dim)
+    assert 2 * dim * dim > outputs._BLOCK_VALUES
+    path = tmp_path / "e.csv"
+    write_evolution_csv(path, res)
+    assert path.read_text() == evolution_reference(res)
+
+
+def test_write_convergence_csv_matches_reference(tmp_path):
+    points = [ConvergencePoint(2.0, 0.125, -0.0, 1e-4), ConvergencePoint(5, 3e-17, 1e16, 2e-5)]
+    path = tmp_path / "c.csv"
+    write_convergence_csv(path, points)
+    header = ["k", "trace_distance", "leaked_trace", "dt_full"]
+    rows = [[p.k, p.distance, p.leaked_trace, p.dt_full] for p in points]
+    assert path.read_text() == reference_csv(header, rows)
+    write_convergence_csv(path, [])
+    assert path.read_text() == ",".join(header) + "\n"
+
+
+def test_writer_memory_is_per_block(tmp_path):
+    """The writer's traced peak does not grow with the number of rows."""
+    rng = np.random.default_rng(0)
+    # few distinct magnitudes keep the formatting, traced value by value, quick
+    bits = np.float64([0.5, 0.25, 1e-3, 3e-17]).view(np.uint64)
+    peaks = []
+    for n_rows in (101, 1001):
+        res = evolution_result(rng, bits, n_rows, 30)
+        tracemalloc.start()
+        write_evolution_csv(tmp_path / "e.csv", res)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # one state row at d = 30 is 28.8 kB; 900 more rows would be 26 MB
+    assert peaks[1] - peaks[0] < 256 * 1024
+
+
+# --- the limit-triple JSON: exactly json.dumps(indent=2, sort_keys=True) -----
+
+
+def reference_triple_json(result) -> str:
+    t = result.zeno_triple
+    payload = {
+        "channels": t.n,
+        "zeno_dim": t.dim,
+        "S": [[matrix_to_pairs(m) for m in row] for row in t.s],
+        "L": [matrix_to_pairs(m) for m in t.l],
+        "H": matrix_to_pairs(t.H.mat),
+        "V_z": matrix_to_pairs(result.v_z.cols),
+        "residuals": {k: float(v) for k, v in result.residuals.items()},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+@settings(max_examples=40)
+@given(
+    dim=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    channels=st.integers(1, 3),
+    scale=st.sampled_from([1.0, 1e-5, 1e17, 2.0**-1060]),
+    seed=st.integers(0, 10_000),
+)
+def test_triple_json_matches_json_dumps(dim, extra, channels, scale, seed):
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace((dim,))
+    u = random_unitary(rng, channels * dim).reshape(channels, dim, channels, dim)
+    l = scale * np.stack([random_complex_matrix(rng, dim) for _ in range(channels)])
+    h = Operator(space, scale * random_hermitian(rng, dim))
+    cols = random_unitary(rng, dim + extra)[:, :dim]
+    residuals = {"kernel": float(rng.random()) * 1e-15, "scaling": 0.0, "decoupling": -0.0}
+    v_z = SubspaceIsometry(HilbertSpace((dim + extra,)), cols)
+    result = EliminationResult(SLHTriple(u.transpose(0, 2, 1, 3), l, h), v_z, residuals)
+    assert triple_json(result) == reference_triple_json(result)
+
+
+@settings(max_examples=100)
+@given(
+    data=st.data(),
+    dim=st.integers(0, 3),
+    full=st.integers(0, 3),
+    channels=st.integers(0, 2),
+    residual=F64_BITS,
+)
+def test_triple_json_any_floats(data, dim, full, channels, residual):
+    """Arbitrary bit patterns, empty dimensions, and the json fallback for
+    non-finite entries (NaN, Infinity)."""
+
+    def matrix(*shape):
+        size = 2 * math.prod(shape)
+        bits = data.draw(st.lists(F64_BITS, min_size=size, max_size=size))
+        return floats_from_bits(bits, (*shape, 2)).view(complex)[..., 0]
+
+    triple = SimpleNamespace(
+        s=matrix(channels, channels, dim, dim),
+        l=matrix(channels, dim, dim),
+        H=SimpleNamespace(mat=matrix(dim, dim)),
+        n=channels,
+        dim=dim,
+    )
+    residuals = {"kernel": floats_from_bits([residual], ())[()], "scaling": 1e-16}
+    result = SimpleNamespace(
+        zeno_triple=triple, v_z=SimpleNamespace(cols=matrix(full, dim)), residuals=residuals
+    )
+    assert triple_json(result) == reference_triple_json(result)
+
+
+def test_triple_json_file_and_stdout_agree(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    assert cli(["eliminate", str(MODELS / "kerr_qubit.model"), "--out", str(path)]) == 0
+    assert cli(["eliminate", str(MODELS / "kerr_qubit.model")]) == 0
+    text = path.read_text()
+    assert capsys.readouterr().out == text
+    assert json.loads(text)["zeno_dim"] == 2
