@@ -22,6 +22,13 @@ the same lines for both, e.g.
     PYTHONPATH=src python scripts/csv_digests.py > after.txt
     PYTHONPATH=<other checkout>/src python scripts/csv_digests.py > before.txt
     diff before.txt after.txt
+
+``--header`` first prints two ``#`` lines naming the numpy version and the
+BLAS that numpy was built with, on which the digests depend.  The listing
+committed as ``tests/csv_digests.txt`` is this output, and
+``tests/test_csv_digests.py`` checks the tree against it:
+
+    PYTHONPATH=src python scripts/csv_digests.py --header > tests/csv_digests.txt
 """
 
 import argparse
@@ -91,10 +98,19 @@ def oscillator_outputs():
         yield f"oscillator/{seed}/eliminated", triple_bytes(res.zeno_triple)
 
 
+def header_lines():
+    """The numpy version and its BLAS, as ``#`` lines."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--models", default=str(REPO / "models"))
+    ap.add_argument("--header", action="store_true", help="print the numpy and BLAS versions first")
     args = ap.parse_args()
+    if args.header:
+        print("\n".join(header_lines()))
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)

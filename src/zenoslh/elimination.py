@@ -51,6 +51,7 @@ from .operators import (
     SubspaceIsometry,
     ZenoSplit,
     _Immutable,
+    _blocks,
     block_split,
     kernel_basis,
 )
@@ -266,10 +267,13 @@ def check_kernel(expansion: KExpansion, split: ZenoSplit) -> float:
     The kernel condition also requires A V_z = 0; see
     :func:`kernel_alignment` for that residual.
     """
-    a_ff = block_split(expansion.quadratic, split)[3]
-    if a_ff.shape[0] == 0:
-        return float("inf")
-    return float(np.linalg.svd(a_ff, compute_uv=False)[-1])
+    (a_ff,) = _blocks(expansion.quadratic, split, ("ff",))
+    return _sigma_min(np.linalg.svd(a_ff, compute_uv=False))
+
+
+def _sigma_min(sv: np.ndarray) -> float:
+    """The last of the singular values ``sv``; inf if there are none."""
+    return float(sv[-1]) if sv.size else float("inf")
 
 
 def kernel_alignment(expansion: KExpansion, split: ZenoSplit) -> float:
@@ -279,9 +283,11 @@ def kernel_alignment(expansion: KExpansion, split: ZenoSplit) -> float:
 
 
 def _drift_blocks(exp: KExpansion, split: ZenoSplit):
-    """The blocks A_ff, M_zf and M_fz that the limit formulas read."""
-    _, m_zf, m_fz, _ = block_split(exp.linear, split)
-    return block_split(exp.quadratic, split)[3], m_zf, m_fz
+    """A_ff, its singular values (largest first), M_zf and M_fz: what the
+    kernel check and the limit formulas read."""
+    (a_ff,) = _blocks(exp.quadratic, split, ("ff",))
+    m_zf, m_fz = _blocks(exp.linear, split, ("zf", "fz"))
+    return a_ff, np.linalg.svd(a_ff, compute_uv=False), m_zf, m_fz
 
 
 def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
@@ -293,26 +299,31 @@ def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
     return _hat_operators(family, split, *_drift_blocks(expand_k(family), split))
 
 
-def _hat_operators(family: ScaledSLHFamily, split: ZenoSplit, a_ff, m_zf, m_fz) -> HatOperators:
-    """:func:`hat_operators` given the drift blocks A_ff, M_zf and M_fz."""
+def _hat_operators(
+    family: ScaledSLHFamily, split: ZenoSplit, a_ff, sv, m_zf, m_fz
+) -> HatOperators:
+    """:func:`hat_operators` given ``_drift_blocks``."""
     vz, vf = split.v_z.cols, split.v_f.cols
     h0_zz = vz.conj().T @ family.H0.mat @ vz
 
     d_f = split.dim_fast
-    if d_f and np.linalg.cond(a_ff) > CONDITION_NUMBER_GUARD:
-        raise KernelViolation(
-            "fast block of the k^2 drift coefficient is numerically singular "
-            f"(condition number > {CONDITION_NUMBER_GUARD:.0e})",
-            residual=float(np.linalg.svd(a_ff, compute_uv=False)[-1]),
-        )
+    if d_f:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sv[0] / sv[-1]  # np.linalg.cond(a_ff), with NaN for its inf
+        if not cond <= CONDITION_NUMBER_GUARD:
+            raise KernelViolation(
+                "fast block of the k^2 drift coefficient is numerically singular "
+                f"(condition number > {CONDITION_NUMBER_GUARD:.0e})",
+                residual=_sigma_min(sv),
+            )
 
     def solve_ff(rhs):
         if d_f == 0 or rhs.size == 0:
             return np.zeros_like(rhs)
         return np.linalg.solve(a_ff, rhs)
 
-    _, l1_zf, _, l1_ff = block_split(family.l1, split)
-    l0_zz, _, l0_fz, _ = block_split(family.l0, split)
+    l1_zf, l1_ff = _blocks(family.l1, split, ("zf", "ff"))
+    l0_zz, l0_fz = _blocks(family.l0, split, ("zz", "fz"))
     s_zz, s_zf, s_fz, s_ff = block_split(family.s, split)
 
     w_m = solve_ff(m_fz)  # A_ff^{-1} M_fz, shape d_f x d_z
@@ -393,10 +404,10 @@ def zeno_eliminate(
         )
 
     exp = expand_k(family)
-    sigma_min = check_kernel(exp, split)
     align = kernel_alignment(exp, split)
     blocks = _drift_blocks(exp, split)
     del exp  # free the d x d coefficients before the S-sized work below
+    sigma_min = _sigma_min(blocks[1])
     residuals["kernel_min_singular_value"] = sigma_min
     residuals["kernel_alignment"] = align
     if align >= kernel_tol:

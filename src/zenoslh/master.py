@@ -18,16 +18,26 @@ one of two ways, chosen once per call from (d, steps, channels).  Up to a
 size crossover it builds the dense d^2 x d^2 step map (d^6 work and
 16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
 it, each step views v as the d x d matrix, runs the four RK4 stages on it
-through the dissipator and stacks the result back, with no d^2 x d^2
-array (d^3 per step and channel, against a d^2 copy).  Both are the same
-RK4 map, so they differ by rounding only.  d <= ``DENSE_ALWAYS_DIM`` is
-always dense and d >= ``MATRIX_FREE_ALWAYS_DIM`` always matrix-free; in
-between, dense when the step time it saves over the run pays for its
-build, at measured per-step and build costs.  The result records the path
-as ``method``.  Re-Hermitizing, v = (w + conj(w[perm])) / 2 with ``perm``
-the index of the transposed entry, and the trace, the sum of v over the
-diagonal entries, are elementwise the arithmetic of the same steps on the
-d x d matrix, so stepping in vec space rounds exactly as that would.
+and stacks the result back, with no d^2 x d^2 array.  There each stage
+evaluates the dissipator in its effective-Hamiltonian form
+
+    D rho = K rho + (K rho)^H + sum_i (L_i rho) L_i^H,
+    K = -1/2 sum_i L_i^H L_i - i H,
+
+with K formed once per call: 1 + 2n products of d x d matrices per stage
+(d^3 each, against a d^2 copy), where the form above takes 2 + 4n.  It
+equals D only on Hermitian matrices; the states stepped are Hermitian
+(the initial state's Hermitian part is stepped, the same map since D
+commutes with ^H) and the stage inputs are Hermitian to rounding.  Both
+paths are the same RK4 map, so they differ by rounding only.
+d <= ``DENSE_ALWAYS_DIM`` is always dense and d >= ``MATRIX_FREE_ALWAYS_DIM``
+always matrix-free; in between, dense when the step time it saves over
+the run pays for its build, at measured per-step and build costs.  The
+result records the path as ``method``.  Re-Hermitizing,
+v = (w + conj(w[perm])) / 2 with ``perm`` the index of the transposed
+entry, and the trace, the sum of v over the diagonal entries, are
+elementwise the arithmetic of the same steps on the d x d matrix, so
+stepping in vec space rounds exactly as that would.
 
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
@@ -58,7 +68,7 @@ from .elimination import (
     zeno_eliminate,
 )
 from .operators import HilbertSpace, Operator, ZenoSplit
-from .slh import SLHTriple, lindbladian
+from .slh import SLHTriple, _adjoint, k_operator, lindbladian
 
 __all__ = [
     "DensityMatrix",
@@ -97,7 +107,9 @@ MATRIX_FREE_ALWAYS_DIM = 30
 # Xeon); the fitted break-even step counts are within a factor 2.1 of the
 # timed ones wherever the two steps differ by more than 15%, e.g. d = 20,
 # 2 channels: build 64 ms, dense step 140 us, matrix-free step 322 us,
-# break-even 352 steps (fit: 309)
+# break-even 352 steps (fit: 309).  The matrix-free step was timed with
+# 2 + 4n products per stage, before the K form halved them, so the rule
+# is conservative: a run it sends matrix-free only got faster
 DENSE_BUILD_S_PER_D6 = 8.2e-10
 DENSE_STEP_S_PER_D4 = 8.8e-10
 MATRIX_FREE_STEP_S = 7.7e-5
@@ -190,6 +202,33 @@ def _dissipator_mat(terms, rho):
     return out
 
 
+def _k_form_terms(g: SLHTriple):
+    """The rows [K; L_1; ...; L_n] and [L_1^H; ...; L_n^H], (n + 1) d x d and
+    n d x d, with K = -1/2 sum_i L_i^H L_i - i H: formed once per run for
+    ``_k_form_dissipator``."""
+    n, d = g.n, g.dim
+    kl = np.concatenate((k_operator(g).mat[None], g.l)).reshape((n + 1) * d, d)
+    return kl, np.ascontiguousarray(_adjoint(g.l)).reshape(n * d, d)
+
+
+def _k_form_dissipator(terms, rho):
+    """D(rho) = K rho + (K rho)^H + sum_i (L_i rho) L_i^H, from ``_k_form_terms``.
+
+    1 + 2n products of d x d matrices, in two calls, against 2 + 4n for
+    ``_dissipator_mat``; equal to D(rho) only for a Hermitian ``rho``.
+    """
+    kl, lds = terms
+    d = rho.shape[0]
+    x = kl @ rho  # K rho over L_1 rho, ..., L_n rho
+    kr = x[:d]
+    # [L_1 rho, ..., L_n rho] side by side, times [L_1^H; ...; L_n^H]
+    lr = x[d:].reshape(-1, d, d).transpose(1, 0, 2).reshape(d, lds.shape[0])
+    out = lr @ lds
+    out += kr
+    out += kr.conj().T
+    return out
+
+
 def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
     """Predual generator applied to a state; the result is traceless."""
     if rho.space != g.space:
@@ -268,11 +307,12 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _rk4_step(terms, m, dt: float):
-    """One classical RK4 step of d m / dt = D(m) on the d x d matrix."""
-    k1 = _dissipator_mat(terms, m)
-    k2 = _dissipator_mat(terms, m + (0.5 * dt) * k1)
-    k3 = _dissipator_mat(terms, m + (0.5 * dt) * k2)
-    k4 = _dissipator_mat(terms, m + dt * k3)
+    """One classical RK4 step of d m / dt = D(m) on the Hermitian d x d
+    matrix m, with D in the K form (``terms`` from ``_k_form_terms``)."""
+    k1 = _k_form_dissipator(terms, m)
+    k2 = _k_form_dissipator(terms, m + (0.5 * dt) * k1)
+    k3 = _k_form_dissipator(terms, m + (0.5 * dt) * k2)
+    k4 = _k_form_dissipator(terms, m + dt * k3)
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -340,7 +380,7 @@ def evolve(
             return phi @ v
 
     else:
-        terms = _dissipator_terms(g.H.mat, g.l)
+        terms = _k_form_terms(g)
 
         def step_map(v):
             # d x d states are C-ordered everywhere else; a copy in that
@@ -359,6 +399,11 @@ def evolve(
     rho = np.empty((n_saved, d, d), dtype=complex)
     rho[0] = rho0.mat
     v = rho0.mat.reshape(-1, order="F")
+    if method == "matrix_free":
+        # the K form needs a Hermitian state; D commutes with ^H, so
+        # stepping the Hermitian part of rho0 is the same map (the dense
+        # path drops the anti-Hermitian part when it re-Hermitizes)
+        v = 0.5 * (v + v[perm].conj())
     tdrift[0] = abs(np.add.reduce(v[diag]).real - 1.0)
     j = 0
 

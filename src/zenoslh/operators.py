@@ -428,14 +428,15 @@ def block_split(x, split: ZenoSplit):
     blocks ``(x_zz, x_zf, x_fz, x_ff)`` as plain arrays (``x_ab = V_a^H
     X V_b``); off-diagonal blocks are rectangular in general.
     """
+    return _blocks(x, split, ("zz", "zf", "fz", "ff"))
+
+
+def _blocks(x, split: ZenoSplit, names) -> tuple:
+    """The blocks of :func:`block_split` named in ``names``, in order: block
+    ``"ab"`` (a, b each ``"z"`` or ``"f"``) is V_a^H X V_b."""
     if isinstance(x, Operator):
         if x.space != split.space:
             raise ValueError("operator and split live on different spaces")
         x = x.mat
-    vz, vf = split.v_z.cols, split.v_f.cols
-    return (
-        vz.conj().T @ x @ vz,
-        vz.conj().T @ x @ vf,
-        vf.conj().T @ x @ vz,
-        vf.conj().T @ x @ vf,
-    )
+    v = {"z": split.v_z.cols, "f": split.v_f.cols}
+    return tuple(v[a].conj().T @ x @ v[b] for a, b in names)

@@ -1,0 +1,39 @@
+"""The byte-identity contract: every digested output matches the committed listing.
+
+``tests/csv_digests.txt`` is the output of ``scripts/csv_digests.py
+--header``: two ``#`` lines naming numpy and its BLAS, then one digest per
+CLI output and oscillator-elimination array.  Other numpy or BLAS builds
+may round differently, so the test skips under them.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import zenoslh
+
+REPO = Path(__file__).resolve().parents[1]
+LISTING = REPO / "tests" / "csv_digests.txt"
+
+
+def split_header(lines):
+    header = [line for line in lines if line.startswith("#")]
+    return header, lines[len(header):]
+
+
+def test_outputs_match_the_committed_digest_listing():
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "csv_digests.py"), "--header"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want_header, want = split_header(LISTING.read_text().splitlines())
+    got_header, got = split_header(proc.stdout.splitlines())
+    if got_header != want_header:
+        pytest.skip(f"listing recorded under {want_header}, this run has {got_header}")
+    assert want
+    assert got == want

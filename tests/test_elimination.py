@@ -178,6 +178,28 @@ def test_check_kernel_detects_enlarged_kernel():
         zeno_eliminate(fam, split)
 
 
+def test_condition_number_guard_on_the_fast_block():
+    # A_ff = -i diag(1e5, 2e-8): sigma_min passes the kernel tolerance, but
+    # the condition number 5e12 trips the guard before any solve
+    sp = HilbertSpace((4,))
+    split = ZenoSplit.from_indices(sp, [0, 1])
+
+    def family(h2_fast):
+        h2 = Operator(sp, np.diag([0.0, 0.0, *h2_fast]))
+        return ScaledSLHFamily(
+            ((identity(sp),),), (zero(sp),), (zero(sp),), h2, zero(sp), zero(sp)
+        )
+
+    with pytest.raises(KernelViolation, match="numerically singular") as err:
+        zeno_eliminate(family([1e5, 2e-8]), split)
+    assert err.value.residual == pytest.approx(2e-8, rel=1e-12)
+    # hat_operators skips the kernel check; a zero fast block (condition
+    # number inf) still raises, with residual 0
+    with pytest.raises(KernelViolation, match="numerically singular") as err:
+        hat_operators(family([0.0, 0.0]), split)
+    assert err.value.residual == 0.0
+
+
 def test_kernel_misalignment_is_an_error_not_a_rotation():
     # a split not aligned with ker A must fail loudly, never be rotated;
     # the scaling residual catches it first because V_z leaves ker H2

@@ -387,6 +387,39 @@ def test_evolve_records_method():
     np.testing.assert_array_equal(res.final.mat, part3.final.mat)
 
 
+@pytest.mark.parametrize("dim", [13, 30, 60])
+@pytest.mark.parametrize("n_channels", [0, 1, 2, 4])
+def test_k_form_dissipator_matches_dissipator(dim, n_channels):
+    rng = np.random.default_rng([dim, n_channels])
+    g = scaled_triple(rng, dim, n_channels)
+    m = random_density_matrix(rng, dim)
+    rho = DensityMatrix(g.space, 0.5 * (m + m.conj().T))
+    assert np.array_equal(rho.mat, rho.mat.conj().T)
+    want = dissipator(g, rho).mat
+    got = master._k_form_dissipator(master._k_form_terms(g), rho.mat)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    assert abs(np.trace(got)) <= 1e-13 * scale
+
+
+def test_matrix_free_steps_the_hermitian_part_of_rho0(monkeypatch):
+    rng = np.random.default_rng(1313)
+    g = scaled_triple(rng, 13, 2)
+    m = random_density_matrix(rng, 13)
+    herm = 0.5 * (m + m.conj().T)
+    x = random_hermitian(rng, 13)
+    rho0 = DensityMatrix(g.space, herm + 1e-11j * x / np.max(np.abs(x)))
+    monkeypatch.setattr(master, "_choose_method", lambda *args: "matrix_free")
+    free = evolve(g, rho0, 0.05, 1e-3)
+    np.testing.assert_array_equal(free.rho[0], rho0.mat)
+    # the run is that of the Hermitian part, bit for bit, after the first row
+    from_herm = evolve(g, DensityMatrix(g.space, herm), 0.05, 1e-3)
+    np.testing.assert_array_equal(free.rho[1:], from_herm.rho[1:])
+    monkeypatch.setattr(master, "_choose_method", lambda *args: "dense")
+    dense = evolve(g, rho0, 0.05, 1e-3)
+    assert np.max(np.abs(free.rho - dense.rho)) < 1e-12
+
+
 @pytest.mark.parametrize(
     "t_end, dt", [(np.inf, 1e-3), (1.0, np.nan), (np.nan, 1e-3), (1.0, np.inf), (1e300, 1e-300)]
 )
@@ -415,7 +448,7 @@ def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
             return (phi @ m.reshape(-1, order="F")).reshape((d, d), order="F")
 
     else:
-        terms = master._dissipator_terms(g.H.mat, g.l)
+        terms = master._k_form_terms(g)
 
         def step_map(m):
             return master._rk4_step(terms, m, dt_eff)
@@ -425,6 +458,8 @@ def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
     rho = np.empty((n_saved, d, d), dtype=complex)
     m = rho[0] = rho0.mat
     tdrift[0] = abs(np.trace(m).real - 1.0)
+    if method == "matrix_free":
+        m = 0.5 * (m + m.conj().T)
     j = 0
     for step in range(1, n_steps + 1):
         m = step_map(m)
