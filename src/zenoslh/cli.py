@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -144,6 +145,21 @@ def _initial_state(space, label: str) -> DensityMatrix:
     raise ModelParseError(f"unknown initial state {label!r}; use 'mixed' or 'basis:<index>'")
 
 
+class _Timings(dict):
+    """Wall seconds per phase of a run (``model_s``: load and prepare the
+    model, ``run_s``: integrate or simulate, ``write_s``: write the CSVs),
+    each lap added to its phase."""
+
+    def __init__(self):
+        super().__init__(model_s=0.0, run_s=0.0, write_s=0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, phase: str):
+        now = time.perf_counter()
+        self[phase] += now - self._last
+        self._last = now
+
+
 def _manifest_path(out: str) -> str:
     return str(out) + ".manifest.json"
 
@@ -251,6 +267,7 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    timings = _Timings()
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     if args.model == "full":
@@ -260,10 +277,17 @@ def _cmd_evolve(args) -> int:
     else:
         g = _eliminate(doc, tols).zeno_triple
     rho0 = _initial_state(g.space, args.initial)
+    timings.lap("model_s")
     result = evolve(g, rho0, args.t_end, args.dt)
+    timings.lap("run_s")
     write_evolution_csv(args.out, result)
+    timings.lap("write_s")
     RunManifest.create(
-        f"evolve --model {args.model}", model_digest(doc), tols, method=result.method
+        f"evolve --model {args.model}",
+        model_digest(doc),
+        tols,
+        method=result.method,
+        timings=timings,
     ).write(_manifest_path(args.out))
     return EXIT_OK
 
@@ -273,6 +297,7 @@ def _cmd_traj(args) -> int:
         raise ModelParseError(f"--n must be at least 1, got {args.n}")
     if args.dt > args.t_end:
         raise ModelParseError(f"--dt must not exceed --t-end, got {args.dt} > {args.t_end}")
+    timings = _Timings()
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     g = _eliminate(doc, tols).zeno_triple
@@ -288,6 +313,7 @@ def _cmd_traj(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    timings.lap("model_s")
     # members run in chunks of about TRAJ_CHUNK_BYTES of states, and each
     # chunk is written before the next is simulated; a chunk starting at
     # member i is the ensemble seeded base + i
@@ -296,25 +322,37 @@ def _cmd_traj(args) -> int:
         runs = simulate_ensemble(
             g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
         )
+        timings.lap("run_s")
         for i, r in enumerate(runs, start):
             write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
         del runs, r  # free this chunk before the next is simulated
+        timings.lap("write_s")
     RunManifest.create(
-        f"traj --scheme {args.scheme} --n {args.n}", model_digest(doc), tols, seed=args.seed
+        f"traj --scheme {args.scheme} --n {args.n}",
+        model_digest(doc),
+        tols,
+        seed=args.seed,
+        timings=timings,
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 
 
 def _cmd_converge(args) -> int:
+    timings = _Timings()
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     split = doc.split()
     rho0 = _initial_state(split.zeno_space, args.initial)
+    timings.lap("model_s")
     points = convergence_harness(
         doc.family, split, rho0, args.ks, args.t_end, args.dt, **_tol_kwargs(tols)
     )
+    timings.lap("run_s")
     write_convergence_csv(args.out, points)
-    RunManifest.create("converge", model_digest(doc), tols).write(_manifest_path(args.out))
+    timings.lap("write_s")
+    RunManifest.create("converge", model_digest(doc), tols, timings=timings).write(
+        _manifest_path(args.out)
+    )
     return EXIT_OK
 
 

@@ -300,9 +300,10 @@ def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
 
 
 def _hat_operators(
-    family: ScaledSLHFamily, split: ZenoSplit, a_ff, sv, m_zf, m_fz
+    family: ScaledSLHFamily, split: ZenoSplit, a_ff, sv, m_zf, m_fz, residuals=None
 ) -> HatOperators:
-    """:func:`hat_operators` given ``_drift_blocks``."""
+    """:func:`hat_operators` given ``_drift_blocks``; a `KernelViolation`
+    carries ``residuals``."""
     vz, vf = split.v_z.cols, split.v_f.cols
     h0_zz = vz.conj().T @ family.H0.mat @ vz
 
@@ -315,6 +316,7 @@ def _hat_operators(
                 "fast block of the k^2 drift coefficient is numerically singular "
                 f"(condition number > {CONDITION_NUMBER_GUARD:.0e})",
                 residual=_sigma_min(sv),
+                residuals=residuals,
             )
 
     def solve_ff(rhs):
@@ -425,7 +427,7 @@ def zeno_eliminate(
             residuals=residuals,
         )
 
-    hats = _hat_operators(family, split, *blocks)
+    hats = _hat_operators(family, split, *blocks, residuals=residuals)
     d_res = check_decoupling(hats)
     residuals["decoupling_residual"] = d_res
     if d_res >= decoupling_tol:

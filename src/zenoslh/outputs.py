@@ -2,20 +2,27 @@
 
 CSV files have a header row and `time` as the first column; complex
 entries are written as paired `_re`/`_im` columns.  Floats are written
-with `repr`, which round-trips exactly, so identical inputs produce
-byte-identical artifacts.  Structured outputs (triples, manifests,
+as `repr` writes them, which round-trips exactly, so identical inputs
+produce byte-identical artifacts.  Structured outputs (triples, manifests,
 reports) are JSON with complex matrices as nested arrays of [re, im]
 pairs.  Column meanings are documented in docs/output_schema.md.
 
 Every CSV row and the matrices of a limit-triple JSON go through one
-formatter, `_format_block`, which calls `repr` once per distinct
-magnitude in a block of values and gives each value that string, with a
-"-" in front when its sign bit is set.  The text is still exactly that
-of `repr` on each value, as `json` would write it for the triple.
+kernel, and no float goes through `repr` itself: a numpy port of the
+Schubfach shortest-decimal algorithm (`_shortest`) computes the digits
+of each distinct magnitude in a block of values at once, a table of
+layouts places them around the decimal point and exponent
+(`_repr_text`), and `_block_text` adds signs and separators to make the
+bytes of the CSV lines (`_format_block`, the same text as strings, feeds
+the triple).  The text is exactly that of `repr` on each value, as
+`json` would write it for the triple; tests/test_outputs.py compares
+the two.  Only the triple of a model with a non-finite entry is left to
+`json` whole.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -70,6 +77,7 @@ class RunManifest:
     version: str
     timestamp: str
     method: str | None = None
+    timings: dict | None = None
 
     @classmethod
     def create(
@@ -79,6 +87,7 @@ class RunManifest:
         tolerances: dict,
         seed: int | None = None,
         method: str | None = None,
+        timings: dict | None = None,
     ):
         return cls(
             command=command,
@@ -88,6 +97,7 @@ class RunManifest:
             version=__version__,
             timestamp=datetime.now(timezone.utc).isoformat(),
             method=method,
+            timings=None if timings is None else dict(timings),
         )
 
     def write(self, path):
@@ -122,19 +132,212 @@ def write_json(path, payload: dict):
         f.write("\n")
 
 
+# --- repr's text for whole blocks of floats --------------------------------
+#
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) finds
+# the shortest decimal in a float's rounding interval in integer arithmetic,
+# here in uint64 numpy arrays: every operand of the digit arithmetic is
+# uint64, since uint64 mixed with int64 promotes to float64 and loses digits.
+# Python's rules replace Java's: the shortest digit string (Java keeps at
+# least two digits), nearest to the value, ties to even.
+
+_U = np.uint64
+_M32, _M63 = _U(2**32 - 1), _U(2**63 - 1)
+_C_MIN = _U(2**52)  # implicit bit of a normal significand
+_K_MIN = -324  # the table's k range is [-324, 292], 617 entries
+_POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
+_DIGITS = 17  # significand digits that any float64 needs at most
+
+
+def _flog10pow2(e):
+    """floor(e log10 2), exact for |e| < 5e6 (ints or int64 arrays)."""
+    return (e * 661_971_961_083) >> 41
+
+
+def _flog10_three_quarters_pow2(e):
+    """floor(log10(3/4 2**e))."""
+    return (e * 661_971_961_083 - 274_743_187_321) >> 41
+
+
+def _flog2pow10(e):
+    """floor(e log2 10)."""
+    return (e * 913_124_641_741) >> 38
+
+
+_INF, _ONE = _U(0x7FF0 << 48), _U(0x3FF0 << 48)  # bit patterns of inf and 1.0
+
+# the sources of a text's bytes: 17 significand digits, the exponent's sign
+# and its three digits, then these constants (NUL pads a text to _WIDTH)
+_SRC_CONST = b"\0" b"0.einfa"
+_ESIGN, _E100, _E10, _E1 = range(_DIGITS, _DIGITS + 4)
+_NUL, _ZERO, _DOT, _E, _I, _N, _F, _A = range(_DIGITS + 4, _DIGITS + 4 + len(_SRC_CONST))
+_WIDTH = 23  # len("1.2345678901234567e-308")
+_P_MIN, _P_MAX = -323, 309  # decimal point positions of nonzero finite floats
+_KEYS = 22  # layouts per digit count: decimal point at -3..16, 2- or 3-digit exponent
+
+
+@functools.cache
+def _tables():
+    """The tables of `_shortest` and `_repr_text`, built on first use.
+
+    ``g``: Schubfach's g(k) = floor(10**-k 2**(125 - floor(-k log2 10))) + 1
+    for k in [-324, 292], as rows g1, then the 32-bit limbs of g1 and of
+    g0, where g = g1 2**63 + g0.
+
+    ``layout``: repr's layouts, a row of _WIDTH source indices each.
+    Layout (n - 1) * _KEYS + key has n significant digits, with key p + 3
+    for positional text whose decimal point follows p digits (p in
+    [-3, 16]), and 20 or 21 for d.ddde±XX or d.ddde±XXX; the last three
+    are 0.0, inf and nan.
+
+    ``key`` and ``exponent``: per decimal point position p in [-323, 309],
+    the layout key and the bytes of the exponent p - 1 (sign, 3 digits).
+    """
+    g = []
+    for k in range(_K_MIN, 293):
+        shift = 125 - _flog2pow10(-k)
+        g.append((10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0)) + 1)
+    g1 = [x >> 63 for x in g]
+    g0 = [x & (2**63 - 1) for x in g]
+    limbs = [[x & (2**32 - 1) for x in g1], [x >> 32 for x in g1]]
+    limbs += [[x & (2**32 - 1) for x in g0], [x >> 32 for x in g0]]
+    g = np.array([g1, *limbs], dtype=np.uint64)
+
+    rows = []
+    for n in range(1, _DIGITS + 1):
+        d = list(range(n))
+        for p in range(-3, 17):
+            if p <= 0:
+                rows.append([_ZERO, _DOT] + [_ZERO] * -p + d)
+            elif p < n:
+                rows.append(d[:p] + [_DOT] + d[p:])
+            else:
+                rows.append(d + [_ZERO] * (p - n) + [_DOT, _ZERO])
+        mantissa = d[:1] + ([_DOT] + d[1:] if n > 1 else [])
+        rows.append(mantissa + [_E, _ESIGN, _E10, _E1])
+        rows.append(mantissa + [_E, _ESIGN, _E100, _E10, _E1])
+    rows += [[_ZERO, _DOT, _ZERO], [_I, _N, _F], [_N, _A, _N]]
+    layout = np.array([r + [_NUL] * (_WIDTH - len(r)) for r in rows], dtype=np.intp)
+
+    points = range(_P_MIN, _P_MAX + 1)
+    key = [p + 3 if -4 < p <= 16 else 20 + (abs(p - 1) >= 100) for p in points]
+    exponent = [f"{p - 1:+04d}".encode() for p in points]
+    return g, layout, np.array(key), np.frombuffer(b"".join(exponent), np.uint8).reshape(-1, 4)
+
+
+def _mulhi(a0, a1, b0, b1):
+    """High 64 bits of the 128-bit products a * b, given the 32-bit limbs
+    a = a1 2**32 + a0 and b = b1 2**32 + b0."""
+    lo_hi, hi_lo = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _U(32)) + (lo_hi & _M32) + (hi_lo & _M32)
+    return a1 * b1 + (lo_hi >> _U(32)) + (hi_lo >> _U(32)) + (mid >> _U(32))
+
+
+def _rop(g, cp):
+    """g cp / 2**127 rounded to odd, for g given as in `_tables`."""
+    c0, c1 = cp & _M32, cp >> _U(32)
+    z = ((g[0] * cp) >> _U(1)) + _mulhi(g[3], g[4], c0, c1)
+    return (_mulhi(g[1], g[2], c0, c1) + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+
+
+def _shortest(bits):
+    """(f, k) with f 10**k the shortest decimal that reads back as each
+    positive finite float64 of ``bits``, the nearest such, ties to even."""
+    t = bits & _U(2**52 - 1)
+    bq = (bits >> _U(52)).astype(np.int64)
+    c = np.where(bq > 0, t | _C_MIN, t)
+    q = np.maximum(bq, 1) - 1075
+    # a power of two above the smallest normal has a lower neighbour half as far
+    irregular = (t == 0) & (bq > 1)
+    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
+    cb = c << _U(2)
+    g = _tables()[0].take(k - _K_MIN, axis=1)
+    # 4 v 10**-k and the ends of v's rounding interval, to within a quarter
+    vb, vbl, vbr = _rop(g, np.stack([cb, cb - _U(2) + irregular, cb + _U(2)]) << h)
+    # the interval is closed for an even significand, open for an odd one
+    out = c & _U(1)
+    vbl += out
+    vbr -= out
+    s = vb >> _U(2)
+    # at most one multiple of 10 lies in the interval; if one does, it is
+    # the shortest
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    wpin = (sp10 << _U(2)) + _U(40) <= vbr
+    # else s or s + 1: whichever lies in the interval, or the nearer
+    s4 = s << _U(2)
+    uin, win = vbl <= s4, s4 + _U(4) <= vbr
+    mid = s4 + _U(2)
+    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & (s & _U(1) == 0)))
+    f = np.where(upin != wpin, sp10 + np.where(upin, _U(0), _U(10)), s + ~lower)
+    return f, k
+
+
+def _repr_text(mags):
+    """repr's text for each nonnegative float64 bit pattern of ``mags``, as
+    rows of _WIDTH bytes padded with NUL."""
+    _, layout, key, exponent = _tables()
+    regular = (mags > 0) & (mags < _INF)
+    f, k = _shortest(np.where(regular, mags, _ONE))
+    # f 10**k with f left-aligned to 17 digits, p of them before the point
+    f_len = np.searchsorted(_POW10, f, side="right")
+    f *= _POW10[_DIGITS - f_len]
+    p = k + f_len - _P_MIN
+    # digit i is q_i - 10 q_(i-1), with q_i = floor(f / 10**(16 - i))
+    q = f // _POW10[_DIGITS - 1 :: -1, None]
+    q[1:] -= q[:-1] * _U(10)
+    # significant digits: the position of the last nonzero one
+    n = ((q != 0).view(np.uint8) * np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]).max(0)
+    src = np.empty((len(mags), _DIGITS + 4 + len(_SRC_CONST)), dtype=np.uint8)
+    src[:, :_DIGITS] = q.T + _U(ord("0"))
+    src[:, _ESIGN : _E1 + 1] = exponent.take(p, axis=0)
+    src[:, _NUL:] = np.frombuffer(_SRC_CONST, dtype=np.uint8)
+    # 0.0, inf and nan take the last three layouts
+    special = len(layout) - 3 + (mags >= _INF) + (mags > _INF)
+    row = np.where(regular, (n - 1).astype(np.intp) * _KEYS + key[p], special)
+    idx = layout.take(row, axis=0)
+    idx += np.arange(0, src.size, src.shape[1])[:, None]
+    return src.reshape(-1).take(idx)
+
+
+def _block_text(a) -> bytes:
+    """The CSV lines of the 2-D float block ``a``: each value as ``repr``
+    writes it, comma-separated, each row ended by a newline.
+
+    The text is computed once per distinct magnitude (bit pattern of
+    ``abs``); a value with its sign bit set gets a ``"-"`` before it,
+    except NaN.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    rows, cols = a.shape
+    if a.size == 0:
+        return b"\n" * rows
+    bits = a.view(np.uint64).reshape(-1)
+    mags = bits & _M63
+    minus = (bits != mags) & (mags <= _INF)  # NaN has no sign
+    mags, inverse = np.unique(mags, return_inverse=True)
+    # per value a sign byte, the text and a separator, less their NUL bytes
+    buf = np.empty((a.size, _WIDTH + 2), dtype=np.uint8)
+    buf[:, 0] = minus * np.uint8(ord("-"))
+    buf[:, 1:-1] = _repr_text(mags).take(inverse.reshape(-1), axis=0)
+    buf[:, -1] = ord(",")
+    buf.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
 def _format_block(a) -> list:
     """Rows of the 2-D float block ``a`` as lists of ``repr`` strings.
 
-    ``repr`` runs once per distinct magnitude (bit pattern of ``abs``).  A
-    value with its sign bit set gets ``"-"`` before its magnitude's string,
-    which is ``repr`` of the value except for NaN, spelled ``"nan"`` either
-    way.
+    Each distinct magnitude (bit pattern of ``abs``) gets its text from
+    `_repr_text`; a value with its sign bit set gets ``"-"`` before it,
+    except NaN, spelled ``"nan"`` either way.
     """
-    a = np.asarray(a, dtype=float)
-    mags, inverse = np.unique(np.abs(a).view(np.uint64), return_inverse=True)
-    strs = list(map(repr, mags.view(float).tolist()))
+    bits = np.ascontiguousarray(a, dtype=float).view(np.uint64)
+    mags, inverse = np.unique(bits & _M63, return_inverse=True)
+    strs = _repr_text(mags).view(f"S{_WIDTH}").ravel().astype(str).tolist()
     table = np.array(strs + [s if s == "nan" else "-" + s for s in strs], dtype=object)
-    return table[inverse.reshape(a.shape) + len(strs) * np.signbit(a)].tolist()
+    return table[inverse.reshape(bits.shape) + len(strs) * (bits > _M63)].tolist()
 
 
 def _json_nested(leaves: list, shape: tuple) -> str:
@@ -191,10 +394,10 @@ def _row_blocks(*columns):
 
 def _write_rows(path, header, blocks):
     """A header line, then one line per row of each 2-D float block."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
         for block in blocks:
-            f.writelines(",".join(row) + "\n" for row in _format_block(block))
+            f.write(_block_text(block))
 
 
 def _state_columns(dim: int):

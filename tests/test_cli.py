@@ -30,6 +30,33 @@ def test_check_kerr_exits_zero(capsys):
     assert report["residuals"]["scaling_residual"] < 1e-9
 
 
+def test_check_reports_residuals_of_the_condition_number_guard(tmp_path, capsys):
+    model = {
+        "name": "ill_conditioned",
+        "spaces": {"lv": {"kind": "level", "dim": 4}},
+        "family": {
+            "channels": 1,
+            "S": [["1"]],
+            "L1": ["0"],
+            "L0": ["0"],
+            "H2": "1e5*ketbra(lv, 2, 2) + 2e-8*ketbra(lv, 3, 3)",
+            "H1": "0",
+            "H0": "0",
+        },
+        "subspace": {"basis": [[0], [1]]},
+    }
+    path = tmp_path / "ill.model"
+    path.write_text(json.dumps(model))
+    assert main(["check", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["failed_condition"] == "KernelViolation"
+    assert "numerically singular" in report["message"]
+    assert set(report["residuals"]) == {
+        "scaling_residual", "kernel_min_singular_value", "kernel_alignment"
+    }
+    assert report["residuals"]["kernel_min_singular_value"] == pytest.approx(2e-8, rel=1e-9)
+
+
 def test_check_broken_model_exits_two(tmp_path, capsys):
     doc = json.loads((MODELS / "kerr_qubit.model").read_text())
     doc["family"]["L1"] = ["a", "0"]  # k-linear coupling with a Zeno column
@@ -324,6 +351,23 @@ def test_evolve_manifest_records_method(tmp_path):
     assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
     assert manifest["method"] == "dense"
+
+
+@pytest.mark.parametrize(
+    "argv, manifest",
+    [
+        (["evolve", KERR, "--t-end", "0.01", "--out", "{d}/e.csv"], "e.csv.manifest.json"),
+        (["traj", KERR, "--scheme", "counting", "--n", "2", "--t-end", "0.01",
+          "--out-dir", "{d}"], "manifest.json"),
+        (["converge", KERR, "--ks", "2,4", "--t-end", "0.01", "--out", "{d}/c.csv"],
+         "c.csv.manifest.json"),
+    ],
+)
+def test_run_manifests_record_phase_timings(tmp_path, argv, manifest):
+    assert main([a.format(d=tmp_path) for a in argv]) == 0
+    timings = json.loads((tmp_path / manifest).read_text())["timings"]
+    assert set(timings) == {"model_s", "run_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
 # The child caps its own address space before it imports anything, runs one

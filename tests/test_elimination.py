@@ -200,6 +200,20 @@ def test_condition_number_guard_on_the_fast_block():
     assert err.value.residual == 0.0
 
 
+def test_condition_number_violation_carries_the_residuals():
+    # the guard fires after the scaling and kernel checks, whose residuals
+    # the error carries like every other violation
+    sp = HilbertSpace((4,))
+    h2 = Operator(sp, np.diag([0.0, 0.0, 1e5, 2e-8]))
+    fam = ScaledSLHFamily(((identity(sp),),), (zero(sp),), (zero(sp),), h2, zero(sp), zero(sp))
+    with pytest.raises(KernelViolation, match="numerically singular") as err:
+        zeno_eliminate(fam, ZenoSplit.from_indices(sp, [0, 1]))
+    res = err.value.residuals
+    assert set(res) == {"scaling_residual", "kernel_min_singular_value", "kernel_alignment"}
+    assert res["scaling_residual"] == 0.0 and res["kernel_alignment"] == 0.0
+    assert res["kernel_min_singular_value"] == pytest.approx(2e-8, rel=1e-12)
+
+
 def test_kernel_misalignment_is_an_error_not_a_rotation():
     # a split not aligned with ker A must fail loudly, never be rotated;
     # the scaling residual catches it first because V_z leaves ker H2

@@ -147,6 +147,39 @@ def test_format_block_specials():
     assert _format_block(np.zeros((3, 0))) == [[], [], []]
 
 
+def ulps_around(x, n):
+    """The 2 n + 1 floats nearest x, in steps of one ulp."""
+    bits = np.float64(x).view(np.uint64).astype(np.int64) + np.arange(-n, n + 1)
+    return bits.astype(np.uint64).view(float)
+
+
+EDGE_CLASSES = {
+    # every power of two, from 2**-1074 up, and both of its neighbours
+    "powers_of_two": lambda: np.concatenate(
+        [p2 := np.ldexp(1.0, np.arange(-1074, 1024)), np.nextafter(p2, 0), np.nextafter(p2, np.inf)]
+    ),
+    "first_subnormals": lambda: np.arange(1, 10**5 + 1, dtype=np.uint64).view(float),
+    "notation_and_integer_edges": lambda: np.concatenate(
+        [ulps_around(x, 50) for x in (1e-4, 1e-5, 1e15, 1e16, 1e17, 2.0**53, 1e22, 1e23)]
+    ),
+    # k 10**e for k < 1000, over every e, as correctly rounded decimals
+    "short_decimals": lambda: np.array(
+        [f"{k}e{e}" for e in range(-324, 309) for k in range(1, 1000)]
+    ).astype(float),
+    "random_bit_patterns": lambda: np.random.default_rng(20).integers(
+        0, 2**64, 10**5, dtype=np.uint64, endpoint=False
+    ).view(float),
+}
+
+
+@pytest.mark.parametrize("edge_class", sorted(EDGE_CLASSES))
+def test_block_text_is_repr_on_edge_classes(edge_class):
+    x = EDGE_CLASSES[edge_class]()
+    x.view(np.uint64)[1::2] ^= np.uint64(2**63)  # every other sign bit set
+    got = outputs._block_text(x.reshape(1, -1)).decode("ascii")
+    assert got == ",".join(map(repr, x.tolist())) + "\n"
+
+
 def evolution_result(rng, bits, n_rows, dim) -> EvolutionResult:
     """Rows of arbitrary, not Hermitian, states and diagnostics."""
     vals = floats_from_bits(bits, -1)
