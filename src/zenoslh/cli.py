@@ -19,6 +19,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .elimination import (
     DECOUPLING_TOL,
     KERNEL_TOL_SIGMA,
@@ -356,15 +358,32 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _cmd_linstab(args) -> int:
-    raw = Path(args.gamma_file).read_bytes()
+def _gamma_blocks(raw: bytes) -> list:
+    """Gamma1..Gamma4 of a gamma file as complex matrices."""
+    names = ("Gamma1", "Gamma2", "Gamma3", "Gamma4")
     try:
         data = json.loads(raw)
-        blocks = [pairs_to_matrix(data[k]) for k in ("Gamma1", "Gamma2", "Gamma3", "Gamma4")]
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
+        values = [np.asarray(data[name], dtype=float) for name in names]
+        for name, v in zip(names, values):
+            if not np.isfinite(v).all():  # json reads NaN, Infinity and 1e400
+                raise ModelParseError(f"{name}: value is not finite")
+        return [pairs_to_matrix(v) for v in values]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ModelParseError(f"gamma file: {e}") from None
-    report = stability_threshold(LinearMeanSystem(*blocks), args.ks)
+
+
+def _cmd_linstab(args) -> int:
+    for k in args.ks:
+        if not math.isfinite(k * k):
+            raise ModelParseError(f"--ks value {k!r} is too large: k**2 is not a finite float")
+    timings = _Timings()
+    raw = Path(args.gamma_file).read_bytes()
+    system = LinearMeanSystem(*_gamma_blocks(raw))
+    timings.lap("model_s")
+    report = stability_threshold(system, args.ks)
+    timings.lap("run_s")
     write_stability_csv(args.out, report)
+    timings.lap("write_s")
     verdict = {
         "predicted_stable_tail": report.predicted_stable_tail,
         "observed_stable_at_kmax": report.observed_stable_at_kmax,
@@ -375,7 +394,9 @@ def _cmd_linstab(args) -> int:
         "schur_eigenvalue_margin": report.schur_hurwitz.eigenvalue_margin,
     }
     print(json.dumps(verdict, indent=2, sort_keys=True))
-    RunManifest.create("linstab", digest_bytes(raw), {}).write(_manifest_path(args.out))
+    RunManifest.create(
+        "linstab", digest_bytes(raw), {}, method=report.method, timings=timings
+    ).write(_manifest_path(args.out))
     return EXIT_OK
 
 

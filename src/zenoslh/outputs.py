@@ -365,7 +365,12 @@ def triple_json(result: EliminationResult) -> str:
     pairs = _triple_pairs(result)
     if not all(np.isfinite(p).all() for p in pairs.values()):
         return json.dumps(triple_to_jsonable(result), indent=2, sort_keys=True)
-    parts = {k: _json_nested(_format_block(p.reshape(1, -1))[0], p.shape) for k, p in pairs.items()}
+    # one kernel call for all four matrices: it has a fixed cost per call
+    texts = _format_block(np.concatenate([p.reshape(-1) for p in pairs.values()])[None])[0]
+    parts, start = {}, 0
+    for k, p in pairs.items():
+        parts[k] = _json_nested(texts[start : start + p.size], p.shape)
+        start += p.size
     for k, v in _triple_scalars(result).items():
         parts[k] = json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
     body = ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in sorted(parts.items()))

@@ -530,3 +530,33 @@ def test_converge_past_2_to_the_53_steps_exits_two(tmp_path, capsys):
     assert main(argv) == 2
     assert "step count 10000000000000000000 exceeds 2**53" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_linstab_huge_k_exits_one_without_outputs(tmp_path, capsys):
+    # k**2 overflows a float: float(k) ** 2 once raised a raw OverflowError
+    out = tmp_path / "k.csv"
+    assert main(["linstab", GAMMA, "--ks", "1,1e160", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "zenoslh: --ks value 1e+160 is too large: k**2 is not a finite float\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_linstab_non_finite_gamma_exits_one(tmp_path, capsys, spelling):
+    # json reads all four; LAPACK once rejected them with exit 2, naming no block
+    gamma = tmp_path / "g.json"
+    text = (MODELS / "oscillator_pair.gamma.json").read_text()
+    gamma.write_text(text.replace('"Gamma2": [[0.3], [0.1]]', f'"Gamma2": [[0.3], [{spelling}]]'))
+    out = tmp_path / "k.csv"
+    assert main(["linstab", str(gamma), "--ks", "1,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "zenoslh: gamma file: Gamma2: value is not finite\n"
+    assert not out.exists()
+
+
+def test_linstab_manifest_records_method_and_timings(tmp_path):
+    out = tmp_path / "k.csv"
+    assert main(["linstab", GAMMA, "--ks", "1,5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "k.csv.manifest.json").read_text())
+    assert manifest["method"] == "complex"  # r + m = 3 is below the real-arithmetic cut-off
+    assert set(manifest["timings"]) == {"model_s", "run_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in manifest["timings"].values())

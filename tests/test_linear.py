@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from zenoslh.random_models import (
     random_oscillator_model,
 )
 
-from common import entrymax
+from common import MODELS, entrymax
 
 
 def scalar_cavity(gamma=1.0, direct=0.0):
@@ -405,3 +407,51 @@ def test_linear_mean_system_validation():
         LinearMeanSystem(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((1, 2)), np.zeros((1, 1)))
     with pytest.raises(ValueError):
         slow_schur(LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[0.0]]))
+
+
+def real_blocks(rng, r, m):
+    """Real Gamma blocks with a Hurwitz fast block."""
+    g4 = -2.0 * np.eye(m) + 0.3 * rng.standard_normal((m, m))
+    return [rng.standard_normal(s) for s in ((r, r), (r, m), (m, r))] + [g4]
+
+
+SWEEP_KS = [0.5, 1.0, 3.0, 10.0, 50.0]
+
+
+def test_sweep_above_the_cut_off_runs_in_real_arithmetic():
+    g1, g2, g3, g4 = real_blocks(np.random.default_rng(1501), 20, 20)
+    sys_ = LinearMeanSystem(g1, g2, g3, g4)
+    report = stability_threshold(sys_, SWEEP_KS)
+    assert report.method == "real"
+    for k, row in zip(SWEEP_KS, report.rows):
+        gen = np.block([[g1, g2], [k * k * g3, k * k * g4]])
+        assert row.max_real_part == np.max(np.linalg.eigvals(gen).real)
+    # the Hurwitz margins of the 20 x 20 blocks take the real path too
+    assert report.fast_hurwitz.eigenvalue_margin == np.max(np.linalg.eigvals(g4).real)
+
+
+def test_sweep_up_to_the_cut_off_keeps_complex_arithmetic():
+    # the shipped N = 3 blocks, whose stab.csv is digested
+    data = json.loads((MODELS / "oscillator_pair.gamma.json").read_text())
+    sys_ = LinearMeanSystem(*(data[f"Gamma{i}"] for i in (1, 2, 3, 4)))
+    report = stability_threshold(sys_, SWEEP_KS)
+    assert report.method == "complex"
+    for k, row in zip(SWEEP_KS, report.rows):
+        assert row.max_real_part == np.max(np.linalg.eigvals(sys_.generator(k)).real)
+
+
+def test_sweep_with_one_imaginary_entry_keeps_complex_arithmetic():
+    blocks = [b.astype(complex) for b in real_blocks(np.random.default_rng(1502), 20, 20)]
+    blocks[2][3, 7] += 1e-3j
+    sys_ = LinearMeanSystem(*blocks)
+    report = stability_threshold(sys_, SWEEP_KS)
+    assert report.method == "complex"
+    for k, row in zip(SWEEP_KS, report.rows):
+        assert row.max_real_part == np.max(np.linalg.eigvals(sys_.generator(k)).real)
+
+
+@pytest.mark.parametrize("k", [1e160, float("inf"), float("nan")])
+def test_stability_threshold_rejects_k_whose_square_is_not_finite(k):
+    sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])
+    with pytest.raises(ValueError, match="k\\*\\*2 is not a finite float"):
+        stability_threshold(sys_, [1.0, k])
