@@ -115,7 +115,8 @@ _NUMBER_FLAGS = (
 
 
 def _check_numbers(args) -> None:
-    """Parse ``--ks`` into floats and range-check every numeric flag."""
+    """Parse ``--ks`` into floats and range-check every numeric flag; a k
+    must also have a finite square."""
     if hasattr(args, "ks"):
         try:
             args.ks = [float(x) for x in args.ks.split(",") if x.strip()]
@@ -131,6 +132,10 @@ def _check_numbers(args) -> None:
             if not (math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
                 need = "nonnegative" if zero_ok else "positive"
                 raise ModelParseError(f"{flag} must be finite and {need}, got {v!r}")
+            if attr in ("k", "ks") and not math.isfinite(v * v):
+                raise ModelParseError(
+                    f"{flag} value {v!r} is too large: k**2 is not a finite float"
+                )
 
 
 def _initial_state(space, label: str) -> DensityMatrix:
@@ -373,9 +378,6 @@ def _gamma_blocks(raw: bytes) -> list:
 
 
 def _cmd_linstab(args) -> int:
-    for k in args.ks:
-        if not math.isfinite(k * k):
-            raise ModelParseError(f"--ks value {k!r} is too large: k**2 is not a finite float")
     timings = _Timings()
     raw = Path(args.gamma_file).read_bytes()
     system = LinearMeanSystem(*_gamma_blocks(raw))

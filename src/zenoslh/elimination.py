@@ -42,6 +42,7 @@ L-hat the same way (``s``, ``l`` arrays; ``s_hat``, ``l_hat`` views).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +214,15 @@ class EliminationResult:
 
 
 def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
-    """Concrete SLH triple at coupling strength k > 0."""
+    """Concrete SLH triple at coupling strength k > 0.
+
+    Raises ValueError for a k whose square is not a finite float.
+    """
     k = float(k)
     if k <= 0:
         raise ValueError(f"scaling parameter must be positive, got {k}")
+    if not math.isfinite(k * k):
+        raise ValueError(f"k = {k!r}: k**2 is not a finite float")
     l = family.l1 * complex(k) + family.l0
     h = (k * k) * family.H2 + k * family.H1 + family.H0
     return SLHTriple(family.s, l, h)

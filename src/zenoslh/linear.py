@@ -75,7 +75,7 @@ __all__ = [
 _COND_GUARD = 1e12
 # eigenproblems up to this size run in complex arithmetic even when real,
 # which keeps the digested linstab outputs (N = r + m = 3) byte-identical;
-# the same value as master.DENSE_ALWAYS_DIM
+# 12 is the largest N the digests cover
 COMPLEX_EIG_MAX_DIM = 12
 
 

@@ -14,12 +14,12 @@ trace drift is a monitored diagnostic with a hard abort threshold.
 
 ``evolve`` keeps the state as its column-stacked vector v = vec(rho)
 for the whole run, in one stepping loop.  It applies the one-step map in
-one of two ways, chosen once per call from (d, steps, channels).  Up to a
-size crossover it builds the dense d^2 x d^2 step map (d^6 work and
-16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
-it, each step views v as the d x d matrix, runs the four RK4 stages on it
-and stacks the result back, with no d^2 x d^2 array.  There each stage
-evaluates the dissipator in its effective-Hamiltonian form
+one of two ways, chosen from d alone.  Up to ``DENSE_MAX_DIM`` it builds
+the dense d^2 x d^2 step map (d^6 work and 16 d^4 bytes per matrix) and
+steps as ``phi @ v`` (d^4 per step); above it, each step views v as the
+d x d matrix, runs the four RK4 stages on it and stacks the result back,
+with no d^2 x d^2 array.  There each stage evaluates the dissipator in
+its effective-Hamiltonian form
 
     D rho = K rho + (K rho)^H + sum_i (L_i rho) L_i^H,
     K = -1/2 sum_i L_i^H L_i - i H,
@@ -29,10 +29,7 @@ with K formed once per call: 1 + 2n products of d x d matrices per stage
 equals D only on Hermitian matrices; the states stepped are Hermitian
 (the initial state's Hermitian part is stepped, the same map since D
 commutes with ^H) and the stage inputs are Hermitian to rounding.  Both
-paths are the same RK4 map, so they differ by rounding only.
-d <= ``DENSE_ALWAYS_DIM`` is always dense and d >= ``MATRIX_FREE_ALWAYS_DIM``
-always matrix-free; in between, dense when the step time it saves over
-the run pays for its build, at measured per-step and build costs.  The
+paths are the same RK4 map, so they differ by rounding only.  The
 result records the path as ``method``.  Re-Hermitizing,
 v = (w + conj(w[perm])) / 2 with ``perm`` the index of the transposed
 entry, and the trace, the sum of v over the diagonal entries, are
@@ -94,27 +91,13 @@ TRACE_ABORT_TOL = 1e-6
 # from the true time
 MAX_STEPS = 2**53
 
-# evolve's stepping path (see the module docstring): dense at any cost up
-# to this dimension, so results there stay bit-identical to the dense map
-DENSE_ALWAYS_DIM = 12
-# matrix-free from this dimension: with one or two channels its step is no
-# slower than the dense one here, and the dense build takes >= 0.5 s and a
-# >= 13 MB step map, growing as d^6 and d^4 (with 3+ channels a dense run
-# of a few thousand steps would still be faster at d = 30)
-MATRIX_FREE_ALWAYS_DIM = 30
-# costs in seconds for 12 < d < 30, least-squares fits to timings of d = 13
-# to 30 with 1 to 8 channels (numpy 2.4 on OpenBLAS, one thread, Intel
-# Xeon); the fitted break-even step counts are within a factor 2.1 of the
-# timed ones wherever the two steps differ by more than 15%, e.g. d = 20,
-# 2 channels: build 64 ms, dense step 140 us, matrix-free step 322 us,
-# break-even 352 steps (fit: 309).  The matrix-free step was timed with
-# 2 + 4n products per stage, before the K form halved them, so the rule
-# is conservative: a run it sends matrix-free only got faster
-DENSE_BUILD_S_PER_D6 = 8.2e-10
-DENSE_STEP_S_PER_D4 = 8.8e-10
-MATRIX_FREE_STEP_S = 7.7e-5
-MATRIX_FREE_CHANNEL_S = 5.9e-5
-MATRIX_FREE_CHANNEL_S_PER_D3 = 7.2e-9
+# evolve's stepping path (see the module docstring): dense up to this
+# dimension, whatever the step count and channel count, matrix-free above
+# it.  The largest d at which the dense path, build included, was no slower
+# over 1000 steps with 1, 2 and 4 channels, to within timing noise (numpy
+# 2.4 on OpenBLAS, one thread, 2-core x86-64 host); it keeps every d <= 12
+# dense, so the digested results there stay bit-identical to the dense map
+DENSE_MAX_DIM = 19
 
 
 class StepSizeError(RuntimeError):
@@ -156,9 +139,6 @@ class DensityMatrix(Operator):
             w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
             if w[0] < -min_eig_tol:
                 raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < -{min_eig_tol:.1e}")
-
-    def expectation(self, x: Operator) -> complex:
-        return complex(np.trace(self.mat @ x.mat))
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.mat @ self.mat)))
@@ -278,8 +258,8 @@ class EvolutionResult(_StateViews):
     """Time grid, read-only (T, d, d) states, per-saved-step diagnostics.
 
     ``method`` is the stepping path of :func:`evolve`, ``"dense"`` or
-    ``"matrix_free"`` (comma-joined over the segments of
-    :func:`evolve_piecewise`); None for results not made by stepping.
+    ``"matrix_free"``, the same for every segment of
+    :func:`evolve_piecewise`; None for results not made by stepping.
     """
 
     times: np.ndarray
@@ -316,19 +296,9 @@ def _rk4_step(terms, m, dt: float):
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _choose_method(d: int, n_steps: int, n_channels: int) -> str:
-    """``"dense"`` or ``"matrix_free"`` for ``evolve``, by measured costs.
-
-    For DENSE_ALWAYS_DIM < d < MATRIX_FREE_ALWAYS_DIM, dense when the
-    step time it saves over the run exceeds the time to build its step map.
-    """
-    if d <= DENSE_ALWAYS_DIM:
-        return "dense"
-    if d >= MATRIX_FREE_ALWAYS_DIM:
-        return "matrix_free"
-    channel_s = MATRIX_FREE_CHANNEL_S + MATRIX_FREE_CHANNEL_S_PER_D3 * d**3
-    saved_s = MATRIX_FREE_STEP_S + n_channels * channel_s - DENSE_STEP_S_PER_D4 * d**4
-    return "dense" if n_steps * saved_s > DENSE_BUILD_S_PER_D6 * d**6 else "matrix_free"
+def _choose_method(d: int) -> str:
+    """``"dense"`` or ``"matrix_free"`` for ``evolve`` at dimension d."""
+    return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
 
 
 def evolve(
@@ -372,7 +342,7 @@ def evolve(
     save_every = max(1, int(save_every))
 
     d = g.dim
-    method = _choose_method(d, n_steps, g.n)
+    method = _choose_method(d)
     if method == "dense":
         phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
 
@@ -433,8 +403,8 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     ``segments`` is a sequence of (SLHTriple, duration) pairs; the
     generator is re-assembled at segment boundaries.  Covers
     piecewise-constant drives, for which the triple is re-built per
-    segment.  ``method`` joins the segments' distinct methods, in order of
-    first use, with ``,``.
+    segment.  The segments share one space, so one ``method`` covers them
+    all (None without segments).
     """
     times = [np.array([0.0])]
     rho = [rho0.mat[None]]
@@ -442,11 +412,10 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     hdrift = [np.array([0.0])]
     state = rho0
     t0 = 0.0
-    methods = []
+    method = None
     for g, duration in segments:
         res = evolve(g, state, duration, dt)
-        if res.method not in methods:
-            methods.append(res.method)
+        method = res.method
         times.append(res.times[1:] + t0)
         rho.append(res.rho[1:])
         tdrift.append(res.trace_drift[1:])
@@ -461,7 +430,7 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
         rho,
         np.concatenate(tdrift),
         np.concatenate(hdrift),
-        method=",".join(methods) or None,
+        method=method,
     )
 
 

@@ -23,8 +23,8 @@ dataclass.  Storage is dense.  Operators of a few hundred dimensions are
 fine here.  The master-equation integrator ``evolve`` (and
 ``convergence_harness`` through it) steps the column-stacked state
 vector: through a dense d^2 x d^2 step map, 16 d^4 bytes per matrix, only
-up to a size crossover, and matrix-free on the d x d view of the vector
-above it; both are the same RK4 map and differ by rounding only.
+up to ``master.DENSE_MAX_DIM``, and matrix-free on the d x d view of the
+vector above it; both are the same RK4 map and differ by rounding only.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class Operator(_Immutable):
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat))) if self.mat.size else 0.0
 
     def _check_space(self, other: "Operator"):
         if self.space != other.space:
@@ -253,7 +250,7 @@ class SubspaceIsometry(_Immutable):
         d = c.shape[1]
         gram = c.conj().T @ c
         defect = float(np.max(np.abs(gram - np.eye(d)))) if d else 0.0
-        if defect > ISOMETRY_TOL:
+        if not defect <= ISOMETRY_TOL:  # NaN too
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
         c.setflags(write=False)
         super().__init__(space=space, cols=c)
@@ -278,14 +275,6 @@ class SubspaceIsometry(_Immutable):
         if x.space != self.space:
             raise ValueError("operator lives on a different space than the isometry")
         return Operator(self.subspace, self.compress_mat(x.mat))
-
-    def lift_mat(self, small: np.ndarray) -> np.ndarray:
-        return self.cols @ small @ self.cols.conj().T
-
-    def lift(self, small: Operator) -> Operator:
-        if small.dim != self.subspace_dim:
-            raise ValueError("operator dimension does not match the subspace")
-        return Operator(self.space, self.lift_mat(small.mat))
 
     def __repr__(self):
         return f"SubspaceIsometry(dim={self.space.dim} -> {self.subspace_dim})"
@@ -379,7 +368,7 @@ class ZenoSplit(_Immutable):
             )
         cross = v_z.cols.conj().T @ v_f.cols
         defect = float(np.max(np.abs(cross))) if cross.size else 0.0
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # NaN too
             raise ValueError(f"subspace ranges are not orthogonal (defect {defect:.3e})")
         super().__init__(v_z=v_z, v_f=v_f)
 

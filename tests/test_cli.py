@@ -541,6 +541,23 @@ def test_linstab_huge_k_exits_one_without_outputs(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evolve", KERR, "--model", "full", "--k", "1e160", "--t-end", "0.01"], "--k"),
+        (["converge", KERR, "--ks", "1,1e160", "--t-end", "0.01"], "--ks"),
+    ],
+)
+def test_huge_k_exits_one_without_outputs(tmp_path, capsys, argv, flag):
+    # k**2 overflows a float: instantiate once hit a numpy RuntimeWarning and
+    # exited 2 with an error that named neither the flag nor the value
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"zenoslh: {flag} value 1e+160 is too large: k**2 is not a finite float\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_linstab_non_finite_gamma_exits_one(tmp_path, capsys, spelling):
     # json reads all four; LAPACK once rejected them with exit 2, naming no block

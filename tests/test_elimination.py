@@ -98,6 +98,13 @@ def test_instantiate_linearity_and_domain():
         instantiate(fam, -1.0)
 
 
+@pytest.mark.parametrize("k", [1e160, float("inf"), float("nan")])
+def test_instantiate_rejects_k_whose_square_is_not_finite(k):
+    fam, _ = kerr_family()
+    with pytest.raises(ValueError, match=r"k = .*: k\*\*2 is not a finite float"):
+        instantiate(fam, k)
+
+
 def test_expand_k_closed_forms():
     fam, _ = kerr_family(n_max=6, chi0=1.0)
     a = fock_annihilator(6)

@@ -349,24 +349,20 @@ def test_trace_drift_abort_is_the_same_on_both_paths(monkeypatch):
 
 def test_method_selection_rule():
     choose = master._choose_method
-    # small models are dense whatever the step count and channel count
-    for d in range(1, master.DENSE_ALWAYS_DIM + 1):
-        for n_steps in (0, 1, 100, 10**9):
-            assert choose(d, n_steps, 10) == "dense"
-    # evolve at d = 30 with 2 channels and 100 steps
-    assert choose(30, 100, 2) == "matrix_free"
-    # converge on a d = 6 Kerr model over the k grid 1, 2, 3, 4, 6 at dt = 1e-3
-    for k in (1, 2, 3, 4, 6):
-        assert choose(6, round(0.5 / (1e-3 / k**2)), 2) == "dense"
-    # large models are matrix-free whatever the step count and channel count
-    for d in (master.MATRIX_FREE_ALWAYS_DIM, 54, 150):
-        assert choose(d, 10**9, 10) == "matrix_free"
-    # in between, at the timed break-evens: d = 13 with one channel breaks
-    # even at 37 steps, d = 20 with two at 352, and at d = 28 with two
-    # channels the dense step is no faster
-    assert (choose(13, 10, 1), choose(13, 100, 1)) == ("matrix_free", "dense")
-    assert (choose(20, 200, 2), choose(20, 500, 2)) == ("matrix_free", "dense")
-    assert choose(28, 10**9, 2) == "matrix_free"
+    # the digested outputs all run at d <= 12
+    assert master.DENSE_MAX_DIM >= 12
+    for d in range(1, master.DENSE_MAX_DIM + 1):
+        assert choose(d) == "dense"
+    for d in (master.DENSE_MAX_DIM + 1, 30, 54, 150):
+        assert choose(d) == "matrix_free"
+    # the path depends on d alone: at d = 12 one step and 500 steps, with
+    # 0, 1 and 4 channels, are all dense
+    rng = np.random.default_rng(12)
+    for n_channels in (0, 1, 4):
+        g = scaled_triple(rng, 12, n_channels)
+        rho0 = DensityMatrix(g.space, random_density_matrix(rng, 12))
+        for t_end in (1e-3, 0.5):
+            assert evolve(g, rho0, t_end, 1e-3, save_every=master.MAX_STEPS).method == "dense"
 
 
 def test_evolve_records_method():
@@ -374,17 +370,20 @@ def test_evolve_records_method():
     rho0 = basis_state_density(QUBIT, 1)
     assert evolve(g, rho0, 0.1, 1e-3).method == "dense"
     assert evolve_piecewise([(g, 0.1), (g, 0.1)], rho0, 1e-3).method == "dense"
-    # at d = 13 with one channel, 10 steps are matrix-free and 2000 dense
-    rng = np.random.default_rng(35)
-    g13 = scaled_triple(rng, 13, 1)
-    rho13 = DensityMatrix(g13.space, random_density_matrix(rng, 13))
-    res = evolve_piecewise([(g13, 0.01), (g13, 2.0), (g13, 0.01)], rho13, 1e-3)
-    assert res.method == "matrix_free,dense"
-    part1 = evolve(g13, rho13, 0.01, 1e-3)
-    part2 = evolve(g13, part1.final, 2.0, 1e-3)
-    part3 = evolve(g13, part2.final, 0.01, 1e-3)
-    assert (part1.method, part2.method, part3.method) == ("matrix_free", "dense", "matrix_free")
-    np.testing.assert_array_equal(res.final.mat, part3.final.mat)
+    assert evolve_piecewise([], rho0, 1e-3).method is None
+    # a piecewise run records its segments' one method, short segments and
+    # long alike, and steps as the chained runs do
+    for d, method in ((13, "dense"), (master.DENSE_MAX_DIM + 1, "matrix_free")):
+        rng = np.random.default_rng([35, d])
+        gd = scaled_triple(rng, d, 1)
+        rhod = DensityMatrix(gd.space, random_density_matrix(rng, d))
+        res = evolve_piecewise([(gd, 0.01), (gd, 0.3), (gd, 0.01)], rhod, 1e-3)
+        assert res.method == method
+        part1 = evolve(gd, rhod, 0.01, 1e-3)
+        part2 = evolve(gd, part1.final, 0.3, 1e-3)
+        part3 = evolve(gd, part2.final, 0.01, 1e-3)
+        assert part1.method == part2.method == part3.method == method
+        np.testing.assert_array_equal(res.final.mat, part3.final.mat)
 
 
 @pytest.mark.parametrize("dim", [13, 30, 60])

@@ -20,7 +20,7 @@ from zenoslh import (
     pauli,
     tensor,
 )
-from zenoslh.operators import _projector_pivots
+from zenoslh.operators import _Immutable, _projector_pivots
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_oscillator_model
 
 from common import entrymax, kerr_family
@@ -312,6 +312,18 @@ def test_zeno_split_rejects_bad_pairs():
         ZenoSplit(v, v)  # not orthogonal / not complete
     with pytest.raises(ValueError):
         ZenoSplit(v, SubspaceIsometry(sp, np.eye(4)[:, 2:3]))  # dims do not sum
+
+
+def test_isometry_and_split_reject_nan():
+    # a NaN defect compares False with ``>``, so both checks read ``not defect <= tol``
+    sp = HilbertSpace((2,))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        SubspaceIsometry(sp, [[np.nan], [0]])
+    # an isometry holding NaN, made past its own check, fails the split's
+    nan_zeno = object.__new__(SubspaceIsometry)
+    _Immutable.__init__(nan_zeno, space=sp, cols=np.array([[np.nan], [0]], dtype=complex))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        ZenoSplit(nan_zeno, SubspaceIsometry(sp, [[0], [1]]))
 
 
 def test_scalar_arithmetic_and_space_guard():
