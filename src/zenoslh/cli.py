@@ -33,6 +33,7 @@ from .linear import LinearMeanSystem, stability_threshold
 from .master import (
     DensityMatrix,
     StepSizeError,
+    _choose_method,
     basis_state_density,
     convergence_harness,
     evolve,
@@ -295,6 +296,8 @@ def _cmd_evolve(args) -> int:
         tols,
         method=result.method,
         timings=timings,
+        n_steps=result.n_steps,
+        dt_eff=result.dt_eff,
     ).write(_manifest_path(args.out))
     return EXIT_OK
 
@@ -357,7 +360,9 @@ def _cmd_converge(args) -> int:
     timings.lap("run_s")
     write_convergence_csv(args.out, points)
     timings.lap("write_s")
-    RunManifest.create("converge", model_digest(doc), tols, timings=timings).write(
+    # every k runs the full model, so at one d and on one path
+    method = _choose_method(doc.family.space.dim)
+    RunManifest.create("converge", model_digest(doc), tols, method=method, timings=timings).write(
         _manifest_path(args.out)
     )
     return EXIT_OK

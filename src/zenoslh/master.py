@@ -36,6 +36,15 @@ entry, and the trace, the sum of v over the diagonal entries, are
 elementwise the arithmetic of the same steps on the d x d matrix, so
 stepping in vec space rounds exactly as that would.
 
+The trace drift is checked once per block of steps, not after each
+step.  A block runs up to the next saved step, and at most ``_BLOCK``
+steps, a constant and not a setting.  A vectorized screen over the
+block's diagonals bounds each state's drift, rounding included, and
+only states it does not clear are rechecked with the exact per-step sum.
+Aborts (the step, the drift and the message) and the saved
+``trace_drift`` and ``hermiticity_drift`` are bit-identical to checking
+every step, and no step past an abort leaks a warning.
+
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
 :class:`DensityMatrix` views of it, built and validated on each access
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,6 +108,13 @@ MAX_STEPS = 2**53
 # 2.4 on OpenBLAS, one thread, 2-core x86-64 host); it keeps every d <= 12
 # dense, so the digested results there stay bit-identical to the dense map
 DENSE_MAX_DIM = 19
+
+# evolve checks the trace drift once per block of steps (see ``evolve``): a
+# block ends at each saved step and after at most _BLOCK steps, and its
+# states, held to check them, take at most _BLOCK_BYTES over two buffers.
+# Constants, not settings: they change the cost of a run, never its result
+_BLOCK = 256
+_BLOCK_BYTES = 2**19
 
 
 class StepSizeError(RuntimeError):
@@ -259,7 +276,10 @@ class EvolutionResult(_StateViews):
 
     ``method`` is the stepping path of :func:`evolve`, ``"dense"`` or
     ``"matrix_free"``, the same for every segment of
-    :func:`evolve_piecewise`; None for results not made by stepping.
+    :func:`evolve_piecewise`; ``n_steps`` is the number of steps taken
+    (summed over the segments) and ``dt_eff`` the step length, t_end /
+    n_steps (dt without steps; None when the segments' steps differ).
+    All three are None for results not made by stepping.
     """
 
     times: np.ndarray
@@ -269,6 +289,8 @@ class EvolutionResult(_StateViews):
     hermiticity_drift: np.ndarray
     trace_tol: float = TRACE_ABORT_TOL
     method: str | None = None
+    n_steps: int | None = None
+    dt_eff: float | None = None
 
     def expectations(self, x: Operator) -> np.ndarray:
         return np.trace(self.rho @ x.mat, axis1=1, axis2=2)
@@ -296,6 +318,18 @@ def _rk4_step(terms, m, dt: float):
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _run_steps(step_map, perm, v, rows):
+    """Step the column-stacked state v once per row, re-Hermitizing each
+    result into its row; returns the last step's result w and its
+    conjugate transpose wh, in vec form."""
+    for row in rows:
+        w = step_map(v)
+        wh = w[perm].conj()
+        np.multiply(0.5, w + wh, out=row)
+        v = row
+    return w, wh
+
+
 def _choose_method(d: int) -> str:
     """``"dense"`` or ``"matrix_free"`` for ``evolve`` at dimension d."""
     return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
@@ -316,12 +350,21 @@ def evolve(
     The step is applied densely or matrix-free, as ``_choose_method``
     picks (see the module docstring), and the result's ``method`` records
     which.  States are re-Hermitized each step; trace drift beyond
-    ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`.  Every
-    ``save_every``-th state and the final one go into ``rho``, after the
-    initial one; ``save_every=MAX_STEPS`` keeps the initial and final
-    states only, whatever the step count.  The ``states`` views are
-    validated with the trace tolerance relaxed to the abort threshold,
-    since the drift is a recorded diagnostic.
+    ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`, naming the
+    first step that drifted.  Every ``save_every``-th state and the final
+    one go into ``rho``, after the initial one; ``save_every=MAX_STEPS``
+    keeps the initial and final states only, whatever the step count.  The
+    ``states`` views are validated with the trace tolerance relaxed to the
+    abort threshold, since the drift is a recorded diagnostic.  The result
+    records the step count ``n_steps`` and the step ``dt_eff``.
+
+    The drift is checked once per block of steps (see the module
+    docstring); a block holds at most ``_BLOCK_BYTES`` of states, so it
+    is shorter than ``_BLOCK`` at large d.  Floating-point errors that the
+    caller's ``np.errstate`` does not ignore stop a block, which is then
+    replayed one checked step at a time under the caller's handling, so
+    the warnings and errors before an abort are also those of checking
+    every step.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
@@ -344,11 +387,7 @@ def evolve(
     d = g.dim
     method = _choose_method(d)
     if method == "dense":
-        phi = _rk4_step_matrix(liouvillian_matrix(g), dt_eff)
-
-        def step_map(v):
-            return phi @ v
-
+        step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
     else:
         terms = _k_form_terms(g)
 
@@ -375,18 +414,57 @@ def evolve(
         # path drops the anti-Hermitian part when it re-Hermitizes)
         v = 0.5 * (v + v[perm].conj())
     tdrift[0] = abs(np.add.reduce(v[diag]).real - 1.0)
-    j = 0
 
-    for step in range(1, n_steps + 1):
-        w = step_map(v)
-        wh = w[perm].conj()
-        v = 0.5 * (w + wh)
-        drift = abs(float(np.add.reduce(v[diag]).real) - 1.0)
+    def check(step, state):
+        """The trace drift of the state after ``step``; raises beyond the
+        abort threshold."""
+        drift = abs(float(np.add.reduce(state[diag]).real) - 1.0)
         if not drift <= TRACE_ABORT_TOL:
             raise StepSizeError(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
                 f"{TRACE_ABORT_TOL:.1e}; reduce dt"
             )
+        return drift
+
+    # the states of a block go into the rows of one of two buffers, in
+    # turn, so that the state a block starts from outlives the block
+    n_rows = max(1, min(_BLOCK, n_steps, save_every, _BLOCK_BYTES // (32 * d * d)))
+    bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
+    buf_rows = [list(b) for b in bufs]
+    # floating-point errors that the caller does not ignore stop a block
+    trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
+    # any order of summing the d real parts of a diagonal, the exact
+    # check's and the screen's alike, is within (d - 1) eps / 2 sum |Re v_ii|
+    # of the true sum; twice their combined bound also covers the
+    # screen's own rounding, so a state the screen clears passes the check
+    margin = 2.0 * d * np.finfo(float).eps
+    step, j, b = 0, 0, 0
+    while step < n_steps:
+        n = min(n_rows, n_steps - step, save_every - step % save_every)
+        rows = buf_rows[b][:n]
+        try:
+            if n == 1:  # no step past an abort to keep from the caller
+                w, wh = _run_steps(step_map, perm, v, rows)
+            else:
+                with np.errstate(**trap):
+                    w, wh = _run_steps(step_map, perm, v, rows)
+                    # screen all but the last state; a NaN fails, and only
+                    # the states that fail are checked exactly
+                    x = bufs[b][: n - 1, diag].real
+                    screen = np.abs(x.sum(axis=1) - 1.0) + margin * np.abs(x).sum(axis=1)
+                    for i in np.flatnonzero(~(screen <= TRACE_ABORT_TOL)):
+                        check(step + 1 + i, rows[i])
+        except FloatingPointError:
+            # replay the block under the caller's error handling, one
+            # checked step at a time: warnings, errors and the abort then
+            # come from exactly the steps that checking every step runs
+            for i, row in enumerate(rows):
+                w, wh = _run_steps(step_map, perm, rows[i - 1] if i else v, (row,))
+                check(step + 1 + i, row)
+        step += n
+        v = rows[-1]
+        b ^= 1
+        drift = check(step, v)
         if step % save_every == 0 or step == n_steps:
             j += 1
             times[j], tdrift[j] = step * dt_eff, drift
@@ -394,7 +472,9 @@ def evolve(
             rho[j] = v.reshape((d, d), order="F")
 
     rho.setflags(write=False)
-    return EvolutionResult(times, g.space, rho, tdrift, hdrift, method=method)
+    return EvolutionResult(
+        times, g.space, rho, tdrift, hdrift, method=method, n_steps=n_steps, dt_eff=dt_eff
+    )
 
 
 def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResult:
@@ -413,9 +493,12 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     state = rho0
     t0 = 0.0
     method = None
+    n_steps, dts = 0, set()
     for g, duration in segments:
         res = evolve(g, state, duration, dt)
         method = res.method
+        n_steps += res.n_steps
+        dts.add(res.dt_eff)
         times.append(res.times[1:] + t0)
         rho.append(res.rho[1:])
         tdrift.append(res.trace_drift[1:])
@@ -431,6 +514,8 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
         np.concatenate(tdrift),
         np.concatenate(hdrift),
         method=method,
+        n_steps=None if method is None else n_steps,
+        dt_eff=dts.pop() if len(dts) == 1 else None,
     )
 
 
@@ -459,10 +544,14 @@ def trace_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class ConvergencePoint:
+    """One k of :func:`convergence_harness`; ``n_steps`` is the number of
+    full-model steps of size ``dt_full``."""
+
     k: float
     distance: float
     leaked_trace: float
     dt_full: float
+    n_steps: int | None = None
 
 
 def convergence_harness(
@@ -500,8 +589,8 @@ def convergence_harness(
         k = float(k)
         g_full = instantiate(family, k)
         dt_k = dt / max(1.0, k * k)
-        final = evolve(g_full, rho0_full, t_end, dt_k, save_every=MAX_STEPS).rho[-1]
-        comp = vz.conj().T @ final @ vz
+        res = evolve(g_full, rho0_full, t_end, dt_k, save_every=MAX_STEPS)
+        comp = vz.conj().T @ res.rho[-1] @ vz
         tr = float(np.trace(comp).real)
         leaked = 1.0 - tr
         comp = comp / tr
@@ -511,6 +600,7 @@ def convergence_harness(
                 distance=trace_distance(comp, zeno_final),
                 leaked_trace=leaked,
                 dt_full=dt_k,
+                n_steps=res.n_steps,
             )
         )
     return points

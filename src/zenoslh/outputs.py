@@ -78,6 +78,8 @@ class RunManifest:
     timestamp: str
     method: str | None = None
     timings: dict | None = None
+    n_steps: int | None = None
+    dt_eff: float | None = None
 
     @classmethod
     def create(
@@ -88,6 +90,8 @@ class RunManifest:
         seed: int | None = None,
         method: str | None = None,
         timings: dict | None = None,
+        n_steps: int | None = None,
+        dt_eff: float | None = None,
     ):
         return cls(
             command=command,
@@ -98,6 +102,8 @@ class RunManifest:
             timestamp=datetime.now(timezone.utc).isoformat(),
             method=method,
             timings=None if timings is None else dict(timings),
+            n_steps=n_steps,
+            dt_eff=dt_eff,
         )
 
     def write(self, path):

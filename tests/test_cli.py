@@ -353,6 +353,18 @@ def test_evolve_manifest_records_method(tmp_path):
     assert manifest["method"] == "dense"
 
 
+def test_evolve_and_converge_manifests_record_steps_and_method(tmp_path):
+    out = tmp_path / "e.csv"
+    assert main(["evolve", KERR, "--t-end", "0.01", "--dt", "3e-3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert manifest["n_steps"] == 3 and manifest["dt_eff"] == 0.01 / 3
+    out = tmp_path / "c.csv"
+    assert main(["converge", KERR, "--ks", "2,4", "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    assert manifest["method"] == "dense"
+    assert manifest["n_steps"] is None and manifest["dt_eff"] is None
+
+
 @pytest.mark.parametrize(
     "argv, manifest",
     [

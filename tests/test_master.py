@@ -546,3 +546,124 @@ def test_final_only_convergence_run_holds_two_rows():
     # two saved rows at d = 6 take about 1 kB; saving every 10**9 steps
     # would take 10**4 rows, about 6 MB
     assert peak < 2**20
+
+
+# -- the trace check per block of steps ------------------------------------
+
+BLOCK_STEP_COUNTS = (master._BLOCK - 1, master._BLOCK, master._BLOCK + 1, 2 * master._BLOCK + 3)
+BLOCK_SAVE_EVERY = (1, 7, master._BLOCK, master._BLOCK + 1, master.MAX_STEPS)
+
+
+@pytest.mark.parametrize("dim", [5, 13])
+@pytest.mark.parametrize("method", ["dense", "matrix_free"])
+def test_block_stepping_is_bit_exact_across_block_boundaries(monkeypatch, dim, method):
+    # at d = 13 the matrix-free path's blocks are capped in bytes below
+    # _BLOCK steps, so both kinds of block end are crossed
+    rng = np.random.default_rng([dim, 17])
+    g = scaled_triple(rng, dim, 2)
+    rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
+    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    dt = 1e-3
+    for n_steps in BLOCK_STEP_COUNTS:
+        for save_every in BLOCK_SAVE_EVERY:
+            res = evolve(g, rho0, n_steps * dt, dt, save_every=save_every)
+            assert res.method == method and res.n_steps == n_steps
+            want = matrix_space_reference(g, rho0, n_steps * dt, dt, save_every, method)
+            got = (res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+            for name, a, b in zip(("times", "rho", "trace_drift", "hermiticity_drift"), got, want):
+                assert np.array_equal(a, b), (n_steps, save_every, name)
+
+
+def test_abort_inside_a_block_matches_matrix_space(monkeypatch):
+    # RK4 at dt = 0.1 amplifies a decay at rate 32 about 1.8-fold per
+    # step; the trace conserved by the map drifts by rounding of the growing
+    # populations, past the threshold near step 40 of 300: strictly inside
+    # the first block, with the steps after it still finite
+    g = qubit_decay(32.0)
+    rho0 = basis_state_density(QUBIT, 1)
+    t_end, dt = 300 * 0.1, 0.1
+    for method in ("dense", "matrix_free"):
+        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        with pytest.raises(StepSizeError) as got:
+            evolve(g, rho0, t_end, dt, save_every=master.MAX_STEPS)
+        with pytest.raises(StepSizeError) as want:
+            matrix_space_reference(g, rho0, t_end, dt, master.MAX_STEPS, method)
+        assert str(got.value) == str(want.value)
+        step = round(float(str(got.value).split(" at t=")[1].split()[0]) / dt)
+        assert 1 < step < master._BLOCK
+
+
+def test_abort_leaks_no_warning_from_steps_past_it(monkeypatch):
+    import warnings
+
+    # the fast blow-up: the drift fails at step 2 with finite values; the
+    # state then grows about 2e9-fold per step, so that steps 3 to 20 stay
+    # finite and steps 3 to 80 overflow, all in the first block
+    a = fock_annihilator(13)
+    g = SLHTriple(((identity(a.space),),), (np.sqrt(80.0) * a,), zero(a.space))
+    rho0 = basis_state_density(a.space, 12)
+    for method in ("dense", "matrix_free"):
+        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        for t_end in (10.0, 40.0):
+            with np.errstate(all="ignore"), pytest.raises(StepSizeError) as want:
+                matrix_space_reference(g, rho0, t_end, 0.5, master.MAX_STEPS, method)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StepSizeError) as got:
+                    evolve(g, rho0, t_end, 0.5, save_every=master.MAX_STEPS)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).endswith(" at t=1 exceeds 1.0e-06; reduce dt")
+
+
+def test_floating_point_errors_before_an_abort_reach_the_caller(monkeypatch):
+    # an overflow at the step that aborts is the caller's to see: under
+    # np.errstate(over="raise") it raises there, as with a check per step
+    a = fock_annihilator(13)
+    g = SLHTriple(((identity(a.space),),), (a,), 1e200 * (a + a.dag()))
+    rho0 = basis_state_density(a.space, 1)
+    for method in ("dense", "matrix_free"):
+        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            matrix_space_reference(g, rho0, 0.01, 1e-3, master.MAX_STEPS, method)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            evolve(g, rho0, 0.01, 1e-3, save_every=master.MAX_STEPS)
+        with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="nan at t=0.001 "):
+            evolve(g, rho0, 0.01, 1e-3, save_every=master.MAX_STEPS)
+
+
+def test_block_buffers_are_capped_in_bytes():
+    import tracemalloc
+
+    # at d = 30 a full block of _BLOCK states would take 7.4 MB; a
+    # final-only run of 600 steps holds at most _BLOCK_BYTES more than a
+    # run of one step
+    rng = np.random.default_rng(30)
+    g = scaled_triple(rng, 30, 1)
+    rho0 = DensityMatrix(g.space, random_density_matrix(rng, 30))
+    peaks = []
+    for n_steps in (1, 600):
+        tracemalloc.start()
+        try:
+            evolve(g, rho0, n_steps * 1e-3, 1e-3, save_every=master.MAX_STEPS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= master._BLOCK_BYTES + 2**16
+
+
+def test_results_record_step_count_and_step():
+    g = qubit_decay(1.0)
+    rho0 = basis_state_density(QUBIT, 1)
+    res = evolve(g, rho0, 0.1, 3e-3)
+    assert res.n_steps == 33 and res.dt_eff == 0.1 / 33
+    zero_run = evolve(g, rho0, 0.0, 1e-3)
+    assert zero_run.n_steps == 0 and zero_run.dt_eff == 1e-3
+    pw = evolve_piecewise([(g, 0.1), (g, 0.05)], rho0, 1e-3)
+    assert pw.n_steps == 150 and pw.dt_eff == evolve(g, rho0, 0.1, 1e-3).dt_eff
+    assert evolve_piecewise([(g, 0.1), (g, 0.1001)], rho0, 1e-3).dt_eff is None
+    empty = evolve_piecewise([], rho0, 1e-3)
+    assert empty.n_steps is None and empty.dt_eff is None
+    fam, split = kerr_family()
+    points = convergence_harness(fam, split, basis_state_density(split.zeno_space, 1), (1.0, 3.0),
+                                 0.01, 1e-3)
+    assert [p.n_steps for p in points] == [10, 90]
