@@ -33,7 +33,6 @@ from .linear import LinearMeanSystem, stability_threshold
 from .master import (
     DensityMatrix,
     StepSizeError,
-    _choose_method,
     basis_state_density,
     convergence_harness,
     evolve,
@@ -254,7 +253,7 @@ def _cmd_check(args) -> int:
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, report)
-        RunManifest.create("check", model_digest(doc), tols).write(_manifest_path(args.out))
+        RunManifest("check", model_digest(doc), tols).write(_manifest_path(args.out))
     return code
 
 
@@ -268,7 +267,7 @@ def _cmd_eliminate(args) -> int:
     result = _eliminate(doc, tols)
     if args.out:
         write_triple_json(args.out, result)
-        RunManifest.create("eliminate", model_digest(doc), tols).write(_manifest_path(args.out))
+        RunManifest("eliminate", model_digest(doc), tols).write(_manifest_path(args.out))
     else:
         print(triple_json(result))
     return EXIT_OK
@@ -290,12 +289,12 @@ def _cmd_evolve(args) -> int:
     timings.lap("run_s")
     write_evolution_csv(args.out, result)
     timings.lap("write_s")
-    RunManifest.create(
+    RunManifest(
         f"evolve --model {args.model}",
         model_digest(doc),
         tols,
         method=result.method,
-        timings=timings,
+        timings=dict(timings),
         n_steps=result.n_steps,
         dt_eff=result.dt_eff,
     ).write(_manifest_path(args.out))
@@ -337,12 +336,12 @@ def _cmd_traj(args) -> int:
             write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
         del runs, r  # free this chunk before the next is simulated
         timings.lap("write_s")
-    RunManifest.create(
+    RunManifest(
         f"traj --scheme {args.scheme} --n {args.n}",
         model_digest(doc),
         tols,
         seed=args.seed,
-        timings=timings,
+        timings=dict(timings),
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 
@@ -361,10 +360,9 @@ def _cmd_converge(args) -> int:
     write_convergence_csv(args.out, points)
     timings.lap("write_s")
     # every k runs the full model, so at one d and on one path
-    method = _choose_method(doc.family.space.dim)
-    RunManifest.create("converge", model_digest(doc), tols, method=method, timings=timings).write(
-        _manifest_path(args.out)
-    )
+    RunManifest(
+        "converge", model_digest(doc), tols, method=points[0].method, timings=dict(timings)
+    ).write(_manifest_path(args.out))
     return EXIT_OK
 
 
@@ -401,8 +399,8 @@ def _cmd_linstab(args) -> int:
         "schur_eigenvalue_margin": report.schur_hurwitz.eigenvalue_margin,
     }
     print(json.dumps(verdict, indent=2, sort_keys=True))
-    RunManifest.create(
-        "linstab", digest_bytes(raw), {}, method=report.method, timings=timings
+    RunManifest(
+        "linstab", digest_bytes(raw), {}, method=report.method, timings=dict(timings)
     ).write(_manifest_path(args.out))
     return EXIT_OK
 

@@ -333,8 +333,8 @@ class SpectrumSplit:
     """Eigenvalues of the cleared generator partitioned into groups.
 
     ``slow[i]`` is the eigenvalue matched to ``slow_reference[i]`` (the
-    spectrum of the Schur complement); ``fast`` holds the remaining m
-    eigenvalues.
+    spectrum of the Schur complement, in ``np.sort_complex`` order);
+    ``fast`` holds the remaining m eigenvalues.
     """
 
     slow: np.ndarray
@@ -347,16 +347,14 @@ def full_spectrum(sys: LinearMeanSystem, k: float) -> SpectrumSplit:
     if k <= 0:
         raise ValueError("k must be positive")
     eigs = _eigvals(sys.generator(k))
-    ref = _eigvals(slow_schur(sys))
+    ref = np.sort_complex(_eigvals(slow_schur(sys)))
     slow = np.empty(len(ref), dtype=complex)
-    # globally greedy nearest matching; r and m are small
-    pairs = sorted(
-        ((abs(eigs[i] - ref[j]), i, j) for i in range(len(eigs)) for j in range(len(ref))),
-        key=lambda t: t[0],
-    )
+    # globally greedy nearest matching, nearest pairs (i, j) first and ties
+    # in row-major order; r and m are small
+    order = np.argsort(np.abs(eigs[:, None] - ref), axis=None, kind="stable")
     used_i: set = set()
     used_j: set = set()
-    for _, i, j in pairs:
+    for i, j in (divmod(f, len(ref)) for f in order.tolist()):
         if i in used_i or j in used_j:
             continue
         slow[j] = eigs[i]
@@ -364,7 +362,7 @@ def full_spectrum(sys: LinearMeanSystem, k: float) -> SpectrumSplit:
         used_j.add(j)
         if len(used_j) == len(ref):
             break
-    fast = np.array([eigs[i] for i in range(len(eigs)) if i not in used_i])
+    fast = np.delete(eigs, list(used_i))
     return SpectrumSplit(slow=slow, fast=fast, slow_reference=ref)
 
 

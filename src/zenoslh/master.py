@@ -38,12 +38,12 @@ stepping in vec space rounds exactly as that would.
 
 The trace drift is checked once per block of steps, not after each
 step.  A block runs up to the next saved step, and at most ``_BLOCK``
-steps, a constant and not a setting.  A vectorized screen over the
-block's diagonals bounds each state's drift, rounding included, and
-only states it does not clear are rechecked with the exact per-step sum.
-Aborts (the step, the drift and the message) and the saved
-``trace_drift`` and ``hermiticity_drift`` are bit-identical to checking
-every step, and no step past an abort leaks a warning.
+steps, a constant and not a setting.  One reduction over a strided view
+of the block's diagonals gives every state's drift, each summed exactly
+as the per-step sum (and ``np.trace``) sums it, so aborts (the step, the
+drift and the message) and the saved ``trace_drift`` and
+``hermiticity_drift`` are bit-identical to checking every step, and no
+step past an abort leaks a warning.
 
 An :class:`EvolutionResult` holds the saved states as one read-only
 array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
@@ -330,6 +330,14 @@ def _run_steps(step_map, perm, v, rows):
     return w, wh
 
 
+def _trace_drift(x, d: int):
+    """|Re tr - 1| of one column-stacked d x d state, or of each row of a
+    stack of them.  The sum runs over a strided view of the diagonal,
+    which numpy reduces in the same order as ``np.trace``; a reduction
+    over a gathered copy of the diagonals can round differently."""
+    return np.abs(np.add.reduce(x[..., :: d + 1], axis=-1).real - 1.0)
+
+
 def _choose_method(d: int) -> str:
     """``"dense"`` or ``"matrix_free"`` for ``evolve`` at dimension d."""
     return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
@@ -358,13 +366,13 @@ def evolve(
     abort threshold, since the drift is a recorded diagnostic.  The result
     records the step count ``n_steps`` and the step ``dt_eff``.
 
-    The drift is checked once per block of steps (see the module
-    docstring); a block holds at most ``_BLOCK_BYTES`` of states, so it
-    is shorter than ``_BLOCK`` at large d.  Floating-point errors that the
-    caller's ``np.errstate`` does not ignore stop a block, which is then
-    replayed one checked step at a time under the caller's handling, so
-    the warnings and errors before an abort are also those of checking
-    every step.
+    The drift is checked once per block of steps, in one exact reduction
+    (see the module docstring); a block holds at most ``_BLOCK_BYTES`` of
+    states, so it is shorter than ``_BLOCK`` at large d.  Floating-point
+    errors that the caller's ``np.errstate`` does not ignore stop a block,
+    which is then replayed one checked step at a time under the caller's
+    handling, so the warnings and errors before an abort are also those of
+    checking every step.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
@@ -399,10 +407,9 @@ def evolve(
             return _rk4_step(terms, m, dt_eff).reshape(-1, order="F")
 
     # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
-    # takes each entry to its transposed one and ``diag`` picks the diagonal
+    # takes each entry to its transposed one
     idx = np.arange(d * d)
     perm = idx // d + (idx % d) * d
-    diag = np.arange(d) * (d + 1)
     n_saved = 1 + -(-n_steps // save_every)
     times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
     rho = np.empty((n_saved, d, d), dtype=complex)
@@ -413,12 +420,12 @@ def evolve(
         # stepping the Hermitian part of rho0 is the same map (the dense
         # path drops the anti-Hermitian part when it re-Hermitizes)
         v = 0.5 * (v + v[perm].conj())
-    tdrift[0] = abs(np.add.reduce(v[diag]).real - 1.0)
+    tdrift[0] = _trace_drift(v, d)
 
     def check(step, state):
         """The trace drift of the state after ``step``; raises beyond the
         abort threshold."""
-        drift = abs(float(np.add.reduce(state[diag]).real) - 1.0)
+        drift = _trace_drift(state, d)
         if not drift <= TRACE_ABORT_TOL:
             raise StepSizeError(
                 f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
@@ -433,11 +440,6 @@ def evolve(
     buf_rows = [list(b) for b in bufs]
     # floating-point errors that the caller does not ignore stop a block
     trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
-    # any order of summing the d real parts of a diagonal, the exact
-    # check's and the screen's alike, is within (d - 1) eps / 2 sum |Re v_ii|
-    # of the true sum; twice their combined bound also covers the
-    # screen's own rounding, so a state the screen clears passes the check
-    margin = 2.0 * d * np.finfo(float).eps
     step, j, b = 0, 0, 0
     while step < n_steps:
         n = min(n_rows, n_steps - step, save_every - step % save_every)
@@ -448,11 +450,10 @@ def evolve(
             else:
                 with np.errstate(**trap):
                     w, wh = _run_steps(step_map, perm, v, rows)
-                    # screen all but the last state; a NaN fails, and only
-                    # the states that fail are checked exactly
-                    x = bufs[b][: n - 1, diag].real
-                    screen = np.abs(x.sum(axis=1) - 1.0) + margin * np.abs(x).sum(axis=1)
-                    for i in np.flatnonzero(~(screen <= TRACE_ABORT_TOL)):
+                    # the drifts of all but the last state; a NaN fails,
+                    # and the first failing state raises
+                    drifts = _trace_drift(bufs[b][: n - 1], d)
+                    for i in np.flatnonzero(~(drifts <= TRACE_ABORT_TOL)):
                         check(step + 1 + i, rows[i])
         except FloatingPointError:
             # replay the block under the caller's error handling, one
@@ -488,7 +489,7 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     """
     times = [np.array([0.0])]
     rho = [rho0.mat[None]]
-    tdrift = [np.array([abs(np.trace(rho0.mat).real - 1.0)])]
+    tdrift = [_trace_drift(rho0.mat.reshape(1, -1), rho0.space.dim)]
     hdrift = [np.array([0.0])]
     state = rho0
     t0 = 0.0
@@ -545,13 +546,15 @@ def trace_distance(a, b) -> float:
 @dataclass(frozen=True)
 class ConvergencePoint:
     """One k of :func:`convergence_harness`; ``n_steps`` is the number of
-    full-model steps of size ``dt_full``."""
+    full-model steps of size ``dt_full`` and ``method`` their stepping
+    path, as :func:`evolve` records them."""
 
     k: float
     distance: float
     leaked_trace: float
     dt_full: float
     n_steps: int | None = None
+    method: str | None = None
 
 
 def convergence_harness(
@@ -601,6 +604,7 @@ def convergence_harness(
                 leaked_trace=leaked,
                 dt_full=dt_k,
                 n_steps=res.n_steps,
+                method=res.method,
             )
         )
     return points

@@ -16,8 +16,7 @@ layouts places them around the decimal point and exponent
 bytes of the CSV lines (`_format_block`, the same text as strings, feeds
 the triple).  The text is exactly that of `repr` on each value, as
 `json` would write it for the triple; tests/test_outputs.py compares
-the two.  Only the triple of a model with a non-finite entry is left to
-`json` whole.
+the two.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "RunManifest",
     "matrix_to_pairs",
     "pairs_to_matrix",
-    "triple_to_jsonable",
     "triple_json",
     "write_triple_json",
     "write_evolution_csv",
@@ -68,43 +66,19 @@ def pairs_to_matrix(pairs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record written next to every artifact."""
+    """Provenance record written next to every artifact; ``timestamp``
+    defaults to the UTC time the record is made."""
 
     command: str
     input_digest: str
     tolerances: dict
-    seed: int | None
-    version: str
-    timestamp: str
+    seed: int | None = None
+    version: str = __version__
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     method: str | None = None
     timings: dict | None = None
     n_steps: int | None = None
     dt_eff: float | None = None
-
-    @classmethod
-    def create(
-        cls,
-        command: str,
-        input_digest: str,
-        tolerances: dict,
-        seed: int | None = None,
-        method: str | None = None,
-        timings: dict | None = None,
-        n_steps: int | None = None,
-        dt_eff: float | None = None,
-    ):
-        return cls(
-            command=command,
-            input_digest=input_digest,
-            tolerances=dict(tolerances),
-            seed=seed,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-            method=method,
-            timings=None if timings is None else dict(timings),
-            n_steps=n_steps,
-            dt_eff=dt_eff,
-        )
 
     def write(self, path):
         write_json(path, asdict(self))
@@ -112,24 +86,6 @@ class RunManifest:
 
 def digest_bytes(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _triple_pairs(result: EliminationResult) -> dict:
-    """The triple's matrices as float arrays of trailing [re, im] pairs."""
-    t = result.zeno_triple
-    mats = {"S": t.s, "L": t.l, "H": t.H.mat, "V_z": result.v_z.cols}
-    return {k: np.stack([m.real, m.imag], -1) for k, m in mats.items()}
-
-
-def _triple_scalars(result: EliminationResult) -> dict:
-    t = result.zeno_triple
-    residuals = {k: float(v) for k, v in result.residuals.items()}
-    return {"channels": t.n, "zeno_dim": t.dim, "residuals": residuals}
-
-
-def triple_to_jsonable(result: EliminationResult) -> dict:
-    pairs = {k: p.tolist() for k, p in _triple_pairs(result).items()}
-    return {**pairs, **_triple_scalars(result)}
 
 
 def write_json(path, payload: dict):
@@ -362,22 +318,20 @@ def _json_nested(leaves: list, shape: tuple) -> str:
 
 
 def triple_json(result: EliminationResult) -> str:
-    """``json.dumps(triple_to_jsonable(result), indent=2, sort_keys=True)``.
-
-    The matrices' floats go through `_format_block`; with a non-finite
-    entry (which `json` spells ``NaN`` or ``Infinity``) the whole text
-    comes from `json`.
-    """
-    pairs = _triple_pairs(result)
-    if not all(np.isfinite(p).all() for p in pairs.values()):
-        return json.dumps(triple_to_jsonable(result), indent=2, sort_keys=True)
+    """The triple as ``json.dumps(indent=2, sort_keys=True)`` writes it, its
+    matrices as nested [re, im] pairs; their floats, all finite (triples
+    reject non-finite entries), go through `_format_block`."""
+    t = result.zeno_triple
+    mats = {"S": t.s, "L": t.l, "H": t.H.mat, "V_z": result.v_z.cols}
+    pairs = {k: np.stack([m.real, m.imag], -1) for k, m in mats.items()}
     # one kernel call for all four matrices: it has a fixed cost per call
     texts = _format_block(np.concatenate([p.reshape(-1) for p in pairs.values()])[None])[0]
     parts, start = {}, 0
     for k, p in pairs.items():
         parts[k] = _json_nested(texts[start : start + p.size], p.shape)
         start += p.size
-    for k, v in _triple_scalars(result).items():
+    residuals = {k: float(v) for k, v in result.residuals.items()}
+    for k, v in {"channels": t.n, "zeno_dim": t.dim, "residuals": residuals}.items():
         parts[k] = json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
     body = ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in sorted(parts.items()))
     return "{\n" + body + "\n}"

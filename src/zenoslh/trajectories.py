@@ -46,7 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _StateViews
-from .master import _dissipator_mat, _dissipator_terms
+from .master import _dissipator_mat, _dissipator_terms, _trace_drift
 from .operators import HilbertSpace
 from .slh import SLHTriple
 
@@ -302,7 +302,7 @@ def ensemble_mean(results) -> EvolutionResult:
         np.array(times),
         results[0].space,
         rho,
-        np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0),
+        _trace_drift(rho.reshape(len(rho), -1), rho.shape[-1]),
         np.zeros(len(times)),
         trace_tol=TrajectoryResult.trace_tol,
     )

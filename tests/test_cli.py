@@ -9,7 +9,7 @@ import pytest
 
 import zenoslh
 from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
-from zenoslh import cli
+from zenoslh import cli, master
 from zenoslh.cli import main
 from zenoslh.operators import Operator
 from zenoslh.outputs import pairs_to_matrix, write_trajectory_csv
@@ -363,6 +363,24 @@ def test_evolve_and_converge_manifests_record_steps_and_method(tmp_path):
     manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
     assert manifest["method"] == "dense"
     assert manifest["n_steps"] is None and manifest["dt_eff"] is None
+
+
+def test_converge_manifest_method_is_that_of_its_runs(tmp_path, monkeypatch):
+    points = []
+    harness = cli.convergence_harness
+
+    def recorded(*args, **kwargs):
+        points.extend(harness(*args, **kwargs))
+        return points
+
+    monkeypatch.setattr(cli, "convergence_harness", recorded)
+    # a path the dimension rule would not pick, so the manifest can only
+    # have read it from the runs
+    monkeypatch.setattr(master, "_choose_method", lambda d: "matrix_free")
+    out = tmp_path / "c.csv"
+    assert main(["converge", KERR, "--ks", "2,4", "--t-end", "0.01", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    assert manifest["method"] == points[0].method == "matrix_free"
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,21 @@ def test_slow_schur_eigenvalues_match_large_k():
     assert rel < 1e-3
 
 
+def test_full_spectrum_slow_reference_is_sort_complex_ordered():
+    rng = np.random.default_rng(49)
+    # complex blocks (zgeev) and real ones above N = 12 (dgeev, conjugate pairs)
+    for r, m, part in ((3, 2, random_complex_matrix), (7, 7, lambda g, *s: g.standard_normal(s))):
+        sys_ = LinearMeanSystem(
+            part(rng, r, r) - 2 * np.eye(r),
+            part(rng, r, m),
+            part(rng, m, r),
+            part(rng, m, m) - 3 * np.eye(m),
+        )
+        for k in (1.0, 10.0, 100.0):
+            ref = full_spectrum(sys_, k).slow_reference
+            assert np.array_equal(ref, np.sort_complex(ref))
+
+
 def test_full_spectrum_block_triangular_exact():
     rng = np.random.default_rng(48)
     g1 = random_complex_matrix(rng, 2) - 2 * np.eye(2)

@@ -631,6 +631,21 @@ def test_floating_point_errors_before_an_abort_reach_the_caller(monkeypatch):
             evolve(g, rho0, 0.01, 1e-3, save_every=master.MAX_STEPS)
 
 
+def test_block_trace_drift_is_each_states_np_trace_drift_bit_for_bit():
+    """One reduction over a block's rows gives each state's drift exactly as
+    ``np.trace`` of its d x d matrix does, at every d evolve's blocks hold."""
+    rng = np.random.default_rng(40)
+    for d in [*range(1, 41), 64, 150]:
+        n = 5 if d > 40 else 37
+        x = rng.standard_normal((n, d * d)) + 1j * rng.standard_normal((n, d * d))
+        x *= 10.0 ** rng.uniform(-12, 4, (n, d * d))  # mixed magnitudes
+        # the later rows' traces near 1
+        x[n // 2 :, :: d + 1] = (1.0 + 1e-7 * rng.standard_normal((n - n // 2, d))) / d
+        want = [abs(np.trace(row.reshape((d, d), order="F")).real - 1.0) for row in x]
+        assert np.array_equal(master._trace_drift(x, d), want), d
+        assert [master._trace_drift(row, d) for row in x] == want, d
+
+
 def test_block_buffers_are_capped_in_bytes():
     import tracemalloc
 
