@@ -5,7 +5,8 @@ Each example runs in-process through ``zenoslh.cli.main`` inside a fresh
 temporary directory, with shorter horizons and fewer trajectories than
 the README where the full run would take minutes.  Besides the CSVs of
 evolve, traj, converge and linstab, ``eliminate <model> --out <name>.json``
-runs on each shipped model.  One line per CSV or limit-triple JSON,
+and ``check <model> --out <name>_check.json`` run on each shipped model.
+One line per CSV, limit-triple JSON or check report,
 ``<sha256>  <path relative to the output directory>``, sorted by path.
 Manifests carry a timestamp and are not digested.
 
@@ -72,6 +73,9 @@ def examples(models: Path):
         ["eliminate", kerr, "--out", "kerr_qubit.json"],
         ["eliminate", lam, "--out", "lambda_system.json"],
         ["eliminate", alkali, "--out", "alkali.json"],
+        ["check", kerr, "--out", "kerr_qubit_check.json"],
+        ["check", lam, "--out", "lambda_system_check.json"],
+        ["check", alkali, "--out", "alkali_check.json"],
     ]
 
 

@@ -1,11 +1,12 @@
 """Command-line driver.
 
 Subcommands: check, eliminate, evolve, traj, converge, linstab.
-Exit codes: 0 success, 1 usage or parse errors and runs that do not fit
-in memory, 2 condition violations (e.g. a model that is not zenofiable,
-or a singular fast block).
+Exit codes: 0 success, 1 usage or parse errors (a gamma file whose blocks
+do not fit among them) and runs that do not fit in memory, 2 condition
+violations (e.g. a model that is not zenofiable, or a singular fast block).
 The environment variable ZENOSLH_TOL overrides the default condition
-tolerances.
+tolerances.  It, each ``--*-tol`` flag and ``--seed`` must be finite and
+nonnegative; anything else exits 1 before any output.
 """
 
 from __future__ import annotations
@@ -68,29 +69,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_tol() -> float | None:
-    raw = os.environ.get("ZENOSLH_TOL")
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ModelParseError(f"ZENOSLH_TOL is not a number: {raw!r}") from None
-
-
 def _tolerances(args) -> dict:
-    base = _env_tol()
-
-    def pick(flag, default):
+    """The condition tolerances: each ``--*-tol`` flag, else ZENOSLH_TOL,
+    else the library default."""
+    tols = {"scaling": SCALING_TOL, "kernel": KERNEL_TOL_SIGMA, "decoupling": DECOUPLING_TOL}
+    raw = os.environ.get("ZENOSLH_TOL")
+    if raw is not None:
+        try:
+            base = float(raw)
+        except ValueError:
+            base = math.nan  # rejected below with the other bad values
+        if not (math.isfinite(base) and base >= 0):
+            raise ModelParseError(f"ZENOSLH_TOL must be finite and nonnegative, got {raw!r}")
+        tols = dict.fromkeys(tols, base)
+    for name in tols:
+        flag = getattr(args, f"{name}_tol")
         if flag is not None:
-            return flag
-        return base if base is not None else default
-
-    return {
-        "scaling": pick(args.scaling_tol, SCALING_TOL),
-        "kernel": pick(args.kernel_tol, KERNEL_TOL_SIGMA),
-        "decoupling": pick(args.decoupling_tol, DECOUPLING_TOL),
-    }
+            tols[name] = flag
+    return tols
 
 
 def _tol_kwargs(tols: dict) -> dict:
@@ -99,9 +95,8 @@ def _tol_kwargs(tols: dict) -> dict:
 
 
 def _add_tol_flags(p):
-    p.add_argument("--scaling-tol", type=float, default=None)
-    p.add_argument("--kernel-tol", type=float, default=None)
-    p.add_argument("--decoupling-tol", type=float, default=None)
+    for name in ("scaling", "kernel", "decoupling"):
+        p.add_argument(f"--{name}-tol", type=float, default=None)
 
 
 # numeric flags checked at the argv boundary, as (attribute, flag, whether 0
@@ -111,6 +106,10 @@ _NUMBER_FLAGS = (
     ("dt", "--dt", False),
     ("k", "--k", False),
     ("ks", "--ks", False),
+    ("scaling_tol", "--scaling-tol", True),
+    ("kernel_tol", "--kernel-tol", True),
+    ("decoupling_tol", "--decoupling-tol", True),
+    ("seed", "--seed", True),
 )
 
 
@@ -244,12 +243,6 @@ def _cmd_check(args) -> int:
         report["message"] = str(e)
         report["residuals"] = {k: float(v) for k, v in e.residuals.items()}
         code = EXIT_VIOLATION
-    except ValueError as e:  # e.g. trivial kernel in auto subspace discovery
-        report["zenofiable"] = False
-        report["failed_condition"] = "KernelViolation"
-        report["message"] = str(e)
-        report["residuals"] = {}
-        code = EXIT_VIOLATION
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, report)
@@ -366,8 +359,8 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _gamma_blocks(raw: bytes) -> list:
-    """Gamma1..Gamma4 of a gamma file as complex matrices."""
+def _gamma_system(raw: bytes) -> LinearMeanSystem:
+    """The block system of a gamma file's Gamma1..Gamma4."""
     names = ("Gamma1", "Gamma2", "Gamma3", "Gamma4")
     try:
         data = json.loads(raw)
@@ -375,7 +368,7 @@ def _gamma_blocks(raw: bytes) -> list:
         for name, v in zip(names, values):
             if not np.isfinite(v).all():  # json reads NaN, Infinity and 1e400
                 raise ModelParseError(f"{name}: value is not finite")
-        return [pairs_to_matrix(v) for v in values]
+        return LinearMeanSystem(*(pairs_to_matrix(v) for v in values))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise ModelParseError(f"gamma file: {e}") from None
 
@@ -383,7 +376,7 @@ def _gamma_blocks(raw: bytes) -> list:
 def _cmd_linstab(args) -> int:
     timings = _Timings()
     raw = Path(args.gamma_file).read_bytes()
-    system = LinearMeanSystem(*_gamma_blocks(raw))
+    system = _gamma_system(raw)
     timings.lap("model_s")
     report = stability_threshold(system, args.ks)
     timings.lap("run_s")

@@ -24,6 +24,9 @@ closes on the Zeno subspace:
 3. decoupling: the limit scattering has no Zeno-fast blocks and the limit
                couplings do not map the Zeno subspace into the fast one.
 
+A NaN residual or tolerance fails its condition.  A failed condition
+raises a :class:`ZenofiabilityError`, which is a ValueError.
+
 When all three hold, the limit model on the Zeno subspace is
 
     S_hat_ab = (delta_ac + L1_af (1/A_ff) L1_cf^H) S_cb   (sum over c, channels)
@@ -97,7 +100,7 @@ DECOUPLING_TOL = 1e-9
 CONDITION_NUMBER_GUARD = 1e12
 
 
-class ZenofiabilityError(Exception):
+class ZenofiabilityError(ValueError):
     """A zenofiability condition failed for the supplied split."""
 
     def __init__(self, message: str, residual: float, residuals: dict | None = None):
@@ -256,15 +259,13 @@ def check_scaling(family: ScaledSLHFamily, split: ZenoSplit) -> float:
     the kernel condition this enforces the block structure of A and M.
     """
     pz = split.v_z.projector()
-    worst = 0.0
-    l1 = family.l1 @ pz
-    h1 = pz @ family.H1.mat @ pz
-    h2_rows = pz @ family.H2.mat
-    h2_cols = family.H2.mat @ pz
-    for m in (l1, h1, h2_rows, h2_cols):
-        if m.size:
-            worst = max(worst, float(np.max(np.abs(m))))
-    return worst
+    h1, h2 = family.H1.mat, family.H2.mat
+    return _max_abs(family.l1 @ pz, pz @ h1 @ pz, pz @ h2, h2 @ pz)
+
+
+def _max_abs(*arrays) -> float:
+    """Largest |entry| of ``arrays``, 0.0 if all are empty; NaN propagates."""
+    return float(np.max([0.0, *(np.max(np.abs(m)) for m in arrays if m.size)]))
 
 
 def check_kernel(expansion: KExpansion, split: ZenoSplit) -> float:
@@ -374,14 +375,9 @@ def check_decoupling(hats: HatOperators) -> float:
     """Largest entry of the Zeno-fast scattering blocks and fast couplings."""
     split = hats.split
     vz, vf = split.v_z.cols, split.v_f.cols
-    worst = 0.0
-    zf = vz.conj().T @ hats.s @ vf
-    fz = vf.conj().T @ hats.s @ vz
-    lf = vf.conj().T @ hats.l @ vz
-    for m in (zf, fz, lf):
-        if m.size:
-            worst = max(worst, float(np.max(np.abs(m))))
-    return worst
+    return _max_abs(
+        vz.conj().T @ hats.s @ vf, vf.conj().T @ hats.s @ vz, vf.conj().T @ hats.l @ vz
+    )
 
 
 def zeno_eliminate(
@@ -402,14 +398,19 @@ def zeno_eliminate(
     :func:`find_zeno_subspace` to discover the aligned split.
     """
     residuals: dict = {}
+
+    def require(passed, violation, message, residual):
+        if not passed:
+            raise violation(message, residual=residual, residuals=residuals)
+
     s_res = check_scaling(family, split)
     residuals["scaling_residual"] = s_res
-    if s_res >= scaling_tol:
-        raise ScalingViolation(
-            f"scaling condition violated (residual {s_res:.3e} >= {scaling_tol:.1e})",
-            residual=s_res,
-            residuals=residuals,
-        )
+    require(
+        s_res < scaling_tol,
+        ScalingViolation,
+        f"scaling condition violated (residual {s_res:.3e} >= {scaling_tol:.1e})",
+        s_res,
+    )
 
     exp = expand_k(family)
     align = kernel_alignment(exp, split)
@@ -418,30 +419,30 @@ def zeno_eliminate(
     sigma_min = _sigma_min(blocks[1])
     residuals["kernel_min_singular_value"] = sigma_min
     residuals["kernel_alignment"] = align
-    if align >= kernel_tol:
-        raise KernelViolation(
-            "Zeno subspace is not contained in the kernel of the k^2 drift "
-            f"coefficient (|A V_z| = {align:.3e} >= {kernel_tol:.1e})",
-            residual=align,
-            residuals=residuals,
-        )
-    if sigma_min <= kernel_tol:
-        raise KernelViolation(
-            "kernel of the k^2 drift coefficient is larger than the Zeno subspace "
-            f"(sigma_min(A_ff) = {sigma_min:.3e} <= {kernel_tol:.1e})",
-            residual=sigma_min,
-            residuals=residuals,
-        )
+    require(
+        align < kernel_tol,
+        KernelViolation,
+        "Zeno subspace is not contained in the kernel of the k^2 drift "
+        f"coefficient (|A V_z| = {align:.3e} >= {kernel_tol:.1e})",
+        align,
+    )
+    require(
+        sigma_min > kernel_tol,
+        KernelViolation,
+        "kernel of the k^2 drift coefficient is larger than the Zeno subspace "
+        f"(sigma_min(A_ff) = {sigma_min:.3e} <= {kernel_tol:.1e})",
+        sigma_min,
+    )
 
     hats = _hat_operators(family, split, *blocks, residuals=residuals)
     d_res = check_decoupling(hats)
     residuals["decoupling_residual"] = d_res
-    if d_res >= decoupling_tol:
-        raise DecouplingViolation(
-            f"decoupling condition violated (residual {d_res:.3e} >= {decoupling_tol:.1e})",
-            residual=d_res,
-            residuals=residuals,
-        )
+    require(
+        d_res < decoupling_tol,
+        DecouplingViolation,
+        f"decoupling condition violated (residual {d_res:.3e} >= {decoupling_tol:.1e})",
+        d_res,
+    )
 
     v_z = split.v_z
     triple = SLHTriple(v_z.compress_mat(hats.s), v_z.compress_mat(hats.l), hats.h_zeno)
@@ -452,17 +453,18 @@ def find_zeno_subspace(family: ScaledSLHFamily) -> ZenoSplit:
     """Compute the split from the kernel of the k^2 drift coefficient.
 
     The kernel basis is canonicalized, so kernels aligned with the
-    computational basis come back as exact basis vectors.
+    computational basis come back as exact basis vectors.  A trivial or full
+    kernel raises :class:`KernelViolation`, its ``residual`` the dimension.
     """
     v_z = kernel_basis(_k_quadratic(family))
     d = v_z.subspace_dim
     if d == 0:
-        raise ValueError(
-            "the k^2 drift coefficient has a trivial kernel; no Zeno subspace exists"
+        raise KernelViolation(
+            "the k^2 drift coefficient has a trivial kernel; no Zeno subspace exists", d
         )
     if d == family.dim:
-        raise ValueError(
-            "the k^2 drift coefficient vanishes; there is no fast subspace to eliminate"
+        raise KernelViolation(
+            "the k^2 drift coefficient vanishes; there is no fast subspace to eliminate", d
         )
     return ZenoSplit.from_zeno(v_z)
 

@@ -84,6 +84,8 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.measured_channel < 0:
             raise ValueError("measured_channel must be a nonnegative index")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def n_steps(self) -> int:

@@ -607,3 +607,82 @@ def test_linstab_manifest_records_method_and_timings(tmp_path):
     assert manifest["method"] == "complex"  # r + m = 3 is below the real-arithmetic cut-off
     assert set(manifest["timings"]) == {"model_s", "run_s", "write_s"}
     assert all(isinstance(v, float) and v >= 0 for v in manifest["timings"].values())
+
+
+def _broken_kerr(tmp_path):
+    """The Kerr model with a k-linear coupling that has a Zeno column,
+    which fails the scaling condition."""
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["family"]["L1"] = ["a", "0"]
+    path = tmp_path / "broken.model"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "tight"])
+def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, monkeypatch, capsys, value):
+    # a NaN tolerance once passed every condition: check reported this
+    # broken model as zenofiable and eliminate printed a limit triple
+    model = _broken_kerr(tmp_path)
+    monkeypatch.setenv("ZENOSLH_TOL", value)
+    for command in ("check", "eliminate"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(model), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"zenoslh: ZENOSLH_TOL must be finite and nonnegative, got {value!r}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--scaling-tol", "--kernel-tol", "--decoupling-tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys, flag, value):
+    model = _broken_kerr(tmp_path)
+    out = tmp_path / "r.json"
+    assert main(["check", str(model), flag, value, "--out", str(out)]) == 1
+    assert f"{flag} must be finite and nonnegative, got {float(value)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_traj_negative_seed_exits_one_before_any_output(tmp_path, capsys):
+    # numpy once rejected the seed with exit 2, after the directory was made
+    out_dir = tmp_path / "runs"
+    argv = ["traj", KERR, "--scheme", "homodyne", "--seed", "-1", "--out-dir", str(out_dir)]
+    assert main(argv) == 1
+    assert "--seed must be finite and nonnegative, got -1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_linstab_mismatched_blocks_exit_one(tmp_path, capsys):
+    # Gamma2 must be r x m = 2 x 1; a 1 x 3 block is an input error, not a
+    # condition violation
+    gamma = tmp_path / "g.json"
+    doc = json.loads((MODELS / "oscillator_pair.gamma.json").read_text())
+    doc["Gamma2"] = [[0.3, 0.1, 0.2]]
+    gamma.write_text(json.dumps(doc))
+    out = tmp_path / "k.csv"
+    assert main(["linstab", str(gamma), "--ks", "1,2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("zenoslh: gamma file: off-diagonal blocks must be ")
+    assert not out.exists()
+
+
+def test_check_trivial_kernel_auto_subspace_report(tmp_path, capsys):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["family"]["H2"] = "identity(mode)"
+    doc["subspace"] = "auto"
+    model = tmp_path / "trivial.model"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["check", str(model), "--out", str(out)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(out.read_text())
+    assert report["zenofiable"] is False
+    assert report["failed_condition"] == "KernelViolation"
+    assert report["message"] == (
+        "the k^2 drift coefficient has a trivial kernel; no Zeno subspace exists"
+    )
+    assert report["residuals"] == {}
+    assert main(["eliminate", str(model)]) == 2
+    assert capsys.readouterr().err == (
+        "zenoslh: KernelViolation: the k^2 drift coefficient has a trivial kernel; "
+        "no Zeno subspace exists\n"
+    )

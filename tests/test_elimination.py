@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -523,3 +525,40 @@ def test_block_structure_of_expansion_after_conditions():
     m_zz = block_split(exp.linear, split)[0]
     for blk in (a_zz, a_zf, a_fz, m_zz):
         assert entrymax(blk) < 1e-12
+
+
+def test_nan_tolerances_fail_every_condition():
+    # every condition is the comparison that must hold, so a NaN tolerance
+    # fails the first one instead of passing all four
+    sp = HilbertSpace((3,))
+    split = ZenoSplit.from_indices(sp, [0])
+    fam = ScaledSLHFamily(
+        ((identity(sp),),), (identity(sp),), (zero(sp),),
+        zero(sp), zero(sp), zero(sp),
+    )
+    nan = float("nan")
+    with pytest.raises(ScalingViolation):
+        zeno_eliminate(fam, split, scaling_tol=nan, kernel_tol=nan, decoupling_tol=nan)
+    fam_k, split_k = kerr_family()
+    with pytest.raises(KernelViolation):
+        zeno_eliminate(fam_k, split_k, kernel_tol=nan)
+    with pytest.raises(DecouplingViolation):
+        zeno_eliminate(fam_k, split_k, decoupling_tol=nan)
+
+
+def test_residuals_propagate_nan():
+    fam, split = kerr_family()
+    hats = hat_operators(fam, split)
+    s = hats.s.copy()
+    s[0, 0, 0, -1] = np.nan  # a Zeno-fast scattering entry
+    assert np.isnan(check_decoupling(replace(hats, s=s)))
+
+
+def test_find_zeno_subspace_kernel_violation_carries_the_dimension():
+    sp = HilbertSpace((3,))
+    for h2, dim in ((identity(sp), 0), (zero(sp), 3)):
+        fam = ScaledSLHFamily(((identity(sp),),), (zero(sp),), (zero(sp),), h2, zero(sp), zero(sp))
+        with pytest.raises(KernelViolation) as err:
+            find_zeno_subspace(fam)
+        assert err.value.residual == dim
+        assert err.value.residuals == {}

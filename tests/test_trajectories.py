@@ -452,3 +452,8 @@ def test_homodyne_nan_state_is_a_step_size_error():
         simulate(g, rho0, cfg)
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match=match):
         simulate_ensemble(g, rho0, cfg, 4)
+
+
+def test_simconfig_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        SimConfig(dt=0.01, t_end=1.0, seed=-1)
