@@ -67,6 +67,11 @@ def examples(models: Path):
          "--initial", "basis:1", "--t-end", "0.5", "--out-dir", "runs_homodyne"],
         ["traj", kerr, "--scheme", "counting", "--seed", "0", "--n", "10",
          "--initial", "basis:1", "--out-dir", "runs_counting"],
+        # t_end / dt = 2.5 rounds to 2 steps of 0.009765625, not dt
+        ["evolve", kerr, "--t-end", "0.01953125", "--dt", "0.0078125", "--initial", "basis:1",
+         "--out", "rounded_grid.csv"],
+        ["traj", kerr, "--scheme", "homodyne", "--seed", "5", "--n", "2", "--t-end",
+         "0.01953125", "--dt", "0.0078125", "--initial", "basis:1", "--out-dir", "runs_rounded"],
         ["converge", kerr, "--ks", "2,5,10,20", "--t-end", "0.2", "--initial", "basis:1",
          "--out", "conv.csv"],
         ["linstab", gamma, "--ks", "1,5,10,50", "--out", "stab.csv"],

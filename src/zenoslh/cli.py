@@ -314,7 +314,6 @@ def _cmd_traj(args) -> int:
         scheme=args.scheme,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings.lap("model_s")
     # members run in chunks of about TRAJ_CHUNK_BYTES of states, and each
     # chunk is written before the next is simulated; a chunk starting at
@@ -325,6 +324,7 @@ def _cmd_traj(args) -> int:
             g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
         )
         timings.lap("run_s")
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a chunk has run
         for i, r in enumerate(runs, start):
             write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
         del runs, r  # free this chunk before the next is simulated
@@ -335,6 +335,8 @@ def _cmd_traj(args) -> int:
         tols,
         seed=args.seed,
         timings=dict(timings),
+        n_steps=config.n_steps,
+        dt_eff=config.t_end / config.n_steps,
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 

@@ -216,16 +216,19 @@ class EliminationResult:
     residuals: dict
 
 
-def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
-    """Concrete SLH triple at coupling strength k > 0.
-
-    Raises ValueError for a k whose square is not a finite float.
-    """
+def _coupling(k) -> float:
+    """k as a float; ValueError unless k > 0 and k**2 is a finite float."""
     k = float(k)
     if k <= 0:
         raise ValueError(f"scaling parameter must be positive, got {k}")
     if not math.isfinite(k * k):
         raise ValueError(f"k = {k!r}: k**2 is not a finite float")
+    return k
+
+
+def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
+    """Concrete SLH triple at coupling strength k; ValueError unless k > 0, k**2 finite."""
+    k = _coupling(k)
     l = family.l1 * complex(k) + family.l0
     h = (k * k) * family.H2 + k * family.H1 + family.H0
     return SLHTriple(family.s, l, h)

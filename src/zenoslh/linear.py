@@ -47,12 +47,11 @@ and ``StabilityReport.method`` names it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import ScaledSLHFamily
+from .elimination import CONDITION_NUMBER_GUARD, ScaledSLHFamily, _coupling
 from .operators import HilbertSpace, Operator, ZenoSplit, _Immutable, fock_annihilator
 from .slh import SLHTriple, _adjoint, _channel_sum, _opmul, _stack
 
@@ -72,7 +71,6 @@ __all__ = [
     "stability_threshold",
 ]
 
-_COND_GUARD = 1e12
 # eigenproblems up to this size run in complex arithmetic even when real,
 # which keeps the digested linstab outputs (N = r + m = 3) byte-identical;
 # 12 is the largest N the digests cover
@@ -141,8 +139,9 @@ class OscillatorModelCoeffs(_Immutable):
 
 
 def _check_invertible(a: np.ndarray, what: str):
-    if a.size and np.linalg.cond(a) > _COND_GUARD:
-        raise ValueError(f"{what} is numerically singular (condition number > {_COND_GUARD:.0e})")
+    if a.size and np.linalg.cond(a) > CONDITION_NUMBER_GUARD:
+        guard = f"condition number > {CONDITION_NUMBER_GUARD:.0e}"
+        raise ValueError(f"{what} is numerically singular ({guard})")
 
 
 def _pair_sum(terms: np.ndarray) -> np.ndarray:
@@ -316,7 +315,8 @@ class LinearMeanSystem(_Immutable):
         return self.fast_block.shape[0]
 
     def generator(self, k: float) -> np.ndarray:
-        kk = float(k) ** 2
+        """[[G1, G2], [k^2 G3, k^2 G4]]; ValueError unless k > 0 and k**2 is finite."""
+        kk = _coupling(k) ** 2
         return np.block(
             [[self.slow_block, self.slow_fast], [kk * self.fast_slow, kk * self.fast_block]]
         )
@@ -343,9 +343,7 @@ class SpectrumSplit:
 
 
 def full_spectrum(sys: LinearMeanSystem, k: float) -> SpectrumSplit:
-    """Spectrum of [[G1, G2], [k^2 G3, k^2 G4]], matched against sigma(Gamma0)."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    """Spectrum of generator(k) matched to sigma(Gamma0); ValueError unless k > 0, k**2 finite."""
     eigs = _eigvals(sys.generator(k))
     ref = np.sort_complex(_eigvals(slow_schur(sys)))
     slow = np.empty(len(ref), dtype=complex)
@@ -399,12 +397,9 @@ class StabilityReport:
 def stability_threshold(sys: LinearMeanSystem, k_grid) -> StabilityReport:
     """Sweep the spectral abscissa over a k grid and cross-check the criterion.
 
-    Raises ValueError for a k whose square is not a finite float.
+    Raises ValueError unless every k > 0 and k**2 is a finite float.
     """
-    ks = sorted(float(k) for k in k_grid)
-    for k in ks:
-        if not math.isfinite(k * k):
-            raise ValueError(f"k = {k!r}: k**2 is not a finite float")
+    ks = sorted(_coupling(k) for k in k_grid)
     gamma0 = slow_schur(sys)
     method = _arithmetic(
         sys.r + sys.m, sys.slow_block, sys.slow_fast, sys.fast_slow, sys.fast_block

@@ -96,8 +96,8 @@ __all__ = [
 ]
 
 TRACE_ABORT_TOL = 1e-6
-# largest step count of ``evolve``: up to 2**53 every step index is exact as
-# a float, so ``step * dt_eff`` (saved times, abort messages) is one rounding
+# largest step count of ``_step_grid``: up to 2**53 every step index is exact
+# as a float, so ``step * dt_eff`` (saved times, abort messages) is one rounding
 # from the true time
 MAX_STEPS = 2**53
 
@@ -343,6 +343,25 @@ def _choose_method(d: int) -> str:
     return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
 
 
+def _step_grid(t_end: float, dt: float):
+    """(n_steps, dt_eff): round(t_end / dt) steps, at least one when t_end > 0,
+    of t_end / n_steps (dt without steps); at most ``MAX_STEPS``, else ValueError."""
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"step count t_end / dt = {t_end / dt} is not finite")
+    n_steps = max(0, int(round(t_end / dt)))
+    if t_end > 0 and n_steps == 0:
+        n_steps = 1
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"step count {n_steps} exceeds 2**53; increase dt")
+    return n_steps, t_end / n_steps if n_steps else dt
+
+
 def evolve(
     g: SLHTriple,
     rho0: DensityMatrix,
@@ -353,8 +372,7 @@ def evolve(
 ) -> EvolutionResult:
     """Integrate d rho / dt = D rho with fixed-step 4th-order stepping.
 
-    The number of steps is round(t_end / dt) and the step is adjusted to
-    hit t_end exactly; more than ``MAX_STEPS`` steps raise ValueError.
+    The steps are those of ``_step_grid``, which hit t_end exactly.
     The step is applied densely or matrix-free, as ``_choose_method``
     picks (see the module docstring), and the result's ``method`` records
     which.  States are re-Hermitized each step; trace drift beyond
@@ -374,22 +392,9 @@ def evolve(
     handling, so the warnings and errors before an abort are also those of
     checking every step.
     """
-    if not (math.isfinite(t_end) and math.isfinite(dt)):
-        raise ValueError(f"t_end and dt must be finite, got t_end={t_end}, dt={dt}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if not math.isfinite(t_end / dt):
-        raise ValueError(f"step count t_end / dt = {t_end / dt} is not finite")
+    n_steps, dt_eff = _step_grid(t_end, dt)
     if rho0.space != g.space:
         raise ValueError("initial state lives on a different space than the model")
-    n_steps = max(0, int(round(t_end / dt)))
-    if t_end > 0 and n_steps == 0:
-        n_steps = 1
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"step count {n_steps} exceeds 2**53; increase dt")
-    dt_eff = t_end / n_steps if n_steps else dt
     save_every = max(1, int(save_every))
 
     d = g.dim

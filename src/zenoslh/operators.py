@@ -127,9 +127,6 @@ class Operator(_Immutable):
     def dag(self) -> "Operator":
         return Operator(self.space, self.mat.conj().T)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def _check_space(self, other: "Operator"):
         if self.space != other.space:
             raise ValueError(f"space mismatch: {self.space} vs {other.space}")

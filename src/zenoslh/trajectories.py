@@ -46,7 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _StateViews
-from .master import _dissipator_mat, _dissipator_terms, _trace_drift
+from .master import _dissipator_mat, _dissipator_terms, _step_grid, _trace_drift
 from .operators import HilbertSpace
 from .slh import SLHTriple
 
@@ -69,7 +69,7 @@ _SCHEMES = ("homodyne", "counting")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Step size, horizon, measured channel, seed and scheme."""
+    """Step size, horizon, channel, seed, scheme; a grid evolve rejects raises ValueError."""
 
     dt: float
     t_end: float
@@ -86,10 +86,11 @@ class SimConfig:
             raise ValueError("measured_channel must be a nonnegative index")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _step_grid(self.t_end, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_end / self.dt)))
+        return _step_grid(self.t_end, self.dt)[0]
 
 
 @dataclass(frozen=True)
@@ -237,8 +238,7 @@ def simulate_ensemble(
     if rho0.space != g.space:
         raise ValueError("initial state lives on a different space than the model")
     ops = _Ops(g, config.measured_channel)
-    n = config.n_steps
-    dt = config.t_end / n
+    n, dt = _step_grid(config.t_end, config.dt)
     homodyne = config.scheme == "homodyne"
     rngs = [np.random.default_rng(config.seed + i) for i in range(members)]
     draws = np.array(

@@ -686,3 +686,59 @@ def test_check_trivial_kernel_auto_subspace_report(tmp_path, capsys):
         "zenoslh: KernelViolation: the k^2 drift coefficient has a trivial kernel; "
         "no Zeno subspace exists\n"
     )
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        ("1e300", "1e-300", "step count t_end / dt = inf is not finite"),
+        ("1e17", "1e-3", "step count 100000000000000000000 exceeds 2**53; increase dt"),
+    ],
+)
+def test_traj_grid_that_cannot_be_stepped_exits_two_without_output(tmp_path, capsys, t_end,
+                                                                   dt, message):
+    # the first once died in an OverflowError traceback, the second in numpy's
+    # "Maximum allowed dimension exceeded"
+    out_dir = tmp_path / "r"
+    argv = ["traj", KERR, "--scheme", "homodyne", "--t-end", t_end, "--dt", dt,
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"zenoslh: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_traj_that_cannot_fit_in_memory_leaves_no_out_dir(tmp_path):
+    # 1e12 homodyne steps ask for 7.28 TiB before the first chunk runs
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    argv = ["traj", KERR, "--scheme", "homodyne", "--t-end", "1e9", "--dt", "1e-3",
+            "--out-dir", str(tmp_path / "r")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, str(1536 * 2**20), *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "1"
+    assert proc.stderr.startswith("zenoslh: out of memory: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_traj_jump_guard_leaves_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "r"
+    argv = ["traj", KERR, "--scheme", "counting", "--dt", "0.9", "--t-end", "1",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert "reduce dt" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_traj_manifest_records_its_step_grid(tmp_path):
+    # 0.01953125 / 0.0078125 = 2.5 rounds to 2 steps, as evolve rounds it
+    argv = ["traj", KERR, "--scheme", "homodyne", "--n", "1", "--t-end", "0.01953125",
+            "--dt", "0.0078125", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["n_steps"] == 2 and manifest["dt_eff"] == 0.009765625
+    times = np.loadtxt(tmp_path / "traj_0000.csv", delimiter=",", skiprows=1, usecols=0)
+    assert list(times) == [manifest["dt_eff"], 2 * manifest["dt_eff"]]  # one row per step

@@ -470,3 +470,23 @@ def test_stability_threshold_rejects_k_whose_square_is_not_finite(k):
     sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])
     with pytest.raises(ValueError, match="k\\*\\*2 is not a finite float"):
         stability_threshold(sys_, [1.0, k])
+
+
+def test_full_spectrum_rejects_k_whose_square_is_not_finite():
+    # float(k) ** 2 once raised a raw OverflowError here
+    sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])
+    with pytest.raises(ValueError, match="k\\*\\*2 is not a finite float"):
+        full_spectrum(sys_, 1e160)
+
+
+@pytest.mark.parametrize("k", [-2.0, 0.0])
+def test_linear_functions_reject_k_that_is_not_positive(k):
+    # stability_threshold once reported a stable row at k = -2
+    sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-2.0]])
+    match = f"scaling parameter must be positive, got {k}"
+    with pytest.raises(ValueError, match=match):
+        stability_threshold(sys_, [k])
+    with pytest.raises(ValueError, match=match):
+        sys_.generator(k)
+    with pytest.raises(ValueError, match=match):
+        full_spectrum(sys_, k)

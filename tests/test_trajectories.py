@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zenoslh import (
     DensityMatrix,
@@ -457,3 +458,39 @@ def test_homodyne_nan_state_is_a_step_size_error():
 def test_simconfig_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         SimConfig(dt=0.01, t_end=1.0, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "dt, t_end, match",
+    [
+        (1e-300, 1e300, "step count t_end / dt = inf is not finite"),
+        (1e-3, float("inf"), "t_end and dt must be finite"),
+        (1e-3, 1e17, "step count 100000000000000000000 exceeds 2\\*\\*53; increase dt"),
+    ],
+)
+def test_simconfig_rejects_a_grid_it_cannot_step(dt, t_end, match):
+    # these once constructed, and n_steps then raised OverflowError
+    with pytest.raises(ValueError, match=match):
+        SimConfig(dt=dt, t_end=t_end)
+
+
+# (t_end, dt) with t_end / dt = n + 1/2 exactly, which Python rounds to even
+HALF_INTEGER_GRIDS = st.builds(
+    lambda n, e: ((n + 0.5) * 2.0**e, 2.0**e), st.integers(1, 40), st.integers(-12, 0)
+)
+
+
+@settings(max_examples=25)
+@given(grid=st.one_of(HALF_INTEGER_GRIDS, st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))))
+@example(grid=(0.01953125, 0.0078125))  # 2.5 rounds to 2 steps
+@example(grid=(0.02734375, 0.0078125))  # 3.5 rounds to 4 steps
+@example(grid=(0.3, 0.3))
+@example(grid=(0.3, 1e-3))
+def test_trajectories_and_evolve_share_one_step_grid(grid):
+    t_end, dt = max(grid), min(grid)
+    g = measured_only(zeno_kerr())
+    rho0 = basis_state_density(g.space, 1)
+    cfg = SimConfig(dt=dt, t_end=t_end)
+    res = evolve(g, rho0, t_end, dt, save_every=2**53)
+    assert cfg.n_steps == res.n_steps == round(t_end / dt)
+    assert simulate(g, rho0, cfg).times[1] == res.dt_eff == t_end / res.n_steps
