@@ -20,8 +20,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .elimination import (
     DECOUPLING_TOL,
     KERNEL_TOL_SIGMA,
@@ -34,6 +32,7 @@ from .linear import LinearMeanSystem, stability_threshold
 from .master import (
     DensityMatrix,
     StepSizeError,
+    _step_grid,
     basis_state_density,
     convergence_harness,
     evolve,
@@ -313,12 +312,13 @@ def _cmd_traj(args) -> int:
         seed=args.seed,
         scheme=args.scheme,
     )
+    n_steps, dt_eff = _step_grid(config.t_end, config.dt)
     out_dir = Path(args.out_dir)
     timings.lap("model_s")
     # members run in chunks of about TRAJ_CHUNK_BYTES of states, and each
     # chunk is written before the next is simulated; a chunk starting at
     # member i is the ensemble seeded base + i
-    chunk = max(1, TRAJ_CHUNK_BYTES // ((config.n_steps + 1) * g.dim**2 * 16))
+    chunk = max(1, TRAJ_CHUNK_BYTES // ((n_steps + 1) * g.dim**2 * 16))
     for start in range(0, args.n, chunk):
         runs = simulate_ensemble(
             g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
@@ -335,8 +335,8 @@ def _cmd_traj(args) -> int:
         tols,
         seed=args.seed,
         timings=dict(timings),
-        n_steps=config.n_steps,
-        dt_eff=config.t_end / config.n_steps,
+        n_steps=n_steps,
+        dt_eff=dt_eff,
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 
@@ -366,12 +366,9 @@ def _gamma_system(raw: bytes) -> LinearMeanSystem:
     names = ("Gamma1", "Gamma2", "Gamma3", "Gamma4")
     try:
         data = json.loads(raw)
-        values = [np.asarray(data[name], dtype=float) for name in names]
-        for name, v in zip(names, values):
-            if not np.isfinite(v).all():  # json reads NaN, Infinity and 1e400
-                raise ModelParseError(f"{name}: value is not finite")
-        return LinearMeanSystem(*(pairs_to_matrix(v) for v in values))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        # json reads NaN, Infinity and 1e400, which LinearMeanSystem rejects
+        return LinearMeanSystem(*(pairs_to_matrix(data[name]) for name in names))
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelParseError(f"gamma file: {e}") from None
 
 

@@ -112,6 +112,8 @@ class OscillatorModelCoeffs(_Immutable):
         constant_drift: Operator,
     ):
         a = np.array(osc_drift, dtype=complex)
+        if not np.isfinite(a).all():
+            raise ValueError("osc_drift: value is not finite")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("oscillator drift matrix must be square")
         if not isinstance(constant_drift, Operator) or constant_drift.space != slow_space:
@@ -284,15 +286,17 @@ def is_strictly_hurwitz(a) -> HurwitzReport:
 
 
 class LinearMeanSystem(_Immutable):
-    """First-moment dynamics blocks of a fast/slow oscillator assembly."""
+    """First-moment dynamics blocks of a fast/slow oscillator assembly; ValueError
+    unless every entry is finite."""
 
     __slots__ = ("slow_block", "slow_fast", "fast_slow", "fast_block")
 
     def __init__(self, slow_block, slow_fast, fast_slow, fast_block):
-        g1 = np.array(slow_block, dtype=complex)
-        g2 = np.array(slow_fast, dtype=complex)
-        g3 = np.array(fast_slow, dtype=complex)
-        g4 = np.array(fast_block, dtype=complex)
+        gs = [np.array(x, dtype=complex) for x in (slow_block, slow_fast, fast_slow, fast_block)]
+        for i, x in enumerate(gs, 1):
+            if not np.isfinite(x).all():
+                raise ValueError(f"Gamma{i}: value is not finite")
+        g1, g2, g3, g4 = gs
         r = g1.shape[0]
         m = g4.shape[0]
         if g1.shape != (r, r) or g4.shape != (m, m):

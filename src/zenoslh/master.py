@@ -13,13 +13,14 @@ States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
 ``evolve`` keeps the state as its column-stacked vector v = vec(rho)
-for the whole run, in one stepping loop.  It applies the one-step map in
-one of two ways, chosen from d alone.  Up to ``DENSE_MAX_DIM`` it builds
-the dense d^2 x d^2 step map (d^6 work and 16 d^4 bytes per matrix) and
-steps as ``phi @ v`` (d^4 per step); above it, each step views v as the
-d x d matrix, runs the four RK4 stages on it and stacks the result back,
-with no d^2 x d^2 array.  There each stage evaluates the dissipator in
-its effective-Hamiltonian form
+for the whole run, in one stepping loop, through which
+``evolve_piecewise`` steps its segments in turn.  It applies the
+one-step map in one of two ways, chosen from d alone.  Up to
+``DENSE_MAX_DIM`` it builds the dense d^2 x d^2 step map (d^6 work and
+16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
+it, each step views v as the d x d matrix, runs the four RK4 stages on
+it and stacks the result back, with no d^2 x d^2 array.  There each
+stage evaluates the dissipator in its effective-Hamiltonian form
 
     D rho = K rho + (K rho)^H + sum_i (L_i rho) L_i^H,
     K = -1/2 sum_i L_i^H L_i - i H,
@@ -274,11 +275,12 @@ class _StateViews:
 class EvolutionResult(_StateViews):
     """Time grid, read-only (T, d, d) states, per-saved-step diagnostics.
 
-    ``method`` is the stepping path of :func:`evolve`, ``"dense"`` or
-    ``"matrix_free"``, the same for every segment of
-    :func:`evolve_piecewise`; ``n_steps`` is the number of steps taken
-    (summed over the segments) and ``dt_eff`` the step length, t_end /
-    n_steps (dt without steps; None when the segments' steps differ).
+    :func:`evolve` and :func:`evolve_piecewise` fill one in the same
+    loop.  ``method`` is the stepping path, ``"dense"`` or
+    ``"matrix_free"``, the same for every segment of a piecewise run;
+    ``n_steps`` is the number of steps taken (summed over the segments)
+    and ``dt_eff`` the step length, t_end / n_steps (dt without steps;
+    None when the segments' steps differ).
     All three are None for results not made by stepping.
     """
 
@@ -362,6 +364,108 @@ def _step_grid(t_end: float, dt: float):
     return n_steps, t_end / n_steps if n_steps else dt
 
 
+def _evolve(segments, rho0: DensityMatrix, save_every: int) -> EvolutionResult:
+    """Step each (model, duration, ``_step_grid`` pair) of ``segments`` in
+    turn, from rho0 and then from the state the one before it ends in, in
+    one block loop; the rows each segment saves follow those before them."""
+    if any(g.space != rho0.space for g, _, _ in segments):
+        raise ValueError("initial state lives on a different space than the model")
+    save_every = max(1, int(save_every))
+
+    d = rho0.space.dim
+    method = _choose_method(d) if segments else None
+    # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
+    # takes each entry to its transposed one
+    idx = np.arange(d * d)
+    perm = idx // d + (idx % d) * d
+    counts = [n_steps for _, _, (n_steps, _) in segments]
+    n_saved = 1 + sum(-(-n // save_every) for n in counts)
+    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
+    rho = np.empty((n_saved, d, d), dtype=complex)
+    rho[0] = rho0.mat
+    v = rho0.mat.reshape(-1, order="F")
+    tdrift[0] = _trace_drift(v, d)
+
+    # the states of a block go into the rows of one of two buffers, in
+    # turn, so that the state a block starts from outlives the block
+    n_rows = max(1, min(_BLOCK, max(counts, default=0), save_every, _BLOCK_BYTES // (32 * d * d)))
+    bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
+    buf_rows = [list(b) for b in bufs]
+    # floating-point errors that the caller does not ignore stop a block
+    trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
+    j, b, t0 = 0, 0, 0.0
+    for g, duration, (n_steps, dt_eff) in segments:
+        if method == "dense":
+            step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
+        else:
+            terms = _k_form_terms(g)
+
+            def step_map(v):
+                # d x d states are C-ordered everywhere else; a copy in that
+                # layout (d^2, against d^3 per product) keeps BLAS rounding
+                # the products as it does there
+                m = np.ascontiguousarray(v.reshape((d, d), order="F"))
+                return _rk4_step(terms, m, dt_eff).reshape(-1, order="F")
+
+            # the K form needs a Hermitian state; D commutes with ^H, so
+            # stepping the Hermitian part of the start state is the same map
+            # (the dense path drops the anti-Hermitian part when it
+            # re-Hermitizes)
+            v = 0.5 * (v + v[perm].conj())
+
+        def check(step, state):
+            """The trace drift of the state after ``step`` of this segment;
+            raises beyond the abort threshold."""
+            drift = _trace_drift(state, d)
+            if not drift <= TRACE_ABORT_TOL:
+                raise StepSizeError(
+                    f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
+                    f"{TRACE_ABORT_TOL:.1e}; reduce dt"
+                )
+            return drift
+
+        step = 0
+        while step < n_steps:
+            n = min(n_rows, n_steps - step, save_every - step % save_every)
+            rows = buf_rows[b][:n]
+            try:
+                if n == 1:  # no step past an abort to keep from the caller
+                    w, wh = _run_steps(step_map, perm, v, rows)
+                else:
+                    with np.errstate(**trap):
+                        w, wh = _run_steps(step_map, perm, v, rows)
+                        # the drifts of all but the last state; a NaN fails,
+                        # and the first failing state raises
+                        drifts = _trace_drift(bufs[b][: n - 1], d)
+                        for i in np.flatnonzero(~(drifts <= TRACE_ABORT_TOL)):
+                            check(step + 1 + i, rows[i])
+            except FloatingPointError:
+                # replay the block under the caller's error handling, one
+                # checked step at a time: warnings, errors and the abort then
+                # come from exactly the steps that checking every step runs
+                for i, row in enumerate(rows):
+                    w, wh = _run_steps(step_map, perm, rows[i - 1] if i else v, (row,))
+                    check(step + 1 + i, row)
+            step += n
+            v = rows[-1]
+            b ^= 1
+            drift = check(step, v)
+            if step % save_every == 0 or step == n_steps:
+                j += 1
+                times[j], tdrift[j] = step * dt_eff + t0, drift
+                hdrift[j] = np.max(np.abs(w - wh))
+                rho[j] = v.reshape((d, d), order="F")
+        t0 += duration
+
+    rho.setflags(write=False)
+    n_steps = sum(counts) if segments else None
+    dts = {dt_eff for _, _, (_, dt_eff) in segments}
+    dt_eff = dts.pop() if len(dts) == 1 else None
+    return EvolutionResult(
+        times, rho0.space, rho, tdrift, hdrift, method=method, n_steps=n_steps, dt_eff=dt_eff
+    )
+
+
 def evolve(
     g: SLHTriple,
     rho0: DensityMatrix,
@@ -372,8 +476,10 @@ def evolve(
 ) -> EvolutionResult:
     """Integrate d rho / dt = D rho with fixed-step 4th-order stepping.
 
-    The steps are those of ``_step_grid``, which hit t_end exactly.
-    The step is applied densely or matrix-free, as ``_choose_method``
+    The steps are those of ``_step_grid``: n_steps of dt_eff = t_end /
+    n_steps, the saved times being step * dt_eff, so the last one is
+    t_end to within one rounding (it can differ from t_end in the last
+    bit).  The step is applied densely or matrix-free, as ``_choose_method``
     picks (see the module docstring), and the result's ``method`` records
     which.  States are re-Hermitized each step; trace drift beyond
     ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`, naming the
@@ -392,95 +498,7 @@ def evolve(
     handling, so the warnings and errors before an abort are also those of
     checking every step.
     """
-    n_steps, dt_eff = _step_grid(t_end, dt)
-    if rho0.space != g.space:
-        raise ValueError("initial state lives on a different space than the model")
-    save_every = max(1, int(save_every))
-
-    d = g.dim
-    method = _choose_method(d)
-    if method == "dense":
-        step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
-    else:
-        terms = _k_form_terms(g)
-
-        def step_map(v):
-            # d x d states are C-ordered everywhere else; a copy in that
-            # layout (d^2, against d^3 per product) keeps BLAS rounding
-            # the products as it does there
-            m = np.ascontiguousarray(v.reshape((d, d), order="F"))
-            return _rk4_step(terms, m, dt_eff).reshape(-1, order="F")
-
-    # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
-    # takes each entry to its transposed one
-    idx = np.arange(d * d)
-    perm = idx // d + (idx % d) * d
-    n_saved = 1 + -(-n_steps // save_every)
-    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
-    rho = np.empty((n_saved, d, d), dtype=complex)
-    rho[0] = rho0.mat
-    v = rho0.mat.reshape(-1, order="F")
-    if method == "matrix_free":
-        # the K form needs a Hermitian state; D commutes with ^H, so
-        # stepping the Hermitian part of rho0 is the same map (the dense
-        # path drops the anti-Hermitian part when it re-Hermitizes)
-        v = 0.5 * (v + v[perm].conj())
-    tdrift[0] = _trace_drift(v, d)
-
-    def check(step, state):
-        """The trace drift of the state after ``step``; raises beyond the
-        abort threshold."""
-        drift = _trace_drift(state, d)
-        if not drift <= TRACE_ABORT_TOL:
-            raise StepSizeError(
-                f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
-                f"{TRACE_ABORT_TOL:.1e}; reduce dt"
-            )
-        return drift
-
-    # the states of a block go into the rows of one of two buffers, in
-    # turn, so that the state a block starts from outlives the block
-    n_rows = max(1, min(_BLOCK, n_steps, save_every, _BLOCK_BYTES // (32 * d * d)))
-    bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
-    buf_rows = [list(b) for b in bufs]
-    # floating-point errors that the caller does not ignore stop a block
-    trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
-    step, j, b = 0, 0, 0
-    while step < n_steps:
-        n = min(n_rows, n_steps - step, save_every - step % save_every)
-        rows = buf_rows[b][:n]
-        try:
-            if n == 1:  # no step past an abort to keep from the caller
-                w, wh = _run_steps(step_map, perm, v, rows)
-            else:
-                with np.errstate(**trap):
-                    w, wh = _run_steps(step_map, perm, v, rows)
-                    # the drifts of all but the last state; a NaN fails,
-                    # and the first failing state raises
-                    drifts = _trace_drift(bufs[b][: n - 1], d)
-                    for i in np.flatnonzero(~(drifts <= TRACE_ABORT_TOL)):
-                        check(step + 1 + i, rows[i])
-        except FloatingPointError:
-            # replay the block under the caller's error handling, one
-            # checked step at a time: warnings, errors and the abort then
-            # come from exactly the steps that checking every step runs
-            for i, row in enumerate(rows):
-                w, wh = _run_steps(step_map, perm, rows[i - 1] if i else v, (row,))
-                check(step + 1 + i, row)
-        step += n
-        v = rows[-1]
-        b ^= 1
-        drift = check(step, v)
-        if step % save_every == 0 or step == n_steps:
-            j += 1
-            times[j], tdrift[j] = step * dt_eff, drift
-            hdrift[j] = np.max(np.abs(w - wh))
-            rho[j] = v.reshape((d, d), order="F")
-
-    rho.setflags(write=False)
-    return EvolutionResult(
-        times, g.space, rho, tdrift, hdrift, method=method, n_steps=n_steps, dt_eff=dt_eff
-    )
+    return _evolve([(g, t_end, _step_grid(t_end, dt))], rho0, save_every)
 
 
 def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResult:
@@ -489,40 +507,13 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     ``segments`` is a sequence of (SLHTriple, duration) pairs; the
     generator is re-assembled at segment boundaries.  Covers
     piecewise-constant drives, for which the triple is re-built per
-    segment.  The segments share one space, so one ``method`` covers them
-    all (None without segments).
+    segment.  Each segment steps in :func:`evolve`'s loop, as ``evolve``
+    would from the state the one before ends in (an abort names the time
+    within its segment); every state is saved, and every duration is
+    checked before the first step.  The segments share one space, so one
+    ``method`` covers them all (None without segments).
     """
-    times = [np.array([0.0])]
-    rho = [rho0.mat[None]]
-    tdrift = [_trace_drift(rho0.mat.reshape(1, -1), rho0.space.dim)]
-    hdrift = [np.array([0.0])]
-    state = rho0
-    t0 = 0.0
-    method = None
-    n_steps, dts = 0, set()
-    for g, duration in segments:
-        res = evolve(g, state, duration, dt)
-        method = res.method
-        n_steps += res.n_steps
-        dts.add(res.dt_eff)
-        times.append(res.times[1:] + t0)
-        rho.append(res.rho[1:])
-        tdrift.append(res.trace_drift[1:])
-        hdrift.append(res.hermiticity_drift[1:])
-        state = res.final
-        t0 += duration
-    rho = np.concatenate(rho)
-    rho.setflags(write=False)
-    return EvolutionResult(
-        np.concatenate(times),
-        rho0.space,
-        rho,
-        np.concatenate(tdrift),
-        np.concatenate(hdrift),
-        method=method,
-        n_steps=None if method is None else n_steps,
-        dt_eff=dts.pop() if len(dts) == 1 else None,
-    )
+    return _evolve([(g, duration, _step_grid(duration, dt)) for g, duration in segments], rho0, 1)
 
 
 def ehrenfest_residual(

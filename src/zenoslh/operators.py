@@ -20,11 +20,8 @@ built on this one (a ``DensityMatrix`` is an ``Operator``) share one
 private base, which sets their slots once and refuses any later
 assignment or deletion; matrices are stored read-only.  ``HilbertSpace`` is a frozen
 dataclass.  Storage is dense.  Operators of a few hundred dimensions are
-fine here.  The master-equation integrator ``evolve`` (and
-``convergence_harness`` through it) steps the column-stacked state
-vector: through a dense d^2 x d^2 step map, 16 d^4 bytes per matrix, only
-up to ``master.DENSE_MAX_DIM``, and matrix-free on the d x d view of the
-vector above it; both are the same RK4 map and differ by rounding only.
+fine here; how the master equation is stepped at such d is described in
+``master``.
 """
 
 from __future__ import annotations

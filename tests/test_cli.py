@@ -742,3 +742,28 @@ def test_traj_manifest_records_its_step_grid(tmp_path):
     assert manifest["n_steps"] == 2 and manifest["dt_eff"] == 0.009765625
     times = np.loadtxt(tmp_path / "traj_0000.csv", delimiter=",", skiprows=1, usecols=0)
     assert list(times) == [manifest["dt_eff"], 2 * manifest["dt_eff"]]  # one row per step
+
+
+def test_linstab_reports_a_malformed_gamma_block_before_a_non_finite_one(tmp_path, capsys):
+    # the blocks are read whole first, then checked for finite values
+    gamma = tmp_path / "g.json"
+    doc = json.loads((MODELS / "oscillator_pair.gamma.json").read_text())
+    doc["Gamma2"][1] = [float("nan")]
+    doc["Gamma4"] = [-1.0]
+    gamma.write_text(json.dumps(doc))
+    assert main(["linstab", str(gamma), "--ks", "1,2", "--out", str(tmp_path / "k.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == "zenoslh: gamma file: expected a real matrix or nested [re, im] pairs\n"
+
+
+def test_linstab_gamma_integer_too_large_for_a_float_exits_one(tmp_path, capsys):
+    # json reads 1 followed by 400 zeros as an int, which no float holds;
+    # it once escaped as an OverflowError traceback
+    gamma = tmp_path / "g.json"
+    text = (MODELS / "oscillator_pair.gamma.json").read_text()
+    gamma.write_text(text.replace('"Gamma2": [[0.3], [0.1]]', f'"Gamma2": [[0.3], [1{"0" * 400}]]'))
+    out = tmp_path / "k.csv"
+    assert main(["linstab", str(gamma), "--ks", "1,2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zenoslh: gamma file: ") and err.count("\n") == 1
+    assert not out.exists()

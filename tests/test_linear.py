@@ -490,3 +490,34 @@ def test_linear_functions_reject_k_that_is_not_positive(k):
         sys_.generator(k)
     with pytest.raises(ValueError, match=match):
         full_spectrum(sys_, k)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("block", [0, 1, 2, 3])
+def test_mean_system_rejects_a_block_that_is_not_finite(block, value):
+    blocks = [[[-1.0]], [[1.0]], [[1.0]], [[-1.0]]]
+    blocks[block] = [[value]]
+    with pytest.raises(ValueError, match=f"^Gamma{block + 1}: value is not finite$"):
+        LinearMeanSystem(*blocks)
+
+
+def test_mean_system_reports_a_block_that_is_not_finite_before_its_shape():
+    with pytest.raises(ValueError, match="^Gamma3: value is not finite$"):
+        LinearMeanSystem([[-1.0]], [[1.0, 2.0]], [[np.nan]], [[-1.0]])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_oscillator_coefficients_reject_a_drift_that_is_not_finite(value):
+    sp = HilbertSpace((1,))
+    one = identity(sp)
+    with pytest.raises(ValueError, match="osc_drift: value is not finite"):
+        OscillatorModelCoeffs(
+            slow_space=sp,
+            scattering=((one,),),
+            osc_couplings=((one,),),
+            direct_couplings=(zero(sp),),
+            osc_drift=[[value]],
+            annihilation_coeffs=(zero(sp),),
+            creation_coeffs=(zero(sp),),
+            constant_drift=zero(sp),
+        )

@@ -682,3 +682,82 @@ def test_results_record_step_count_and_step():
     points = convergence_harness(fam, split, basis_state_density(split.zeno_space, 1), (1.0, 3.0),
                                  0.01, 1e-3)
     assert [p.n_steps for p in points] == [10, 90]
+
+
+# -- piecewise runs step through evolve's loop ------------------------------
+
+
+@pytest.mark.parametrize("method", ["dense", "matrix_free"])
+def test_evolve_piecewise_is_the_chained_runs_bit_for_bit(monkeypatch, method):
+    # a power-of-two dt makes every segment's dt_eff equal dt, zero-step
+    # segment included, so the run records it
+    rng = np.random.default_rng(21)
+    g1, g2, g3 = (scaled_triple(rng, 5, n) for n in (2, 1, 0))
+    rho0 = DensityMatrix(g1.space, random_density_matrix(rng, 5))
+    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    dt = 2.0**-10
+    schedule = [(g1, (master._BLOCK - 1) * dt), (g2, 0.0), (g3, (master._BLOCK + 1) * dt)]
+    res = evolve_piecewise(schedule, rho0, dt)
+    fields = ("times", "rho", "trace_drift", "hermiticity_drift")
+    want = {name: [] for name in fields}
+    state, t0 = rho0, 0.0
+    for i, (g, duration) in enumerate(schedule):
+        part = evolve(g, state, duration, dt)
+        for name in fields:  # the first part's initial row, then each part's steps
+            x = getattr(part, name)[min(i, 1):]
+            want[name].append(x + t0 if name == "times" else x)
+        state, t0 = part.final, t0 + duration
+    for name in fields:
+        assert np.array_equal(getattr(res, name), np.concatenate(want[name])), name
+    assert res.method == method
+    assert res.n_steps == 2 * master._BLOCK and res.dt_eff == dt
+
+
+def test_abort_in_a_later_segment_is_the_chained_runs_abort(monkeypatch):
+    # the second segment drifts past the threshold near its step 40, as in
+    # test_abort_inside_a_block_matches_matrix_space; the message names the
+    # time within that segment
+    rho0 = basis_state_density(QUBIT, 1)
+    g1, g2 = qubit_decay(1.0), qubit_decay(32.0)
+    for method in ("dense", "matrix_free"):
+        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        first = evolve(g1, rho0, 0.5, 0.1)
+        with pytest.raises(StepSizeError) as want:
+            evolve(g2, first.final, 30.0, 0.1)
+        with pytest.raises(StepSizeError) as got:
+            evolve_piecewise([(g1, 0.5), (g2, 30.0), (g1, 0.5)], rho0, 0.1)
+        assert str(got.value) == str(want.value)
+
+
+def test_piecewise_checks_every_segment_before_any_step(monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("a step was taken")
+
+    g = qubit_decay(1.0)
+    rho0 = basis_state_density(QUBIT, 1)
+    qutrit = HilbertSpace((3,))
+    other = SLHTriple(((identity(qutrit),),), (zero(qutrit),), zero(qutrit))
+    monkeypatch.setattr(master, "_run_steps", no_steps)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            evolve_piecewise([(g, 0.1), (g, bad)], rho0, 1e-3)
+    with pytest.raises(ValueError, match="different space"):
+        evolve_piecewise([(g, 0.1), (other, 0.1)], rho0, 1e-3)
+
+
+def test_piecewise_run_holds_its_saved_states_once():
+    import tracemalloc
+
+    # 3 x 1000 saved steps at d = 12 take 6.9 MB; the segments' own
+    # results and their concatenation would hold them twice
+    rng = np.random.default_rng(12)
+    g = scaled_triple(rng, 12, 1)
+    rho0 = DensityMatrix(g.space, random_density_matrix(rng, 12))
+    tracemalloc.start()
+    try:
+        res = evolve_piecewise([(g, 1.0)] * 3, rho0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rho.shape == (3001, 12, 12)
+    assert peak < 1.5 * res.rho.nbytes
