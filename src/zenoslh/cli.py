@@ -319,6 +319,7 @@ def _cmd_traj(args) -> int:
     # chunk is written before the next is simulated; a chunk starting at
     # member i is the ensemble seeded base + i
     chunk = max(1, TRAJ_CHUNK_BYTES // ((n_steps + 1) * g.dim**2 * 16))
+    jumps, max_purity = 0, 0.0
     for start in range(0, args.n, chunk):
         runs = simulate_ensemble(
             g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
@@ -327,6 +328,10 @@ def _cmd_traj(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)  # once a chunk has run
         for i, r in enumerate(runs, start):
             write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
+            if args.scheme == "counting":
+                jumps += len(r.record.jump_times)
+            purity = (r.rho * r.rho.swapaxes(1, 2)).sum(axis=(1, 2)).real  # tr rho^2 per state
+            max_purity = max(max_purity, float(purity.max()))
         del runs, r  # free this chunk before the next is simulated
         timings.lap("write_s")
     RunManifest(
@@ -337,6 +342,8 @@ def _cmd_traj(args) -> int:
         timings=dict(timings),
         n_steps=n_steps,
         dt_eff=dt_eff,
+        jumps=jumps if args.scheme == "counting" else None,
+        max_purity=max_purity,
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 

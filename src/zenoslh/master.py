@@ -186,18 +186,30 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
 
 
 def _dissipator_terms(h, ls):
-    """H and one (L, L^H, L^H L) per channel, formed once per model."""
-    lds = [lm.conj().T for lm in ls]
-    return h, [(lm, ld, ld @ lm) for lm, ld in zip(ls, lds)]
+    """The rows [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d,
+    H and one (L^H, L^H L) per channel: formed once per model."""
+    lds = _adjoint(ls)
+    ldls = lds @ ls
+    return np.concatenate((h[None], ls, ldls)).reshape(-1, len(h)), h, list(zip(lds, ldls))
 
 
-def _dissipator_mat(terms, rho):
-    """D(rho) for one matrix or a stack of them, from ``_dissipator_terms``."""
-    h, channels = terms
-    out = 1j * (rho @ h - h @ rho)
-    for lm, ld, ldl in channels:
-        out += lm @ rho @ ld - 0.5 * (rho @ ldl + ldl @ rho)
-    return out
+def _right(x, b):
+    """x @ b for each matrix of a stack, as one product of the stack's rows."""
+    return (x.reshape(-1, len(b)) @ b).reshape(x.shape)
+
+
+def _dissipator_mat(terms, x):
+    """D(x) for an (M, d, d) stack, the left products [H x; L_1 x; ...;
+    L_n^H L_n x] as (M, 1 + 2n, d, d) and the list of (L_i x) L_i^H.  Each
+    product grows only a GEMM's rows (see ``trajectories``)."""
+    rows, h, channels = terms
+    n, d = len(channels), len(h)
+    left = (rows @ x).reshape(len(x), 1 + 2 * n, d, d)
+    out = 1j * (_right(x, h) - left[:, 0])
+    jumps = [_right(left[:, 1 + i], ld) for i, (ld, _) in enumerate(channels)]
+    for i, (_, ldl) in enumerate(channels):
+        out += jumps[i] - 0.5 * (_right(x, ldl) + left[:, 1 + n + i])
+    return out, left, jumps
 
 
 def _k_form_terms(g: SLHTriple):
@@ -231,8 +243,8 @@ def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
     """Predual generator applied to a state; the result is traceless."""
     if rho.space != g.space:
         raise ValueError("state lives on a different space than the model")
-    out = _dissipator_mat(_dissipator_terms(g.H.mat, g.l), rho.mat)
-    return Operator(g.space, out)
+    out = _dissipator_mat(_dissipator_terms(g.H.mat, g.l), rho.mat[None])[0]
+    return Operator(g.space, out[0])
 
 
 def liouvillian_matrix(g: SLHTriple) -> np.ndarray:

@@ -79,6 +79,8 @@ class RunManifest:
     timings: dict | None = None
     n_steps: int | None = None
     dt_eff: float | None = None
+    jumps: int | None = None
+    max_purity: float | None = None
 
     def write(self, path):
         write_json(path, asdict(self))

@@ -33,6 +33,13 @@ The members of an ensemble step in lockstep, in one process, as one
 bit-identical to a lone run seeded base_seed + i, and a member that fails
 raises the error that run would raise.
 
+Each operator product of a step is one GEMM that grows only in its row
+dimension: [H; L_1; ...; L_n^H L_n] times each member on the left, and
+the stack's (M d, d) rows times one operator on the right.  Each entry
+then sums the terms of a lone run's d x d product in its order, which is
+what member i's bit-identity rests on (the tests check it on the BLAS in
+use); a wider right operand, or the members' (d, M d) columns, would not.
+
 The scattering matrix does not enter these filter equations; for
 counting with a nontrivial scattering matrix this is a documented
 limitation.
@@ -46,7 +53,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _StateViews
-from .master import _dissipator_mat, _dissipator_terms, _step_grid, _trace_drift
+from .master import _dissipator_mat, _dissipator_terms, _right, _step_grid, _trace_drift
 from .operators import HilbertSpace
 from .slh import SLHTriple
 
@@ -136,8 +143,9 @@ class _Ops:
         if not (0 <= channel < g.n):
             raise ValueError(f"measured channel {channel} out of range for {g.n} channels")
         self.terms = _dissipator_terms(g.H.mat, g.l)
-        self.lc, self.lcd, self.lcdlc = self.terms[1][channel]
-        self.lc_sum = self.lc + self.lcd
+        self.channel = channel
+        self.lcd, self.lcdlc = self.terms[2][channel]
+        self.lc_sum = g.l[channel] + self.lcd
 
 
 def _trace(x):
@@ -152,9 +160,10 @@ def _normalize(x):
 def _homodyne_step(ops: _Ops, x, dt: float, dw):
     """One diffusive update of an (M, d, d) stack, dw holding one increment
     per member.  Returns the next states and the means tr(rho (L_c + L_c^H))."""
-    mean = _trace(x @ ops.lc_sum).real
-    gain = ops.lc @ x + x @ ops.lcd - mean[:, None, None] * x
-    return _normalize(x + _dissipator_mat(ops.terms, x) * dt + gain * dw[:, None, None]), mean
+    dx, left, _ = _dissipator_mat(ops.terms, x)
+    mean = _trace(_right(x, ops.lc_sum)).real
+    gain = left[:, 1 + ops.channel] + _right(x, ops.lcd) - mean[:, None, None] * x
+    return _normalize(x + dx * dt + gain * dw[:, None, None]), mean
 
 
 def _counting_step(ops: _Ops, x, dt: float, u):
@@ -165,26 +174,25 @@ def _counting_step(ops: _Ops, x, dt: float, u):
     fails (jump guard, NaN rate, zero-weight jump); the other three then
     cover only the members before it.
     """
-    rate = _trace(x @ ops.lcdlc).real
+    rate = _trace(_right(x, ops.lcdlc)).real
     p = rate * dt
-    jumped = u < p
-    jm = ops.lc @ x @ ops.lcd
+    jumped, error = u < p, None
     bad = ~(p <= JUMP_PROBABILITY_GUARD)  # a NaN p is over the guard
-    any_jump = jumped.any()
-    if any_jump:
-        bad |= jumped & (_trace(jm).real < 1e-14)
-    error = None
     if bad.any():
         i = int(np.argmax(bad))
-        if p[i] <= JUMP_PROBABILITY_GUARD:
-            error = ValueError("jump attempted from a state with zero jump probability")
-        else:
-            error = StepSizeError(
-                f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
-            )
-        x, rate, jm, jumped = x[:i], rate[:i], jm[:i], jumped[:i]
+        error = StepSizeError(
+            f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
+        )
+        x, rate, jumped = x[:i], rate[:i], jumped[:i]
+    dx, _, jumps = _dissipator_mat(ops.terms, x)
+    jm = jumps[ops.channel]  # L_c x L_c^H
+    any_jump = jumped.any()
+    if any_jump and (bad := jumped & (_trace(jm).real < 1e-14)).any():
+        i = int(np.argmax(bad))  # lower than any member over the guard
+        error = ValueError("jump attempted from a state with zero jump probability")
+        x, rate, jm, jumped, dx = x[:i], rate[:i], jm[:i], jumped[:i], dx[:i]
         any_jump = jumped.any()
-    nxt = _normalize(x + (_dissipator_mat(ops.terms, x) - (jm - rate[:, None, None] * x)) * dt)
+    nxt = _normalize(x + (dx - (jm - rate[:, None, None] * x)) * dt)
     if any_jump:
         jm = jm[jumped]
         nxt[jumped] = jm / _trace(jm).real[:, None, None]
@@ -248,7 +256,7 @@ def simulate_ensemble(
     times.setflags(write=False)
     rho = np.empty((members, n + 1, g.dim, g.dim), dtype=complex)
     rho[:, 0] = rho0.mat
-    m, error = rho[:, 0], None
+    m, error = rho[:, 0].copy(), None  # C-contiguous, so its rows view as (M d, d)
     # per member and step: tr(rho (L_c + L_c^H)) or the jump rate, and the jump flag
     means, jumps = np.empty((members, n)), np.zeros((members, n), dtype=bool)
     for s in range(n):
@@ -287,12 +295,14 @@ def simulate_ensemble(
 
 
 def ensemble_mean(results) -> EvolutionResult:
-    """Pointwise average of conditioned states over a common grid."""
+    """Pointwise average of conditioned states over a common space and grid."""
     results = list(results)
     if not results:
         raise ValueError("need at least one trajectory")
-    times = results[0].times
+    times, space = results[0].times, results[0].space
     for r in results[1:]:
+        if r.space != space:
+            raise ValueError(f"trajectories live on different spaces, {space} and {r.space}")
         if len(r.times) != len(times) or not np.allclose(r.times, times):
             raise ValueError("trajectories are on different time grids")
     total = np.array(results[0].rho)
@@ -302,7 +312,7 @@ def ensemble_mean(results) -> EvolutionResult:
     rho.setflags(write=False)
     return EvolutionResult(
         np.array(times),
-        results[0].space,
+        space,
         rho,
         _trace_drift(rho.reshape(len(rho), -1), rho.shape[-1]),
         np.zeros(len(times)),

@@ -767,3 +767,31 @@ def test_linstab_gamma_integer_too_large_for_a_float_exits_one(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("zenoslh: gamma file: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_traj_manifest_records_jumps_and_max_purity(tmp_path, monkeypatch, scheme):
+    # chunks of 2, 2 and 1 members, so both fields gather over chunks
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
+    argv = ["traj", KERR, "--scheme", scheme, "--seed", "11", "--n", "5", "--t-end", "0.5",
+            "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    doc = load_model(KERR)
+    g = zeno_eliminate(doc.family, doc.split()).zeno_triple
+    rho0 = basis_state_density(g.space, 1)
+    runs = [simulate(g, rho0, SimConfig(dt=0.005, t_end=0.5, seed=11 + i, scheme=scheme))
+            for i in range(5)]
+    purity = max(s.purity() for r in runs for s in r.states)
+    assert manifest["max_purity"] == pytest.approx(purity, rel=1e-14, abs=0)
+    if scheme == "counting":
+        assert manifest["jumps"] == sum(len(r.record.jump_times) for r in runs) > 0
+    else:
+        assert manifest["jumps"] is None
+        assert manifest["max_purity"] > 1  # the Euler update leaves the cone
+
+
+def test_manifests_of_other_commands_record_no_trajectory_diagnostics(tmp_path):
+    assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(tmp_path / "e.csv")]) == 0
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert manifest["jumps"] is None and manifest["max_purity"] is None

@@ -494,3 +494,95 @@ def test_trajectories_and_evolve_share_one_step_grid(grid):
     res = evolve(g, rho0, t_end, dt, save_every=2**53)
     assert cfg.n_steps == res.n_steps == round(t_end / dt)
     assert simulate(g, rho0, cfg).times[1] == res.dt_eff == t_end / res.n_steps
+
+
+def random_model(rng, d, n):
+    """n channels with random L_i and H on a d-level space, S = 1."""
+    sp = HilbertSpace((d,))
+    s = tuple(tuple(identity(sp) if i == j else zero(sp) for j in range(n)) for i in range(n))
+    ls = tuple(Operator(sp, random_complex_matrix(rng, d) / np.sqrt(d)) for _ in range(n))
+    return SLHTriple(s, ls, Operator(sp, random_hermitian(rng, d) / np.sqrt(d)))
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+@pytest.mark.parametrize("members", [1, 4, 33])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("d", [2, 5, 8, 13])
+def test_lockstep_sweep_matches_serial_reference(d, n, members, scheme):
+    # every product of the lockstep kernel only adds rows to a GEMM, so each
+    # member rounds as its lone run in (d, d) products does, on any BLAS path
+    rng = np.random.default_rng([d, n, members])
+    g = random_model(rng, d, n)
+    channel = n - 1
+    lc = g.l[channel]
+    # start where the measured channel is brightest, with a jump probability
+    # per step of at most 0.09, so counting members jump within the run; a
+    # homodyne step that long can blow up, so it takes a ninth of it
+    top = np.linalg.svd(lc)[2][0].conj()
+    rho0 = pure_state_density(g.space, top)
+    dt = (0.09 if scheme == "counting" else 0.01) / np.linalg.norm(lc, 2) ** 2
+    cfg = SimConfig(dt=dt, t_end=30 * dt, measured_channel=channel, seed=7, scheme=scheme)
+    assert cfg.n_steps == 30
+    jumps = 0
+    for i, r in enumerate(simulate_ensemble(g, rho0, cfg, members)):
+        states, innovations = serial_reference(g, rho0, replace(cfg, seed=cfg.seed + i))
+        assert np.array_equal(r.rho, states)
+        assert np.array_equal(r.innovations, innovations)
+        if scheme == "counting":
+            jumps += len(r.record.jump_times)
+    assert scheme == "homodyne" or jumps > 0
+
+
+def per_product_dissipator(g, m):
+    """D(m) with every operator product its own (d, d) matmul."""
+    out = 1j * (m @ g.H.mat - g.H.mat @ m)
+    for lm in g.l:
+        ld = lm.conj().T
+        ldl = ld @ lm
+        out += lm @ m @ ld - 0.5 * (m @ ldl + ldl @ m)
+    return out
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (2, 3), (5, 1), (13, 3)])
+def test_single_steps_and_dissipator_are_their_per_product_formulas(d, n):
+    rng = np.random.default_rng([d, n])
+    g = random_model(rng, d, n)
+    c = n - 1
+    lc = g.l[c]
+    lcd = lc.conj().T
+    rho = DensityMatrix(g.space, random_density_matrix(rng, d))
+    m = rho.mat
+    diss = per_product_dissipator(g, m)
+    assert np.array_equal(dissipator(g, rho).mat, diss)
+
+    def normalize(x):
+        x = 0.5 * (x + x.conj().T)
+        return x / float(np.trace(x).real)
+
+    dt, dw = 0.05 / np.linalg.norm(lc, 2) ** 2, 0.03
+    mean = float(np.trace(m @ (lc + lcd)).real)
+    nxt, dy, di = homodyne_step(g, rho, c, dt, dw)
+    assert np.array_equal(nxt.mat, normalize(m + diss * dt + (lc @ m + m @ lcd - mean * m) * dw))
+    assert dy == mean * dt + dw and di == dw
+
+    rate = float(np.trace(m @ (lcd @ lc)).real)
+    jm = lc @ m @ lcd
+    assert 0 < rate * dt <= 0.05
+    nxt, jumped = counting_step(g, rho, c, dt, 0.99)
+    assert not jumped and np.array_equal(nxt.mat, normalize(m + (diss - (jm - rate * m)) * dt))
+    nxt, jumped = counting_step(g, rho, c, dt, 0.0)
+    assert jumped and np.array_equal(nxt.mat, jm / float(np.trace(jm).real))
+
+
+def test_ensemble_mean_space_mismatch():
+    g = zeno_kerr()
+    r = simulate(g, basis_state_density(QUBIT, 1), SimConfig(dt=1e-3, t_end=0.01, seed=1))
+    # the same dimension, factored differently
+    other = replace(r, space=HilbertSpace((1, 2)))
+    with pytest.raises(ValueError, match=r"spaces, HilbertSpace\(2,\) and HilbertSpace\(1, 2\)"):
+        ensemble_mean([r, other])
+    # another dimension, which numpy broadcasting used to reject
+    three = HilbertSpace((3,))
+    other = replace(r, space=three, rho=np.broadcast_to(np.eye(3) / 3, (len(r.times), 3, 3)))
+    with pytest.raises(ValueError, match=r"spaces, HilbertSpace\(2,\) and HilbertSpace\(3,\)"):
+        ensemble_mean([r, other])
