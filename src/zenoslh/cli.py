@@ -32,10 +32,11 @@ from .linear import LinearMeanSystem, stability_threshold
 from .master import (
     DensityMatrix,
     StepSizeError,
+    _evolve,
     _step_grid,
     basis_state_density,
     convergence_harness,
-    evolve,
+    evolve,  # not called here; bench/tracing.py wraps it in this namespace
     maximally_mixed,
 )
 from .modelfile import ModelParseError, load_model, model_digest
@@ -45,7 +46,8 @@ from .outputs import (
     pairs_to_matrix,
     triple_json,
     write_convergence_csv,
-    write_evolution_csv,
+    write_evolution_csv,  # not called here; bench/tracing.py wraps it
+    write_evolution_rows,
     write_json,
     write_stability_csv,
     write_trajectory_csv,
@@ -164,6 +166,14 @@ class _Timings(dict):
         self[phase] += now - self._last
         self._last = now
 
+    def laps(self, items, make: str, use: str):
+        """``items``, each lap spent making an item added to ``make`` and
+        each lap spent using it, until the next is asked for, to ``use``."""
+        for item in items:
+            self.lap(make)
+            yield item
+            self.lap(use)
+
 
 def _manifest_path(out: str) -> str:
     return str(out) + ".manifest.json"
@@ -222,6 +232,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_check(args) -> int:
+    timings = _Timings()
     doc = load_model(args.model)
     tols = _tolerances(args)
     report = {
@@ -229,6 +240,7 @@ def _cmd_check(args) -> int:
         "digest": model_digest(doc),
         "tolerances": tols,
     }
+    timings.lap("model_s")
     code = EXIT_OK
     try:
         result = _eliminate(doc, tols)
@@ -242,10 +254,14 @@ def _cmd_check(args) -> int:
         report["message"] = str(e)
         report["residuals"] = {k: float(v) for k, v in e.residuals.items()}
         code = EXIT_VIOLATION
+    timings.lap("run_s")
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, report)
-        RunManifest("check", model_digest(doc), tols).write(_manifest_path(args.out))
+        timings.lap("write_s")
+        RunManifest("check", model_digest(doc), tols, timings=dict(timings)).write(
+            _manifest_path(args.out)
+        )
     return code
 
 
@@ -254,12 +270,18 @@ def _eliminate(doc, tols):
 
 
 def _cmd_eliminate(args) -> int:
+    timings = _Timings()
     doc = load_model(args.model)
     tols = _tolerances(args)
+    timings.lap("model_s")
     result = _eliminate(doc, tols)
+    timings.lap("run_s")
     if args.out:
         write_triple_json(args.out, result)
-        RunManifest("eliminate", model_digest(doc), tols).write(_manifest_path(args.out))
+        timings.lap("write_s")
+        RunManifest("eliminate", model_digest(doc), tols, timings=dict(timings)).write(
+            _manifest_path(args.out)
+        )
     else:
         print(triple_json(result))
     return EXIT_OK
@@ -276,19 +298,25 @@ def _cmd_evolve(args) -> int:
     else:
         g = _eliminate(doc, tols).zeno_triple
     rho0 = _initial_state(g.space, args.initial)
+    rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
     timings.lap("model_s")
-    result = evolve(g, rho0, args.t_end, args.dt)
-    timings.lap("run_s")
-    write_evolution_csv(args.out, result)
+    # each block of rows is written once it is made, to a temporary file
+    # that becomes --out when the run ends, so a run that fails writes no CSV
+    out = Path(args.out)
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     timings.lap("write_s")
     RunManifest(
         f"evolve --model {args.model}",
         model_digest(doc),
         tols,
-        method=result.method,
         timings=dict(timings),
-        n_steps=result.n_steps,
-        dt_eff=result.dt_eff,
+        **fields,
     ).write(_manifest_path(args.out))
     return EXIT_OK
 

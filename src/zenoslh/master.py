@@ -46,8 +46,11 @@ drift and the message) and the saved ``trace_drift`` and
 ``hermiticity_drift`` are bit-identical to checking every step, and no
 step past an abort leaks a warning.
 
-An :class:`EvolutionResult` holds the saved states as one read-only
-array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
+The loop yields each saved row as soon as it is made (``_evolve``):
+``evolve`` and ``evolve_piecewise`` collect the rows, and the ``evolve``
+command writes them to its CSV as they come, holding no more than a
+block of them.  An :class:`EvolutionResult` holds the saved states as one
+read-only array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
 :class:`DensityMatrix` views of it, built and validated on each access
 (trace to ``TRACE_ABORT_TOL``, no eigenvalue check).
 
@@ -376,36 +379,50 @@ def _step_grid(t_end: float, dt: float):
     return n_steps, t_end / n_steps if n_steps else dt
 
 
-def _evolve(segments, rho0: DensityMatrix, save_every: int) -> EvolutionResult:
+def _evolve(segments, rho0: DensityMatrix, save_every: int):
     """Step each (model, duration, ``_step_grid`` pair) of ``segments`` in
     turn, from rho0 and then from the state the one before it ends in, in
-    one block loop; the rows each segment saves follow those before them."""
+    one block loop; the rows each segment saves follow those before them.
+
+    Returns ``(rows, n_saved, fields)``.  ``rows`` yields each saved row as
+    (time, d x d state, trace drift, hermiticity drift) once it is made, and
+    steps only as it is read; the state is a view into the loop's buffers,
+    which the rows after it overwrite.  ``n_saved`` counts the rows, and
+    ``fields`` holds the run's ``method``, ``n_steps`` and ``dt_eff``.
+    """
     if any(g.space != rho0.space for g, _, _ in segments):
         raise ValueError("initial state lives on a different space than the model")
     save_every = max(1, int(save_every))
+    counts = [n_steps for _, _, (n_steps, _) in segments]
+    dts = {dt_eff for _, _, (_, dt_eff) in segments}
+    fields = {
+        "method": _choose_method(rho0.space.dim) if segments else None,
+        "n_steps": sum(counts) if segments else None,
+        "dt_eff": dts.pop() if len(dts) == 1 else None,
+    }
+    n_saved = 1 + sum(-(-n // save_every) for n in counts)
+    return _saved_rows(segments, rho0, save_every, fields["method"]), n_saved, fields
 
+
+def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
+    """The rows of ``_evolve``, made in its block loop."""
     d = rho0.space.dim
-    method = _choose_method(d) if segments else None
     # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
     # takes each entry to its transposed one
     idx = np.arange(d * d)
     perm = idx // d + (idx % d) * d
-    counts = [n_steps for _, _, (n_steps, _) in segments]
-    n_saved = 1 + sum(-(-n // save_every) for n in counts)
-    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
-    rho = np.empty((n_saved, d, d), dtype=complex)
-    rho[0] = rho0.mat
     v = rho0.mat.reshape(-1, order="F")
-    tdrift[0] = _trace_drift(v, d)
+    yield 0.0, rho0.mat, _trace_drift(v, d), 0.0
 
     # the states of a block go into the rows of one of two buffers, in
     # turn, so that the state a block starts from outlives the block
-    n_rows = max(1, min(_BLOCK, max(counts, default=0), save_every, _BLOCK_BYTES // (32 * d * d)))
+    longest = max((n_steps for _, _, (n_steps, _) in segments), default=0)
+    n_rows = max(1, min(_BLOCK, longest, save_every, _BLOCK_BYTES // (32 * d * d)))
     bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
     buf_rows = [list(b) for b in bufs]
     # floating-point errors that the caller does not ignore stop a block
     trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
-    j, b, t0 = 0, 0, 0.0
+    b, t0 = 0, 0.0
     for g, duration, (n_steps, dt_eff) in segments:
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
@@ -463,19 +480,21 @@ def _evolve(segments, rho0: DensityMatrix, save_every: int) -> EvolutionResult:
             b ^= 1
             drift = check(step, v)
             if step % save_every == 0 or step == n_steps:
-                j += 1
-                times[j], tdrift[j] = step * dt_eff + t0, drift
-                hdrift[j] = np.max(np.abs(w - wh))
-                rho[j] = v.reshape((d, d), order="F")
+                herm = np.max(np.abs(w - wh))
+                yield step * dt_eff + t0, v.reshape((d, d), order="F"), drift, herm
         t0 += duration
 
+
+def _result(segments, rho0: DensityMatrix, save_every: int) -> EvolutionResult:
+    """The rows of ``_evolve``, collected into an :class:`EvolutionResult`."""
+    rows, n_saved, fields = _evolve(segments, rho0, save_every)
+    d = rho0.space.dim
+    times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
+    rho = np.empty((n_saved, d, d), dtype=complex)
+    for j, (t, state, drift, herm) in enumerate(rows):
+        times[j], rho[j], tdrift[j], hdrift[j] = t, state, drift, herm
     rho.setflags(write=False)
-    n_steps = sum(counts) if segments else None
-    dts = {dt_eff for _, _, (_, dt_eff) in segments}
-    dt_eff = dts.pop() if len(dts) == 1 else None
-    return EvolutionResult(
-        times, rho0.space, rho, tdrift, hdrift, method=method, n_steps=n_steps, dt_eff=dt_eff
-    )
+    return EvolutionResult(times, rho0.space, rho, tdrift, hdrift, **fields)
 
 
 def evolve(
@@ -510,7 +529,7 @@ def evolve(
     handling, so the warnings and errors before an abort are also those of
     checking every step.
     """
-    return _evolve([(g, t_end, _step_grid(t_end, dt))], rho0, save_every)
+    return _result([(g, t_end, _step_grid(t_end, dt))], rho0, save_every)
 
 
 def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResult:
@@ -525,7 +544,7 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     checked before the first step.  The segments share one space, so one
     ``method`` covers them all (None without segments).
     """
-    return _evolve([(g, duration, _step_grid(duration, dt)) for g, duration in segments], rho0, 1)
+    return _result([(g, duration, _step_grid(duration, dt)) for g, duration in segments], rho0, 1)
 
 
 def ehrenfest_residual(

@@ -43,6 +43,7 @@ __all__ = [
     "triple_json",
     "write_triple_json",
     "write_evolution_csv",
+    "write_evolution_rows",
     "write_trajectory_csv",
     "write_convergence_csv",
     "write_stability_csv",
@@ -250,17 +251,20 @@ def _repr_text(mags):
     p = k + f_len - _P_MIN
     # digit i is q_i - 10 q_(i-1), with q_i = floor(f / 10**(16 - i))
     q = f // _POW10[_DIGITS - 1 :: -1, None]
+    del f, k, f_len
     q[1:] -= q[:-1] * _U(10)
     # significant digits: the position of the last nonzero one
     n = ((q != 0).view(np.uint8) * np.arange(1, _DIGITS + 1, dtype=np.uint8)[:, None]).max(0)
     src = np.empty((len(mags), _DIGITS + 4 + len(_SRC_CONST)), dtype=np.uint8)
     src[:, :_DIGITS] = q.T + _U(ord("0"))
+    del q
     src[:, _ESIGN : _E1 + 1] = exponent.take(p, axis=0)
     src[:, _NUL:] = np.frombuffer(_SRC_CONST, dtype=np.uint8)
     # 0.0, inf and nan take the last three layouts
     special = len(layout) - 3 + (mags >= _INF) + (mags > _INF)
     row = np.where(regular, (n - 1).astype(np.intp) * _KEYS + key[p], special)
     idx = layout.take(row, axis=0)
+    del row
     idx += np.arange(0, src.size, src.shape[1])[:, None]
     return src.reshape(-1).take(idx)
 
@@ -281,10 +285,14 @@ def _block_text(a) -> bytes:
     mags = bits & _M63
     minus = (bits != mags) & (mags <= _INF)  # NaN has no sign
     mags, inverse = np.unique(mags, return_inverse=True)
+    txt = _repr_text(mags)
+    del mags
     # per value a sign byte, the text and a separator, less their NUL bytes
     buf = np.empty((a.size, _WIDTH + 2), dtype=np.uint8)
     buf[:, 0] = minus * np.uint8(ord("-"))
-    buf[:, 1:-1] = _repr_text(mags).take(inverse.reshape(-1), axis=0)
+    del minus
+    buf[:, 1:-1] = txt.take(inverse.reshape(-1), axis=0)
+    del txt, inverse
     buf[:, -1] = ord(",")
     buf.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
     return buf[buf != 0].tobytes()
@@ -345,18 +353,35 @@ def write_triple_json(path, result: EliminationResult):
 
 
 # values per formatted block; the writers' memory grows with it and not with
-# the row count (traced peak at d = 30: 1.8 MB at 2048, 3.5 MB at 16384)
-_BLOCK_VALUES = 2048
+# the row count.  The kernel's cost per block is mostly fixed, about 150
+# numpy calls, so a block of a few wide rows formats faster than one row at
+# a time: at d = 30 (1803 values a row) 8192 takes 4 rows.  Traced peak of
+# one `_block_text` call writing a 101-row d = 30 file: 0.34 MB at 2048
+# values (one row a block), 1.35 MB at 8192
+_BLOCK_VALUES = 8192
 
 
-def _row_blocks(*columns):
-    """2-D blocks of about `_BLOCK_VALUES` values, cut from row slices of
-    ``columns`` (1-D columns or 2-D column groups, equally long) and laid
-    side by side; one row per block when a row is wider than that."""
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    rows = max(1, _BLOCK_VALUES // width)
-    for start in range(0, len(columns[0]), rows):
-        yield np.column_stack([c[start : start + rows] for c in columns])
+def _row_blocks(chunks):
+    """2-D blocks of about `_BLOCK_VALUES` values, one row per block when a
+    row is wider than that, cut from the rows of ``chunks``.  A chunk is a
+    tuple of columns (1-D columns or 2-D column groups, equally long), laid
+    side by side; each chunk's rows follow those of the one before it, and
+    a block takes rows from as many chunks as it needs."""
+    parts, filled = [], 0
+    for columns in chunks:
+        width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+        rows = max(1, _BLOCK_VALUES // width)
+        start, end = 0, len(columns[0])
+        while start < end:
+            stop = min(end, start + rows - filled)
+            parts.append(np.column_stack([c[start:stop] for c in columns]))
+            filled += stop - start
+            start = stop
+            if filled == rows:
+                yield np.concatenate(parts)
+                parts, filled = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def _write_rows(path, header, blocks):
@@ -364,6 +389,12 @@ def _write_rows(path, header, blocks):
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for block in blocks:
+            # glibc's malloc returns the free top of its heap to the OS once
+            # it is over twice the largest mapped chunk freed so far, so a
+            # block's temporaries (up to about 360 bytes a value) would be
+            # faulted back in for every block.  Asking for 256 bytes a
+            # value and freeing them untouched lifts that limit above them
+            np.empty(block.size * 256, dtype=np.uint8)
             f.write(_block_text(block))
 
 
@@ -376,13 +407,25 @@ def _state_rows(rho) -> np.ndarray:
     return np.ascontiguousarray(rho).reshape(len(rho), -1).view(float)
 
 
+def _evolution_header(dim: int):
+    return ["time", *_state_columns(dim), "trace_drift", "hermiticity_drift"]
+
+
 def write_evolution_csv(path, result: EvolutionResult):
-    dim = result.rho.shape[1]
-    header = ["time", *_state_columns(dim), "trace_drift", "hermiticity_drift"]
-    blocks = _row_blocks(
-        result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift
+    columns = (result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift)
+    _write_rows(path, _evolution_header(result.rho.shape[1]), _row_blocks([columns]))
+
+
+def write_evolution_rows(path, dim: int, rows):
+    """The CSV of `write_evolution_csv`, from saved rows (time, d x d state,
+    trace drift, hermiticity drift) as ``master._evolve`` yields them: each
+    block is written once its rows have arrived, so no more than a block of
+    rows is held."""
+    chunks = (
+        (np.array([t]), _state_rows(m[None]), np.array([[drift, herm]]))
+        for t, m, drift, herm in rows
     )
-    _write_rows(path, header, blocks)
+    _write_rows(path, _evolution_header(dim), _row_blocks(chunks))
 
 
 def write_trajectory_csv(path, result: TrajectoryResult):
@@ -395,17 +438,17 @@ def write_trajectory_csv(path, result: TrajectoryResult):
         rec = result.record.increments
     else:
         rec = np.isin(result.times[1:], result.record.jump_times)
-    blocks = _row_blocks(result.times[1:], rec, result.innovations, _state_rows(result.rho[1:]))
-    _write_rows(path, header, blocks)
+    columns = (result.times[1:], rec, result.innovations, _state_rows(result.rho[1:]))
+    _write_rows(path, header, _row_blocks([columns]))
 
 
 def write_convergence_csv(path, points):
     header = ["k", "trace_distance", "leaked_trace", "dt_full"]
     rows = [[p.k, p.distance, p.leaked_trace, p.dt_full] for p in points]
-    _write_rows(path, header, _row_blocks(np.array(rows, dtype=float).reshape(-1, 4)))
+    _write_rows(path, header, _row_blocks([(np.array(rows, dtype=float).reshape(-1, 4),)]))
 
 
 def write_stability_csv(path, report: StabilityReport):
     header = ["k", "max_real_part", "stable"]
     rows = [[r.k, r.max_real_part, r.stable] for r in report.rows]
-    _write_rows(path, header, _row_blocks(np.array(rows, dtype=float).reshape(-1, 3)))
+    _write_rows(path, header, _row_blocks([(np.array(rows, dtype=float).reshape(-1, 3),)]))

@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 
 import zenoslh
 from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
-from zenoslh import cli, master
+from zenoslh import StepSizeError, cli, master, outputs
 from zenoslh.cli import main
 from zenoslh.operators import Operator
-from zenoslh.outputs import pairs_to_matrix, write_trajectory_csv
+from zenoslh.outputs import pairs_to_matrix, write_evolution_csv, write_trajectory_csv
 from zenoslh.slh import SLHTriple
 
 from common import MODELS, alkali_expected, entrymax
@@ -439,22 +441,130 @@ def test_evolve_at_d150_fits_in_a_capped_address_space(tmp_path):
     assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "matrix_free"
 
 
+# The child caps its address space, stops the CLI command after one second
+# with a KeyboardInterrupt, and prints what its out dir held then and after,
+# and its peak RSS (VmHWM, kB).
+_INTERRUPTED_CHILD = """
+import os, resource, signal, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from zenoslh.cli import main
+out_dir = sys.argv[2]
+held = []
+
+def stop(*_):
+    held.extend((f, os.path.getsize(os.path.join(out_dir, f))) for f in os.listdir(out_dir))
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGALRM, stop)
+signal.alarm(1)
+try:
+    main(sys.argv[3:])
+except KeyboardInterrupt:
+    with open("/proc/self/status") as f:
+        hwm = next(line for line in f if line.startswith("VmHWM:"))
+    print(repr((held, os.listdir(out_dir), int(hwm.split()[1]))))
+"""
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_evolve_that_cannot_fit_in_memory_exits_one(tmp_path):
-    # saving each of 1e12 steps asks for 7.28 TiB up front
+def test_evolve_past_memory_streams_its_rows(tmp_path):
+    # 1e12 saved steps would take 7.28 TiB of times alone; the rows stream
+    # to a temporary file instead, which an interrupt removes
     out = tmp_path / "e.csv"
     src = str(Path(zenoslh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["evolve", KERR, "--t-end", "1e9", "--dt", "1e-3", "--out", str(out)]
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, str(1536 * 2**20), *argv],
+        [sys.executable, "-c", _INTERRUPTED_CHILD, str(1536 * 2**20), str(tmp_path), *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] == "1"
-    assert proc.stderr.startswith("zenoslh: out of memory: ")
-    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
+    held, after, hwm_kb = ast.literal_eval(proc.stdout)
+    [(name, size)] = held
+    assert name.startswith(".e.csv.") and name.endswith(".tmp")
+    assert size > 8192  # whole blocks of rows reached the file while the run went on
+    assert after == []
+    assert hwm_kb < 200 * 1024
+
+
+def _kerr_model(tmp_path, n_max):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["spaces"]["mode"]["n_max"] = n_max
+    path = tmp_path / f"kerr{n_max}.model"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "n_max, t_end, dt, method",
+    # 251 rows of 75 values and 26 rows of 803: neither fills whole blocks
+    [(6, "0.25", "1e-3", "dense"), (20, "2.5e-3", "1e-4", "matrix_free")],
+)
+def test_evolve_streams_the_csv_of_its_result(tmp_path, n_max, t_end, dt, method):
+    model = _kerr_model(tmp_path, n_max)
+    out = tmp_path / "e.csv"
+    argv = ["evolve", str(model), "--model", "full", "--k", "2", "--t-end", t_end, "--dt", dt,
+            "--initial", "basis:1", "--out", str(out)]
+    assert main(argv) == 0
+    g = zenoslh.instantiate(load_model(str(model)).family, 2.0)
+    res = zenoslh.evolve(g, basis_state_density(g.space, 1), float(t_end), float(dt))
+    assert res.method == method
+    assert len(res.times) % (outputs._BLOCK_VALUES // (3 + 2 * g.dim**2)) != 0
+    write_evolution_csv(tmp_path / "ref.csv", res)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
+    assert (manifest["method"], manifest["n_steps"], manifest["dt_eff"]) == (
+        res.method, res.n_steps, res.dt_eff
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "e.csv", "e.csv.manifest.json", model.name, "ref.csv"
+    ]
+
+
+@pytest.mark.parametrize("block", [None, 9])
+def test_evolve_abort_mid_stream_writes_nothing(tmp_path, monkeypatch, capsys, block):
+    # a qubit decaying at rate 32, stepped at dt = 0.1, aborts near step 40
+    # of 300 (see test_abort_inside_a_block_matches_matrix_space); with
+    # 9-value blocks, each 11-value row is written before the next is made
+    if block is not None:
+        monkeypatch.setattr(outputs, "_BLOCK_VALUES", block)
+    model = {
+        "name": "decay32",
+        "spaces": {"q": {"kind": "level", "dim": 2}},
+        "family": {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["sqrt(32)*ketbra(q, 0, 1)"],
+                   "H2": "0", "H1": "0", "H0": "0"},
+        "subspace": {"basis": [[0]]},
+    }
+    path = tmp_path / "decay32.model"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["evolve", str(path), "--model", "full", "--k", "1", "--t-end", "30", "--dt", "0.1",
+            "--initial", "basis:1", "--out", str(out_dir / "e.csv")]
+    assert main(argv) == 2
+    g = zenoslh.instantiate(load_model(str(path)).family, 1.0)
+    with pytest.raises(StepSizeError) as want:
+        zenoslh.evolve(g, basis_state_density(g.space, 1), 30.0, 0.1)
+    assert capsys.readouterr().err == f"zenoslh: {want.value}\n"
+    assert round(float(str(want.value).split(" at t=")[1].split()[0]) / 0.1) > 2
+    assert list(out_dir.iterdir()) == []
+
+
+def test_evolve_memory_does_not_grow_with_saved_rows(tmp_path):
+    """The traced peak of the evolve command does not grow with its rows."""
+    model = str(_kerr_model(tmp_path, 30))
+    peaks = []
+    for t_end in ("5e-4", "5e-2", "2e-1"):  # 2, 101 and 401 rows at d = 30
+        argv = ["evolve", model, "--model", "full", "--k", "2", "--t-end", t_end, "--dt", "5e-4",
+                "--initial", "basis:1", "--out", str(tmp_path / "e.csv")]
+        tracemalloc.start()
+        assert main(argv) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # the first run also builds the formatter's tables, and its rows, near
+    # the basis state, have few distinct values to format; one state at
+    # d = 30 is 14.4 kB, so 300 more states held would be 4.3 MB
+    assert peaks[2] - peaks[1] < 256 * 1024
 
 
 @pytest.mark.parametrize("module", ["zenoslh", "zenoslh.cli"])
@@ -795,3 +905,11 @@ def test_manifests_of_other_commands_record_no_trajectory_diagnostics(tmp_path):
     assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(tmp_path / "e.csv")]) == 0
     manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
     assert manifest["jumps"] is None and manifest["max_purity"] is None
+
+
+@pytest.mark.parametrize("command", ["check", "eliminate"])
+def test_check_and_eliminate_manifests_record_phase_timings(tmp_path, capsys, command):
+    assert main([command, KERR, "--out", str(tmp_path / "r.json")]) == 0
+    timings = json.loads((tmp_path / "r.json.manifest.json").read_text())["timings"]
+    assert set(timings) == {"model_s", "run_s", "write_s"}
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())

@@ -34,6 +34,7 @@ from zenoslh.outputs import (
     triple_json,
     write_convergence_csv,
     write_evolution_csv,
+    write_evolution_rows,
     write_trajectory_csv,
 )
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_unitary
@@ -213,6 +214,24 @@ def test_write_evolution_csv_any_block_size(tmp_path_factory, bits, n_rows, dim,
     path = tmp_path_factory.mktemp("csv") / "e.csv"
     with mock.patch.object(outputs, "_BLOCK_VALUES", block):
         write_evolution_csv(path, res)
+    assert path.read_text() == evolution_reference(res)
+
+
+@settings(max_examples=60)
+@given(
+    bits=st.lists(F64_BITS, min_size=1, max_size=40),
+    n_rows=st.integers(1, 30),
+    dim=st.integers(1, 3),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 10_000),
+)
+def test_write_evolution_rows_any_block_size(tmp_path_factory, bits, n_rows, dim, block, seed):
+    # the rows arrive one at a time, as evolve makes them, and blocks span them
+    res = evolution_result(np.random.default_rng(seed), bits, n_rows, dim)
+    path = tmp_path_factory.mktemp("csv") / "e.csv"
+    rows = zip(res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+    with mock.patch.object(outputs, "_BLOCK_VALUES", block):
+        write_evolution_rows(path, dim, rows)
     assert path.read_text() == evolution_reference(res)
 
 
