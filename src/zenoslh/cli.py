@@ -12,10 +12,13 @@ nonnegative; anything else exits 1 before any output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -175,6 +178,26 @@ class _Timings(dict):
             self.lap(use)
 
 
+@contextlib.contextmanager
+def _sigterm_exits():
+    """Inside the block, SIGTERM raises SystemExit(128 + SIGTERM) so that
+    cleanup code runs; the previous handler is restored after it.  Only
+    the main thread may set a handler, so in any other this does nothing."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def exit_on(signum, frame):
+        raise SystemExit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, exit_on)
+    try:
+        yield
+    finally:
+        # None: a handler set outside Python, which cannot be put back
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def _manifest_path(out: str) -> str:
     return str(out) + ".manifest.json"
 
@@ -248,20 +271,27 @@ def _cmd_check(args) -> int:
         report["failed_condition"] = None
         report["residuals"] = {k: float(v) for k, v in result.residuals.items()}
         report["zeno_dim"] = result.zeno_triple.dim
+        method, cond_a_ff = result.method, result.cond_a_ff
     except ZenofiabilityError as e:
         report["zenofiable"] = False
         report["failed_condition"] = type(e).__name__
         report["message"] = str(e)
         report["residuals"] = {k: float(v) for k, v in e.residuals.items()}
         code = EXIT_VIOLATION
+        method, cond_a_ff = e.method, e.cond_a_ff
     timings.lap("run_s")
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         write_json(args.out, report)
         timings.lap("write_s")
-        RunManifest("check", model_digest(doc), tols, timings=dict(timings)).write(
-            _manifest_path(args.out)
-        )
+        RunManifest(
+            "check",
+            model_digest(doc),
+            tols,
+            method=method,
+            timings=dict(timings),
+            cond_a_ff=cond_a_ff,
+        ).write(_manifest_path(args.out))
     return code
 
 
@@ -279,9 +309,14 @@ def _cmd_eliminate(args) -> int:
     if args.out:
         write_triple_json(args.out, result)
         timings.lap("write_s")
-        RunManifest("eliminate", model_digest(doc), tols, timings=dict(timings)).write(
-            _manifest_path(args.out)
-        )
+        RunManifest(
+            "eliminate",
+            model_digest(doc),
+            tols,
+            method=result.method,
+            timings=dict(timings),
+            cond_a_ff=result.cond_a_ff,
+        ).write(_manifest_path(args.out))
     else:
         print(triple_json(result))
     return EXIT_OK
@@ -301,15 +336,17 @@ def _cmd_evolve(args) -> int:
     rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
     timings.lap("model_s")
     # each block of rows is written once it is made, to a temporary file
-    # that becomes --out when the run ends, so a run that fails writes no CSV
+    # that becomes --out when the run ends, so a run that fails or is
+    # stopped by SIGTERM writes no CSV
     out = Path(args.out)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    try:
-        write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _sigterm_exits():
+        try:
+            write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
+            os.replace(tmp, out)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     timings.lap("write_s")
     RunManifest(
         f"evolve --model {args.model}",

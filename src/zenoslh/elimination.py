@@ -36,6 +36,34 @@ When all three hold, the limit model on the Zeno subspace is
 A_ff^{-1} is always applied through a linear solve with a condition
 number guard, never by forming an explicit inverse.
 
+:func:`zeno_eliminate` evaluates the conditions and formulas in one of
+two orders, picked from the dimension d alone by ``_elimination_method``:
+
+- ``"full_space"`` (d <= FULL_SPACE_MAX_DIM = 128): expand K(k), lift
+  S-hat and L-hat back to the whole space (:func:`hat_operators`),
+  compress them again with V_z and measure every residual on d x d
+  matrices.  Besides the SVD of A_ff that is about 9 n^2 + 8 n + 7
+  products of d x d matrices for n channels (taking d_f ~ d): the S
+  sandwiches, the S_ff block behind the S-hat_zf correction, the lift
+  of S-hat and its decoupling blocks make the n^2 terms.  It is the
+  reference order, and its bytes are the ones the digest listing pins:
+  ``scripts/csv_digests.py`` eliminates at up to d = 128.
+- ``"blocks"`` (d > 128): the limit blocks alone.  Every product with a
+  V_z or V_f factor is formed from that side first, at O(n^2 d^2 d_z)
+  (M V_z, V_z^H M, S V_z, V_z^H S, L1 V_z and so on; the S-hat_zf
+  correction goes through G_j = L1_zf,j A_ff^{-1}, one solve with
+  A_ff^T), the triple is (S-hat_zz, L-hat_zz, H-hat) and the decoupling
+  residual is the largest entry of S-hat_zf, S-hat_fz and L-hat_fz.
+  The only O(d^3) work left is A (n products), A_ff = V_f^H A V_f (two),
+  the one SVD of A_ff and two LU factorizations of it.  On one core it
+  takes 15-20 ms at d = 160-180 with d_z = 2, where the full-space
+  order takes 55-70 ms.  It rounds differently from the full-space
+  order, by up to about 1e-14 of the largest entry.
+
+Both orders raise the same violations with the same messages, in the
+same order, and record the same residual keys in the same order.
+Neither forms R, which no limit formula reads.
+
 A family stores S as one read-only array ``s`` of shape (n, n, d, d) and
 L1, L0 as read-only arrays ``l1``, ``l0`` of shape (n, d, d); ``S``,
 ``L1`` and ``L0`` are views, nested tuples of :class:`Operator` copied
@@ -45,8 +73,9 @@ L-hat the same way (``s``, ``l`` arrays; ``s_hat``, ``l_hat`` views).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,21 +121,42 @@ __all__ = [
     "KERNEL_TOL_SIGMA",
     "DECOUPLING_TOL",
     "CONDITION_NUMBER_GUARD",
+    "FULL_SPACE_MAX_DIM",
 ]
 
 SCALING_TOL = 1e-9
 KERNEL_TOL_SIGMA = 1e-8
 DECOUPLING_TOL = 1e-9
 CONDITION_NUMBER_GUARD = 1e12
+# the largest d at which scripts/csv_digests.py eliminates (its oscillator
+# case of slow dimension 2 and three modes truncated at 4 Fock states, so
+# the digest listing pins the full-space bytes up to here); zeno_eliminate
+# takes the full-space order up to it and the block order above
+FULL_SPACE_MAX_DIM = 128
 
 
 class ZenofiabilityError(ValueError):
-    """A zenofiability condition failed for the supplied split."""
+    """A zenofiability condition failed for the supplied split.
 
-    def __init__(self, message: str, residual: float, residuals: dict | None = None):
+    Raised by :func:`zeno_eliminate`, it also names the evaluation order
+    (``method``) and carries cond(A_ff) (``cond_a_ff``) once the SVD of
+    A_ff has run; both are None otherwise.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        residual: float,
+        residuals: dict | None = None,
+        *,
+        method: str | None = None,
+        cond_a_ff: float | None = None,
+    ):
         super().__init__(message)
         self.residual = float(residual)
         self.residuals = dict(residuals or {})
+        self.method = method
+        self.cond_a_ff = cond_a_ff
 
 
 class ScalingViolation(ZenofiabilityError):
@@ -176,11 +226,21 @@ class ScaledSLHFamily(_Immutable):
 
 @dataclass(frozen=True)
 class KExpansion:
-    """Coefficients of K(k) = k^2 quadratic + k linear + constant."""
+    """Coefficients of K(k) = k^2 quadratic + k linear + constant.
+
+    ``constant`` is formed from ``family`` on first access, since no limit
+    formula reads it.
+    """
 
     quadratic: Operator
     linear: Operator
-    constant: Operator
+    family: ScaledSLHFamily = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def constant(self) -> Operator:
+        m0 = self.family.l0
+        const = _channel_sum(_adjoint(m0) @ m0)
+        return Operator(self.family.space, -0.5 * const - 1j * self.family.H0.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +274,10 @@ class EliminationResult:
     zeno_triple: SLHTriple
     v_z: SubspaceIsometry
     residuals: dict
+    # the evaluation order that ran, "full_space" or "blocks", and
+    # sigma_max / sigma_min of A_ff (None without a fast subspace)
+    method: str | None = None
+    cond_a_ff: float | None = None
 
 
 def _coupling(k) -> float:
@@ -244,13 +308,11 @@ def _k_quadratic(family: ScaledSLHFamily) -> Operator:
 def expand_k(family: ScaledSLHFamily) -> KExpansion:
     """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k)."""
     m1, m0 = family.l1, family.l0
-    m1d, m0d = _adjoint(m1), _adjoint(m0)
-    lin = _channel_sum(m1d @ m0 + m0d @ m1)
-    const = _channel_sum(m0d @ m0)
+    lin = _channel_sum(_adjoint(m1) @ m0 + _adjoint(m0) @ m1)
     return KExpansion(
         quadratic=_k_quadratic(family),
         linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
-        constant=Operator(family.space, -0.5 * const - 1j * family.H0.mat),
+        family=family,
     )
 
 
@@ -288,7 +350,10 @@ def _sigma_min(sv: np.ndarray) -> float:
 
 def kernel_alignment(expansion: KExpansion, split: ZenoSplit) -> float:
     """Spectral norm of A V_z; zero iff the Zeno range sits in ker A."""
-    m = expansion.quadratic.mat @ split.v_z.cols
+    return _spectral_norm(expansion.quadratic.mat @ split.v_z.cols)
+
+
+def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
@@ -300,34 +365,42 @@ def _drift_blocks(exp: KExpansion, split: ZenoSplit):
     return a_ff, np.linalg.svd(a_ff, compute_uv=False), m_zf, m_fz
 
 
+def _condition_number(sv: np.ndarray) -> float | None:
+    """sigma_max / sigma_min of the singular values ``sv`` (np.linalg.cond,
+    with NaN for its inf); None if there are none."""
+    if not sv.size:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(sv[0] / sv[-1])
+
+
+def _well_conditioned(cond: float | None) -> bool:
+    return cond is None or cond <= CONDITION_NUMBER_GUARD  # NaN fails
+
+
+_SINGULAR = (
+    "fast block of the k^2 drift coefficient is numerically singular "
+    f"(condition number > {CONDITION_NUMBER_GUARD:.0e})"
+)
+
+
 def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
     """Evaluate the limit formulas (see module docstring).
 
     Assumes the scaling and kernel conditions hold; raises
     :class:`KernelViolation` if A_ff is numerically singular.
     """
-    return _hat_operators(family, split, *_drift_blocks(expand_k(family), split))
+    a_ff, sv, m_zf, m_fz = _drift_blocks(expand_k(family), split)
+    if not _well_conditioned(_condition_number(sv)):
+        raise KernelViolation(_SINGULAR, residual=_sigma_min(sv))
+    return _hat_operators(family, split, a_ff, m_zf, m_fz)
 
 
-def _hat_operators(
-    family: ScaledSLHFamily, split: ZenoSplit, a_ff, sv, m_zf, m_fz, residuals=None
-) -> HatOperators:
-    """:func:`hat_operators` given ``_drift_blocks``; a `KernelViolation`
-    carries ``residuals``."""
+def _hat_operators(family: ScaledSLHFamily, split: ZenoSplit, a_ff, m_zf, m_fz) -> HatOperators:
+    """:func:`hat_operators` given the blocks of ``_drift_blocks``."""
     vz, vf = split.v_z.cols, split.v_f.cols
     h0_zz = vz.conj().T @ family.H0.mat @ vz
-
     d_f = split.dim_fast
-    if d_f:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = sv[0] / sv[-1]  # np.linalg.cond(a_ff), with NaN for its inf
-        if not cond <= CONDITION_NUMBER_GUARD:
-            raise KernelViolation(
-                "fast block of the k^2 drift coefficient is numerically singular "
-                f"(condition number > {CONDITION_NUMBER_GUARD:.0e})",
-                residual=_sigma_min(sv),
-                residuals=residuals,
-            )
 
     def solve_ff(rhs):
         if d_f == 0 or rhs.size == 0:
@@ -378,9 +451,107 @@ def check_decoupling(hats: HatOperators) -> float:
     """Largest entry of the Zeno-fast scattering blocks and fast couplings."""
     split = hats.split
     vz, vf = split.v_z.cols, split.v_f.cols
-    return _max_abs(
-        vz.conj().T @ hats.s @ vf, vf.conj().T @ hats.s @ vz, vf.conj().T @ hats.l @ vz
-    )
+
+
+def check_decoupling(hats: HatOperators) -> float:
+    """Largest entry of the Zeno-fast scattering blocks and fast couplings."""
+    return _max_abs(*_decoupling_blocks(hats))
+
+
+def _decoupling_blocks(hats: HatOperators) -> tuple:
+    """S-hat_zf, S-hat_fz and L-hat_fz."""
+    split = hats.split
+    vz, vf = split.v_z.cols, split.v_f.cols
+    return vz.conj().T @ hats.s @ vf, vf.conj().T @ hats.s @ vz, vf.conj().T @ hats.l @ vz
+
+
+# The two evaluation orders of zeno_eliminate.  Each is a generator that
+# yields, in turn, the scaling residual; the kernel alignment and the
+# singular values of A_ff; the blocks S-hat_zf, S-hat_fz and L-hat_fz,
+# whose largest entry is the decoupling residual; and the limit triple.
+# zeno_eliminate checks each condition before it asks for the next item,
+# so a path does no more work than the conditions that passed call for.
+
+
+def _full_space_order(family: ScaledSLHFamily, split: ZenoSplit):
+    """The reference order: S-hat and L-hat lifted to the whole space."""
+    yield check_scaling(family, split)
+    exp = expand_k(family)
+    align = kernel_alignment(exp, split)
+    a_ff, sv, m_zf, m_fz = _drift_blocks(exp, split)
+    del exp  # free the d x d coefficients before the S-sized work below
+    yield align, sv
+    hats = _hat_operators(family, split, a_ff, m_zf, m_fz)
+    yield _decoupling_blocks(hats)
+    v_z = split.v_z
+    yield SLHTriple(v_z.compress_mat(hats.s), v_z.compress_mat(hats.l), hats.h_zeno)
+
+
+def _solve_stack(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """a^{-1} rhs[i] for every matrix of the (m, d_f, c) stack ``rhs``, as
+    one system of all its columns, so ``a`` is factored once; zeros if the
+    stack is empty."""
+    m, d_f, c = rhs.shape
+    if rhs.size == 0:
+        return np.zeros_like(rhs)
+    cols = rhs.transpose(1, 0, 2).reshape(d_f, m * c)
+    return np.linalg.solve(a, cols).reshape(d_f, m, c).transpose(1, 0, 2)
+
+
+def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
+    """The block order: the limit blocks alone, every product that has a
+    V_z or V_f factor formed from that side first."""
+    vz, vf = split.v_z.cols, split.v_f.cols
+    vzh, vfh = vz.conj().T, vf.conj().T
+    s, l1, l0 = family.s, family.l1, family.l0
+    h1, h2 = family.H1.mat, family.H2.mat
+    l1h = _adjoint(l1)
+
+    l1_vz, h1_vz, h2_vz = l1 @ vz, h1 @ vz, h2 @ vz
+    yield _max_abs(l1_vz @ vzh, vz @ (vzh @ h1_vz) @ vzh, vz @ (vzh @ h2), h2_vz @ vzh)
+
+    a = _k_quadratic(family).mat
+    a_ff = vfh @ a @ vf  # as _drift_blocks forms it, so sv has its bits
+    sv = np.linalg.svd(a_ff, compute_uv=False)
+    yield _spectral_norm(a @ vz), sv
+    del a
+
+    # M V_z and V_z^H M of M = -1/2 sum_i (L1_i^H L0_i + L0_i^H L1_i) - i H1
+    l0_vz, vzh_l1 = l0 @ vz, vzh @ l1
+    m_vz = -0.5 * _channel_sum(l1h @ l0_vz + _adjoint(l0) @ l1_vz) - 1j * h1_vz
+    vzh_m = -0.5 * _channel_sum(_adjoint(l1_vz) @ l0 + _adjoint(l0_vz) @ l1) - 1j * (vzh @ h1)
+    m_zf, m_fz = vzh_m @ vf, vfh @ m_vz
+
+    # S-hat = (1 + L1 V_f A_ff^{-1} V_f^H L1^H) S, summed over channels: its
+    # Zeno column S-hat V_z through y[k] = A_ff^{-1} V_f^H sum_m L1_m^H S_mk V_z,
+    # solved with w = A_ff^{-1} M_fz, and its Zeno row V_z^H S-hat through
+    # G_j = L1_zf,j A_ff^{-1}, i.e. A_ff^T G_j^T = L1_zf,j^T
+    s_vz = s @ vz
+    rhs = vfh @ _channel_sum(l1h[:, None] @ s_vz)
+    sol = _solve_stack(a_ff, np.concatenate([m_fz[None], rhs]))
+    w, y = sol[0], sol[1:]
+    shat_vz = s_vz + l1[:, None] @ (vf @ y)[None]
+    g = _solve_stack(a_ff.T, (vzh_l1 @ vf).swapaxes(-1, -2)).swapaxes(-1, -2)
+    g_l1h = (g @ vfh)[:, None] @ l1h[None]  # G_j V_f^H L1_m^H, axes (j, m)
+    vzh_shat = vzh @ s
+    for m in range(family.n):
+        vzh_shat += g_l1h[:, m, None] @ s[None, m]
+
+    vf_w = vf @ w
+    l_zz = vzh @ l0_vz - vzh_l1 @ vf_w  # L0_zz - L1_zf A_ff^{-1} M_fz
+    l_fz = vfh @ (l0_vz - l1 @ vf_w)  # L0_fz - L1_ff A_ff^{-1} M_fz
+    yield vzh_shat @ vf, vfh @ shat_vz, l_fz
+
+    h_hat = vzh @ family.H0.mat @ vz + _im(m_zf @ w)
+    yield SLHTriple(vzh @ shat_vz, l_zz, Operator(split.zeno_space, h_hat))
+
+
+_PATHS = {"full_space": _full_space_order, "blocks": _block_order}
+
+
+def _elimination_method(d: int) -> str:
+    """The evaluation order of :func:`zeno_eliminate` at dimension d."""
+    return "full_space" if d <= FULL_SPACE_MAX_DIM else "blocks"
 
 
 def zeno_eliminate(
@@ -398,15 +569,22 @@ def zeno_eliminate(
     On failure a typed :class:`ZenofiabilityError` names the violated
     condition and carries the residuals collected so far.  A kernel not
     aligned with the supplied split is an error; use
-    :func:`find_zeno_subspace` to discover the aligned split.
+    :func:`find_zeno_subspace` to discover the aligned split.  The
+    evaluation order (module docstring) is picked from the dimension
+    alone; the result records it and cond(A_ff).
     """
+    method = _elimination_method(split.space.dim)
+    path = _PATHS[method](family, split)
     residuals: dict = {}
+    cond = None
 
     def require(passed, violation, message, residual):
         if not passed:
-            raise violation(message, residual=residual, residuals=residuals)
+            raise violation(
+                message, residual=residual, residuals=residuals, method=method, cond_a_ff=cond
+            )
 
-    s_res = check_scaling(family, split)
+    s_res = next(path)
     residuals["scaling_residual"] = s_res
     require(
         s_res < scaling_tol,
@@ -415,11 +593,8 @@ def zeno_eliminate(
         s_res,
     )
 
-    exp = expand_k(family)
-    align = kernel_alignment(exp, split)
-    blocks = _drift_blocks(exp, split)
-    del exp  # free the d x d coefficients before the S-sized work below
-    sigma_min = _sigma_min(blocks[1])
+    align, sv = next(path)
+    sigma_min, cond = _sigma_min(sv), _condition_number(sv)
     residuals["kernel_min_singular_value"] = sigma_min
     residuals["kernel_alignment"] = align
     require(
@@ -436,9 +611,9 @@ def zeno_eliminate(
         f"(sigma_min(A_ff) = {sigma_min:.3e} <= {kernel_tol:.1e})",
         sigma_min,
     )
+    require(_well_conditioned(cond), KernelViolation, _SINGULAR, sigma_min)
 
-    hats = _hat_operators(family, split, *blocks, residuals=residuals)
-    d_res = check_decoupling(hats)
+    d_res = _max_abs(*next(path))
     residuals["decoupling_residual"] = d_res
     require(
         d_res < decoupling_tol,
@@ -446,10 +621,7 @@ def zeno_eliminate(
         f"decoupling condition violated (residual {d_res:.3e} >= {decoupling_tol:.1e})",
         d_res,
     )
-
-    v_z = split.v_z
-    triple = SLHTriple(v_z.compress_mat(hats.s), v_z.compress_mat(hats.l), hats.h_zeno)
-    return EliminationResult(zeno_triple=triple, v_z=v_z, residuals=residuals)
+    return EliminationResult(next(path), split.v_z, residuals, method, cond)
 
 
 def find_zeno_subspace(family: ScaledSLHFamily) -> ZenoSplit:

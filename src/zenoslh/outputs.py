@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -82,6 +81,7 @@ class RunManifest:
     dt_eff: float | None = None
     jumps: int | None = None
     max_purity: float | None = None
+    cond_a_ff: float | None = None
 
     def write(self, path):
         write_json(path, asdict(self))
@@ -312,19 +312,16 @@ def _format_block(a) -> list:
     return table[inverse.reshape(bits.shape) + len(strs) * (bits > _M63)].tolist()
 
 
-def _json_nested(leaves: list, shape: tuple) -> str:
-    """``json.dumps(indent=2)`` of a nested list of ``shape`` whose leaves,
-    in C order, are the strings ``leaves``, as the value of a top-level key."""
-    items = leaves
-    for depth in reversed(range(len(shape))):
-        n = shape[depth]
-        if n == 0:
-            items = ["[]"] * math.prod(shape[:depth])
-            continue
-        inner = "\n" + "  " * (depth + 2)
-        sep, close = "," + inner, "\n" + "  " * (depth + 1) + "]"
-        items = ["[" + inner + sep.join(items[i : i + n]) + close for i in range(0, len(items), n)]
-    return items[0]
+def _json_template(shape: tuple, depth: int = 1) -> str:
+    """``json.dumps(indent=2)`` of a nested list of ``shape``, as the value
+    of a top-level key, with ``%s`` for each leaf, in C order."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    item = _json_template(shape[1:], depth + 1)
+    return "[" + inner + (item + "," + inner) * (shape[0] - 1) + item + "\n" + "  " * depth + "]"
 
 
 def triple_json(result: EliminationResult) -> str:
@@ -338,7 +335,7 @@ def triple_json(result: EliminationResult) -> str:
     texts = _format_block(np.concatenate([p.reshape(-1) for p in pairs.values()])[None])[0]
     parts, start = {}, 0
     for k, p in pairs.items():
-        parts[k] = _json_nested(texts[start : start + p.size], p.shape)
+        parts[k] = _json_template(p.shape) % tuple(texts[start : start + p.size])
         start += p.size
     residuals = {k: float(v) for k, v in result.residuals.items()}
     for k, v in {"channels": t.n, "zeno_dim": t.dim, "residuals": residuals}.items():

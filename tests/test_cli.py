@@ -1,8 +1,11 @@
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 import zenoslh
 from zenoslh import SimConfig, basis_state_density, load_model, simulate, zeno_eliminate
-from zenoslh import StepSizeError, cli, master, outputs
+from zenoslh import StepSizeError, block_split, cli, elimination, expand_k, master, outputs
 from zenoslh.cli import main
 from zenoslh.operators import Operator
 from zenoslh.outputs import pairs_to_matrix, write_evolution_csv, write_trajectory_csv
@@ -913,3 +916,118 @@ def test_check_and_eliminate_manifests_record_phase_timings(tmp_path, capsys, co
     timings = json.loads((tmp_path / "r.json.manifest.json").read_text())["timings"]
     assert set(timings) == {"model_s", "run_s", "write_s"}
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+
+def _manifest_of(out):
+    return json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["check", "eliminate"])
+def test_check_and_eliminate_manifests_record_method_and_cond_a_ff(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    assert main([command, LAMBDA, "--out", str(out)]) == 0
+    doc = load_model(LAMBDA)
+    a_ff = block_split(expand_k(doc.family).quadratic, doc.split())[3]
+    manifest = _manifest_of(out)
+    assert manifest["method"] == "full_space"
+    assert manifest["cond_a_ff"] == pytest.approx(np.linalg.cond(a_ff), rel=1e-12)
+    assert manifest["cond_a_ff"] > 1
+
+
+def _model_with(tmp_path, name, **family):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["family"].update(family)
+    path = tmp_path / f"{name}.model"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_manifest_records_cond_a_ff_once_the_svd_has_run(tmp_path, capsys):
+    # the scaling check fails before the SVD of A_ff; the guard, after it
+    scaling = _model_with(tmp_path, "scaling", L1=["a", "0"])
+    # A_ff = -i diag(2e-8, 1e5, 1e5, 1e5): sigma_min passes, cond(A_ff) = 5e12
+    singular = _model_with(
+        tmp_path, "singular",
+        H2="2e-8*ketbra(mode, 2, 2) + 1e5*(ketbra(mode, 3, 3) + ketbra(mode, 4, 4) "
+        "+ ketbra(mode, 5, 5))",
+    )
+    for model, failed in ((scaling, "ScalingViolation"), (singular, "KernelViolation")):
+        out = tmp_path / f"{failed}.json"
+        assert main(["check", model, "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["failed_condition"] == failed
+        manifest = _manifest_of(out)
+        assert manifest["method"] == "full_space"
+        if failed == "ScalingViolation":
+            assert manifest["cond_a_ff"] is None
+        else:
+            assert manifest["cond_a_ff"] > elimination.CONDITION_NUMBER_GUARD
+
+
+def test_check_manifest_without_a_split_records_no_method(tmp_path, capsys):
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["family"]["H2"] = "identity(mode)"
+    doc["subspace"] = "auto"
+    model = tmp_path / "trivial.model"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["check", str(model), "--out", str(out)]) == 2
+    manifest = _manifest_of(out)
+    assert manifest["method"] is None and manifest["cond_a_ff"] is None
+
+
+@pytest.mark.parametrize("model", [KERR, LAMBDA, ALKALI])
+def test_eliminate_on_the_block_order(tmp_path, capsys, monkeypatch, model):
+    full, blocks = tmp_path / "full.json", tmp_path / "blocks.json"
+    assert main(["eliminate", model, "--out", str(full)]) == 0
+    monkeypatch.setattr(elimination, "_elimination_method", lambda d: "blocks")
+    assert main(["eliminate", model, "--out", str(blocks)]) == 0
+    assert main(["check", model]) == 0
+    want, got = (json.loads(p.read_text()) for p in (full, blocks))
+    assert list(got) == list(want) and list(got["residuals"]) == list(want["residuals"])
+    for key in ("S", "L", "H", "V_z"):
+        np.testing.assert_allclose(got[key], want[key], rtol=0, atol=1e-12)
+    assert (_manifest_of(full)["method"], _manifest_of(blocks)["method"]) == (
+        "full_space", "blocks"
+    )
+    assert _manifest_of(blocks)["cond_a_ff"] == _manifest_of(full)["cond_a_ff"]
+
+
+def test_evolve_stopped_by_sigterm_leaves_no_file(tmp_path):
+    # the run would write for hours; SIGTERM once its temporary file exists
+    # must remove that file, as an error or Ctrl-C does
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    argv = ["evolve", KERR, "--t-end", "1e9", "--dt", "1e-3", "--out", str(tmp_path / "e.csv")]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zenoslh", *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not list(tmp_path.glob(".e.csv.*.tmp")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 128 + signal.SIGTERM
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_restores_the_sigterm_handler(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(tmp_path / "e.csv")]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_evolve_off_the_main_thread_sets_no_handler(tmp_path):
+    codes = []
+    argv = ["evolve", KERR, "--t-end", "0.01", "--out", str(tmp_path / "e.csv")]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)))
+    worker.start()
+    worker.join()
+    assert codes == [0] and (tmp_path / "e.csv").exists()

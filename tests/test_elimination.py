@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from zenoslh import (
     Operator,
     ScaledSLHFamily,
     ScalingViolation,
+    SubspaceIsometry,
     ZenoSplit,
     basis_ketbra,
     block_split,
@@ -562,3 +566,213 @@ def test_find_zeno_subspace_kernel_violation_carries_the_dimension():
             find_zeno_subspace(fam)
         assert err.value.residual == dim
         assert err.value.residuals == {}
+
+
+# ---------------------------------------------------------------------------
+# evaluation orders: the block order against the full-space reference
+# ---------------------------------------------------------------------------
+
+
+def _eliminate_by(monkeypatch, method, family, split, **tols):
+    """zeno_eliminate with its evaluation order forced to ``method``."""
+    monkeypatch.setattr(elimination, "_elimination_method", lambda d: method)
+    return zeno_eliminate(family, split, **tols)
+
+
+def _with_scattering(family, split, rng, decoupled):
+    """``family`` with S_jk = u_jk W for a random channel unitary u and a
+    random unitary W, which keeps the Zeno and fast subspaces apart iff
+    ``decoupled``.  Otherwise the couplings also gain random fast <- fast
+    (k-linear) and fast <- Zeno (k^0) parts, so that every term of S-hat_zf,
+    S-hat_fz and L-hat_fz is nonzero."""
+    n, d, d_z, d_f = family.n, family.dim, split.dim_zeno, split.dim_fast
+    vz, vf = split.v_z.cols, split.v_f.cols
+    l1, l0 = family.l1, family.l0
+    if decoupled:
+        w = (vz @ random_unitary(rng, d_z) @ vz.conj().T
+             + vf @ random_unitary(rng, d_f) @ vf.conj().T)
+    else:
+        w = random_unitary(rng, d)
+        l1 = l1 + np.stack([vf @ random_complex_matrix(rng, d_f) @ vf.conj().T for _ in range(n)])
+        l0 = l0 + np.stack(
+            [vf @ random_complex_matrix(rng, d_f, d_z) @ vz.conj().T for _ in range(n)]
+        )
+    s = random_unitary(rng, n)[:, :, None, None] * w
+    return ScaledSLHFamily(s, l1, l0, family.H2, family.H1, family.H0)
+
+
+def _rotated(family, split, u):
+    """The family and split carried by the unitary u: X -> u X u^H, V -> u V."""
+    rotated = family.map_operators(lambda op: Operator(op.space, u @ op.mat @ u.conj().T))
+    v_z, v_f = (SubspaceIsometry(split.space, u @ v.cols) for v in (split.v_z, split.v_f))
+    return rotated, ZenoSplit(v_z, v_f)
+
+
+def _random_case(seed, n, rotate, scattering=None):
+    rng = np.random.default_rng(seed)
+    fam, split = random_zenofiable_family(rng, 2, 4, n)
+    if scattering is not None:
+        fam = _with_scattering(fam, split, rng, decoupled=scattering == "decoupled")
+    if rotate:
+        fam, split = _rotated(fam, split, random_unitary(rng, fam.dim))
+    return fam, split
+
+
+def _assert_close(got, want, scale):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("scattering", [None, "decoupled"])
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_order_matches_the_full_space_order(monkeypatch, n, rotate, scattering):
+    fam, split = _random_case([31, n, rotate, scattering is None], n, rotate, scattering)
+    full = _eliminate_by(monkeypatch, "full_space", fam, split)
+    blocks = _eliminate_by(monkeypatch, "blocks", fam, split)
+    assert (full.method, blocks.method) == ("full_space", "blocks")
+    # both form A_ff the same way, so its SVD has the same bits
+    assert blocks.cond_a_ff == full.cond_a_ff > 1
+    tf, tb = full.zeno_triple, blocks.zeno_triple
+    scale = max(np.max(np.abs(m)) for m in (tf.s, tf.l, tf.H.mat))
+    for got, want in ((tb.s, tf.s), (tb.l, tf.l), (tb.H.mat, tf.H.mat)):
+        _assert_close(got, want, scale)
+    assert list(blocks.residuals) == list(full.residuals)
+    _assert_close(list(blocks.residuals.values()), list(full.residuals.values()), scale)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_order_forms_the_decoupling_blocks_of_the_full_space_order(n, rotate):
+    # S mixes the Zeno and fast subspaces, so S-hat_zf, S-hat_fz and
+    # L-hat_fz are all of order one; each order yields them third
+    fam, split = _random_case([32, n, rotate], n, rotate, scattering="mixing")
+    full, blocks = (
+        list(itertools.islice(elimination._PATHS[method](fam, split), 3))
+        for method in ("full_space", "blocks")
+    )
+    assert blocks[1][1].tobytes() == full[1][1].tobytes()  # the singular values of A_ff
+    for got, want in zip(blocks[2], full[2]):
+        assert got.shape == want.shape and np.max(np.abs(want)) > 0.1
+        _assert_close(got, want, 1.0)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_decoupling_violation_matches_on_both_orders(monkeypatch, rotate):
+    fam, split = _random_case([33, rotate], 2, rotate, scattering="mixing")
+    errors = []
+    for method in ("full_space", "blocks"):
+        with pytest.raises(DecouplingViolation) as err:
+            _eliminate_by(monkeypatch, method, fam, split)
+        errors.append(err.value)
+    full, blocks = errors
+    assert str(blocks) == str(full) and full.residual > 0.1
+    assert list(blocks.residuals) == list(full.residuals)
+    _assert_close(list(blocks.residuals.values()), list(full.residuals.values()), 1.0)
+
+
+def _diagonal_family(space, h2_diagonal, l1=None):
+    """One channel, S = 1, L0 = H1 = H0 = 0 and a diagonal H2."""
+    z = zero(space)
+    h2 = Operator(space, np.diag(np.asarray(h2_diagonal, dtype=float)))
+    return ScaledSLHFamily(((identity(space),),), (l1 or z,), (z,), h2, z, z)
+
+
+def _violation_cases():
+    sp2, sp3, sp4 = HilbertSpace((2,)), HilbertSpace((3,)), HilbertSpace((4,))
+    kerr, kerr_split = kerr_family()
+    nan = float("nan")
+    swap = ScaledSLHFamily(
+        ((pauli("x"),),), (zero(sp2),), (zero(sp2),), Operator(sp2, np.diag([0.0, 1.0])),
+        zero(sp2), zero(sp2),
+    )
+    coupled = _diagonal_family(sp3, [0.0, 0.0, 0.0], l1=identity(sp3))
+    return {
+        "scaling": (coupled, ZenoSplit.from_indices(sp3, [0]), {}),
+        # H2 leaks 1e-3 into the Zeno subspace: within a scaling tolerance of
+        # 1e-2, but A V_z is far from zero
+        "kernel_alignment": (
+            _diagonal_family(sp4, [1e-3, 0.0, 1.0, 2.0]),
+            ZenoSplit.from_indices(sp4, [0, 1]),
+            {"scaling_tol": 1e-2},
+        ),
+        "sigma_min": (
+            _diagonal_family(sp4, [0.0, 0.0, 0.0, 1.0]), ZenoSplit.from_indices(sp4, [0, 1]), {}
+        ),
+        "condition_number": (
+            _diagonal_family(sp4, [0.0, 0.0, 1e5, 2e-8]), ZenoSplit.from_indices(sp4, [0, 1]), {}
+        ),
+        "decoupling": (swap, ZenoSplit.from_indices(sp2, [0]), {}),
+        "nan_scaling_tol": (coupled, ZenoSplit.from_indices(sp3, [0]), {"scaling_tol": nan}),
+        "nan_kernel_tol": (kerr, kerr_split, {"kernel_tol": nan}),
+        "nan_decoupling_tol": (kerr, kerr_split, {"decoupling_tol": nan}),
+    }
+
+
+@pytest.mark.parametrize(
+    "case, violation",
+    [
+        ("scaling", ScalingViolation),
+        ("kernel_alignment", KernelViolation),
+        ("sigma_min", KernelViolation),
+        ("condition_number", KernelViolation),
+        ("decoupling", DecouplingViolation),
+        ("nan_scaling_tol", ScalingViolation),
+        ("nan_kernel_tol", KernelViolation),
+        ("nan_decoupling_tol", DecouplingViolation),
+    ],
+)
+def test_both_orders_raise_the_same_violation(monkeypatch, case, violation):
+    fam, split, tols = _violation_cases()[case]
+    errors = []
+    for method in ("full_space", "blocks"):
+        with pytest.raises(violation) as err:
+            _eliminate_by(monkeypatch, method, fam, split, **tols)
+        assert type(err.value) is violation and err.value.method == method
+        errors.append(err.value)
+    full, blocks = errors
+    assert str(blocks) == str(full)
+    assert blocks.residual == full.residual
+    assert list(blocks.residuals.items()) == list(full.residuals.items())
+    # cond(A_ff) is known once the SVD of A_ff has run, after the scaling check
+    assert blocks.cond_a_ff == full.cond_a_ff
+    assert (full.cond_a_ff is None) == ("scaling" in case)
+
+
+def test_elimination_method_is_chosen_by_dimension_alone():
+    bound = elimination.FULL_SPACE_MAX_DIM
+    assert elimination._elimination_method(1) == "full_space"
+    assert elimination._elimination_method(bound) == "full_space"
+    assert elimination._elimination_method(bound + 1) == "blocks"
+    fam, split = kerr_family()
+    assert zeno_eliminate(fam, split).method == "full_space"
+
+
+def _digest_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "csv_digests.py"
+    spec = importlib.util.spec_from_file_location("csv_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_full_space_order_covers_every_digested_elimination():
+    # every d at which scripts/csv_digests.py eliminates must take the
+    # full-space order, whose bytes tests/csv_digests.txt pins: the shipped
+    # models its commands read, and slow_dim * trunc^m of its oscillator cases
+    script = _digest_script()
+    models = {a for argv in script.examples(MODELS) for a in argv if a.endswith(".model")}
+    dims = [load_model(m).family.dim for m in sorted(models)]
+    dims += [slow * trunc**m for slow, _, m, trunc in script.OSCILLATOR_CASES]
+    assert len(models) == 3 and max(dims) == 128
+    assert all(d <= elimination.FULL_SPACE_MAX_DIM for d in dims)
+    assert all(elimination._elimination_method(d) == "full_space" for d in dims)
+
+
+def test_expansion_forms_its_constant_only_when_read():
+    fam, _ = kerr_family()
+    exp = expand_k(fam)
+    assert "constant" not in vars(exp)
+    const = exp.constant
+    assert exp.constant is const
+    want = -0.5 * sum(op.mat.conj().T @ op.mat for op in fam.L0) - 1j * fam.H0.mat
+    assert entrymax(const, want) < 1e-14
