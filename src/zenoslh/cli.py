@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -202,6 +203,7 @@ def _manifest_path(out: str) -> str:
     return str(out) + ".manifest.json"
 
 
+@functools.cache  # built once per process; parse_args leaves it as it was
 def build_parser() -> _Parser:
     p = _Parser(prog="zenoslh", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -60,9 +60,12 @@ two orders, picked from the dimension d alone by ``_elimination_method``:
   order takes 55-70 ms.  It rounds differently from the full-space
   order, by up to about 1e-14 of the largest entry.
 
-Both orders raise the same violations with the same messages, in the
-same order, and record the same residual keys in the same order.
-Neither forms R, which no limit formula reads.
+Both orders form A_ff and its singular values in ``_fast_block`` and
+H-hat in ``_h_hat``, judge A_ff by one singular-block rule (shared with
+:mod:`zenoslh.linear`) and raise through one violation path, with the
+same messages and residual keys in the same order.  They differ in the
+scaling residual, M's Zeno-fast blocks, S-hat, L-hat and the decoupling
+blocks.  Neither forms R, which no limit formula reads.
 
 A family stores S as one read-only array ``s`` of shape (n, n, d, d) and
 L1, L0 as read-only arrays ``l1``, ``l0`` of shape (n, d, d); ``S``,
@@ -339,8 +342,7 @@ def check_kernel(expansion: KExpansion, split: ZenoSplit) -> float:
     The kernel condition also requires A V_z = 0; see
     :func:`kernel_alignment` for that residual.
     """
-    (a_ff,) = _blocks(expansion.quadratic, split, ("ff",))
-    return _sigma_min(np.linalg.svd(a_ff, compute_uv=False))
+    return _sigma_min(_fast_block(expansion.quadratic, split)[1])
 
 
 def _sigma_min(sv: np.ndarray) -> float:
@@ -357,12 +359,11 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2)) if m.size else 0.0
 
 
-def _drift_blocks(exp: KExpansion, split: ZenoSplit):
-    """A_ff, its singular values (largest first), M_zf and M_fz: what the
-    kernel check and the limit formulas read."""
-    (a_ff,) = _blocks(exp.quadratic, split, ("ff",))
-    m_zf, m_fz = _blocks(exp.linear, split, ("zf", "fz"))
-    return a_ff, np.linalg.svd(a_ff, compute_uv=False), m_zf, m_fz
+def _fast_block(a, split: ZenoSplit):
+    """A_ff = V_f^H A V_f of the k^2 coefficient ``a`` and its singular
+    values, largest first: the one place either is formed."""
+    (a_ff,) = _blocks(a, split, ("ff",))
+    return a_ff, np.linalg.svd(a_ff, compute_uv=False)
 
 
 def _condition_number(sv: np.ndarray) -> float | None:
@@ -378,10 +379,11 @@ def _well_conditioned(cond: float | None) -> bool:
     return cond is None or cond <= CONDITION_NUMBER_GUARD  # NaN fails
 
 
-_SINGULAR = (
-    "fast block of the k^2 drift coefficient is numerically singular "
-    f"(condition number > {CONDITION_NUMBER_GUARD:.0e})"
-)
+def _singular(what: str) -> str:
+    return f"{what} is numerically singular (condition number > {CONDITION_NUMBER_GUARD:.0e})"
+
+
+_SINGULAR = _singular("fast block of the k^2 drift coefficient")
 
 
 def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
@@ -390,16 +392,16 @@ def hat_operators(family: ScaledSLHFamily, split: ZenoSplit) -> HatOperators:
     Assumes the scaling and kernel conditions hold; raises
     :class:`KernelViolation` if A_ff is numerically singular.
     """
-    a_ff, sv, m_zf, m_fz = _drift_blocks(expand_k(family), split)
+    exp = expand_k(family)
+    a_ff, sv = _fast_block(exp.quadratic, split)
     if not _well_conditioned(_condition_number(sv)):
         raise KernelViolation(_SINGULAR, residual=_sigma_min(sv))
-    return _hat_operators(family, split, a_ff, m_zf, m_fz)
+    return _hat_operators(family, split, a_ff, *_blocks(exp.linear, split, ("zf", "fz")))
 
 
 def _hat_operators(family: ScaledSLHFamily, split: ZenoSplit, a_ff, m_zf, m_fz) -> HatOperators:
-    """:func:`hat_operators` given the blocks of ``_drift_blocks``."""
+    """:func:`hat_operators` given A_ff (``_fast_block``), M_zf and M_fz."""
     vz, vf = split.v_z.cols, split.v_f.cols
-    h0_zz = vz.conj().T @ family.H0.mat @ vz
     d_f = split.dim_fast
 
     def solve_ff(rhs):
@@ -435,22 +437,15 @@ def _hat_operators(family: ScaledSLHFamily, split: ZenoSplit, a_ff, m_zf, m_fz) 
         + vf @ s_ff @ vf.conj().T
     )
 
-    y_h = m_zf @ w_m
-    h_hat = h0_zz + _im(y_h)
     s_hat.setflags(write=False)
     l_hat.setflags(write=False)
-    return HatOperators(
-        s=s_hat,
-        l=l_hat,
-        h_zeno=Operator(split.zeno_space, h_hat),
-        split=split,
-    )
+    return HatOperators(s=s_hat, l=l_hat, h_zeno=_h_hat(family, split, m_zf, w_m), split=split)
 
 
-def check_decoupling(hats: HatOperators) -> float:
-    """Largest entry of the Zeno-fast scattering blocks and fast couplings."""
-    split = hats.split
-    vz, vf = split.v_z.cols, split.v_f.cols
+def _h_hat(family: ScaledSLHFamily, split: ZenoSplit, m_zf, w) -> Operator:
+    """H-hat = H0_zz + Im{M_zf w} on the Zeno subspace, w = A_ff^{-1} M_fz."""
+    vz = split.v_z.cols
+    return Operator(split.zeno_space, vz.conj().T @ family.H0.mat @ vz + _im(m_zf @ w))
 
 
 def check_decoupling(hats: HatOperators) -> float:
@@ -477,10 +472,10 @@ def _full_space_order(family: ScaledSLHFamily, split: ZenoSplit):
     """The reference order: S-hat and L-hat lifted to the whole space."""
     yield check_scaling(family, split)
     exp = expand_k(family)
-    align = kernel_alignment(exp, split)
-    a_ff, sv, m_zf, m_fz = _drift_blocks(exp, split)
+    a_ff, sv = _fast_block(exp.quadratic, split)
+    yield kernel_alignment(exp, split), sv
+    m_zf, m_fz = _blocks(exp.linear, split, ("zf", "fz"))
     del exp  # free the d x d coefficients before the S-sized work below
-    yield align, sv
     hats = _hat_operators(family, split, a_ff, m_zf, m_fz)
     yield _decoupling_blocks(hats)
     v_z = split.v_z
@@ -510,10 +505,9 @@ def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
     l1_vz, h1_vz, h2_vz = l1 @ vz, h1 @ vz, h2 @ vz
     yield _max_abs(l1_vz @ vzh, vz @ (vzh @ h1_vz) @ vzh, vz @ (vzh @ h2), h2_vz @ vzh)
 
-    a = _k_quadratic(family).mat
-    a_ff = vfh @ a @ vf  # as _drift_blocks forms it, so sv has its bits
-    sv = np.linalg.svd(a_ff, compute_uv=False)
-    yield _spectral_norm(a @ vz), sv
+    a = _k_quadratic(family)
+    a_ff, sv = _fast_block(a, split)
+    yield _spectral_norm(a.mat @ vz), sv
     del a
 
     # M V_z and V_z^H M of M = -1/2 sum_i (L1_i^H L0_i + L0_i^H L1_i) - i H1
@@ -541,9 +535,7 @@ def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
     l_zz = vzh @ l0_vz - vzh_l1 @ vf_w  # L0_zz - L1_zf A_ff^{-1} M_fz
     l_fz = vfh @ (l0_vz - l1 @ vf_w)  # L0_fz - L1_ff A_ff^{-1} M_fz
     yield vzh_shat @ vf, vfh @ shat_vz, l_fz
-
-    h_hat = vzh @ family.H0.mat @ vz + _im(m_zf @ w)
-    yield SLHTriple(vzh @ shat_vz, l_zz, Operator(split.zeno_space, h_hat))
+    yield SLHTriple(vzh @ shat_vz, l_zz, _h_hat(family, split, m_zf, w))
 
 
 _PATHS = {"full_space": _full_space_order, "blocks": _block_order}

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elimination import CONDITION_NUMBER_GUARD, ScaledSLHFamily, _coupling
+from .elimination import ScaledSLHFamily, _condition_number, _coupling, _singular
+from .elimination import _well_conditioned
 from .operators import HilbertSpace, Operator, ZenoSplit, _Immutable, fock_annihilator
 from .slh import SLHTriple, _adjoint, _channel_sum, _opmul, _stack
 
@@ -141,9 +142,9 @@ class OscillatorModelCoeffs(_Immutable):
 
 
 def _check_invertible(a: np.ndarray, what: str):
-    if a.size and np.linalg.cond(a) > CONDITION_NUMBER_GUARD:
-        guard = f"condition number > {CONDITION_NUMBER_GUARD:.0e}"
-        raise ValueError(f"{what} is numerically singular ({guard})")
+    """ValueError unless ``a`` passes elimination's singular-block rule."""
+    if not _well_conditioned(_condition_number(np.linalg.svd(a, compute_uv=False))):
+        raise ValueError(_singular(what))
 
 
 def _pair_sum(terms: np.ndarray) -> np.ndarray:

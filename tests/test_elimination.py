@@ -776,3 +776,38 @@ def test_expansion_forms_its_constant_only_when_read():
     assert exp.constant is const
     want = -0.5 * sum(op.mat.conj().T @ op.mat for op in fam.L0) - 1j * fam.H0.mat
     assert entrymax(const, want) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# what both evaluation orders share: A_ff, its singular values and H-hat
+# ---------------------------------------------------------------------------
+
+SHARED_CASES = ["kerr_qubit", "lambda_system", "alkali", "rotated-1", "rotated-3"]
+
+
+def _shared_case(case):
+    if case.startswith("rotated-"):
+        n = int(case[-1])
+        return _random_case([34, n], n, rotate=True, scattering="decoupled")
+    doc = load_model(MODELS / f"{case}.model")
+    return doc.family, doc.split()
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_hat_operators_have_the_bits_of_the_full_space_triple(monkeypatch, case):
+    fam, split = _shared_case(case)
+    hats = hat_operators(fam, split)
+    triple = _eliminate_by(monkeypatch, "full_space", fam, split).zeno_triple
+    assert hats.h_zeno.mat.tobytes() == triple.H.mat.tobytes()
+    assert split.v_z.compress_mat(hats.s).tobytes() == triple.s.tobytes()
+    assert split.v_z.compress_mat(hats.l).tobytes() == triple.l.tobytes()
+
+
+@pytest.mark.parametrize("case", SHARED_CASES)
+def test_both_orders_report_the_same_kernel_residuals(monkeypatch, case):
+    fam, split = _shared_case(case)
+    full, blocks = (_eliminate_by(monkeypatch, m, fam, split) for m in ("full_space", "blocks"))
+    for key in ("kernel_min_singular_value", "kernel_alignment"):
+        assert blocks.residuals[key] == full.residuals[key]
+    assert full.residuals["kernel_min_singular_value"] == check_kernel(expand_k(fam), split)
+    assert blocks.cond_a_ff == full.cond_a_ff

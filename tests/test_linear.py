@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -521,3 +522,29 @@ def test_oscillator_coefficients_reject_a_drift_that_is_not_finite(value):
             creation_coeffs=(zero(sp),),
             constant_drift=zero(sp),
         )
+
+
+def test_singular_blocks_raise_the_elimination_message():
+    cavity = scalar_cavity()
+    coeffs = OscillatorModelCoeffs(
+        slow_space=cavity.slow_space,
+        scattering=cavity.scattering,
+        osc_couplings=cavity.osc_couplings,
+        direct_couplings=cavity.direct_couplings,
+        osc_drift=[[0.0]],
+        annihilation_coeffs=cavity.annihilation_coeffs,
+        creation_coeffs=cavity.creation_coeffs,
+        constant_drift=cavity.constant_drift,
+    )
+    message = "oscillator drift matrix is numerically singular (condition number > 1e+12)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        oscillator_limit(coeffs)
+
+    def gamma4(small):
+        return LinearMeanSystem([[-1.0]], [[1.0, 1.0]], [[1.0], [1.0]], np.diag([-1.0, -small]))
+
+    message = "fast block is numerically singular (condition number > 1e+12)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        slow_schur(gamma4(1e-13))  # condition number 1e13
+    slow_schur(gamma4(1e-11))
+    slow_schur(LinearMeanSystem([[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0))))
