@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -54,16 +55,18 @@ from .outputs import (
     write_evolution_rows,
     write_json,
     write_stability_csv,
-    write_trajectory_csv,
+    write_trajectory_csv,  # not called here; bench/tracing.py wraps it
+    write_trajectory_rows,
     write_triple_json,
 )
-from .trajectories import SimConfig, simulate_ensemble
+from .trajectories import SimConfig, _block_rows, _ensemble_blocks
+from .trajectories import simulate_ensemble  # not called here; bench/tracing.py wraps it
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-# bytes of trajectory states that ``traj`` holds in memory at once
+# bytes of trajectory states that ``traj`` holds in one block of a chunk
 TRAJ_CHUNK_BYTES = 4 * 2**20
 
 
@@ -197,6 +200,22 @@ def _sigterm_exits():
     finally:
         # None: a handler set outside Python, which cannot be put back
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+@contextlib.contextmanager
+def _replacing(paths):
+    """Temporary files beside ``paths``, one each, written inside the block:
+    each becomes its path when the block ends, and all are removed if it
+    raises, so a run that fails or is stopped leaves no partial file."""
+    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _manifest_path(out: str) -> str:
@@ -337,18 +356,8 @@ def _cmd_evolve(args) -> int:
     rho0 = _initial_state(g.space, args.initial)
     rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
     timings.lap("model_s")
-    # each block of rows is written once it is made, to a temporary file
-    # that becomes --out when the run ends, so a run that fails or is
-    # stopped by SIGTERM writes no CSV
-    out = Path(args.out)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    with _sigterm_exits():
-        try:
-            write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
-            os.replace(tmp, out)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    with _sigterm_exits(), _replacing([Path(args.out)]) as [tmp]:
+        write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
     timings.lap("write_s")
     RunManifest(
         f"evolve --model {args.model}",
@@ -358,6 +367,23 @@ def _cmd_evolve(args) -> int:
         **fields,
     ).write(_manifest_path(args.out))
     return EXIT_OK
+
+
+def _purity(x):
+    """tr rho^2 of each d x d state of the stack x."""
+    return (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
+def _tallied(blocks, tally: dict):
+    """``trajectories._ensemble_blocks``' blocks as they come, each block's
+    jumps added to ``tally["jumps"]`` (for counting) and its largest tr
+    rho^2 taken into ``tally["max_purity"]``."""
+    for block in blocks:
+        _, records, _, states = block
+        if records.dtype == bool:
+            tally["jumps"] += int(records.sum())
+        tally["max_purity"] = max(tally["max_purity"], float(_purity(states).max()))
+        yield block
 
 
 def _cmd_traj(args) -> int:
@@ -382,25 +408,22 @@ def _cmd_traj(args) -> int:
     n_steps, dt_eff = _step_grid(config.t_end, config.dt)
     out_dir = Path(args.out_dir)
     timings.lap("model_s")
-    # members run in chunks of about TRAJ_CHUNK_BYTES of states, and each
-    # chunk is written before the next is simulated; a chunk starting at
-    # member i is the ensemble seeded base + i
-    chunk = max(1, TRAJ_CHUNK_BYTES // ((n_steps + 1) * g.dim**2 * 16))
-    jumps, max_purity = 0, 0.0
-    for start in range(0, args.n, chunk):
-        runs = simulate_ensemble(
-            g, rho0, replace(config, seed=args.seed + start), min(chunk, args.n - start)
-        )
-        timings.lap("run_s")
-        out_dir.mkdir(parents=True, exist_ok=True)  # once a chunk has run
-        for i, r in enumerate(runs, start):
-            write_trajectory_csv(out_dir / f"traj_{i:04d}.csv", r)
-            if args.scheme == "counting":
-                jumps += len(r.record.jump_times)
-            purity = (r.rho * r.rho.swapaxes(1, 2)).sum(axis=(1, 2)).real  # tr rho^2 per state
-            max_purity = max(max_purity, float(purity.max()))
-        del runs, r  # free this chunk before the next is simulated
-        timings.lap("write_s")
+    # members run in chunks whose block of states takes at most about
+    # TRAJ_CHUNK_BYTES; a chunk starting at member i is the ensemble seeded
+    # base + i, and its CSVs are complete before the next chunk starts
+    chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(g.dim) * 16 * g.dim**2))
+    tally = {"jumps": 0, "max_purity": float(_purity(rho0.mat))}
+    with _sigterm_exits():
+        for start in range(0, args.n, chunk):
+            size = min(chunk, args.n - start)
+            blocks = _ensemble_blocks(g, rho0, replace(config, seed=args.seed + start), size)
+            rows = _tallied(timings.laps(blocks, "run_s", "write_s"), tally)
+            first = next(rows)
+            out_dir.mkdir(parents=True, exist_ok=True)  # once a block has run
+            paths = [out_dir / f"traj_{i:04d}.csv" for i in range(start, start + size)]
+            with _replacing(paths) as tmps:
+                write_trajectory_rows(tmps, g.dim, args.scheme, itertools.chain([first], rows))
+    timings.lap("write_s")
     RunManifest(
         f"traj --scheme {args.scheme} --n {args.n}",
         model_digest(doc),
@@ -409,8 +432,8 @@ def _cmd_traj(args) -> int:
         timings=dict(timings),
         n_steps=n_steps,
         dt_eff=dt_eff,
-        jumps=jumps if args.scheme == "counting" else None,
-        max_purity=max_purity,
+        jumps=tally["jumps"] if args.scheme == "counting" else None,
+        max_purity=tally["max_purity"],
     ).write(out_dir / "manifest.json")
     return EXIT_OK
 

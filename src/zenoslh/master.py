@@ -49,7 +49,8 @@ step past an abort leaks a warning.
 The loop yields each saved row as soon as it is made (``_evolve``):
 ``evolve`` and ``evolve_piecewise`` collect the rows, and the ``evolve``
 command writes them to its CSV as they come, holding no more than a
-block of them.  An :class:`EvolutionResult` holds the saved states as one
+block of them.  Trajectory ensembles step in the same block loop
+(``_block_loop``).  An :class:`EvolutionResult` holds the saved states as one
 read-only array ``rho`` of shape (T, d, d).  ``states`` and ``final`` are
 :class:`DensityMatrix` views of it, built and validated on each access
 (trace to ``TRACE_ABORT_TOL``, no eigenvalue check).
@@ -116,7 +117,9 @@ DENSE_MAX_DIM = 19
 # evolve checks the trace drift once per block of steps (see ``evolve``): a
 # block ends at each saved step and after at most _BLOCK steps, and its
 # states, held to check them, take at most _BLOCK_BYTES over two buffers.
-# Constants, not settings: they change the cost of a run, never its result
+# A trajectory ensemble's blocks hold at most _BLOCK_BYTES of each member's
+# states.  Constants, not settings: they change the cost of a run, never
+# its result
 _BLOCK = 256
 _BLOCK_BYTES = 2**19
 
@@ -404,8 +407,37 @@ def _evolve(segments, rho0: DensityMatrix, save_every: int):
     return _saved_rows(segments, rho0, save_every, fields["method"]), n_saved, fields
 
 
+def _block_loop(run, check, n_steps: int, n_rows: int, save_every: int = MAX_STEPS):
+    """Take n_steps steps in blocks of at most n_rows, each ending at a
+    multiple of save_every, and yield (steps before the block, its length)
+    once it has run and passed.  ``run(i, j)`` takes the block's steps i ..
+    j - 1 and ``check(step, i, j)`` checks their states, raising for the
+    first that fails.  Floating-point errors that the caller does not
+    ignore stop a block, which is then replayed one checked step at a time
+    under the caller's handling: warnings, errors and aborts are then those
+    of checking every step, and no step past an abort runs."""
+    trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
+    step = 0
+    while step < n_steps:
+        n = min(n_rows, n_steps - step, save_every - step % save_every)
+        whole = n > 1  # a lone step is checked as it would be alone
+        if whole:
+            try:
+                with np.errstate(**trap):
+                    run(0, n)
+                    check(step, 0, n)
+            except FloatingPointError:
+                whole = False
+        if not whole:
+            for i in range(n):
+                run(i, i + 1)
+                check(step, i, i + 1)
+        yield step, n
+        step += n
+
+
 def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
-    """The rows of ``_evolve``, made in its block loop."""
+    """The rows of ``_evolve``, made in ``_block_loop``."""
     d = rho0.space.dim
     # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
     # takes each entry to its transposed one
@@ -420,9 +452,8 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
     n_rows = max(1, min(_BLOCK, longest, save_every, _BLOCK_BYTES // (32 * d * d)))
     bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
     buf_rows = [list(b) for b in bufs]
-    # floating-point errors that the caller does not ignore stop a block
-    trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
-    b, t0 = 0, 0.0
+    # the last step's result and its conjugate transpose, and the last drift
+    b, t0, w, wh, drift = 0, 0.0, None, None, None
     for g, duration, (n_steps, dt_eff) in segments:
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
@@ -442,43 +473,24 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
             # re-Hermitizes)
             v = 0.5 * (v + v[perm].conj())
 
-        def check(step, state):
-            """The trace drift of the state after ``step`` of this segment;
-            raises beyond the abort threshold."""
-            drift = _trace_drift(state, d)
-            if not drift <= TRACE_ABORT_TOL:
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} at t={step * dt_eff:.6g} exceeds "
-                    f"{TRACE_ABORT_TOL:.1e}; reduce dt"
-                )
-            return drift
+        def run(i, j):
+            nonlocal w, wh
+            w, wh = _run_steps(step_map, perm, buf_rows[b][i - 1] if i else v, buf_rows[b][i:j])
 
-        step = 0
-        while step < n_steps:
-            n = min(n_rows, n_steps - step, save_every - step % save_every)
-            rows = buf_rows[b][:n]
-            try:
-                if n == 1:  # no step past an abort to keep from the caller
-                    w, wh = _run_steps(step_map, perm, v, rows)
-                else:
-                    with np.errstate(**trap):
-                        w, wh = _run_steps(step_map, perm, v, rows)
-                        # the drifts of all but the last state; a NaN fails,
-                        # and the first failing state raises
-                        drifts = _trace_drift(bufs[b][: n - 1], d)
-                        for i in np.flatnonzero(~(drifts <= TRACE_ABORT_TOL)):
-                            check(step + 1 + i, rows[i])
-            except FloatingPointError:
-                # replay the block under the caller's error handling, one
-                # checked step at a time: warnings, errors and the abort then
-                # come from exactly the steps that checking every step runs
-                for i, row in enumerate(rows):
-                    w, wh = _run_steps(step_map, perm, rows[i - 1] if i else v, (row,))
-                    check(step + 1 + i, row)
-            step += n
-            v = rows[-1]
-            b ^= 1
-            drift = check(step, v)
+        def check(step, i, j):
+            nonlocal drift
+            drifts = _trace_drift(bufs[b][i:j], d)
+            ok = drifts <= TRACE_ABORT_TOL  # a NaN fails
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise StepSizeError(
+                    f"trace drift {drifts[k]:.3e} at t={(step + 1 + i + k) * dt_eff:.6g} "
+                    f"exceeds {TRACE_ABORT_TOL:.1e}; reduce dt"
+                )
+            drift = drifts[-1]
+
+        for step, n in _block_loop(run, check, n_steps, n_rows, save_every):
+            v, b, step = buf_rows[b][n - 1], b ^ 1, step + n
             if step % save_every == 0 or step == n_steps:
                 herm = np.max(np.abs(w - wh))
                 yield step * dt_eff + t0, v.reshape((d, d), order="F"), drift, herm

@@ -44,6 +44,7 @@ __all__ = [
     "write_evolution_csv",
     "write_evolution_rows",
     "write_trajectory_csv",
+    "write_trajectory_rows",
     "write_convergence_csv",
     "write_stability_csv",
     "write_json",
@@ -281,6 +282,12 @@ def _block_text(a) -> bytes:
     rows, cols = a.shape
     if a.size == 0:
         return b"\n" * rows
+    # glibc's malloc returns the free top of its heap to the OS once it is
+    # over twice the largest mapped chunk freed so far, so the temporaries
+    # below (up to about 360 bytes a value) would be faulted back in for
+    # every block.  Asking for 256 bytes a value and freeing them untouched
+    # lifts that limit above them
+    np.empty(a.size * 256, dtype=np.uint8)
     bits = a.view(np.uint64).reshape(-1)
     mags = bits & _M63
     minus = (bits != mags) & (mags <= _INF)  # NaN has no sign
@@ -386,12 +393,6 @@ def _write_rows(path, header, blocks):
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for block in blocks:
-            # glibc's malloc returns the free top of its heap to the OS once
-            # it is over twice the largest mapped chunk freed so far, so a
-            # block's temporaries (up to about 360 bytes a value) would be
-            # faulted back in for every block.  Asking for 256 bytes a
-            # value and freeing them untouched lifts that limit above them
-            np.empty(block.size * 256, dtype=np.uint8)
             f.write(_block_text(block))
 
 
@@ -427,16 +428,44 @@ def write_evolution_rows(path, dim: int, rows):
 
 def write_trajectory_csv(path, result: TrajectoryResult):
     """One row per step: time, record increment / jump flag, innovation, state."""
-    dim = result.rho.shape[1]
-    kind = result.record.kind
-    rec_col = "dY" if kind == "homodyne" else "jump"
-    header = ["time", rec_col, "innovation", *_state_columns(dim)]
+    kind, n = result.record.kind, len(result.innovations)
     if kind == "homodyne":
         rec = result.record.increments
     else:
         rec = np.isin(result.times[1:], result.record.jump_times)
-    columns = (result.times[1:], rec, result.innovations, _state_rows(result.rho[1:]))
-    _write_rows(path, header, _row_blocks([columns]))
+    columns = (result.times[1:], rec[:, None], result.innovations[:, None], result.rho[1:, None])
+    size = max(1, _BLOCK_VALUES // (3 + 2 * result.rho[0].size))  # rows a block
+    blocks = (tuple(c[a : a + size] for c in columns) for a in range(0, n, size))
+    write_trajectory_rows([path], result.rho.shape[1], kind, blocks)
+
+
+def write_trajectory_rows(paths, dim: int, kind: str, blocks):
+    """The CSVs of `write_trajectory_csv` for the members of an ensemble, one
+    path each, from blocks (times, records, innovations, states) as
+    ``trajectories._ensemble_blocks`` yields them: each block's rows are
+    appended to every member's file once it has arrived, so no more than a
+    block is held, and one file is open at a time.  A member missing from a
+    block (one that left a failed run) gets no more rows."""
+    header = ["time", "dY" if kind == "homodyne" else "jump", "innovation", *_state_columns(dim)]
+    for path in paths:
+        with open(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+    for times, records, innovations, states in blocks:
+        # the rows of as many members as fit in _BLOCK_VALUES values are
+        # formatted together, the kernel's cost being mostly per call, and
+        # each member's file takes its n lines of the text
+        n, k = records.shape
+        group = max(1, _BLOCK_VALUES // (n * (3 + 2 * dim * dim)))
+        for i in range(0, k, group):
+            m = slice(i, min(k, i + group))
+            rows = states[:, m].swapaxes(0, 1).reshape(-1, dim, dim)
+            columns = (np.tile(times, len(rows) // n), records[:, m].T.ravel(),
+                       innovations[:, m].T.ravel(), _state_rows(rows))
+            text = b"".join(_block_text(block) for block in _row_blocks([columns]))
+            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1 :: n] + 1
+            for path, a, b in zip(paths[m], [0, *ends], ends):
+                with open(path, "ab") as f:
+                    f.write(text[a:b])
 
 
 def write_convergence_csv(path, points):

@@ -27,11 +27,15 @@ access (trace to 1e-8, no eigenvalue check).
 
 Randomness comes from a seedable 64-bit generator
 (``numpy.random.default_rng``); within an ensemble, trajectory i uses
-seed base_seed + i and draws its whole record before the first step.
-The members of an ensemble step in lockstep, in one process, as one
-(M, d, d) stack; a single trajectory is the ensemble of one.  Member i is
-bit-identical to a lone run seeded base_seed + i, and a member that fails
-raises the error that run would raise.
+seed base_seed + i.  The members of an ensemble step in lockstep, in one
+process, as one (M, d, d) stack; a single trajectory is the ensemble of
+one.  They step in ``evolve``'s block loop (``master._block_loop``):
+each member draws a block's record before its steps, which concatenate
+to one draw of the whole record, and the homodyne means are checked once
+per block.  ``_ensemble_blocks`` yields each block's rows, which
+``simulate_ensemble`` collects and the ``traj`` command writes as they
+come.  Member i is bit-identical to a lone run seeded base_seed + i, and
+a member that fails raises the error that run would raise.
 
 Each operator product of a step is one GEMM that grows only in its row
 dimension: [H; L_1; ...; L_n^H L_n] times each member on the left, and
@@ -52,8 +56,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .master import DensityMatrix, EvolutionResult, StepSizeError, _StateViews
-from .master import _dissipator_mat, _dissipator_terms, _right, _step_grid, _trace_drift
+from .master import _BLOCK, _BLOCK_BYTES, DensityMatrix, EvolutionResult, StepSizeError
+from .master import _block_loop, _dissipator_mat, _dissipator_terms, _right, _StateViews
+from .master import _step_grid, _trace_drift
 from .operators import HilbertSpace
 from .slh import SLHTriple
 
@@ -224,8 +229,8 @@ def counting_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, u: 
 def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> TrajectoryResult:
     """Run one conditioned trajectory; bit-identical given the same seed.
 
-    The record is generated before any estimation query, so its
-    statistics depend only on (model, initial state, seed).
+    Each block's record is drawn before its steps, so its statistics depend
+    only on (model, initial state, seed).
     """
     return simulate_ensemble(g, rho0, config, 1)[0]
 
@@ -233,65 +238,139 @@ def simulate(g: SLHTriple, rho0: DensityMatrix, config: SimConfig) -> Trajectory
 def simulate_ensemble(
     g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_trajectories: int
 ) -> list[TrajectoryResult]:
-    """Trajectories i < n_trajectories, seeded config.seed + i, in lockstep.
+    """Trajectories i < n_trajectories, seeded config.seed + i, in lockstep:
+    the blocks of ``_ensemble_blocks``, collected.
 
     Each ``rho`` is a read-only view of one array.  A member whose step
     fails leaves the batch with every higher-index member; the error of
     the lowest-index member that failed is raised once the rest have
     finished, as running the members one by one would raise it.
     """
+    blocks = _ensemble_blocks(g, rho0, config, n_trajectories)
+    members, n = int(n_trajectories), config.n_steps
+    homodyne = config.scheme == "homodyne"
+    times = np.linspace(0.0, config.t_end, n + 1)
+    times.setflags(write=False)
+    rho = np.empty((members, n + 1, g.dim, g.dim), dtype=complex)
+    rho[:, 0] = rho0.mat
+    # per member and step: dY or the jump flag, and the innovation
+    records = np.empty((members, n), dtype=float if homodyne else bool)
+    innovations = np.empty((members, n))
+    s = 0
+    for _, rec, innov, states in blocks:
+        k, e = rec.shape[1], s + len(rec)
+        records[:k, s:e], innovations[:k, s:e] = rec.T, innov.T
+        rho[:k, s + 1 : e + 1] = states.swapaxes(0, 1)
+        s = e
+    rho.setflags(write=False)
+    if homodyne:
+        recs = [MeasurementRecord("homodyne", times, increments=dy) for dy in records]
+    else:
+        recs = [MeasurementRecord("counting", times, jump_times=times[1:][j]) for j in records]
+    return [
+        TrajectoryResult(times, g.space, rho[i], recs[i], innovations[i]) for i in range(members)
+    ]
+
+
+def _block_rows(d: int) -> int:
+    """Steps in a block of an ensemble at dimension d: ``_BLOCK``, fewer where
+    one member's states would take more than ``_BLOCK_BYTES``."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // (16 * d * d)))
+
+
+def _grid_times(t_end: float, n: int, a: int, b: int):
+    """``np.linspace(0.0, t_end, n + 1)[a:b]`` bit for bit (i * (t_end / n),
+    and t_end last), without the rest of the grid."""
+    t = np.arange(a, b, dtype=float) * (t_end / n)
+    if b == n + 1:
+        t[-1] = t_end
+    return t
+
+
+def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_trajectories: int):
+    """Trajectories i < n_trajectories, seeded config.seed + i, stepped in
+    lockstep in ``master._block_loop`` (arguments checked at the call).
+
+    Yields, per block of n steps, for the k members still running: the n
+    times after the steps, (n, k) arrays of dY or jump flags and of
+    innovations, and the (n, k, d, d) states, to be read before the next
+    block.  Each member draws a block's record before its steps.  A member
+    whose step fails (a homodyne mean that is not finite, found once a
+    block, or a counting step's error) leaves with every higher-index
+    member; the error of the lowest-index member that failed is raised once
+    the rest have finished, as running the members one by one raises it.
+    """
     members = int(n_trajectories)
     if members < 1:
         raise ValueError(f"need at least one trajectory, got {n_trajectories}")
     if rho0.space != g.space:
         raise ValueError("initial state lives on a different space than the model")
-    ops = _Ops(g, config.measured_channel)
-    n, dt = _step_grid(config.t_end, config.dt)
-    homodyne = config.scheme == "homodyne"
-    rngs = [np.random.default_rng(config.seed + i) for i in range(members)]
-    draws = np.array(
-        [r.normal(0.0, np.sqrt(dt), size=n) if homodyne else r.random(size=n) for r in rngs]
-    )
-    times = np.linspace(0.0, config.t_end, n + 1)
-    times.setflags(write=False)
-    rho = np.empty((members, n + 1, g.dim, g.dim), dtype=complex)
-    rho[:, 0] = rho0.mat
-    m, error = rho[:, 0].copy(), None  # C-contiguous, so its rows view as (M d, d)
-    # per member and step: tr(rho (L_c + L_c^H)) or the jump rate, and the jump flag
-    means, jumps = np.empty((members, n)), np.zeros((members, n), dtype=bool)
-    for s in range(n):
-        if homodyne:
-            m, means[:, s] = _homodyne_step(ops, m, dt, draws[:, s])
-        else:
-            m, jumped, rate, err = _counting_step(ops, m, dt, draws[: len(m), s])
-            jumps[: len(m), s], means[: len(m), s] = jumped, rate
-            if err is not None:  # each failure has a lower index than the one before
-                error = err
-                if not len(m):
-                    break
-        rho[: len(m), s + 1] = m
-    if error is not None:
-        raise error
-    # a homodyne state that blew up steps on as NaN; name the first such
-    # member by its seed, which is the same in a lone run and in any chunk
-    bad = ~np.isfinite(means)
-    if bad.any():
-        i = int(np.argmax(bad.any(axis=1)))
-        s = int(np.argmax(bad[i]))
-        raise StepSizeError(
-            f"trajectory seed {config.seed + i}: measurement mean {means[i, s]} at "
-            f"t={times[s]:.6g} is not finite; reduce dt"
-        )
-    rho.setflags(write=False)
-    if homodyne:
-        innovations = draws
-        records = [MeasurementRecord("homodyne", times, increments=dy) for dy in means * dt + draws]
-    else:
-        innovations = jumps - means * dt
-        records = [MeasurementRecord("counting", times, jump_times=times[1:][j]) for j in jumps]
-    return [
-        TrajectoryResult(times, g.space, rho[i], records[i], innovations[i]) for i in range(members)
-    ]
+    ops, d = _Ops(g, config.measured_channel), g.dim
+    n_steps, dt = _step_grid(config.t_end, config.dt)
+    homodyne, n_rows = config.scheme == "homodyne", min(n_steps, _block_rows(d))
+    rngs, sigma = [np.random.default_rng(config.seed + i) for i in range(members)], np.sqrt(dt)
+    # per step and member: the state after it (row 0: the block's start), the
+    # increment or uniform drawn, tr(rho (L_c + L_c^H)) or the jump rate, and
+    # the jump flag.  Each state row is C-contiguous, so it views as (M d, d)
+    states = np.empty((n_rows + 1, members, d, d), dtype=complex)
+    states[0] = rho0.mat
+    draws, means = np.empty((n_rows, members)), np.empty((n_rows, members))
+    jumps = np.zeros((n_rows, members), dtype=bool)
+    # the members running and the error of the lowest-index one that failed
+    # (a replayed block runs without the members that left in it, as each
+    # leaves at the same step either way); the block's steps drawn
+    k, error, drawn = members, None, 0
+
+    def run(i, j):
+        nonlocal k, error, drawn
+        if j > drawn:
+            size = j - drawn
+            for m, rng in enumerate(rngs[:k]):
+                draws[drawn:j, m] = rng.normal(0.0, sigma, size) if homodyne else rng.random(size)
+            drawn = j
+        for r in range(i, j):
+            if not k:
+                break
+            x, u = states[r, :k], draws[r, :k]
+            if homodyne:
+                states[r + 1, :k], means[r, :k] = _homodyne_step(ops, x, dt, u)
+            else:
+                x, jumped, rate, err = _counting_step(ops, x, dt, u)
+                k = len(x)
+                states[r + 1, :k], jumps[r, :k], means[r, :k] = x, jumped, rate
+                if err is not None:  # each failure has a lower index than the one before
+                    error = err
+
+    def check(step, i, j):
+        # a homodyne state that blew up steps on as NaN; name the first such
+        # member by its seed, which is the same in a lone run and in any chunk
+        nonlocal k, error
+        bad = ~np.isfinite(means[i:j, :k])
+        if bad.any():
+            k = int(np.argmax(bad.any(axis=0)))
+            r = i + int(np.argmax(bad[:, k]))
+            t = _grid_times(config.t_end, n_steps, step + r, step + r + 1)[0]
+            error = StepSizeError(
+                f"trajectory seed {config.seed + k}: measurement mean {means[r, k]} at "
+                f"t={t:.6g} is not finite; reduce dt"
+            )
+
+    def blocks():
+        nonlocal drawn
+        # a counting step checks its members itself
+        for step, n in _block_loop(run, check if homodyne else lambda *_: None, n_steps, n_rows):
+            if not k:
+                break
+            drawn = 0
+            innov = draws[:n, :k] if homodyne else jumps[:n, :k] - means[:n, :k] * dt
+            rec = means[:n, :k] * dt + innov if homodyne else jumps[:n, :k]
+            times = _grid_times(config.t_end, n_steps, step + 1, step + n + 1)
+            yield times, rec, innov, states[1 : n + 1, :k]
+            states[0, :k] = states[n, :k]
+        if error is not None:
+            raise error
+
+    return blocks()
 
 
 def ensemble_mean(results) -> EvolutionResult:

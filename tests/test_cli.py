@@ -192,17 +192,17 @@ def test_traj_needs_a_trajectory(tmp_path, capsys, n):
 
 @pytest.mark.parametrize("scheme", ["homodyne", "counting"])
 def test_traj_chunks_write_what_lone_runs_write(tmp_path, monkeypatch, scheme):
-    # 101 states of 2 x 2 per member: a budget of two members' states
-    # splits --n 5 into chunks of 2, 2 and 1
-    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
+    # a block of _BLOCK states of 2 x 2 per member: a budget of two members'
+    # blocks splits --n 5 into chunks of 2, 2 and 1
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * master._BLOCK * 4 * 16)
     sizes = []
-    real = cli.simulate_ensemble
+    real = cli._ensemble_blocks
 
     def recording(g, rho0, config, n):
         sizes.append(n)
         return real(g, rho0, config, n)
 
-    monkeypatch.setattr(cli, "simulate_ensemble", recording)
+    monkeypatch.setattr(cli, "_ensemble_blocks", recording)
     out = tmp_path / scheme
     argv = ["traj", KERR, "--scheme", scheme, "--seed", "11", "--n", "5", "--t-end", "0.5",
             "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(out)]
@@ -225,17 +225,17 @@ def test_traj_chunks_write_what_lone_runs_write(tmp_path, monkeypatch, scheme):
 def test_traj_chunked_homodyne_nan_names_the_member_seed(tmp_path, monkeypatch, capsys):
     # chunks of 2 members; the second chunk (members 2 and 3, seeds 13 and
     # 14) runs an overflowing Hamiltonian, so member 2 is the first to blow up
-    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
-    real = cli.simulate_ensemble
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * master._BLOCK * 4 * 16)
+    real = cli._ensemble_blocks
 
     def second_chunk_blows_up(g, rho0, config, n):
         if config.seed != 11:
             sx = Operator(g.space, np.array([[0, 1], [1, 0]], dtype=complex))
             g = SLHTriple(g.s, g.l, 1e300 * sx)
         with np.errstate(all="ignore"):
-            return real(g, rho0, config, n)
+            yield from real(g, rho0, config, n)
 
-    monkeypatch.setattr(cli, "simulate_ensemble", second_chunk_blows_up)
+    monkeypatch.setattr(cli, "_ensemble_blocks", second_chunk_blows_up)
     out = tmp_path / "out"
     argv = ["traj", KERR, "--scheme", "homodyne", "--seed", "11", "--n", "5", "--t-end", "0.5",
             "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(out)]
@@ -822,19 +822,44 @@ def test_traj_grid_that_cannot_be_stepped_exits_two_without_output(tmp_path, cap
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_traj_that_cannot_fit_in_memory_leaves_no_out_dir(tmp_path):
-    # 1e12 homodyne steps ask for 7.28 TiB before the first chunk runs
+def test_traj_past_memory_streams_its_members(tmp_path):
+    # 1e12 homodyne steps would take 7.28 TiB of draws alone; each block of
+    # rows streams to the member's temporary file instead, which an
+    # interrupt removes
     src = str(Path(zenoslh.__file__).resolve().parents[1])
     argv = ["traj", KERR, "--scheme", "homodyne", "--t-end", "1e9", "--dt", "1e-3",
-            "--out-dir", str(tmp_path / "r")]
+            "--out-dir", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CHILD, str(1536 * 2**20), *argv],
+        [sys.executable, "-c", _INTERRUPTED_CHILD, str(1536 * 2**20), str(tmp_path), *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] == "1"
-    assert proc.stderr.startswith("zenoslh: out of memory: ")
-    assert list(tmp_path.iterdir()) == []
+    held, after, hwm_kb = ast.literal_eval(proc.stdout)
+    [(name, size)] = held
+    assert name.startswith(".traj_0000.csv.") and name.endswith(".tmp")
+    assert size > 8192  # whole blocks of rows reached the file while the run went on
+    assert after == []
+    assert hwm_kb < 200 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_NOFILE")
+def test_traj_chunk_may_outnumber_the_open_file_limit(tmp_path):
+    # 100 members run in one chunk under a limit of 64 open files: each
+    # member's file is open only while a block of rows is appended to it
+    child = (
+        "import resource, sys; hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]; "
+        "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)); "
+        "from zenoslh.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    argv = ["traj", KERR, "--scheme", "counting", "--n", "100", "--t-end", "0.01",
+            "--out-dir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("traj_*.csv"))) == 100
 
 
 def test_traj_jump_guard_leaves_no_out_dir(tmp_path, capsys):
@@ -885,7 +910,7 @@ def test_linstab_gamma_integer_too_large_for_a_float_exits_one(tmp_path, capsys)
 @pytest.mark.parametrize("scheme", ["homodyne", "counting"])
 def test_traj_manifest_records_jumps_and_max_purity(tmp_path, monkeypatch, scheme):
     # chunks of 2, 2 and 1 members, so both fields gather over chunks
-    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * 101 * 4 * 16)
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 2 * master._BLOCK * 4 * 16)
     argv = ["traj", KERR, "--scheme", scheme, "--seed", "11", "--n", "5", "--t-end", "0.5",
             "--dt", "0.005", "--initial", "basis:1", "--out-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -1004,6 +1029,32 @@ def test_evolve_stopped_by_sigterm_leaves_no_file(tmp_path):
     try:
         deadline = time.monotonic() + 120
         while not list(tmp_path.glob(".e.csv.*.tmp")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 128 + signal.SIGTERM
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_traj_stopped_by_sigterm_leaves_no_file(tmp_path):
+    # as test_evolve_stopped_by_sigterm_leaves_no_file, for a member's file
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    argv = ["traj", KERR, "--scheme", "homodyne", "--t-end", "1e9", "--dt", "1e-3",
+            "--out-dir", str(tmp_path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zenoslh", *argv], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not list(tmp_path.glob(".traj_0000.csv.*.tmp")):
             assert proc.poll() is None, proc.stderr.read()
             assert time.monotonic() < deadline
             time.sleep(0.01)

@@ -235,6 +235,44 @@ def test_write_evolution_rows_any_block_size(tmp_path_factory, bits, n_rows, dim
     assert path.read_text() == evolution_reference(res)
 
 
+@settings(max_examples=60)
+@given(
+    bits=st.lists(F64_BITS, min_size=1, max_size=40),
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    members=st.integers(1, 4),
+    dim=st.integers(1, 3),
+    block=st.integers(1, 200),
+    kind=st.sampled_from(["homodyne", "counting"]),
+    seed=st.integers(0, 10_000),
+)
+def test_write_trajectory_rows_any_block_size(tmp_path_factory, bits, sizes, members, dim, block,
+                                              kind, seed):
+    # blocks of rows of several members arrive as an ensemble makes them;
+    # each member's file holds its rows, however the formatter groups them,
+    # and a member missing from a later block gets no more rows
+    rng = np.random.default_rng(seed)
+    floats = floats_from_bits(bits, -1)
+    pick = lambda *shape: rng.choice(floats, shape)  # noqa: E731
+    blocks, want = [], [[] for _ in range(members)]
+    for j, n in enumerate(sizes):
+        k = max(1, members - j)
+        rec = rng.random((n, k)) < 0.5 if kind == "counting" else pick(n, k)
+        states = np.empty((n, k, dim, dim), dtype=complex)
+        states.real, states.imag = pick(n, k, dim, dim), pick(n, k, dim, dim)
+        block_ = (pick(n), rec, pick(n, k), states)
+        blocks.append(block_)
+        for i in range(k):
+            for r in range(n):
+                state = [v for z in block_[3][r, i].ravel() for v in (z.real, z.imag)]
+                want[i].append([block_[0][r], rec[r, i], block_[2][r, i], *state])
+    paths = [tmp_path_factory.mktemp("csv") / f"t{i}.csv" for i in range(members)]
+    with mock.patch.object(outputs, "_BLOCK_VALUES", block):
+        outputs.write_trajectory_rows(paths, dim, kind, blocks)
+    header = ["time", "dY" if kind == "homodyne" else "jump", "innovation", *state_columns(dim)]
+    for path, rows in zip(paths, want):
+        assert path.read_text() == reference_csv(header, rows)
+
+
 def test_write_evolution_csv_row_wider_than_default_block(tmp_path):
     dim = 1 + math.isqrt(outputs._BLOCK_VALUES // 2)
     rng = np.random.default_rng(3)

@@ -586,3 +586,106 @@ def test_ensemble_mean_space_mismatch():
     other = replace(r, space=three, rho=np.broadcast_to(np.eye(3) / 3, (len(r.times), 3, 3)))
     with pytest.raises(ValueError, match=r"spaces, HilbertSpace\(2,\) and HilbertSpace\(3,\)"):
         ensemble_mean([r, other])
+
+
+# -- blocks of steps ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_records_that_span_blocks_are_one_whole_draw(monkeypatch, scheme):
+    # 2 _BLOCK + 3 steps run in three blocks, and each member draws its
+    # record a block at a time; the draws are one draw of the whole record
+    from zenoslh.master import _BLOCK
+
+    real, drawn = np.random.default_rng, {}
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), drawn.setdefault(seed, [])
+
+        def normal(self, loc, scale, size):
+            self.draws.append(self.rng.normal(loc, scale, size))
+            return self.draws[-1]
+
+        def random(self, size):
+            self.draws.append(self.rng.random(size))
+            return self.draws[-1]
+
+    g = measured_only(zeno_kerr())
+    rho0 = basis_state_density(QUBIT, 1)
+    n = 2 * _BLOCK + 3
+    cfg = SimConfig(dt=1e-3, t_end=n * 1e-3, seed=21, scheme=scheme)
+    assert cfg.n_steps == n
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    ens = simulate_ensemble(g, rho0, cfg, 3)
+    monkeypatch.undo()
+    for i, r in enumerate(ens):
+        draws = drawn[cfg.seed + i]
+        assert [len(x) for x in draws] == [_BLOCK, _BLOCK, 3]
+        rng = np.random.default_rng(cfg.seed + i)
+        if scheme == "homodyne":
+            whole = rng.normal(0.0, np.sqrt(cfg.t_end / n), size=n)
+            assert np.array_equal(r.innovations, whole)
+        else:
+            whole = rng.random(size=n)
+        assert np.array_equal(np.concatenate(draws), whole)
+        states, innovations = serial_reference(g, rho0, replace(cfg, seed=cfg.seed + i))
+        assert np.array_equal(r.rho, states)
+        assert np.array_equal(r.innovations, innovations)
+
+
+def test_block_times_are_the_linspace_grid_bit_for_bit():
+    from zenoslh.trajectories import _grid_times
+
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, t_end = int(rng.integers(1, 3000)), float(10 ** rng.uniform(-6, 6))
+        grid = np.linspace(0.0, t_end, n + 1)
+        a = int(rng.integers(0, n + 1))
+        for b in (a + 1, int(rng.integers(a + 1, n + 2)), n + 1):
+            assert np.array_equal(_grid_times(t_end, n, a, b), grid[a:b])
+
+
+def test_homodyne_blow_up_stops_within_a_block(monkeypatch):
+    # the run of test_homodyne_nan_state_is_a_step_size_error: its first
+    # block names the failure, so no more steps follow it
+    from zenoslh import master, trajectories
+
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), 1e300 * pauli("x"))
+    rho0 = pure_state_density(QUBIT, [1.0, 1.0j])
+    cfg = SimConfig(dt=1e-3, t_end=1.0, seed=3, scheme="homodyne")
+    steps, real = [], trajectories._homodyne_step
+    monkeypatch.setattr(trajectories, "_homodyne_step", lambda *a: steps.append(1) or real(*a))
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match="mean nan at t=0.001 "):
+        simulate(g, rho0, cfg)
+    assert 1 < len(steps) <= master._BLOCK < cfg.n_steps
+    # an overflow the caller raises on reaches it from the step that makes it
+    steps.clear()
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        simulate(g, rho0, cfg)
+    assert len(steps) <= master._BLOCK + 2
+
+
+def test_a_homodyne_failure_leaves_the_lower_members_running(monkeypatch):
+    # member 1 of 3 turns NaN at step 299, in the second of three blocks:
+    # members 1 and 2 leave once that block is checked, member 0 runs on,
+    # and the error names member 1
+    from zenoslh import trajectories
+
+    g = measured_only(zeno_kerr())
+    rho0 = basis_state_density(QUBIT, 1)
+    cfg = SimConfig(dt=1e-3, t_end=0.6, seed=30, scheme="homodyne")
+    sizes, real = [], trajectories._homodyne_step
+
+    def member_1_fails_at_step_299(ops, x, dt, dw):
+        sizes.append(len(x))
+        if len(sizes) == 300:
+            x = x.copy()
+            x[1] = np.nan
+        return real(ops, x, dt, dw)
+
+    monkeypatch.setattr(trajectories, "_homodyne_step", member_1_fails_at_step_299)
+    match = r"trajectory seed 31: measurement mean nan at t=0\.299 is not finite"
+    with np.errstate(all="ignore"), pytest.raises(StepSizeError, match=match):
+        simulate_ensemble(g, rho0, cfg, 3)
+    assert sizes == [3] * 512 + [1] * 88
