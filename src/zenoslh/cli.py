@@ -38,6 +38,7 @@ from .master import (
     DensityMatrix,
     StepSizeError,
     _evolve,
+    _purity,
     _step_grid,
     basis_state_density,
     convergence_harness,
@@ -367,11 +368,6 @@ def _cmd_evolve(args) -> int:
         **fields,
     ).write(_manifest_path(args.out))
     return EXIT_OK
-
-
-def _purity(x):
-    """tr rho^2 of each d x d state of the stack x."""
-    return (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
 
 
 def _tallied(blocks, tally: dict):

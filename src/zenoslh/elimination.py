@@ -68,10 +68,11 @@ scaling residual, M's Zeno-fast blocks, S-hat, L-hat and the decoupling
 blocks.  Neither forms R, which no limit formula reads.
 
 A family stores S as one read-only array ``s`` of shape (n, n, d, d) and
-L1, L0 as read-only arrays ``l1``, ``l0`` of shape (n, d, d); ``S``,
-``L1`` and ``L0`` are views, nested tuples of :class:`Operator` copied
-from the arrays on each access.  :class:`HatOperators` holds S-hat and
-L-hat the same way (``s``, ``l`` arrays; ``s_hat``, ``l_hat`` views).
+L1, L0 as read-only arrays ``l1``, ``l0`` of shape (n, d, d); ``S``
+(from ``slh._Model``, with ``n``, ``dim`` and the repr), ``L1`` and
+``L0`` are views, nested tuples of :class:`Operator` copied from the
+arrays on each access.  :class:`HatOperators` holds S-hat and L-hat the
+same way (``s``, ``l`` arrays; ``s_hat``, ``l_hat`` views).
 """
 
 from __future__ import annotations
@@ -86,16 +87,17 @@ from .operators import (
     Operator,
     SubspaceIsometry,
     ZenoSplit,
-    _Immutable,
     _blocks,
     block_split,
     kernel_basis,
 )
 from .slh import (
     SLHTriple,
+    _Model,
     _adjoint,
     _cascade,
     _channel_sum,
+    _drift,
     _im,
     _operators,
     _validated,
@@ -174,7 +176,7 @@ class DecouplingViolation(ZenofiabilityError):
     pass
 
 
-class ScaledSLHFamily(_Immutable):
+class ScaledSLHFamily(_Model):
     """Coefficients (S, L1, L0, H2, H1, H0) defining G(k) for all k > 0.
 
     S and the couplings are given and checked as for :class:`SLHTriple`,
@@ -189,11 +191,6 @@ class ScaledSLHFamily(_Immutable):
         super().__init__(s=s, l1=l1, l0=l0, H2=h2, H1=h1, H0=h0, space=space)
 
     @property
-    def S(self) -> tuple:
-        """Scattering matrix as an n x n nested tuple of Operators."""
-        return _operators(self.space, self.s)
-
-    @property
     def L1(self) -> tuple:
         """k-linear couplings as a tuple of Operators."""
         return _operators(self.space, self.l1)
@@ -203,28 +200,16 @@ class ScaledSLHFamily(_Immutable):
         """k-independent couplings as a tuple of Operators."""
         return _operators(self.space, self.l0)
 
-    @property
-    def n(self) -> int:
-        return len(self.l1)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
     def map_operators(self, fn) -> "ScaledSLHFamily":
         """Apply a space-changing map (e.g. a tensor lift) to every coefficient."""
-        s, l1, l0 = (_operators(self.space, x) for x in (self.s, self.l1, self.l0))
         return ScaledSLHFamily(
-            tuple(tuple(fn(op) for op in row) for row in s),
-            tuple(fn(op) for op in l1),
-            tuple(fn(op) for op in l0),
+            tuple(tuple(fn(op) for op in row) for row in self.S),
+            tuple(fn(op) for op in self.L1),
+            tuple(fn(op) for op in self.L0),
             fn(self.H2),
             fn(self.H1),
             fn(self.H0),
         )
-
-    def __repr__(self):
-        return f"ScaledSLHFamily(n={self.n}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -241,9 +226,7 @@ class KExpansion:
 
     @functools.cached_property
     def constant(self) -> Operator:
-        m0 = self.family.l0
-        const = _channel_sum(_adjoint(m0) @ m0)
-        return Operator(self.family.space, -0.5 * const - 1j * self.family.H0.mat)
+        return _drift(self.family.l0, self.family.H0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,19 +284,12 @@ def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
     return SLHTriple(family.s, l, h)
 
 
-def _k_quadratic(family: ScaledSLHFamily) -> Operator:
-    """The k^2 coefficient of K(k), -1/2 sum_i L1_i^H L1_i - i H2."""
-    m1 = family.l1
-    quad = _channel_sum(_adjoint(m1) @ m1)
-    return Operator(family.space, -0.5 * quad - 1j * family.H2.mat)
-
-
 def expand_k(family: ScaledSLHFamily) -> KExpansion:
     """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k)."""
     m1, m0 = family.l1, family.l0
     lin = _channel_sum(_adjoint(m1) @ m0 + _adjoint(m0) @ m1)
     return KExpansion(
-        quadratic=_k_quadratic(family),
+        quadratic=_drift(family.l1, family.H2),
         linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
         family=family,
     )
@@ -505,7 +481,7 @@ def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
     l1_vz, h1_vz, h2_vz = l1 @ vz, h1 @ vz, h2 @ vz
     yield _max_abs(l1_vz @ vzh, vz @ (vzh @ h1_vz) @ vzh, vz @ (vzh @ h2), h2_vz @ vzh)
 
-    a = _k_quadratic(family)
+    a = _drift(family.l1, family.H2)
     a_ff, sv = _fast_block(a, split)
     yield _spectral_norm(a.mat @ vz), sv
     del a
@@ -623,7 +599,7 @@ def find_zeno_subspace(family: ScaledSLHFamily) -> ZenoSplit:
     computational basis come back as exact basis vectors.  A trivial or full
     kernel raises :class:`KernelViolation`, its ``residual`` the dimension.
     """
-    v_z = kernel_basis(_k_quadratic(family))
+    v_z = kernel_basis(_drift(family.l1, family.H2))
     d = v_z.subspace_dim
     if d == 0:
         raise KernelViolation(

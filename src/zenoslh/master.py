@@ -128,6 +128,11 @@ class StepSizeError(RuntimeError):
     """Trace drift exceeded the abort threshold; reduce the step size."""
 
 
+def _purity(x):
+    """tr rho^2 of each d x d state of the stack x."""
+    return (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1)).real
+
+
 class DensityMatrix(Operator):
     """Hermitian, unit-trace, positive-semidefinite state matrix.
 
@@ -165,7 +170,7 @@ class DensityMatrix(Operator):
                 raise ValueError(f"density matrix has eigenvalue {w[0]:.3e} < -{min_eig_tol:.1e}")
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
+        return float(_purity(self.mat))
 
 
 def maximally_mixed(space: HilbertSpace) -> DensityMatrix:

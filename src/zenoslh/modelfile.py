@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elimination import ScaledSLHFamily, find_zeno_subspace
-from .operators import HilbertSpace, Operator, ZenoSplit, fock_annihilator, pauli
+from .operators import HilbertSpace, Operator, ZenoSplit, _is_int, fock_annihilator, pauli
 
 __all__ = [
     "ModelParseError",
@@ -382,11 +382,6 @@ class ModelDocument:
 def _require(cond, msg):
     if not cond:
         raise ModelParseError(msg)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; JSON true and false are not numbers."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_name(section, name, **taken):

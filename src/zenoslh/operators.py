@@ -54,6 +54,11 @@ ISOMETRY_TOL = 1e-12
 KERNEL_TOL = 1e-10
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; bool (and so JSON's true and false) is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Ordered tensor product of finite-dimensional factors."""
@@ -309,12 +314,11 @@ def _canonical_basis_from_projector(p: np.ndarray, d: int) -> np.ndarray:
         return np.zeros((dim, 0), dtype=complex)
     chosen = np.sort(_projector_pivots(p, d))
     q, _ = np.linalg.qr(p[:, chosen])
-    q = np.array(q[:, :d])
-    for j in range(d):
-        idx = int(np.argmax(np.abs(q[:, j])))
-        phase = q[idx, j] / abs(q[idx, j])
-        q[:, j] = q[:, j] / phase
-    return q
+    q = q[:, :d]
+    top = q[np.argmax(np.abs(q), axis=0), np.arange(d)]
+    # hypot rounds as abs() of one complex scalar does; np.abs of an array
+    # can differ from it in the last bit
+    return q / (top / np.hypot(top.real, top.imag))
 
 
 def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> SubspaceIsometry:
@@ -373,14 +377,15 @@ class ZenoSplit(_Immutable):
     @classmethod
     def from_indices(cls, space: HilbertSpace, zeno_indices) -> "ZenoSplit":
         """Split along canonical basis vectors given by flat indices."""
-        idx = [int(i) for i in zeno_indices]
+        idx = list(zeno_indices)
+        if not all(_is_int(i) for i in idx):
+            raise ValueError(f"basis indices must be integers, got {idx}")
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate basis indices in Zeno subspace")
         if any(i < 0 or i >= space.dim for i in idx):
             raise ValueError(f"basis index out of range for dimension {space.dim}")
         cols = np.zeros((space.dim, len(idx)), dtype=complex)
-        for j, i in enumerate(idx):
-            cols[i, j] = 1.0
+        cols[idx, range(len(idx))] = 1.0
         return cls.from_zeno(SubspaceIsometry(space, cols))
 
     @property

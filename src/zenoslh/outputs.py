@@ -365,27 +365,14 @@ def write_triple_json(path, result: EliminationResult):
 _BLOCK_VALUES = 8192
 
 
-def _row_blocks(chunks):
+def _row_blocks(columns):
     """2-D blocks of about `_BLOCK_VALUES` values, one row per block when a
-    row is wider than that, cut from the rows of ``chunks``.  A chunk is a
-    tuple of columns (1-D columns or 2-D column groups, equally long), laid
-    side by side; each chunk's rows follow those of the one before it, and
-    a block takes rows from as many chunks as it needs."""
-    parts, filled = [], 0
-    for columns in chunks:
-        width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-        rows = max(1, _BLOCK_VALUES // width)
-        start, end = 0, len(columns[0])
-        while start < end:
-            stop = min(end, start + rows - filled)
-            parts.append(np.column_stack([c[start:stop] for c in columns]))
-            filled += stop - start
-            start = stop
-            if filled == rows:
-                yield np.concatenate(parts)
-                parts, filled = [], 0
-    if parts:
-        yield np.concatenate(parts)
+    row is wider than that, cut from the rows of ``columns`` (1-D columns
+    or 2-D column groups, equally long), laid side by side."""
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    rows = max(1, _BLOCK_VALUES // width)
+    for start in range(0, len(columns[0]), rows):
+        yield np.column_stack([c[start : start + rows] for c in columns])
 
 
 def _write_rows(path, header, blocks):
@@ -411,19 +398,29 @@ def _evolution_header(dim: int):
 
 def write_evolution_csv(path, result: EvolutionResult):
     columns = (result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift)
-    _write_rows(path, _evolution_header(result.rho.shape[1]), _row_blocks([columns]))
+    _write_rows(path, _evolution_header(result.rho.shape[1]), _row_blocks(columns))
 
 
 def write_evolution_rows(path, dim: int, rows):
     """The CSV of `write_evolution_csv`, from saved rows (time, d x d state,
-    trace drift, hermiticity drift) as ``master._evolve`` yields them: each
-    block is written once its rows have arrived, so no more than a block of
-    rows is held."""
-    chunks = (
-        (np.array([t]), _state_rows(m[None]), np.array([[drift, herm]]))
-        for t, m, drift, herm in rows
-    )
-    _write_rows(path, _evolution_header(dim), _row_blocks(chunks))
+    trace drift, hermiticity drift) as ``master._evolve`` yields them.
+    Each row is copied into a block as it arrives, since
+    ``master._saved_rows`` overwrites the state it yields, and a full
+    block is written, so no more than a block of rows is held."""
+    width = 3 + 2 * dim * dim
+    block = np.empty((max(1, _BLOCK_VALUES // width), width))
+
+    def blocks():
+        n = 0
+        for t, m, drift, herm in rows:
+            block[n] = np.hstack((t, _state_rows(m[None])[0], drift, herm))
+            n += 1
+            if n == len(block):
+                yield block
+                n = 0
+        yield block[:n]
+
+    _write_rows(path, _evolution_header(dim), blocks())
 
 
 def write_trajectory_csv(path, result: TrajectoryResult):
@@ -461,7 +458,7 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks):
             rows = states[:, m].swapaxes(0, 1).reshape(-1, dim, dim)
             columns = (np.tile(times, len(rows) // n), records[:, m].T.ravel(),
                        innovations[:, m].T.ravel(), _state_rows(rows))
-            text = b"".join(_block_text(block) for block in _row_blocks([columns]))
+            text = b"".join(_block_text(block) for block in _row_blocks(columns))
             ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1 :: n] + 1
             for path, a, b in zip(paths[m], [0, *ends], ends):
                 with open(path, "ab") as f:
@@ -471,10 +468,10 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks):
 def write_convergence_csv(path, points):
     header = ["k", "trace_distance", "leaked_trace", "dt_full"]
     rows = [[p.k, p.distance, p.leaked_trace, p.dt_full] for p in points]
-    _write_rows(path, header, _row_blocks([(np.array(rows, dtype=float).reshape(-1, 4),)]))
+    _write_rows(path, header, _row_blocks((np.array(rows, dtype=float).reshape(-1, 4),)))
 
 
 def write_stability_csv(path, report: StabilityReport):
     header = ["k", "max_real_part", "stable"]
     rows = [[r.k, r.max_real_part, r.stable] for r in report.rows]
-    _write_rows(path, header, _row_blocks([(np.array(rows, dtype=float).reshape(-1, 3),)]))
+    _write_rows(path, header, _row_blocks((np.array(rows, dtype=float).reshape(-1, 3),)))

@@ -7,11 +7,13 @@ the associated drift operator K = -1/2 sum_i L_i^H L_i - i H, the
 Heisenberg-picture Lindbladian and its noise coefficients, and the two
 network compositions (concatenation and cascade / series product).
 
-A triple stores S as one read-only array ``s`` of shape (n, n, d, d)
-and L as one read-only array ``l`` of shape (n, d, d).  ``S`` and ``L``
-are views: nested tuples of :class:`Operator` copied from the arrays on
-each access.  Channel sums are matmuls on these stacks followed by a sum
-over the channel axis, added in the order of a term-by-term loop.
+A triple stores S as one read-only array ``s`` of shape (n, n, d, d) and
+L as one read-only array ``l`` of shape (n, d, d).  ``S`` and ``L`` are
+views: nested tuples of :class:`Operator` copied from the arrays on each
+access.  The scaled family of :mod:`zenoslh.elimination` shares ``S``,
+``n``, ``dim`` and the repr (the base ``_Model``) and K's formula
+(``_drift``).  Channel sums are matmuls on these stacks followed by a
+sum over the channel axis, added in the order of a term-by-term loop.
 """
 
 from __future__ import annotations
@@ -166,7 +168,30 @@ def _validated(space: HilbertSpace, s, ls, hamiltonians: dict):
     return s, ls
 
 
-class SLHTriple(_Immutable):
+class _Model(_Immutable):
+    """Base of SLHTriple and ScaledSLHFamily, which both hold S as the
+    read-only (n, n, d, d) array ``s`` on their common ``space``."""
+
+    __slots__ = ()
+
+    @property
+    def S(self) -> tuple:
+        """Scattering matrix as an n x n nested tuple of Operators."""
+        return _operators(self.space, self.s)
+
+    @property
+    def n(self) -> int:
+        return len(self.s)
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, dim={self.dim})"
+
+
+class SLHTriple(_Model):
     """Immutable (S, L, H) triple on a common Hilbert space.
 
     ``s`` (n, n, d, d) and ``l`` (n, d, d) are read-only arrays; ``S``
@@ -187,31 +212,19 @@ class SLHTriple(_Immutable):
         super().__init__(s=s, l=l, H=h, space=space)
 
     @property
-    def S(self) -> tuple:
-        """Scattering matrix as an n x n nested tuple of Operators."""
-        return _operators(self.space, self.s)
-
-    @property
     def L(self) -> tuple:
         """Coupling operators as a tuple of Operators."""
         return _operators(self.space, self.l)
 
-    @property
-    def n(self) -> int:
-        return len(self.l)
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def __repr__(self):
-        return f"SLHTriple(n={self.n}, dim={self.dim})"
+def _drift(l: np.ndarray, h: Operator) -> Operator:
+    """-1/2 sum_i L_i^H L_i - i H for the coupling stack ``l`` (n, d, d)."""
+    return Operator(h.space, -0.5 * _channel_sum(_adjoint(l) @ l) - 1j * h.mat)
 
 
 def k_operator(g: SLHTriple) -> Operator:
     """Drift coefficient K = -1/2 sum_i L_i^H L_i - i H."""
-    acc = _channel_sum(_adjoint(g.l) @ g.l)
-    return Operator(g.space, -0.5 * acc - 1j * g.H.mat)
+    return _drift(g.l, g.H)
 
 
 def lindbladian(g: SLHTriple, x: Operator) -> Operator:
@@ -242,8 +255,7 @@ class HeisenbergCoefficients:
 def heisenberg_coeffs(g: SLHTriple, x: Operator) -> HeisenbergCoefficients:
     """Evaluate LX, M_i X = S_ji^H [X, L_j], N_i X = [L_j^H, X] S_ji and
     S_ik X = S_ji^H X S_jk - delta_ik X (sums over repeated indices)."""
-    if x.space != g.space:
-        raise ValueError("observable lives on a different space than the model")
+    drift = lindbladian(g, x)  # checks x's space
     xm, lm, s = x.mat, g.l, g.s
     ld, sd = _adjoint(lm), _adjoint(s)
     # leading axis j, second axis i
@@ -252,7 +264,7 @@ def heisenberg_coeffs(g: SLHTriple, x: Operator) -> HeisenbergCoefficients:
     gauge = _opmul((sd @ xm).swapaxes(0, 1), s)
     gauge[range(g.n), range(g.n)] -= xm
     return HeisenbergCoefficients(
-        drift=lindbladian(g, x),
+        drift=drift,
         creation_coeffs=_operators(g.space, creation),
         annihilation_coeffs=_operators(g.space, annihilation),
         gauge_coeffs=_operators(g.space, gauge),

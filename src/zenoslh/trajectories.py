@@ -59,7 +59,7 @@ import numpy as np
 from .master import _BLOCK, _BLOCK_BYTES, DensityMatrix, EvolutionResult, StepSizeError
 from .master import _block_loop, _dissipator_mat, _dissipator_terms, _right, _StateViews
 from .master import _step_grid, _trace_drift
-from .operators import HilbertSpace
+from .operators import HilbertSpace, _is_int
 from .slh import SLHTriple
 
 __all__ = [
@@ -94,10 +94,12 @@ class SimConfig:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        if self.measured_channel < 0:
-            raise ValueError("measured_channel must be a nonnegative index")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("measured_channel", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         _step_grid(self.t_end, self.dt)
 
     @property

@@ -20,7 +20,7 @@ from zenoslh import (
     pauli,
     tensor,
 )
-from zenoslh.operators import _Immutable, _projector_pivots
+from zenoslh.operators import _Immutable, _canonical_basis_from_projector, _projector_pivots
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_oscillator_model
 
 from common import entrymax, kerr_family
@@ -257,6 +257,18 @@ def test_projector_pivots_match_column_pivoted_qr(n):
         np.testing.assert_array_equal(_projector_pivots(p, r), piv[:r])
 
 
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 33, 64, 120, 180])
+def test_canonical_basis_phases_match_a_loop_over_columns(n):
+    # the reference fixes each column's phase in turn, with Python's abs of
+    # the largest entry; the library does all columns at once, bit for bit
+    for p, r in _pivot_cases(n, np.random.default_rng(n)):
+        q = np.array(np.linalg.qr(p[:, np.sort(_projector_pivots(p, r))])[0][:, :r])
+        for j in range(r):
+            top = q[int(np.argmax(np.abs(q[:, j]))), j]
+            q[:, j] = q[:, j] / (top / abs(top))
+        assert _canonical_basis_from_projector(p, r).tobytes() == q.tobytes()
+
+
 @pytest.mark.parametrize("n, i, j", [(4, 0, 1), (5, 3, 1), (12, 7, 11), (40, 39, 0)])
 def test_dark_state_complement_breaks_the_pivot_tie_on_the_first_index(n, i, j):
     # the columns i and j of 1 - |v><v| have equal residual norms once the
@@ -312,6 +324,15 @@ def test_zeno_split_rejects_bad_pairs():
         ZenoSplit(v, v)  # not orthogonal / not complete
     with pytest.raises(ValueError):
         ZenoSplit(v, SubspaceIsometry(sp, np.eye(4)[:, 2:3]))  # dims do not sum
+
+
+def test_zeno_split_from_indices_rejects_non_integers():
+    # int() once truncated 0.7 to basis vector 0 without a word
+    sp = HilbertSpace((3,))
+    for bad in ([0.7, 2], [True, 2], ["1"]):
+        with pytest.raises(ValueError, match="basis indices must be integers"):
+            ZenoSplit.from_indices(sp, bad)
+    assert np.array_equal(ZenoSplit.from_indices(sp, [np.int64(2)]).v_z.cols[:, 0], [0, 0, 1])
 
 
 def test_isometry_and_split_reject_nan():

@@ -229,7 +229,17 @@ def test_write_evolution_rows_any_block_size(tmp_path_factory, bits, n_rows, dim
     # the rows arrive one at a time, as evolve makes them, and blocks span them
     res = evolution_result(np.random.default_rng(seed), bits, n_rows, dim)
     path = tmp_path_factory.mktemp("csv") / "e.csv"
-    rows = zip(res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+
+    def overwritten(rows):
+        # as master._saved_rows does, each state is a column-major view of
+        # one buffer, and the buffer is overwritten once the row is taken
+        buf = np.empty(dim * dim, dtype=complex)
+        for t, m, drift, herm in rows:
+            buf[:] = m.reshape(-1, order="F")
+            yield t, buf.reshape((dim, dim), order="F"), drift, herm
+            buf[:] = np.nan
+
+    rows = overwritten(zip(res.times, res.rho, res.trace_drift, res.hermiticity_drift))
     with mock.patch.object(outputs, "_BLOCK_VALUES", block):
         write_evolution_rows(path, dim, rows)
     assert path.read_text() == evolution_reference(res)

@@ -58,6 +58,13 @@ def test_simconfig_validation():
         SimConfig(dt=0.1, t_end=0.01)
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, t_end=1.0, scheme="heterodyne")
+    # numpy's SeedSequence and the channel lookup once failed on these deep
+    # in simulate, and a bool seed ran as 0 or 1
+    for bad in ({"seed": 1.5}, {"seed": True}, {"measured_channel": 0.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(dt=0.01, t_end=0.05, **bad)
+    cfg = SimConfig(dt=0.01, t_end=0.05, seed=np.int64(3), measured_channel=np.int32(0))
+    assert (cfg.seed, cfg.measured_channel) == (3, 0)
 
 
 def test_homodyne_step_zero_coupling_is_pure_noise():
