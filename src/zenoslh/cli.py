@@ -25,6 +25,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .elimination import (
     DECOUPLING_TOL,
     KERNEL_TOL_SIGMA,
@@ -181,6 +183,14 @@ class _Timings(dict):
             self.lap(make)
             yield item
             self.lap(use)
+
+
+def _quiet_steps():
+    """Floating-point errors ignored while the commands step: each run ends
+    in a check that catches a NaN or inf state (the trace drift, the
+    homodyne mean, the jump guard) and names the step in one typed line,
+    so numpy's warnings before it would add nothing."""
+    return np.errstate(all="ignore")
 
 
 @contextlib.contextmanager
@@ -357,7 +367,7 @@ def _cmd_evolve(args) -> int:
     rho0 = _initial_state(g.space, args.initial)
     rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
     timings.lap("model_s")
-    with _sigterm_exits(), _replacing([Path(args.out)]) as [tmp]:
+    with _quiet_steps(), _sigterm_exits(), _replacing([Path(args.out)]) as [tmp]:
         write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
     timings.lap("write_s")
     RunManifest(
@@ -409,7 +419,7 @@ def _cmd_traj(args) -> int:
     # base + i, and its CSVs are complete before the next chunk starts
     chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(g.dim) * 16 * g.dim**2))
     tally = {"jumps": 0, "max_purity": float(_purity(rho0.mat))}
-    with _sigterm_exits():
+    with _quiet_steps(), _sigterm_exits():
         for start in range(0, args.n, chunk):
             size = min(chunk, args.n - start)
             blocks = _ensemble_blocks(g, rho0, replace(config, seed=args.seed + start), size)
@@ -441,9 +451,10 @@ def _cmd_converge(args) -> int:
     split = doc.split()
     rho0 = _initial_state(split.zeno_space, args.initial)
     timings.lap("model_s")
-    points = convergence_harness(
-        doc.family, split, rho0, args.ks, args.t_end, args.dt, **_tol_kwargs(tols)
-    )
+    with _quiet_steps():
+        points = convergence_harness(
+            doc.family, split, rho0, args.ks, args.t_end, args.dt, **_tol_kwargs(tols)
+        )
     timings.lap("run_s")
     write_convergence_csv(args.out, points)
     timings.lap("write_s")

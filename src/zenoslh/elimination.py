@@ -37,7 +37,9 @@ A_ff^{-1} is always applied through a linear solve with a condition
 number guard, never by forming an explicit inverse.
 
 :func:`zeno_eliminate` evaluates the conditions and formulas in one of
-two orders, picked from the dimension d alone by ``_elimination_method``:
+two orders, picked from the dimension d alone by ``_elimination_method``
+at the seam ``FULL_SPACE_MAX_DIM``, which :mod:`zenoslh.operators`
+defines for its complement as well and this module re-exports:
 
 - ``"full_space"`` (d <= FULL_SPACE_MAX_DIM = 128): expand K(k), lift
   S-hat and L-hat back to the whole space (:func:`hat_operators`),
@@ -56,9 +58,13 @@ two orders, picked from the dimension d alone by ``_elimination_method``:
   residual is the largest entry of S-hat_zf, S-hat_fz and L-hat_fz.
   The only O(d^3) work left is A (n products), A_ff = V_f^H A V_f (two),
   the one SVD of A_ff and two LU factorizations of it.  On one core it
-  takes 15-20 ms at d = 160-180 with d_z = 2, where the full-space
-  order takes 55-70 ms.  It rounds differently from the full-space
-  order, by up to about 1e-14 of the largest entry.
+  takes 10-20 ms at d = 160-180 with d_z = 2, where the full-space
+  order takes 55-70 ms.  Its split comes from
+  :meth:`ZenoSplit.from_zeno`, whose V_f above the seam is the
+  Householder completion of V_z (``operators.complement_basis``), not
+  the projector-pivot basis below it; no result depends on the fast
+  basis beyond rounding.  It rounds differently from the full-space
+  order on the pivot basis, by up to about 1e-14 of the largest entry.
 
 Both orders form A_ff and its singular values in ``_fast_block`` and
 H-hat in ``_h_hat``, judge A_ff by one singular-block rule (shared with
@@ -84,6 +90,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    FULL_SPACE_MAX_DIM,
     Operator,
     SubspaceIsometry,
     ZenoSplit,
@@ -133,11 +140,6 @@ SCALING_TOL = 1e-9
 KERNEL_TOL_SIGMA = 1e-8
 DECOUPLING_TOL = 1e-9
 CONDITION_NUMBER_GUARD = 1e12
-# the largest d at which scripts/csv_digests.py eliminates (its oscillator
-# case of slow dimension 2 and three modes truncated at 4 Fock states, so
-# the digest listing pins the full-space bytes up to here); zeno_eliminate
-# takes the full-space order up to it and the block order above
-FULL_SPACE_MAX_DIM = 128
 
 
 class ZenofiabilityError(ValueError):

@@ -320,11 +320,15 @@ class LinearMeanSystem(_Immutable):
         return self.fast_block.shape[0]
 
     def generator(self, k: float) -> np.ndarray:
-        """[[G1, G2], [k^2 G3, k^2 G4]]; ValueError unless k > 0 and k**2 is finite."""
-        kk = _coupling(k) ** 2
-        return np.block(
-            [[self.slow_block, self.slow_fast], [kk * self.fast_slow, kk * self.fast_block]]
-        )
+        """[[G1, G2], [k^2 G3, k^2 G4]]; ValueError unless k > 0 and k**2,
+        k^2 G3 and k^2 G4 are finite."""
+        k = _coupling(k)
+        kk = k**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            g3, g4 = kk * self.fast_slow, kk * self.fast_block
+        if not (np.isfinite(g3).all() and np.isfinite(g4).all()):
+            raise ValueError(f"k = {k!r}: k**2 Gamma3 or k**2 Gamma4 is not finite")
+        return np.block([[self.slow_block, self.slow_fast], [g3, g4]])
 
 
 def slow_schur(sys: LinearMeanSystem) -> np.ndarray:

@@ -79,7 +79,7 @@ from .elimination import (
     instantiate,
     zeno_eliminate,
 )
-from .operators import HilbertSpace, Operator, ZenoSplit
+from .operators import HilbertSpace, Operator, ZenoSplit, _is_int
 from .slh import SLHTriple, _adjoint, k_operator, lindbladian
 
 __all__ = [
@@ -178,6 +178,8 @@ def maximally_mixed(space: HilbertSpace) -> DensityMatrix:
 
 
 def basis_state_density(space: HilbertSpace, index: int) -> DensityMatrix:
+    if not _is_int(index):
+        raise ValueError(f"basis index must be an integer, got {index!r}")
     if not (0 <= index < space.dim):
         raise ValueError(f"basis index {index} out of range for dimension {space.dim}")
     m = np.zeros((space.dim, space.dim), dtype=complex)

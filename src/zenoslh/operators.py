@@ -52,6 +52,12 @@ __all__ = [
 
 ISOMETRY_TOL = 1e-12
 KERNEL_TOL = 1e-10
+# the largest d at which scripts/csv_digests.py eliminates (its oscillator
+# case of slow dimension 2 and three modes truncated at 4 Fock states, so
+# the digest listing pins the full-space bytes up to here); up to it
+# complement_basis pivots the projector and zeno_eliminate takes the
+# full-space order, above it the Householder completion and the block order
+FULL_SPACE_MAX_DIM = 128
 
 
 def _is_int(x) -> bool:
@@ -66,9 +72,12 @@ class HilbertSpace:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(self.factor_dims)
         if not dims:
             raise ValueError("a Hilbert space needs at least one factor")
+        if not all(_is_int(d) for d in dims):
+            raise ValueError(f"factor dimensions must be integers, got {dims}")
+        dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "factor_dims", dims)
@@ -342,11 +351,21 @@ def kernel_basis(a: Operator, tol: float = KERNEL_TOL) -> SubspaceIsometry:
 
 
 def complement_basis(v: SubspaceIsometry) -> SubspaceIsometry:
-    """Deterministic orthonormal basis of the orthogonal complement."""
-    dim = v.space.dim
-    d = dim - v.subspace_dim
+    """Deterministic orthonormal basis of the orthogonal complement.
+
+    Up to ``FULL_SPACE_MAX_DIM`` it is the canonical basis of the
+    projector 1 - V V^H (``_canonical_basis_from_projector``), which
+    recovers canonical basis vectors exactly; the full-space elimination
+    order, whose bytes the digest listing pins, reads it.  Above, it is
+    the last d - d_v columns of the complete QR factor of V, a Householder
+    completion (Golub & Van Loan, Matrix Computations, 4th ed., 5.2) that
+    takes O(d^2 d_v) in place of the projector's d x d work.
+    """
+    dim, d_v = v.space.dim, v.subspace_dim
+    if dim > FULL_SPACE_MAX_DIM:
+        return SubspaceIsometry(v.space, np.linalg.qr(v.cols, mode="complete")[0][:, d_v:])
     p = np.eye(dim, dtype=complex) - v.projector()
-    return SubspaceIsometry(v.space, _canonical_basis_from_projector(p, d))
+    return SubspaceIsometry(v.space, _canonical_basis_from_projector(p, dim - d_v))
 
 
 class ZenoSplit(_Immutable):

@@ -89,14 +89,30 @@ def _operators(space: HilbertSpace, stack: np.ndarray):
     return tuple(_operators(space, m) for m in stack)
 
 
+def _scalar_blocks(s: np.ndarray):
+    """The n x n matrix C if every block of the (n, n, d, d) stack ``s`` is
+    exactly C_jk times the identity, else None; O(n^2 d^2)."""
+    diag = s.diagonal(axis1=-2, axis2=-1)
+    c = diag[..., 0]
+    if np.count_nonzero(s) == np.count_nonzero(diag) and np.all(diag == c[..., None]):
+        return c
+    return None
+
+
 def unitarity_defect(s) -> float:
     """Max-entry defect of sum_j S_ji^H S_jk - delta_ik I over all (i, k).
 
     ``s`` is an (n, n, d, d) array or an n x n nested sequence of
-    Operators.
+    Operators.  When every block S_jk is exactly C_jk times the identity,
+    as for every shipped model, the defect is max |C^H C - 1| of the
+    n x n matrix C, equal to the n^2 products of d x d blocks to rounding
+    (exactly for entries 0 and +-1); any other S takes those products.
     """
     if not isinstance(s, np.ndarray):
         s = np.array([[op.mat for op in row] for row in s], dtype=complex)
+    c = _scalar_blocks(s)
+    if c is not None:
+        return float(np.abs(c.conj().T @ c - np.eye(len(c))).max(initial=0.0))
     eye = np.eye(s.shape[-1])
     worst = 0.0
     for i in range(len(s)):

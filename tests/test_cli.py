@@ -1082,3 +1082,34 @@ def test_evolve_off_the_main_thread_sets_no_handler(tmp_path):
     worker.start()
     worker.join()
     assert codes == [0] and (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the homodyne states pass through inf and NaN for several steps
+        # before the mean check names the member
+        (["traj", KERR, "--scheme", "homodyne", "--dt", "1", "--t-end", "200", "--n", "2",
+          "--initial", "basis:1", "--out-dir", "out"],
+         "zenoslh: trajectory seed 1: measurement mean nan at t=9 is not finite; reduce dt"),
+        # the RK4 step map of k = 1e100 overflows before the first step
+        (["evolve", KERR, "--model", "full", "--k", "1e100", "--dt", "1", "--t-end", "3",
+          "--initial", "basis:1", "--out", "e.csv"],
+         "zenoslh: trace drift nan at t=1 exceeds 1.0e-06; reduce dt"),
+        # k**2 = 1e308 is finite, k**2 Gamma4 is not
+        (["linstab", "g.json", "--ks", "1e154", "--out", "s.csv"],
+         "zenoslh: k = 1e+154: k**2 Gamma3 or k**2 Gamma4 is not finite"),
+    ],
+)
+def test_numerical_failure_prints_one_typed_line(tmp_path, argv, message):
+    # numpy's RuntimeWarnings once came before the line, five for the traj run
+    (tmp_path / "g.json").write_text(
+        json.dumps({"Gamma1": [[-1]], "Gamma2": [[1]], "Gamma3": [[1]], "Gamma4": [[-10]]})
+    )
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "zenoslh", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n"
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["g.json"]

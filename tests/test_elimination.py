@@ -36,7 +36,7 @@ from zenoslh import (
     zero,
 )
 from zenoslh import elimination, load_model
-from zenoslh.operators import kernel_basis
+from zenoslh.operators import _canonical_basis_from_projector, kernel_basis
 from zenoslh.random_models import (
     random_complex_matrix,
     random_hermitian,
@@ -766,6 +766,80 @@ def test_full_space_order_covers_every_digested_elimination():
     assert len(models) == 3 and max(dims) == 128
     assert all(d <= elimination.FULL_SPACE_MAX_DIM for d in dims)
     assert all(elimination._elimination_method(d) == "full_space" for d in dims)
+
+
+# ---------------------------------------------------------------------------
+# above FULL_SPACE_MAX_DIM the complement is a Householder completion of V_z
+# ---------------------------------------------------------------------------
+
+
+def _pivoted_split(v_z):
+    """The split on v_z with the projector-pivot complement that
+    complement_basis takes up to FULL_SPACE_MAX_DIM, at any d."""
+    d, d_z = v_z.space.dim, v_z.subspace_dim
+    v_f = _canonical_basis_from_projector(np.eye(d) - v_z.projector(), d - d_z)
+    return ZenoSplit(v_z, SubspaceIsometry(v_z.space, v_f))
+
+
+def _completion_case(case, scattering="decoupled"):
+    """A family above the seam and its split on the Householder completion:
+    the bench lambda (d = 180) and Kerr (d = 160) models with their kernel
+    split, or a rotated random family ``"n-d"`` whose S (``_with_scattering``)
+    mixes the channels and keeps the Zeno and fast subspaces apart unless
+    ``scattering`` is ``"mixing"``."""
+    if case == "lambda":
+        fam = lambda_family(n_max=60)
+    elif case == "kerr":
+        fam, _ = kerr_family(n_max=160)
+    else:
+        n, d = map(int, case.split("-"))
+        rng = np.random.default_rng([35, n, d, scattering == "mixing"])
+        fam, split = random_zenofiable_family(rng, 2, d - 2, n)
+        fam = _with_scattering(fam, split, rng, decoupled=scattering == "decoupled")
+        fam, split = _rotated(fam, split, random_unitary(rng, fam.dim))
+        return fam, ZenoSplit.from_zeno(split.v_z)
+    return fam, find_zeno_subspace(fam)
+
+
+COMPLETION_CASES = ["1-130", "2-165", "3-200", "lambda", "kerr"]
+
+
+@pytest.mark.parametrize("case", COMPLETION_CASES)
+def test_block_order_on_the_completion_matches_the_full_space_order(monkeypatch, case):
+    # the reference: the full-space order on the projector-pivot complement
+    # of the same V_z; the triple does not depend on the fast basis
+    fam, split = _completion_case(case)
+    assert split.space.dim > elimination.FULL_SPACE_MAX_DIM
+    pivoted = _pivoted_split(split.v_z)
+    # the fast bases differ, except for the Kerr kernel of basis vectors,
+    # whose completion is the rest of the canonical basis (up to signed zeros)
+    assert np.array_equal(split.v_f.cols, pivoted.v_f.cols) == (case == "kerr")
+    blocks = zeno_eliminate(fam, split)
+    full = _eliminate_by(monkeypatch, "full_space", fam, pivoted)
+    assert (full.method, blocks.method) == ("full_space", "blocks")
+    assert blocks.v_z is split.v_z and full.v_z is split.v_z
+    tf, tb = full.zeno_triple, blocks.zeno_triple
+    scale = max(np.max(np.abs(m)) for m in (tf.s, tf.l, tf.H.mat))
+    for got, want in ((tb.s, tf.s), (tb.l, tf.l), (tb.H.mat, tf.H.mat)):
+        _assert_close(got, want, scale)
+    assert blocks.cond_a_ff == pytest.approx(full.cond_a_ff, rel=1e-12)
+    assert list(blocks.residuals) == list(full.residuals)
+    _assert_close(list(blocks.residuals.values()), list(full.residuals.values()), scale)
+
+
+@pytest.mark.parametrize("case", ["1-130", "2-165", "3-200"])
+def test_decoupling_blocks_on_the_completion_have_the_norms_of_the_full_space_order(case):
+    # S mixes the Zeno and fast subspaces, so the blocks are of order one;
+    # a change of fast basis rotates them but keeps their Frobenius norms
+    fam, split = _completion_case(case, scattering="mixing")
+    pivoted = _pivoted_split(split.v_z)
+    blocks = list(itertools.islice(elimination._block_order(fam, split), 3))[2]
+    full = list(itertools.islice(elimination._full_space_order(fam, pivoted), 3))[2]
+    for got, want in zip(blocks, full):
+        assert got.shape == want.shape and np.max(np.abs(want)) > 0.1
+        assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(want), rel=1e-12)
+    with pytest.raises(DecouplingViolation):
+        zeno_eliminate(fam, split)
 
 
 def test_expansion_forms_its_constant_only_when_read():

@@ -480,6 +480,24 @@ def test_full_spectrum_rejects_k_whose_square_is_not_finite():
         full_spectrum(sys_, 1e160)
 
 
+@pytest.mark.parametrize("block", ["fast_slow", "fast_block"])
+def test_generator_rejects_k_whose_scaled_blocks_are_not_finite(block):
+    # k**2 = 1e308 is finite, but k**2 Gamma4 = -1e309 is not: the sweep
+    # once printed numpy's overflow warning and LAPACK's "Array must not
+    # contain infs or NaNs"
+    blocks = {"slow_block": [[-1.0]], "slow_fast": [[1.0]], "fast_slow": [[1.0]],
+              "fast_block": [[-1.0]]}
+    blocks[block] = [[-10.0]]
+    sys_ = LinearMeanSystem(*blocks.values())
+    match = "k = 1e\\+154: k\\*\\*2 Gamma3 or k\\*\\*2 Gamma4 is not finite"
+    with np.errstate(all="raise"):
+        for call in (sys_.generator, lambda k: full_spectrum(sys_, k),
+                     lambda k: stability_threshold(sys_, [1.0, k])):
+            with pytest.raises(ValueError, match=match):
+                call(1e154)
+        assert np.isfinite(sys_.generator(1e153)).all()
+
+
 @pytest.mark.parametrize("k", [-2.0, 0.0])
 def test_linear_functions_reject_k_that_is_not_positive(k):
     # stability_threshold once reported a stable row at k = -2

@@ -77,6 +77,15 @@ def test_pure_state_density_normalizes():
         pure_state_density(QUBIT, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("index", [1.5, True, np.float64(1.0), "1"])
+def test_basis_state_density_rejects_an_index_that_is_not_an_integer(index):
+    # 1.5 once raised numpy's IndexError, and True built |1><1|
+    with pytest.raises(ValueError, match="basis index must be an integer") as err:
+        basis_state_density(HilbertSpace((3,)), index)
+    assert repr(index) in str(err.value)
+    assert basis_state_density(HilbertSpace((3,)), np.int64(1)).mat[1, 1] == 1.0
+
+
 def test_evolve_zero_horizon():
     g = qubit_decay(1.0)
     rho0 = basis_state_density(QUBIT, 1)

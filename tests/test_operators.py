@@ -20,8 +20,14 @@ from zenoslh import (
     pauli,
     tensor,
 )
+from zenoslh import elimination, operators
 from zenoslh.operators import _Immutable, _canonical_basis_from_projector, _projector_pivots
-from zenoslh.random_models import random_complex_matrix, random_hermitian, random_oscillator_model
+from zenoslh.random_models import (
+    random_complex_matrix,
+    random_hermitian,
+    random_oscillator_model,
+    random_unitary,
+)
 
 from common import entrymax, kerr_family
 
@@ -33,6 +39,20 @@ def test_hilbert_space_validation():
         HilbertSpace(())
     with pytest.raises(ValueError):
         HilbertSpace((2, 0))
+
+
+@pytest.mark.parametrize("dims", [(2.7, True), (2.0,), (3, True), (np.float64(2),), ("2",)])
+def test_hilbert_space_rejects_dimensions_that_are_not_integers(dims):
+    # int() once truncated them: (2.7, True) was HilbertSpace(2, 1)
+    with pytest.raises(ValueError, match="factor dimensions must be integers") as err:
+        HilbertSpace(dims)
+    assert repr(dims) in str(err.value)
+
+
+def test_hilbert_space_takes_numpy_integers_as_ints():
+    sp = HilbertSpace((np.int64(2), np.uint8(3), 4))
+    assert sp.factor_dims == (2, 3, 4) and all(type(d) is int for d in sp.factor_dims)
+    assert sp == HilbertSpace((2, 3, 4))
 
 
 def test_operator_rejects_bad_matrices():
@@ -281,6 +301,47 @@ def test_dark_state_complement_breaks_the_pivot_tie_on_the_first_index(n, i, j):
     w = complement_basis(v)
     assert entrymax(w.cols.conj().T @ w.cols, np.eye(n - 1)) < 1e-12
     assert entrymax(w.projector(), p) < 1e-12
+
+
+def _rotated_zeno_isometry(d, d_z, seed):
+    u = random_unitary(np.random.default_rng(seed), d)
+    return SubspaceIsometry(HilbertSpace((d,)), u[:, :d_z])
+
+
+def test_complement_switches_to_the_householder_completion_above_the_seam():
+    # one seam for the complement and the elimination order
+    assert operators.FULL_SPACE_MAX_DIM is elimination.FULL_SPACE_MAX_DIM
+    seam = operators.FULL_SPACE_MAX_DIM
+    for d in (seam - 1, seam, seam + 1, seam + 2):
+        v = _rotated_zeno_isometry(d, 2, d)
+        pivoted = _canonical_basis_from_projector(np.eye(d) - v.projector(), d - 2)
+        completed = np.linalg.qr(v.cols, mode="complete")[0][:, 2:]
+        w = ZenoSplit.from_zeno(v).v_f.cols
+        assert w.tobytes() == (pivoted if d <= seam else completed).tobytes()
+        assert elimination._elimination_method(d) == ("full_space" if d <= seam else "blocks")
+        assert complement_basis(v).cols.tobytes() == w.tobytes()
+        assert entrymax(v.cols.conj().T @ w) < 1e-14
+        assert entrymax(w.conj().T @ w, np.eye(d - 2)) < 1e-14
+
+
+@pytest.mark.parametrize("d_z", [1, 2, 5, 100])
+def test_householder_completion_spans_the_complement(d_z):
+    d = operators.FULL_SPACE_MAX_DIM + 3
+    v = _rotated_zeno_isometry(d, d_z, d_z)
+    w = complement_basis(v)
+    assert w.subspace_dim == d - d_z
+    assert entrymax(v.projector() + w.projector(), np.eye(d)) < 1e-13
+
+
+@pytest.mark.parametrize("idx", [[5], [0, 7, 130], [130, 3], list(range(0, 131, 2))])
+def test_householder_completion_of_basis_vectors_is_the_rest_of_the_basis(idx):
+    # up to sign, exactly, as the projector-pivot basis recovers them
+    d = operators.FULL_SPACE_MAX_DIM + 3
+    w = ZenoSplit.from_indices(HilbertSpace((d,)), idx).v_f.cols
+    rest = [i for i in range(d) if i not in idx]
+    assert set(np.unique(w)) <= {-1, 0, 1}
+    assert np.array_equal(np.abs(w).sum(axis=0), np.ones(len(rest)))
+    assert sorted(np.abs(w).argmax(axis=0)) == rest
 
 
 def test_block_split_identity_and_annihilator():

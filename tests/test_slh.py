@@ -18,11 +18,13 @@ from zenoslh import (
     zeno_eliminate,
     zero,
 )
+from zenoslh import slh
 from zenoslh.master import DensityMatrix
 from zenoslh.random_models import (
     random_complex_matrix,
     random_density_matrix,
     random_hermitian,
+    random_unitary,
 )
 from zenoslh.slh import unitarity_defect
 
@@ -263,6 +265,57 @@ def test_triple_validation_warns_then_fails():
             (zero(sp),),
             Operator(sp, [[0.0, 1e-3], [0.0, 0.0]]),
         )
+
+
+def _by_products(monkeypatch, s):
+    """unitarity_defect with its scalar-block path switched off, so that it
+    takes the n^2 products of d x d blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(slh, "_scalar_blocks", lambda s: None)
+        return unitarity_defect(s)
+
+
+def _scalar_cases():
+    """(name, n x n scalar matrix C, whether its entries are 0 and +-1 only)."""
+    rng = np.random.default_rng(41)
+    perm = np.eye(4)[[2, 0, 3, 1]] * np.array([1, -1, 1, -1])
+    yield "identity", np.eye(3), True
+    yield "signed permutation", perm, True
+    for n in (1, 2, 3, 5):
+        for i in range(4):
+            yield f"random {n}-{i}", random_unitary(rng, n), False
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_scalar_block_defect_is_that_of_the_block_products(monkeypatch, d):
+    for name, c, exact in _scalar_cases():
+        s = np.multiply.outer(c, np.eye(d)).astype(complex)
+        assert np.array_equal(slh._scalar_blocks(s), c), name
+        got, want = unitarity_defect(s), _by_products(monkeypatch, s)
+        assert got == want if exact else abs(got - want) <= 4 * np.finfo(float).eps, name
+        assert want < 1e-14
+
+
+def test_a_block_that_is_not_scalar_takes_the_block_products(monkeypatch):
+    s = np.multiply.outer(np.eye(2), np.eye(3)).astype(complex)
+    s[1, 1, 0, 2] = 1e-8  # inside a diagonal block, off its diagonal
+    assert slh._scalar_blocks(s) is None
+    assert unitarity_defect(s) == _by_products(monkeypatch, s) == pytest.approx(1e-8)
+    sp = HilbertSpace((3,))
+    with pytest.warns(UserWarning, match="unitarity defect 1.000e-08"):
+        SLHTriple(s, np.zeros((2, 3, 3)), zero(sp))
+    s[1, 1, 0, 2] = 1e-5
+    assert slh._scalar_blocks(s) is None
+    with pytest.raises(ValueError, match="not blockwise unitary"):
+        SLHTriple(s, np.zeros((2, 3, 3)), zero(sp))
+
+
+def test_scalar_blocks_need_one_constant_diagonal():
+    s = np.multiply.outer(np.eye(2), np.eye(3)).astype(complex)
+    s[0, 1, 2, 2] = 1e-8  # a zero block whose diagonal is not constant
+    assert slh._scalar_blocks(s) is None
+    s[0, 1] = 1e-8 * np.eye(3)
+    assert np.array_equal(slh._scalar_blocks(s), [[1, 1e-8], [0, 1]])
 
 
 def test_mixed_state_helper():
