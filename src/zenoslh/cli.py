@@ -229,6 +229,19 @@ def _replacing(paths):
         raise
 
 
+@contextlib.contextmanager
+def _removing_if_empty(directory: Path):
+    """If the block raises, ``directory`` is removed when it did not exist
+    before the block and is still empty, so a failed run leaves nothing."""
+    existed = directory.exists()
+    try:
+        yield
+    except BaseException:
+        if not existed and directory.is_dir() and not any(directory.iterdir()):
+            directory.rmdir()
+        raise
+
+
 def _manifest_path(out: str) -> str:
     return str(out) + ".manifest.json"
 
@@ -419,7 +432,7 @@ def _cmd_traj(args) -> int:
     # base + i, and its CSVs are complete before the next chunk starts
     chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(g.dim) * 16 * g.dim**2))
     tally = {"jumps": 0, "max_purity": float(_purity(rho0.mat))}
-    with _quiet_steps(), _sigterm_exits():
+    with _quiet_steps(), _sigterm_exits(), _removing_if_empty(out_dir):
         for start in range(0, args.n, chunk):
             size = min(chunk, args.n - start)
             blocks = _ensemble_blocks(g, rho0, replace(config, seed=args.seed + start), size)
@@ -496,7 +509,12 @@ def _cmd_linstab(args) -> int:
     }
     print(json.dumps(verdict, indent=2, sort_keys=True))
     RunManifest(
-        "linstab", digest_bytes(raw), {}, method=report.method, timings=dict(timings)
+        "linstab",
+        digest_bytes(raw),
+        {},
+        method=report.method,
+        timings=dict(timings),
+        workers=report.workers,
     ).write(_manifest_path(args.out))
     return EXIT_OK
 

@@ -185,12 +185,23 @@ class ScaledSLHFamily(_Model):
     and stored as the read-only arrays ``s``, ``l1`` and ``l0``.
     """
 
-    __slots__ = ("s", "l1", "l0", "H2", "H1", "H0", "space")
+    __slots__ = ("s", "l1", "l0", "H2", "H1", "H0", "space", "_quadratic_drift")
 
     def __init__(self, s, l1, l0, h2: Operator, h1: Operator, h0: Operator):
         space = h0.space
         s, (l1, l0) = _validated(space, s, (l1, l0), {"H2": h2, "H1": h1, "H0": h0})
         super().__init__(s=s, l1=l1, l0=l0, H2=h2, H1=h1, H0=h0, space=space)
+
+    @property
+    def quadratic_drift(self) -> Operator:
+        """The k^2 drift coefficient A = -1/2 sum_i L1_i^H L1_i - i H2, formed
+        on first use and kept: the kernel search and the elimination both
+        read it."""
+        try:
+            return self._quadratic_drift
+        except AttributeError:
+            object.__setattr__(self, "_quadratic_drift", _drift(self.l1, self.H2))
+            return self._quadratic_drift
 
     @property
     def L1(self) -> tuple:
@@ -291,7 +302,7 @@ def expand_k(family: ScaledSLHFamily) -> KExpansion:
     m1, m0 = family.l1, family.l0
     lin = _channel_sum(_adjoint(m1) @ m0 + _adjoint(m0) @ m1)
     return KExpansion(
-        quadratic=_drift(family.l1, family.H2),
+        quadratic=family.quadratic_drift,
         linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
         family=family,
     )
@@ -453,7 +464,7 @@ def _full_space_order(family: ScaledSLHFamily, split: ZenoSplit):
     a_ff, sv = _fast_block(exp.quadratic, split)
     yield kernel_alignment(exp, split), sv
     m_zf, m_fz = _blocks(exp.linear, split, ("zf", "fz"))
-    del exp  # free the d x d coefficients before the S-sized work below
+    del exp  # free the k^1 coefficient before the S-sized work below
     hats = _hat_operators(family, split, a_ff, m_zf, m_fz)
     yield _decoupling_blocks(hats)
     v_z = split.v_z
@@ -483,10 +494,9 @@ def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
     l1_vz, h1_vz, h2_vz = l1 @ vz, h1 @ vz, h2 @ vz
     yield _max_abs(l1_vz @ vzh, vz @ (vzh @ h1_vz) @ vzh, vz @ (vzh @ h2), h2_vz @ vzh)
 
-    a = _drift(family.l1, family.H2)
+    a = family.quadratic_drift
     a_ff, sv = _fast_block(a, split)
     yield _spectral_norm(a.mat @ vz), sv
-    del a
 
     # M V_z and V_z^H M of M = -1/2 sum_i (L1_i^H L0_i + L0_i^H L1_i) - i H1
     l0_vz, vzh_l1 = l0 @ vz, vzh @ l1
@@ -601,7 +611,7 @@ def find_zeno_subspace(family: ScaledSLHFamily) -> ZenoSplit:
     computational basis come back as exact basis vectors.  A trivial or full
     kernel raises :class:`KernelViolation`, its ``residual`` the dimension.
     """
-    v_z = kernel_basis(_drift(family.l1, family.H2))
+    v_z = kernel_basis(family.quadratic_drift)
     d = v_z.subspace_dim
     if d == 0:
         raise KernelViolation(

@@ -43,10 +43,23 @@ complex matrices keep the complex one.  The two round differently, so
 the cut-off keeps every digested ``linstab`` output bit-identical.  A
 sweep takes one path for all its rows, decided from the four blocks,
 and ``StabilityReport.method`` names it.
+
+The sweep builds the generators of its sorted k grid as one (K, N, N)
+stack in that arithmetic and hands each of W worker threads one
+contiguous slice, solved by one stacked ``np.linalg.eigvals`` call.  W is
+the number of CPUs in the process's affinity set (``os.cpu_count()``
+where there is none), at most K; each generator still reaches the same
+LAPACK routine alone, so the rows do not depend on W.  A stack takes at
+most ``_STACK_BYTES``; a longer grid runs in rounds of that size, each
+split the same way.  ``dgeev``'s eigenvalues carry an absolute error of
+about N eps ||M||_1, so an abscissa whose magnitude does not exceed that
+floor is rounding, and the sweep raises instead of reporting its sign.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +89,9 @@ __all__ = [
 # which keeps the digested linstab outputs (N = r + m = 3) byte-identical;
 # 12 is the largest N the digests cover
 COMPLEX_EIG_MAX_DIM = 12
+
+# the most bytes of generators a sweep solves in one round
+_STACK_BYTES = 32 * 2**20
 
 
 class OscillatorModelCoeffs(_Immutable):
@@ -245,10 +261,10 @@ def _arithmetic(n: int, *parts) -> str:
     return "complex"
 
 
-def _eigvals(m: np.ndarray, arithmetic: str | None = None) -> np.ndarray:
+def _eigvals(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of the square ``m``, by LAPACK's real solver when
-    ``arithmetic`` (by default, `_arithmetic` of ``m`` alone) is ``"real"``."""
-    if (arithmetic or _arithmetic(len(m), m)) == "real":
+    `_arithmetic` of ``m`` is ``"real"``."""
+    if _arithmetic(len(m), m) == "real":
         return np.linalg.eigvals(m.real)
     return np.linalg.eigvals(m)
 
@@ -322,13 +338,26 @@ class LinearMeanSystem(_Immutable):
     def generator(self, k: float) -> np.ndarray:
         """[[G1, G2], [k^2 G3, k^2 G4]]; ValueError unless k > 0 and k**2,
         k^2 G3 and k^2 G4 are finite."""
-        k = _coupling(k)
-        kk = k**2
+        return self._generators([_coupling(k)], complex)[0]
+
+    def _generators(self, ks: list, dtype) -> np.ndarray:
+        """The (K, N, N) stack of generator(k) over the checked ``ks``, in
+        ``dtype`` (``float`` keeps the real parts); ValueError naming the
+        first k whose k^2 G3 or k^2 G4 is not finite."""
+        kk = np.array([k**2 for k in ks])[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
             g3, g4 = kk * self.fast_slow, kk * self.fast_block
-        if not (np.isfinite(g3).all() and np.isfinite(g4).all()):
+        finite = np.isfinite(g3).all(axis=(1, 2)) & np.isfinite(g4).all(axis=(1, 2))
+        if not finite.all():
+            k = ks[int(np.argmin(finite))]
             raise ValueError(f"k = {k!r}: k**2 Gamma3 or k**2 Gamma4 is not finite")
-        return np.block([[self.slow_block, self.slow_fast], [g3, g4]])
+        blocks = (self.slow_block, self.slow_fast, g3, g4)
+        if dtype is float:
+            blocks = [b.real for b in blocks]
+        r, n = self.r, self.r + self.m
+        out = np.empty((len(ks), n, n), dtype)
+        out[:, :r, :r], out[:, :r, r:], out[:, r:, :r], out[:, r:, r:] = blocks
+        return out
 
 
 def slow_schur(sys: LinearMeanSystem) -> np.ndarray:
@@ -388,7 +417,8 @@ class StabilityReport:
     (fast block and Schur complement both Hurwitz); ``agrees`` compares
     it with the observed sign at the largest k in the grid.  ``method``
     is the arithmetic of the sweep's eigensolver, ``"real"`` or
-    ``"complex"`` (see the module docstring).
+    ``"complex"``, and ``workers`` the number of threads W that shared
+    the sweep (see the module docstring).
     """
 
     rows: tuple
@@ -397,26 +427,88 @@ class StabilityReport:
     predicted_stable_tail: bool
     observed_stable_at_kmax: bool
     method: str
+    workers: int
 
     @property
     def agrees(self) -> bool:
         return self.predicted_stable_tail == self.observed_stable_at_kmax
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _abscissae(stack: np.ndarray, workers: int) -> np.ndarray:
+    """Spectral abscissa of every matrix of ``stack``.
+
+    The stack is cut into ``workers`` contiguous slices, each solved by one
+    stacked eigvals call in its own thread (the first in the caller's)
+    under the caller's numpy error state; a slice's exception is raised
+    here, the first slice's first.
+    """
+    parts = np.array_split(stack, workers)
+    results = [None] * workers
+    err = np.geterr()
+
+    def solve(i: int):
+        try:
+            with np.errstate(**err):
+                results[i] = np.linalg.eigvals(parts[i]).real.max(axis=-1)
+        except Exception as e:  # raised in the caller, below
+            results[i] = e
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    solve(0)
+    for t in threads:
+        t.join()
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return np.concatenate(results)
+
+
 def stability_threshold(sys: LinearMeanSystem, k_grid) -> StabilityReport:
     """Sweep the spectral abscissa over a k grid and cross-check the criterion.
 
-    Raises ValueError unless every k > 0 and k**2 is a finite float.
+    The generators of the sorted grid are built in the calling thread as
+    one stack, in rounds of at most ``_STACK_BYTES``, and each round is
+    split into one contiguous slice per worker, W = min(usable CPUs, K)
+    (module docstring).  Raises ValueError unless every k > 0 and k**2 is
+    a finite float; then if Gamma4 is singular; then naming the smallest
+    k whose k^2 Gamma3 or k^2 Gamma4 is not finite; and, once every k is
+    solved, naming the smallest k whose abscissa does not exceed the
+    rounding floor N eps ||generator(k)||_1 in magnitude.
     """
     ks = sorted(_coupling(k) for k in k_grid)
     gamma0 = slow_schur(sys)
-    method = _arithmetic(
-        sys.r + sys.m, sys.slow_block, sys.slow_fast, sys.fast_slow, sys.fast_block
-    )
-    rows = []
-    for k in ks:
-        max_re = float(np.max(_eigvals(sys.generator(k), method).real))
-        rows.append(StabilityRow(k=k, max_real_part=max_re, stable=max_re < 0.0))
+    n = sys.r + sys.m
+    method = _arithmetic(n, sys.slow_block, sys.slow_fast, sys.fast_slow, sys.fast_block)
+    dtype = float if method == "real" else complex
+    workers = min(_usable_cpus(), len(ks))
+    per_round = max(1, _STACK_BYTES // (np.dtype(dtype).itemsize * n * n))
+    abscissae, norms = [], []
+    for lo in range(0, len(ks), per_round):
+        stack = sys._generators(ks[lo : lo + per_round], dtype)
+        abscissae += _abscissae(stack, min(workers, len(stack))).tolist()
+        # in the calling thread: memory a worker takes stays with its
+        # thread's allocator arena after the thread ends
+        norms += np.abs(stack).sum(axis=-2).max(axis=-1).tolist()
+        del stack  # before the next round's is built
+    eps = float(np.finfo(float).eps)
+    for k, max_re, norm in zip(ks, abscissae, norms):
+        floor = n * eps * norm
+        if abs(max_re) <= floor:
+            raise ValueError(
+                f"k = {k!r}: spectral abscissa {max_re!r} is within the eigensolver's "
+                f"rounding floor N eps ||M||_1 = {floor:.3g}"
+            )
+    rows = [StabilityRow(k=k, max_real_part=x, stable=x < 0.0) for k, x in zip(ks, abscissae)]
     fast_rep = is_strictly_hurwitz(sys.fast_block)
     schur_rep = is_strictly_hurwitz(gamma0)
     predicted = fast_rep.eigenvalue_stable and schur_rep.eigenvalue_stable
@@ -428,4 +520,5 @@ def stability_threshold(sys: LinearMeanSystem, k_grid) -> StabilityReport:
         predicted_stable_tail=predicted,
         observed_stable_at_kmax=observed,
         method=method,
+        workers=workers,
     )

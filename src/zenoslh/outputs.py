@@ -83,6 +83,7 @@ class RunManifest:
     jumps: int | None = None
     max_purity: float | None = None
     cond_a_ff: float | None = None
+    workers: int | None = None
 
     def write(self, path):
         write_json(path, asdict(self))

@@ -722,6 +722,51 @@ def test_linstab_manifest_records_method_and_timings(tmp_path):
     assert all(isinstance(v, float) and v >= 0 for v in manifest["timings"].values())
 
 
+@pytest.mark.parametrize("cpus, ks, workers", [(1, "1,5,10", 1), (3, "1,5", 2), (2, "1,5,10", 2)])
+def test_linstab_manifest_records_its_workers(tmp_path, monkeypatch, cpus, ks, workers):
+    # W = min(CPUs in the affinity set, number of k); other commands record null
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    out = tmp_path / "k.csv"
+    assert main(["linstab", GAMMA, "--ks", ks, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "k.csv.manifest.json").read_text())["workers"] == workers
+    assert main(["evolve", KERR, "--t-end", "0.01", "--out", str(tmp_path / "e.csv")]) == 0
+    assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["workers"] is None
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_failed_traj_removes_only_the_out_dir_it_made(tmp_path, capsys, existed):
+    # the homodyne states turn NaN after the first block has run, which
+    # once left the --out-dir it had made behind, empty
+    out_dir = tmp_path / "runs" / "out"
+    if existed:
+        out_dir.mkdir(parents=True)
+    argv = ["traj", KERR, "--scheme", "homodyne", "--dt", "1", "--t-end", "200", "--n", "2",
+            "--initial", "basis:1", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert "measurement mean nan" in capsys.readouterr().err
+    assert out_dir.is_dir() == existed
+    assert not existed or list(out_dir.iterdir()) == []
+
+
+def test_failed_traj_keeps_an_out_dir_that_holds_files(tmp_path, monkeypatch):
+    # a chunk of one member: the first member's CSV is complete when the
+    # second fails, and the directory is kept for it
+    monkeypatch.setattr(cli, "TRAJ_CHUNK_BYTES", 1)
+    real = cli._ensemble_blocks
+
+    def second_fails(g, rho0, config, size):
+        if config.seed == 8:
+            raise ValueError("second member fails")
+        return real(g, rho0, config, size)
+
+    monkeypatch.setattr(cli, "_ensemble_blocks", second_fails)
+    out_dir = tmp_path / "out"
+    argv = ["traj", KERR, "--scheme", "counting", "--seed", "7", "--dt", "0.01", "--t-end",
+            "0.05", "--n", "2", "--initial", "basis:1", "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["traj_0000.csv"]
+
+
 def _broken_kerr(tmp_path):
     """The Kerr model with a k-linear coupling that has a Zeno column,
     which fails the scaling condition."""
@@ -1099,6 +1144,15 @@ def test_evolve_off_the_main_thread_sets_no_handler(tmp_path):
         # k**2 = 1e308 is finite, k**2 Gamma4 is not
         (["linstab", "g.json", "--ks", "1e154", "--out", "s.csv"],
          "zenoslh: k = 1e+154: k**2 Gamma3 or k**2 Gamma4 is not finite"),
+        # the slow eigenvalues sink below the eigensolver's rounding of a
+        # generator whose fast block is k**2 larger: the row once read -0.44
+        # (true abscissa -0.4567) at 1e8, and 0.0, an unstable verdict, at 1e154
+        (["linstab", GAMMA, "--ks", "1e8", "--out", "s.csv"],
+         "zenoslh: k = 100000000.0: spectral abscissa -0.44000000000000006 is within the "
+         "eigensolver's rounding floor N eps ||M||_1 = 6.66"),
+        (["linstab", GAMMA, "--ks", "1e154", "--out", "s.csv"],
+         "zenoslh: k = 1e+154: spectral abscissa 0.0 is within the eigensolver's rounding "
+         "floor N eps ||M||_1 = 6.66e+292"),
     ],
 )
 def test_numerical_failure_prints_one_typed_line(tmp_path, argv, message):

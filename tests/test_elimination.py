@@ -885,3 +885,21 @@ def test_both_orders_report_the_same_kernel_residuals(monkeypatch, case):
         assert blocks.residuals[key] == full.residuals[key]
     assert full.residuals["kernel_min_singular_value"] == check_kernel(expand_k(fam), split)
     assert blocks.cond_a_ff == full.cond_a_ff
+
+
+@pytest.mark.parametrize("n_max, method", [(4, "full_space"), (60, "blocks")])
+def test_auto_elimination_forms_the_k2_drift_coefficient_once(monkeypatch, n_max, method):
+    # the kernel search and the elimination once formed A each
+    calls = []
+    drift = elimination._drift
+
+    def counting(l, h):
+        calls.append(h)
+        return drift(l, h)
+
+    monkeypatch.setattr(elimination, "_drift", counting)
+    fam = lambda_family(n_max=n_max)
+    result = zeno_eliminate(fam, find_zeno_subspace(fam))
+    assert result.method == method
+    assert len(calls) == 1 and calls[0] is fam.H2
+    assert fam.quadratic_drift.mat.tobytes() == drift(fam.l1, fam.H2).mat.tobytes()

@@ -1,9 +1,11 @@
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+from zenoslh import linear
 from zenoslh import (
     HilbertSpace,
     LinearMeanSystem,
@@ -566,3 +568,133 @@ def test_singular_blocks_raise_the_elimination_message():
         slow_schur(gamma4(1e-13))  # condition number 1e13
     slow_schur(gamma4(1e-11))
     slow_schur(LinearMeanSystem([[-1.0]], np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0))))
+
+
+def gamma_blocks(rng, r, m, stable=True):
+    """Real blocks built like the benchmark's: a Hurwitz fast block and a
+    Schur complement whose spectrum is fixed, each Q (D + N) Q^T."""
+
+    def with_spectrum(re):
+        q, _ = np.linalg.qr(rng.standard_normal((len(re), len(re))))
+        t = np.diag(re) + np.triu(rng.standard_normal((len(re),) * 2) * 0.3 / np.sqrt(len(re)), 1)
+        return q @ t @ q.T
+
+    g4 = with_spectrum(-rng.uniform(1.0, 3.0, m))
+    slow = -rng.uniform(0.5, 2.0, r)
+    if not stable:
+        slow[0] = rng.uniform(0.3, 0.8)
+    g2 = rng.standard_normal((r, m)) / np.sqrt(m)
+    g3 = rng.standard_normal((m, r)) / np.sqrt(r)
+    return with_spectrum(slow) + g2 @ np.linalg.solve(g4, g3), g2, g3, g4
+
+
+def per_k_abscissae(sys_, ks, method):
+    """The spectral abscissa of each generator(k), solved alone."""
+    gens = [sys_.generator(k) for k in ks]
+    return [float(np.max(np.linalg.eigvals(g.real if method == "real" else g).real)) for g in gens]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _stacked_eigvals_sizes(monkeypatch):
+    """The number of matrices of each stacked eigvals call, as made."""
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        if np.ndim(a) == 3:
+            sizes.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return sizes
+
+
+BENCH_KS = np.geomspace(0.5, 200.0, 40)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_rows_are_bit_identical_to_lone_solves_at_any_worker_count(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    sizes = _stacked_eigvals_sizes(monkeypatch)
+    rng = np.random.default_rng(2901)
+    for stable in (True, False):
+        sys_ = LinearMeanSystem(*gamma_blocks(rng, 40, 40, stable))
+        report = stability_threshold(sys_, BENCH_KS)
+        assert (report.method, report.workers) == ("real", cpus)
+        want = per_k_abscissae(sys_, sorted(BENCH_KS), "real")
+        assert [r.max_real_part.hex() for r in report.rows] == [x.hex() for x in want]
+        assert report.rows[-1].stable == stable == report.predicted_stable_tail
+    # one stacked call per worker and sweep, on contiguous halves
+    assert sizes == [40 // cpus] * cpus * 2
+
+
+@pytest.mark.parametrize(
+    "cpus, n_ks, per_round, slices",
+    [
+        (2, 7, None, [4, 3]),  # an odd number of k
+        (4, 3, None, [1, 1, 1]),  # fewer k than workers
+        (2, 7, 3, [2, 1, 2, 1, 1]),  # rounds of 3, 3 and 1 k
+        (3, 10, 4, [2, 1, 1, 2, 1, 1, 1, 1]),
+    ],
+)
+def test_sweep_slices_and_rounds_keep_every_row(monkeypatch, cpus, n_ks, per_round, slices):
+    _cpus(monkeypatch, cpus)
+    rng = np.random.default_rng([2902, n_ks])
+    real = LinearMeanSystem(*gamma_blocks(rng, 9, 7))
+    cplx = [b.astype(complex) for b in gamma_blocks(rng, 5, 4)]
+    cplx[0][1, 2] += 0.2j
+    ks = list(rng.permutation(np.geomspace(0.3, 300.0, n_ks)))
+    for sys_, method in ((real, "real"), (LinearMeanSystem(*cplx), "complex")):
+        if per_round:
+            itemsize = 8 if method == "real" else 16
+            monkeypatch.setattr(linear, "_STACK_BYTES", per_round * itemsize * (sys_.r + sys_.m) ** 2)
+        sizes = _stacked_eigvals_sizes(monkeypatch)
+        report = stability_threshold(sys_, ks)
+        assert (report.method, report.workers) == (method, min(cpus, n_ks))
+        assert sorted(sizes) == sorted(slices)  # the threads record in any order
+        assert [r.k for r in report.rows] == sorted(ks)
+        want = per_k_abscissae(sys_, sorted(ks), method)
+        assert [r.max_real_part.hex() for r in report.rows] == [x.hex() for x in want]
+
+
+def test_sweep_names_the_smallest_k_that_overflows_with_several_workers(monkeypatch):
+    _cpus(monkeypatch, 2)
+    sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-10.0]])
+    match = "^k = 1e\\+154: k\\*\\*2 Gamma3 or k\\*\\*2 Gamma4 is not finite$"
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=match):
+            stability_threshold(sys_, [1.3e154, 1.0, 1e153, 1e154, 2.0])
+
+
+def test_sweep_workers_keep_the_error_state_and_raise_in_slice_order(monkeypatch):
+    _cpus(monkeypatch, 2)
+    states = []
+
+    def failing(a):
+        states.append(np.geterr())
+        raise np.linalg.LinAlgError(f"slice from k^2 Gamma4 = {a[0, -1, -1].real}")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    sys_ = LinearMeanSystem([[-1.0]], [[1.0]], [[1.0]], [[-1.0]])
+    with np.errstate(all="raise"):
+        with pytest.raises(np.linalg.LinAlgError, match="^slice from k\\^2 Gamma4 = -1.0$"):
+            stability_threshold(sys_, [3.0, 1.0, 4.0, 2.0])
+    assert states == [dict(divide="raise", over="raise", under="raise", invalid="raise")] * 2
+
+
+def test_sweep_rejects_an_abscissa_within_the_rounding_floor():
+    # oscillator_pair: the slow abscissa tends to -0.456697 (the Schur
+    # complement's); at k = 1e8 the fast block's rounding, N eps ||M||_1 =
+    # 6.66, swamps it and the solver read -0.44
+    data = json.loads((MODELS / "oscillator_pair.gamma.json").read_text())
+    sys_ = LinearMeanSystem(*(data[f"Gamma{i}"] for i in (1, 2, 3, 4)))
+    row = stability_threshold(sys_, [1e7]).rows[0]
+    assert abs(row.max_real_part + 0.456697) < 1e-6
+    with pytest.raises(ValueError, match="^k = 100000000.0: spectral abscissa -0.44"):
+        stability_threshold(sys_, [1e7, 1e8, 1.0])
+    # a generator with an exactly zero abscissa reads as rounding too
+    with pytest.raises(ValueError, match="^k = 1.0: spectral abscissa 0.0 is within"):
+        stability_threshold(LinearMeanSystem([[0.0]], [[0.0]], [[0.0]], [[-1.0]]), [1.0])
