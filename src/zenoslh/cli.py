@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: check, eliminate, evolve, traj, converge, linstab.
-Exit codes: 0 success, 1 usage or parse errors (a gamma file whose blocks
-do not fit among them) and runs that do not fit in memory, 2 condition
+Exit codes: 0 success, 1 usage or parse errors (among them a gamma file
+whose blocks do not fit, a path that cannot be read or written and a model
+file that is not UTF-8) and runs that do not fit in memory, 2 condition
 violations (e.g. a model that is not zenofiable, or a singular fast block).
 The environment variable ZENOSLH_TOL overrides the default condition
 tolerances.  It, each ``--*-tol`` flag and ``--seed`` must be finite and
@@ -39,6 +40,7 @@ from .linear import LinearMeanSystem, stability_threshold
 from .master import (
     DensityMatrix,
     StepSizeError,
+    _block_rows,
     _evolve,
     _purity,
     _step_grid,
@@ -62,7 +64,7 @@ from .outputs import (
     write_trajectory_rows,
     write_triple_json,
 )
-from .trajectories import SimConfig, _block_rows, _ensemble_blocks
+from .trajectories import SimConfig, _ensemble_blocks
 from .trajectories import simulate_ensemble  # not called here; bench/tracing.py wraps it
 
 EXIT_OK = 0
@@ -430,7 +432,7 @@ def _cmd_traj(args) -> int:
     # members run in chunks whose block of states takes at most about
     # TRAJ_CHUNK_BYTES; a chunk starting at member i is the ensemble seeded
     # base + i, and its CSVs are complete before the next chunk starts
-    chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(g.dim) * 16 * g.dim**2))
+    chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(16 * g.dim**2) * 16 * g.dim**2))
     tally = {"jumps": 0, "max_purity": float(_purity(rho0.mat))}
     with _quiet_steps(), _sigterm_exits(), _removing_if_empty(out_dir):
         for start in range(0, args.n, chunk):
@@ -541,7 +543,7 @@ def main(argv=None) -> int:
     except ZenofiabilityError as e:
         print(f"zenoslh: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (ModelParseError, FileNotFoundError) as e:
+    except (ModelParseError, OSError) as e:
         print(f"zenoslh: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, StepSizeError) as e:

@@ -45,21 +45,21 @@ sweep takes one path for all its rows, decided from the four blocks,
 and ``StabilityReport.method`` names it.
 
 The sweep builds the generators of its sorted k grid as one (K, N, N)
-stack in that arithmetic and hands each of W worker threads one
-contiguous slice, solved by one stacked ``np.linalg.eigvals`` call.  W is
-the number of CPUs in the process's affinity set (``os.cpu_count()``
-where there is none), at most K; each generator still reaches the same
-LAPACK routine alone, so the rows do not depend on W.  A stack takes at
-most ``_STACK_BYTES``; a longer grid runs in rounds of that size, each
-split the same way.  ``dgeev``'s eigenvalues carry an absolute error of
-about N eps ||M||_1, so an abscissa whose magnitude does not exceed that
-floor is rounding, and the sweep raises instead of reporting its sign.
+stack in that arithmetic and cuts it into W contiguous slices, each solved
+by one stacked ``np.linalg.eigvals`` call, the first in the calling thread
+and the others on a thread pool.  W is the number of CPUs in the process's
+affinity set (``os.cpu_count()`` where there is none), at most K; each
+generator still reaches the same LAPACK routine alone, so the rows do not
+depend on W.  A stack takes at most ``_STACK_BYTES``; a longer grid runs in
+rounds of that size, each split the same way.  ``dgeev``'s eigenvalues
+carry an absolute error of about N eps ||M||_1, so an abscissa whose
+magnitude does not exceed that floor is rounding, and the sweep raises
+instead of reporting its sign.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,31 +446,23 @@ def _abscissae(stack: np.ndarray, workers: int) -> np.ndarray:
     """Spectral abscissa of every matrix of ``stack``.
 
     The stack is cut into ``workers`` contiguous slices, each solved by one
-    stacked eigvals call in its own thread (the first in the caller's)
-    under the caller's numpy error state; a slice's exception is raised
-    here, the first slice's first.
+    stacked eigvals call on a thread pool (the first in the caller's
+    thread) under the caller's numpy error state; a slice's exception is
+    raised here, the first slice's first.
     """
-    parts = np.array_split(stack, workers)
-    results = [None] * workers
+    # imported here: at module level it would add its imports to every command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    first, *rest = np.array_split(stack, workers)
     err = np.geterr()
 
-    def solve(i: int):
-        try:
-            with np.errstate(**err):
-                results[i] = np.linalg.eigvals(parts[i]).real.max(axis=-1)
-        except Exception as e:  # raised in the caller, below
-            results[i] = e
+    def solve(part):
+        with np.errstate(**err):
+            return np.linalg.eigvals(part).real.max(axis=-1)
 
-    threads = [threading.Thread(target=solve, args=(i,)) for i in range(1, workers)]
-    for t in threads:
-        t.start()
-    solve(0)
-    for t in threads:
-        t.join()
-    for res in results:
-        if isinstance(res, Exception):
-            raise res
-    return np.concatenate(results)
+    with ThreadPoolExecutor(max(1, len(rest))) as pool:
+        futures = [pool.submit(solve, part) for part in rest]
+        return np.concatenate([solve(first), *(f.result() for f in futures)])
 
 
 def stability_threshold(sys: LinearMeanSystem, k_grid) -> StabilityReport:

@@ -115,11 +115,10 @@ MAX_STEPS = 2**53
 DENSE_MAX_DIM = 19
 
 # evolve checks the trace drift once per block of steps (see ``evolve``): a
-# block ends at each saved step and after at most _BLOCK steps, and its
-# states, held to check them, take at most _BLOCK_BYTES over two buffers.
-# A trajectory ensemble's blocks hold at most _BLOCK_BYTES of each member's
-# states.  Constants, not settings: they change the cost of a run, never
-# its result
+# block ends at each saved step and after at most _BLOCK steps, and the
+# states it makes, held to check them, take at most _BLOCK_BYTES
+# (``_block_rows``), as each member's do in a trajectory ensemble's blocks.
+# Constants, not settings: they change the cost of a run, never its result
 _BLOCK = 256
 _BLOCK_BYTES = 2**19
 
@@ -414,19 +413,28 @@ def _evolve(segments, rho0: DensityMatrix, save_every: int):
     return _saved_rows(segments, rho0, save_every, fields["method"]), n_saved, fields
 
 
-def _block_loop(run, check, n_steps: int, n_rows: int, save_every: int = MAX_STEPS):
-    """Take n_steps steps in blocks of at most n_rows, each ending at a
-    multiple of save_every, and yield (steps before the block, its length)
-    once it has run and passed.  ``run(i, j)`` takes the block's steps i ..
-    j - 1 and ``check(step, i, j)`` checks their states, raising for the
-    first that fails.  Floating-point errors that the caller does not
-    ignore stop a block, which is then replayed one checked step at a time
-    under the caller's handling: warnings, errors and aborts are then those
-    of checking every step, and no step past an abort runs."""
+def _block_rows(row_bytes: int, *limits) -> int:
+    """Steps in a block whose states take ``row_bytes`` each: ``_BLOCK``, and
+    no more than fit in ``_BLOCK_BYTES`` or than any of ``limits``, but at
+    least one."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // row_bytes, *limits))
+
+
+def _block_loop(run, check, states, n_steps: int, save_every: int = MAX_STEPS):
+    """Take n_steps steps in blocks of at most len(states) - 1, each ending at
+    a multiple of save_every, and yield (steps before the block, its length
+    n) once it has run and passed, then copy ``states[n]`` into ``states[0]``,
+    where the next block starts.  ``run(i, j)`` takes the block's steps i ..
+    j - 1, from ``states[i]`` into ``states[i + 1 : j + 1]``, and ``check(step,
+    i, j)`` checks those states, raising for the first that fails.
+    Floating-point errors that the caller does not ignore stop a block, which
+    is then replayed one checked step at a time under the caller's handling:
+    warnings, errors and aborts are then those of checking every step, and no
+    step past an abort runs."""
     trap = {k: "ignore" if s == "ignore" else "raise" for k, s in np.geterr().items()}
     step = 0
     while step < n_steps:
-        n = min(n_rows, n_steps - step, save_every - step % save_every)
+        n = min(len(states) - 1, n_steps - step, save_every - step % save_every)
         whole = n > 1  # a lone step is checked as it would be alone
         if whole:
             try:
@@ -440,6 +448,7 @@ def _block_loop(run, check, n_steps: int, n_rows: int, save_every: int = MAX_STE
                 run(i, i + 1)
                 check(step, i, i + 1)
         yield step, n
+        states[0] = states[n]
         step += n
 
 
@@ -450,17 +459,13 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
     # takes each entry to its transposed one
     idx = np.arange(d * d)
     perm = idx // d + (idx % d) * d
-    v = rho0.mat.reshape(-1, order="F")
-    yield 0.0, rho0.mat, _trace_drift(v, d), 0.0
-
-    # the states of a block go into the rows of one of two buffers, in
-    # turn, so that the state a block starts from outlives the block
     longest = max((n_steps for _, _, (n_steps, _) in segments), default=0)
-    n_rows = max(1, min(_BLOCK, longest, save_every, _BLOCK_BYTES // (32 * d * d)))
-    bufs = [np.empty((n_rows, d * d), dtype=complex) for _ in range(2)]
-    buf_rows = [list(b) for b in bufs]
+    states = np.empty((_block_rows(16 * d * d, longest, save_every) + 1, d * d), dtype=complex)
+    states[0] = rho0.mat.reshape(-1, order="F")
+    yield 0.0, rho0.mat, _trace_drift(states[0], d), 0.0
+
     # the last step's result and its conjugate transpose, and the last drift
-    b, t0, w, wh, drift = 0, 0.0, None, None, None
+    t0, w, wh, drift = 0.0, None, None, None
     for g, duration, (n_steps, dt_eff) in segments:
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
@@ -478,15 +483,15 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
             # stepping the Hermitian part of the start state is the same map
             # (the dense path drops the anti-Hermitian part when it
             # re-Hermitizes)
-            v = 0.5 * (v + v[perm].conj())
+            states[0] = 0.5 * (states[0] + states[0][perm].conj())
 
         def run(i, j):
             nonlocal w, wh
-            w, wh = _run_steps(step_map, perm, buf_rows[b][i - 1] if i else v, buf_rows[b][i:j])
+            w, wh = _run_steps(step_map, perm, states[i], states[i + 1 : j + 1])
 
         def check(step, i, j):
             nonlocal drift
-            drifts = _trace_drift(bufs[b][i:j], d)
+            drifts = _trace_drift(states[i + 1 : j + 1], d)
             ok = drifts <= TRACE_ABORT_TOL  # a NaN fails
             if not ok.all():
                 k = int(np.argmin(ok))
@@ -496,11 +501,11 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
                 )
             drift = drifts[-1]
 
-        for step, n in _block_loop(run, check, n_steps, n_rows, save_every):
-            v, b, step = buf_rows[b][n - 1], b ^ 1, step + n
+        for step, n in _block_loop(run, check, states, n_steps, save_every):
+            step += n
             if step % save_every == 0 or step == n_steps:
                 herm = np.max(np.abs(w - wh))
-                yield step * dt_eff + t0, v.reshape((d, d), order="F"), drift, herm
+                yield step * dt_eff + t0, states[n].reshape((d, d), order="F"), drift, herm
         t0 += duration
 
 

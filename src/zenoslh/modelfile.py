@@ -549,7 +549,11 @@ def _parse_subspace(sub, factor_names, dims, space):
 
 def load_model(path) -> ModelDocument:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_model(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ModelParseError(f"model file is not UTF-8 text: {e}") from None
+    return parse_model(text)
 
 
 def canonical_text(doc: ModelDocument) -> str:

@@ -56,8 +56,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .master import _BLOCK, _BLOCK_BYTES, DensityMatrix, EvolutionResult, StepSizeError
-from .master import _block_loop, _dissipator_mat, _dissipator_terms, _right, _StateViews
+from .master import DensityMatrix, EvolutionResult, StepSizeError, _block_loop, _block_rows
+from .master import _dissipator_mat, _dissipator_terms, _right, _StateViews
 from .master import _step_grid, _trace_drift
 from .operators import HilbertSpace, _is_int
 from .slh import SLHTriple
@@ -274,12 +274,6 @@ def simulate_ensemble(
     ]
 
 
-def _block_rows(d: int) -> int:
-    """Steps in a block of an ensemble at dimension d: ``_BLOCK``, fewer where
-    one member's states would take more than ``_BLOCK_BYTES``."""
-    return max(1, min(_BLOCK, _BLOCK_BYTES // (16 * d * d)))
-
-
 def _grid_times(t_end: float, n: int, a: int, b: int):
     """``np.linspace(0.0, t_end, n + 1)[a:b]`` bit for bit (i * (t_end / n),
     and t_end last), without the rest of the grid."""
@@ -309,7 +303,7 @@ def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_tra
         raise ValueError("initial state lives on a different space than the model")
     ops, d = _Ops(g, config.measured_channel), g.dim
     n_steps, dt = _step_grid(config.t_end, config.dt)
-    homodyne, n_rows = config.scheme == "homodyne", min(n_steps, _block_rows(d))
+    homodyne, n_rows = config.scheme == "homodyne", _block_rows(16 * d * d, n_steps)
     rngs, sigma = [np.random.default_rng(config.seed + i) for i in range(members)], np.sqrt(dt)
     # per step and member: the state after it (row 0: the block's start), the
     # increment or uniform drawn, tr(rho (L_c + L_c^H)) or the jump rate, and
@@ -320,16 +314,18 @@ def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_tra
     jumps = np.zeros((n_rows, members), dtype=bool)
     # the members running and the error of the lowest-index one that failed
     # (a replayed block runs without the members that left in it, as each
-    # leaves at the same step either way); the block's steps drawn
-    k, error, drawn = members, None, 0
+    # leaves at the same step either way)
+    k, error = members, None
+
+    def draw(step):
+        # each running member's record of the block starting at step, drawn
+        # before its steps, so that a replayed block reuses it
+        size = min(n_rows, n_steps - step)
+        for m, rng in enumerate(rngs[:k]):
+            draws[:size, m] = rng.normal(0.0, sigma, size) if homodyne else rng.random(size)
 
     def run(i, j):
-        nonlocal k, error, drawn
-        if j > drawn:
-            size = j - drawn
-            for m, rng in enumerate(rngs[:k]):
-                draws[drawn:j, m] = rng.normal(0.0, sigma, size) if homodyne else rng.random(size)
-            drawn = j
+        nonlocal k, error
         for r in range(i, j):
             if not k:
                 break
@@ -358,17 +354,17 @@ def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_tra
             )
 
     def blocks():
-        nonlocal drawn
+        draw(0)
         # a counting step checks its members itself
-        for step, n in _block_loop(run, check if homodyne else lambda *_: None, n_steps, n_rows):
+        for step, n in _block_loop(run, check if homodyne else lambda *_: None, states, n_steps):
             if not k:
                 break
-            drawn = 0
             innov = draws[:n, :k] if homodyne else jumps[:n, :k] - means[:n, :k] * dt
             rec = means[:n, :k] * dt + innov if homodyne else jumps[:n, :k]
             times = _grid_times(config.t_end, n_steps, step + 1, step + n + 1)
             yield times, rec, innov, states[1 : n + 1, :k]
-            states[0, :k] = states[n, :k]
+            if step + n < n_steps:
+                draw(step + n)
         if error is not None:
             raise error
 

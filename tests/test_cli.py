@@ -79,6 +79,35 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", KERR, "--out", "d"], "Is a directory"),
+        (["eliminate", KERR, "--out", "d"], "Is a directory"),
+        (["evolve", KERR, "--t-end", "0.01", "--out", "d"], "Is a directory"),
+        (["converge", KERR, "--ks", "1", "--t-end", "0.01", "--out", "d"], "Is a directory"),
+        (["linstab", GAMMA, "--ks", "1", "--out", "d"], "Is a directory"),
+        (["traj", KERR, "--scheme", "homodyne", "--t-end", "0.01", "--out-dir", "f"],
+         "File exists"),
+        (["traj", KERR, "--scheme", "homodyne", "--t-end", "0.01", "--out-dir", "f/sub"],
+         "Not a directory"),
+        (["check", "d"], "Is a directory"),
+        (["check", "utf16.model"], "model file is not UTF-8 text"),
+    ],
+)
+def test_unusable_paths_exit_one_with_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    # each once ended in a traceback from the OS's error, and the model that
+    # is not UTF-8 in exit 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    (tmp_path / "utf16.model").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("zenoslh: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.rglob(".*.tmp")) == [] and list((tmp_path / "d").iterdir()) == []
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["not-a-command"]) == 1
     assert main([]) == 1

@@ -658,21 +658,29 @@ def test_block_trace_drift_is_each_states_np_trace_drift_bit_for_bit():
 def test_block_buffers_are_capped_in_bytes():
     import tracemalloc
 
+    from zenoslh import SimConfig
+    from zenoslh.trajectories import _ensemble_blocks
+
     # at d = 30 a full block of _BLOCK states would take 7.4 MB; a
-    # final-only run of 600 steps holds at most _BLOCK_BYTES more than a
-    # run of one step
+    # final-only run of 600 steps, and the blocks of a one-member ensemble of
+    # 600 steps, each hold at most _BLOCK_BYTES more than a run of one step
     rng = np.random.default_rng(30)
     g = scaled_triple(rng, 30, 1)
     rho0 = DensityMatrix(g.space, random_density_matrix(rng, 30))
-    peaks = []
-    for n_steps in (1, 600):
-        tracemalloc.start()
-        try:
-            evolve(g, rho0, n_steps * 1e-3, 1e-3, save_every=master.MAX_STEPS)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= master._BLOCK_BYTES + 2**16
+    runs = {
+        "evolve": lambda n: evolve(g, rho0, n * 1e-3, 1e-3, save_every=master.MAX_STEPS),
+        "ensemble": lambda n: list(_ensemble_blocks(g, rho0, SimConfig(1e-3, n * 1e-3), 1))[-1],
+    }
+    for name, run in runs.items():
+        peaks = []
+        for n_steps in (1, 600):
+            tracemalloc.start()
+            try:
+                run(n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= master._BLOCK_BYTES + 2**16, name
 
 
 def test_results_record_step_count_and_step():

@@ -598,12 +598,9 @@ def test_ensemble_mean_space_mismatch():
 # -- blocks of steps ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
-def test_records_that_span_blocks_are_one_whole_draw(monkeypatch, scheme):
-    # 2 _BLOCK + 3 steps run in three blocks, and each member draws its
-    # record a block at a time; the draws are one draw of the whole record
-    from zenoslh.master import _BLOCK
-
+def recording_rngs(monkeypatch):
+    """Make ``np.random.default_rng``'s generators record their draws; returns
+    the dict of each seed's draws, one array per call."""
     real, drawn = np.random.default_rng, {}
 
     class Recording:
@@ -618,12 +615,22 @@ def test_records_that_span_blocks_are_one_whole_draw(monkeypatch, scheme):
             self.draws.append(self.rng.random(size))
             return self.draws[-1]
 
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return drawn
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_records_that_span_blocks_are_one_whole_draw(monkeypatch, scheme):
+    # 2 _BLOCK + 3 steps run in three blocks, and each member draws its
+    # record a block at a time; the draws are one draw of the whole record
+    from zenoslh.master import _BLOCK
+
     g = measured_only(zeno_kerr())
     rho0 = basis_state_density(QUBIT, 1)
     n = 2 * _BLOCK + 3
     cfg = SimConfig(dt=1e-3, t_end=n * 1e-3, seed=21, scheme=scheme)
     assert cfg.n_steps == n
-    monkeypatch.setattr(np.random, "default_rng", Recording)
+    drawn = recording_rngs(monkeypatch)
     ens = simulate_ensemble(g, rho0, cfg, 3)
     monkeypatch.undo()
     for i, r in enumerate(ens):
@@ -639,6 +646,42 @@ def test_records_that_span_blocks_are_one_whole_draw(monkeypatch, scheme):
         states, innovations = serial_reference(g, rho0, replace(cfg, seed=cfg.seed + i))
         assert np.array_equal(r.rho, states)
         assert np.array_equal(r.innovations, innovations)
+
+
+def test_a_replayed_block_draws_each_record_once(monkeypatch):
+    # the 300th step call overflows, inside the second of three blocks, which
+    # is then replayed one step at a time from the records drawn for it: the
+    # draws and the run are those of an undisturbed run
+    from zenoslh import trajectories
+    from zenoslh.master import _BLOCK
+
+    g = measured_only(zeno_kerr())
+    rho0 = basis_state_density(QUBIT, 1)
+    n = 2 * _BLOCK + 3
+    cfg = SimConfig(dt=1e-3, t_end=n * 1e-3, seed=21)
+    want = simulate_ensemble(g, rho0, cfg, 3)
+    calls, real = [], trajectories._homodyne_step
+
+    def overflows_at_call_300(*args):
+        calls.append(1)
+        if len(calls) == 300:
+            _ = np.float64(1e308) * 10.0
+        return real(*args)
+
+    monkeypatch.setattr(trajectories, "_homodyne_step", overflows_at_call_300)
+    drawn = recording_rngs(monkeypatch)
+    with np.errstate(over="warn"):
+        got = simulate_ensemble(g, rho0, cfg, 3)
+    monkeypatch.undo()
+    # the second block's 44 calls up to the overflow, then all its 256 again
+    assert len(calls) == _BLOCK + 44 + _BLOCK + 3
+    for i, (a, b) in enumerate(zip(got, want)):
+        draws = drawn[cfg.seed + i]
+        assert [len(x) for x in draws] == [_BLOCK, _BLOCK, 3]
+        whole = np.random.default_rng(cfg.seed + i).normal(0.0, np.sqrt(cfg.t_end / n), size=n)
+        assert np.array_equal(np.concatenate(draws), whole)
+        assert np.array_equal(a.rho, b.rho)
+        assert np.array_equal(a.innovations, b.innovations)
 
 
 def test_block_times_are_the_linspace_grid_bit_for_bit():
