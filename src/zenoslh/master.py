@@ -5,10 +5,14 @@ The predual generator of an SLH model acts on density matrices as
     D rho = sum_i ( L_i rho L_i^H - 1/2 rho L_i^H L_i - 1/2 L_i^H L_i rho )
             + i [rho, H],
 
-and the master equation is d rho / dt = D rho.  Integration is classical
-fixed-step 4th order (the one-step map is the degree-4 Taylor polynomial
-of the matrix exponential of the vectorized generator); no adaptive
-stepping, so order-of-accuracy tests and diagnostics are reproducible.
+and the master equation is d rho / dt = D rho.  ``dissipator`` and the
+conditioned steps of ``trajectories`` evaluate this form on a stack of
+states in three GEMM calls (``_dissipator_mat``); a stacked call is one
+GEMM per operand, of the lone operand's shape, never one wider operand
+(see ``trajectories``).  Integration is classical fixed-step 4th order
+(the one-step map is the degree-4 Taylor polynomial of the matrix
+exponential of the vectorized generator); no adaptive stepping, so
+order-of-accuracy tests and diagnostics are reproducible.
 States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
@@ -35,7 +39,11 @@ result records the path as ``method``.  Re-Hermitizing,
 v = (w + conj(w[perm])) / 2 with ``perm`` the index of the transposed
 entry, and the trace, the sum of v over the diagonal entries, are
 elementwise the arithmetic of the same steps on the d x d matrix, so
-stepping in vec space rounds exactly as that would.
+stepping in vec space rounds exactly as that would.  Each step writes w
+into a buffer made once per run (one gemv on the dense path), gathers
+w[perm], and conjugates, adds and halves in place into the step's row:
+the ufuncs of that expression on the same operands, so every entry
+rounds as the expression rounds it.
 
 The trace drift is checked once per block of steps, not after each
 step.  A block runs up to the next saved step, and at most ``_BLOCK``
@@ -197,31 +205,44 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
     return DensityMatrix(space, np.outer(v, v.conj()))
 
 
-def _dissipator_terms(h, ls):
-    """The rows [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d,
-    H and one (L^H, L^H L) per channel: formed once per model."""
-    lds = _adjoint(ls)
-    ldls = lds @ ls
-    return np.concatenate((h[None], ls, ldls)).reshape(-1, len(h)), h, list(zip(lds, ldls))
+def _dissipator_terms(h, ls, channel=None):
+    """The operands of ``_dissipator_mat``, formed once per run: the left rows
+    [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d, the right
+    operands [H, L_1^H L_1, ..., L_n^H L_n] and the adjoints [L_1^H, ...,
+    L_n^H].  For a measured channel c, L_c + L_c^H ends the right operands
+    and L_c^H the adjoints, which keep their transposed layout."""
+    ldls = _adjoint(ls) @ ls
+    rows = np.concatenate((h[None], ls, ldls)).reshape(-1, len(h))
+    lc = ls[:0] if channel is None else ls[channel : channel + 1]
+    rights = np.concatenate((h[None], ldls, lc + _adjoint(lc)))
+    return rows, rights, _adjoint(np.concatenate((ls, lc)))
 
 
 def _right(x, b):
-    """x @ b for each matrix of a stack, as one product of the stack's rows."""
-    return (x.reshape(-1, len(b)) @ b).reshape(x.shape)
+    """x @ b_j for each operand b_j of the (p, d, d) stack b, as (p, M, d, d),
+    one product of (M d, d) rows per operand: of the (M, d, d) stack x, or of
+    slice j of the (p, M, d, d) stack x."""
+    m, d = x.shape[-3], x.shape[-1]
+    return np.matmul(x.reshape(x.shape[:-3] + (m * d, d)), b).reshape(len(b), m, d, d)
 
 
 def _dissipator_mat(terms, x):
-    """D(x) for an (M, d, d) stack, the left products [H x; L_1 x; ...;
-    L_n^H L_n x] as (M, 1 + 2n, d, d) and the list of (L_i x) L_i^H.  Each
-    product grows only a GEMM's rows (see ``trajectories``)."""
-    rows, h, channels = terms
-    n, d = len(channels), len(h)
-    left = (rows @ x).reshape(len(x), 1 + 2 * n, d, d)
-    out = 1j * (_right(x, h) - left[:, 0])
-    jumps = [_right(left[:, 1 + i], ld) for i, (ld, _) in enumerate(channels)]
-    for i, (_, ldl) in enumerate(channels):
-        out += jumps[i] - 0.5 * (_right(x, ldl) + left[:, 1 + n + i])
-    return out, left, jumps
+    """D(x) for an (M, d, d) stack, with the products it forms: [H x; L_1 x;
+    ...; L_n^H L_n x] as (M, 1 + 2n, d, d), x times each right operand and
+    (L_i x) L_i^H (then x L_c^H for a measured channel), each as (p, M, d, d).
+    Three GEMM calls, each growing only its rows (see ``trajectories``)."""
+    rows, rights, adjs = terms
+    m, d = len(x), x.shape[-1]
+    n = (len(rows) // d - 1) // 2
+    left = (rows @ x).reshape(m, 1 + 2 * n, d, d)
+    right = _right(x, rights)
+    # the rows of L_1 x, ..., L_n x, then of x for a measured channel's L_c^H
+    jumps = _right(np.concatenate((left[:, 1 : 1 + n].swapaxes(0, 1), x[None]))[: len(adjs)], adjs)
+    out = 1j * (right[0] - left[:, 0])
+    # the channels' terms added one by one, in a lone loop's order
+    for term in jumps[:n] - 0.5 * (right[1 : 1 + n] + left[:, 1 + n :].swapaxes(0, 1)):
+        out += term
+    return out, left, right, jumps
 
 
 def _k_form_terms(g: SLHTriple):
@@ -344,16 +365,22 @@ def _rk4_step(terms, m, dt: float):
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _run_steps(step_map, perm, v, rows):
-    """Step the column-stacked state v once per row, re-Hermitizing each
-    result into its row; returns the last step's result w and its
-    conjugate transpose wh, in vec form."""
+def _run_steps(step_map, perm, v, rows, w):
+    """Step the column-stacked state v once per row, ``step_map(v, w)``
+    writing each result into the buffer w, which is re-Hermitized into its
+    row; returns the conjugate transpose wh of the last result, which w
+    keeps, in vec form.  Each entry rounds as ``0.5 * (w + conj(w[perm]))``."""
+    # at small d a step costs its calls: the ufuncs are bound once and take
+    # their outputs by position
+    half, conj, add, mul = np.complex128(0.5), np.conjugate, np.add, np.multiply
     for row in rows:
-        w = step_map(v)
-        wh = w[perm].conj()
-        np.multiply(0.5, w + wh, out=row)
+        step_map(v, w)
+        wh = w[perm]
+        conj(wh, wh)
+        add(w, wh, row)
+        mul(half, row, row)
         v = row
-    return w, wh
+    return wh
 
 
 def _trace_drift(x, d: int):
@@ -465,19 +492,19 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
     yield 0.0, rho0.mat, _trace_drift(states[0], d), 0.0
 
     # the last step's result and its conjugate transpose, and the last drift
-    t0, w, wh, drift = 0.0, None, None, None
+    t0, w, wh, drift = 0.0, np.empty(d * d, dtype=complex), None, None
     for g, duration, (n_steps, dt_eff) in segments:
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
         else:
             terms = _k_form_terms(g)
 
-            def step_map(v):
+            def step_map(v, out):
                 # d x d states are C-ordered everywhere else; a copy in that
                 # layout (d^2, against d^3 per product) keeps BLAS rounding
                 # the products as it does there
                 m = np.ascontiguousarray(v.reshape((d, d), order="F"))
-                return _rk4_step(terms, m, dt_eff).reshape(-1, order="F")
+                out.reshape((d, d), order="F")[...] = _rk4_step(terms, m, dt_eff)
 
             # the K form needs a Hermitian state; D commutes with ^H, so
             # stepping the Hermitian part of the start state is the same map
@@ -486,8 +513,8 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
             states[0] = 0.5 * (states[0] + states[0][perm].conj())
 
         def run(i, j):
-            nonlocal w, wh
-            w, wh = _run_steps(step_map, perm, states[i], states[i + 1 : j + 1])
+            nonlocal wh
+            wh = _run_steps(step_map, perm, states[i], states[i + 1 : j + 1], w)
 
         def check(step, i, j):
             nonlocal drift
@@ -627,10 +654,14 @@ def convergence_harness(
     subspace, renormalized by its trace, and compared in trace distance
     to the limit-model state at t_end.  The k values are independent pure
     computations and may be evaluated concurrently by callers.  The
-    tolerances are those of :func:`zeno_eliminate`.
+    tolerances are those of :func:`zeno_eliminate`.  Every k's step grid is
+    checked before the first step.
     """
     if rho0_z.space != split.zeno_space:
         raise ValueError("initial state must live on the Zeno subspace")
+    runs = [(k, dt / max(1.0, k * k)) for k in map(float, ks)]
+    for _, dt_k in runs:
+        _step_grid(t_end, dt_k)
     limit = zeno_eliminate(
         family, split, scaling_tol=scaling_tol, kernel_tol=kernel_tol, decoupling_tol=decoupling_tol
     )
@@ -639,10 +670,8 @@ def convergence_harness(
     vz = split.v_z.cols
     rho0_full = DensityMatrix(family.space, vz @ rho0_z.mat @ vz.conj().T, min_eig_tol=None)
     points = []
-    for k in ks:
-        k = float(k)
+    for k, dt_k in runs:
         g_full = instantiate(family, k)
-        dt_k = dt / max(1.0, k * k)
         res = evolve(g_full, rho0_full, t_end, dt_k, save_every=MAX_STEPS)
         comp = vz.conj().T @ res.rho[-1] @ vz
         tr = float(np.trace(comp).real)

@@ -43,6 +43,12 @@ the stack's (M d, d) rows times one operator on the right.  Each entry
 then sums the terms of a lone run's d x d product in its order, which is
 what member i's bit-identity rests on (the tests check it on the BLAS in
 use); a wider right operand, or the members' (d, M d) columns, would not.
+A step forms its right products in two ``np.matmul`` calls on stacks: the
+(M d, d) rows times each of [H, L_1^H L_1, ..., L_n^H L_n, L_c + L_c^H],
+and the rows of L_1 x, ..., L_n x and x times L_1^H, ..., L_n^H, L_c^H.
+A stacked call is one GEMM per operand, of the lone operand's shape and
+layout, never one (d, p d) operand, so the rule still holds; the counting
+rate reads tr(x L_c^H L_c) off the dissipator's own product.
 
 The scattering matrix does not enter these filter equations; for
 counting with a nontrivial scattering matrix this is a documented
@@ -57,7 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _block_loop, _block_rows
-from .master import _dissipator_mat, _dissipator_terms, _right, _StateViews
+from .master import _dissipator_mat, _dissipator_terms, _StateViews
 from .master import _step_grid, _trace_drift
 from .operators import HilbertSpace, _is_int
 from .slh import SLHTriple
@@ -149,10 +155,8 @@ class _Ops:
     def __init__(self, g: SLHTriple, channel: int):
         if not (0 <= channel < g.n):
             raise ValueError(f"measured channel {channel} out of range for {g.n} channels")
-        self.terms = _dissipator_terms(g.H.mat, g.l)
+        self.terms = _dissipator_terms(g.H.mat, g.l, channel)
         self.channel = channel
-        self.lcd, self.lcdlc = self.terms[2][channel]
-        self.lc_sum = g.l[channel] + self.lcd
 
 
 def _trace(x):
@@ -167,9 +171,9 @@ def _normalize(x):
 def _homodyne_step(ops: _Ops, x, dt: float, dw):
     """One diffusive update of an (M, d, d) stack, dw holding one increment
     per member.  Returns the next states and the means tr(rho (L_c + L_c^H))."""
-    dx, left, _ = _dissipator_mat(ops.terms, x)
-    mean = _trace(_right(x, ops.lc_sum)).real
-    gain = left[:, 1 + ops.channel] + _right(x, ops.lcd) - mean[:, None, None] * x
+    dx, left, right, jumps = _dissipator_mat(ops.terms, x)
+    mean = _trace(right[-1]).real
+    gain = left[:, 1 + ops.channel] + jumps[-1] - mean[:, None, None] * x
     return _normalize(x + dx * dt + gain * dw[:, None, None]), mean
 
 
@@ -181,7 +185,9 @@ def _counting_step(ops: _Ops, x, dt: float, u):
     fails (jump guard, NaN rate, zero-weight jump); the other three then
     cover only the members before it.
     """
-    rate = _trace(_right(x, ops.lcdlc)).real
+    dx, _, right, jumps = _dissipator_mat(ops.terms, x)
+    rate = _trace(right[1 + ops.channel]).real  # tr(x L_c^H L_c)
+    jm = jumps[ops.channel]  # L_c x L_c^H
     p = rate * dt
     jumped, error = u < p, None
     bad = ~(p <= JUMP_PROBABILITY_GUARD)  # a NaN p is over the guard
@@ -190,9 +196,7 @@ def _counting_step(ops: _Ops, x, dt: float, u):
         error = StepSizeError(
             f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
         )
-        x, rate, jumped = x[:i], rate[:i], jumped[:i]
-    dx, _, jumps = _dissipator_mat(ops.terms, x)
-    jm = jumps[ops.channel]  # L_c x L_c^H
+        x, rate, jm, jumped, dx = x[:i], rate[:i], jm[:i], jumped[:i], dx[:i]
     any_jump = jumped.any()
     if any_jump and (bad := jumped & (_trace(jm).real < 1e-14)).any():
         i = int(np.argmax(bad))  # lower than any member over the guard
@@ -380,8 +384,11 @@ def ensemble_mean(results) -> EvolutionResult:
     for r in results[1:]:
         if r.space != space:
             raise ValueError(f"trajectories live on different spaces, {space} and {r.space}")
-        if len(r.times) != len(times) or not np.allclose(r.times, times):
-            raise ValueError("trajectories are on different time grids")
+        if not np.array_equal(r.times, times):
+            n = min(len(times), len(r.times))
+            i = int(np.argmax(np.append(times[:n] != r.times[:n], True)))
+            a, b = (repr(float(t[i])) if i < len(t) else "past the end" for t in (times, r.times))
+            raise ValueError(f"trajectories are on different time grids: t[{i}] is {a} and {b}")
     total = np.array(results[0].rho)
     for r in results[1:]:
         total += r.rho

@@ -704,6 +704,21 @@ def test_converge_past_2_to_the_53_steps_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_checks_every_k_before_the_first_step(tmp_path, capsys, monkeypatch):
+    # k = 20 alone would take 400 000 steps before k = 1e9 is found to need
+    # 1e21 of them
+    def no_steps(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(master, "_run_steps", no_steps)
+    out = tmp_path / "c.csv"
+    argv = ["converge", KERR, "--ks", "20,1e9", "--t-end", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "step count 999999999999999868928 exceeds 2**53; increase dt" in err
+    assert not out.exists()
+
+
 def test_linstab_huge_k_exits_one_without_outputs(tmp_path, capsys):
     # k**2 overflows a float: float(k) ** 2 once raised a raw OverflowError
     out = tmp_path / "k.csv"

@@ -410,6 +410,35 @@ def test_k_form_dissipator_matches_dissipator(dim, n_channels):
     assert abs(np.trace(got)) <= 1e-13 * scale
 
 
+def per_operand_right(x, b):
+    """x @ b for each matrix of the (M, d, d) stack x, as one product of its
+    (M d, d) rows: the per-operand form that ``master._right`` stacks."""
+    return (x.reshape(-1, len(b)) @ b).reshape(x.shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 30])
+@pytest.mark.parametrize("members", [0, 1, 4, 33])
+def test_stacked_right_product_is_the_per_operand_product_bit_for_bit(d, members):
+    # one GEMM per stacked operand, each of the per-operand shape, so every
+    # entry rounds alike; the operands are C-ordered or transposed views (as
+    # the adjoints are), and the rows one shared stack, one per operand, or a
+    # strided view (as the left products are); members = 0 is the empty
+    # stack, which a reshape to (-1, M d, d) cannot take
+    rng = np.random.default_rng([d, members])
+    for p in range(1, 7):
+        b = rng.standard_normal((p, d, d)) + 1j * rng.standard_normal((p, d, d))
+        b *= 10.0 ** rng.uniform(-8, 8, b.shape)
+        y = rng.standard_normal((members, p, d, d)) + 1j * rng.standard_normal((members, p, d, d))
+        y *= 10.0 ** rng.uniform(-8, 8, y.shape)
+        for ops in (b, b.conj().swapaxes(1, 2)):
+            for x in (y[:, 0], np.ascontiguousarray(y.swapaxes(0, 1)), y.swapaxes(0, 1)):
+                got = master._right(x, ops)
+                assert got.shape == (p, members, d, d)
+                for j in range(p):
+                    want = per_operand_right(x if x.ndim == 3 else x[j], ops[j])
+                    assert np.array_equal(got[j], want), (p, j)
+
+
 def test_matrix_free_steps_the_hermitian_part_of_rho0(monkeypatch):
     rng = np.random.default_rng(1313)
     g = scaled_triple(rng, 13, 2)

@@ -246,6 +246,20 @@ def test_ensemble_mean_grid_mismatch():
         ensemble_mean([r1, r2])
 
 
+def test_ensemble_mean_rejects_a_near_miss_grid():
+    # 1000 steps of 1e-3 and of 1.000005e-3: the grids agree to 5e-6, which
+    # np.allclose once let through
+    g = zeno_kerr()
+    rho0 = basis_state_density(QUBIT, 1)
+    r1 = simulate(g, rho0, SimConfig(dt=1e-3, t_end=1.0, seed=1))
+    r2 = simulate(g, rho0, SimConfig(dt=1e-3, t_end=1.000005, seed=1))
+    assert len(r1.times) == len(r2.times)
+    with pytest.raises(ValueError, match=r"different time grids: t\[1\] is 0\.001 and 0\.001000005$"):
+        ensemble_mean([r1, r2])
+    with pytest.raises(ValueError, match=r"t\[101\] is past the end and 0\.101$"):
+        ensemble_mean([replace(r1, times=r1.times[:101]), r1])
+
+
 def test_ensemble_mean_tracks_master_equation():
     g = zeno_kerr()
     rho0 = basis_state_density(QUBIT, 1)
