@@ -8,14 +8,19 @@ violations (e.g. a model that is not zenofiable, or a singular fast block).
 The environment variable ZENOSLH_TOL overrides the default condition
 tolerances.  It, each ``--*-tol`` flag and ``--seed`` must be finite and
 nonnegative; anything else exits 1 before any output.
+Each command writes its outputs, the manifest included, to temporary files
+that are renamed into place when it returns, and only then prints its
+report.  A run that raises or is stopped by SIGTERM prints nothing and
+leaves no output, no temporary file and no directory it made (``traj``
+keeps the CSVs of the chunks that finished before it).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
-import itertools
 import json
 import math
 import os
@@ -164,29 +169,6 @@ def _initial_state(space, label: str) -> DensityMatrix:
     raise ModelParseError(f"unknown initial state {label!r}; use 'mixed' or 'basis:<index>'")
 
 
-class _Timings(dict):
-    """Wall seconds per phase of a run (``model_s``: load and prepare the
-    model, ``run_s``: integrate or simulate, ``write_s``: write the CSVs),
-    each lap added to its phase."""
-
-    def __init__(self):
-        super().__init__(model_s=0.0, run_s=0.0, write_s=0.0)
-        self._last = time.perf_counter()
-
-    def lap(self, phase: str):
-        now = time.perf_counter()
-        self[phase] += now - self._last
-        self._last = now
-
-    def laps(self, items, make: str, use: str):
-        """``items``, each lap spent making an item added to ``make`` and
-        each lap spent using it, until the next is asked for, to ``use``."""
-        for item in items:
-            self.lap(make)
-            yield item
-            self.lap(use)
-
-
 def _quiet_steps():
     """Floating-point errors ignored while the commands step: each run ends
     in a check that catches a NaN or inf state (the trace drift, the
@@ -215,37 +197,90 @@ def _sigterm_exits():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
-@contextlib.contextmanager
-def _replacing(paths):
-    """Temporary files beside ``paths``, one each, written inside the block:
-    each becomes its path when the block ends, and all are removed if it
-    raises, so a run that fails or is stopped leaves no partial file."""
-    tmps = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
-    try:
-        yield tmps
-        for tmp, path in zip(tmps, paths):
+class _Run:
+    """The outputs and phase timings of one command (see ``_transaction``).
+
+    ``timings`` holds wall seconds per phase (``model_s``: load and prepare
+    the model, ``run_s``: integrate or simulate, ``write_s``: write the
+    outputs), each lap added to its phase.  Every output, the manifest
+    included, is written to the temporary file ``tmp(path)`` beside its
+    target, and ``stdout`` holds the text to print once all are in place.
+    """
+
+    def __init__(self):
+        self.timings = {"model_s": 0.0, "run_s": 0.0, "write_s": 0.0}
+        self._last = time.perf_counter()
+        self.pending = []  # (temporary file, target), not yet renamed
+        self.made = []  # directories made, each before its parent
+        self.stdout = None
+
+    def lap(self, phase: str):
+        now = time.perf_counter()
+        self.timings[phase] += now - self._last
+        self._last = now
+
+    def laps(self, items, make: str, use: str):
+        """``items``, each lap spent making an item added to ``make`` and
+        each lap spent using it, until the next is asked for, to ``use``."""
+        for item in items:
+            self.lap(make)
+            yield item
+            self.lap(use)
+
+    def tmp(self, path) -> Path:
+        """The temporary file ``.<name>.<pid>.tmp`` beside ``path``, which
+        ``commit`` renames to ``path``."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        self.pending.append((tmp, path))
+        return tmp
+
+    def mkdir(self, directory: Path):
+        """``directory`` and its missing parents, each one made recorded."""
+        # recorded first, so that those made before a failure are removed
+        self.made[:0] = [d for d in (directory, *directory.parents) if not d.exists()]
+        directory.mkdir(parents=True, exist_ok=True)
+
+    def manifest(self, path, command: str, digest: str, tols: dict, **fields):
+        """The run manifest at ``path``, its timings taken after a last
+        ``write_s`` lap."""
+        self.lap("write_s")
+        RunManifest(command, digest, tols, timings=dict(self.timings), **fields).write(
+            self.tmp(path)
+        )
+
+    def commit(self):
+        """Every output written so far renamed into place.  A target that
+        is a directory fails before the first rename, so that no output is
+        left without the others."""
+        for _, path in self.pending:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in self.pending:
             os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-        raise
+        self.pending.clear()
 
 
 @contextlib.contextmanager
-def _removing_if_empty(directory: Path):
-    """If the block raises, ``directory`` is removed when it did not exist
-    before the block and is still empty, so a failed run leaves nothing."""
-    existed = directory.exists()
+def _transaction():
+    """A ``_Run`` for one command.  When the command returns, whatever its
+    exit code, every output is renamed into place and then ``stdout`` is
+    printed.  On any exception (SIGTERM included, under ``_sigterm_exits``)
+    the temporary files not yet renamed and every directory the run made
+    that is still empty are removed, and nothing is printed."""
+    run = _Run()
     try:
-        yield
+        yield run
+        run.commit()
     except BaseException:
-        if not existed and directory.is_dir() and not any(directory.iterdir()):
-            directory.rmdir()
+        for tmp, _ in run.pending:
+            tmp.unlink(missing_ok=True)
+        for directory in run.made:
+            with contextlib.suppress(OSError):  # not empty
+                directory.rmdir()
         raise
-
-
-def _manifest_path(out: str) -> str:
-    return str(out) + ".manifest.json"
+    if run.stdout is not None:
+        print(run.stdout)
 
 
 @functools.cache  # built once per process; parse_args leaves it as it was
@@ -301,8 +336,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _cmd_check(args) -> int:
-    timings = _Timings()
+def _cmd_check(args, run) -> int:
     doc = load_model(args.model)
     tols = _tolerances(args)
     report = {
@@ -310,7 +344,7 @@ def _cmd_check(args) -> int:
         "digest": model_digest(doc),
         "tolerances": tols,
     }
-    timings.lap("model_s")
+    run.lap("model_s")
     code = EXIT_OK
     try:
         result = _eliminate(doc, tols)
@@ -326,19 +360,12 @@ def _cmd_check(args) -> int:
         report["residuals"] = {k: float(v) for k, v in e.residuals.items()}
         code = EXIT_VIOLATION
         method, cond_a_ff = e.method, e.cond_a_ff
-    timings.lap("run_s")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    run.lap("run_s")
+    run.stdout = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        write_json(args.out, report)
-        timings.lap("write_s")
-        RunManifest(
-            "check",
-            model_digest(doc),
-            tols,
-            method=method,
-            timings=dict(timings),
-            cond_a_ff=cond_a_ff,
-        ).write(_manifest_path(args.out))
+        write_json(run.tmp(args.out), report)
+        run.manifest(f"{args.out}.manifest.json", "check", report["digest"], tols,
+                     method=method, cond_a_ff=cond_a_ff)
     return code
 
 
@@ -346,31 +373,22 @@ def _eliminate(doc, tols):
     return zeno_eliminate(doc.family, doc.split(), **_tol_kwargs(tols))
 
 
-def _cmd_eliminate(args) -> int:
-    timings = _Timings()
+def _cmd_eliminate(args, run) -> int:
     doc = load_model(args.model)
     tols = _tolerances(args)
-    timings.lap("model_s")
+    run.lap("model_s")
     result = _eliminate(doc, tols)
-    timings.lap("run_s")
+    run.lap("run_s")
     if args.out:
-        write_triple_json(args.out, result)
-        timings.lap("write_s")
-        RunManifest(
-            "eliminate",
-            model_digest(doc),
-            tols,
-            method=result.method,
-            timings=dict(timings),
-            cond_a_ff=result.cond_a_ff,
-        ).write(_manifest_path(args.out))
+        write_triple_json(run.tmp(args.out), result)
+        run.manifest(f"{args.out}.manifest.json", "eliminate", model_digest(doc), tols,
+                     method=result.method, cond_a_ff=result.cond_a_ff)
     else:
-        print(triple_json(result))
+        run.stdout = triple_json(result)
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
-    timings = _Timings()
+def _cmd_evolve(args, run) -> int:
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     if args.model == "full":
@@ -381,17 +399,11 @@ def _cmd_evolve(args) -> int:
         g = _eliminate(doc, tols).zeno_triple
     rho0 = _initial_state(g.space, args.initial)
     rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
-    timings.lap("model_s")
-    with _quiet_steps(), _sigterm_exits(), _replacing([Path(args.out)]) as [tmp]:
-        write_evolution_rows(tmp, g.dim, timings.laps(rows, "run_s", "write_s"))
-    timings.lap("write_s")
-    RunManifest(
-        f"evolve --model {args.model}",
-        model_digest(doc),
-        tols,
-        timings=dict(timings),
-        **fields,
-    ).write(_manifest_path(args.out))
+    run.lap("model_s")
+    with _quiet_steps():
+        write_evolution_rows(run.tmp(args.out), g.dim, run.laps(rows, "run_s", "write_s"))
+    run.manifest(f"{args.out}.manifest.json", f"evolve --model {args.model}", model_digest(doc),
+                 tols, **fields)
     return EXIT_OK
 
 
@@ -407,12 +419,11 @@ def _tallied(blocks, tally: dict):
         yield block
 
 
-def _cmd_traj(args) -> int:
+def _cmd_traj(args, run) -> int:
     if args.n < 1:
         raise ModelParseError(f"--n must be at least 1, got {args.n}")
     if args.dt > args.t_end:
         raise ModelParseError(f"--dt must not exceed --t-end, got {args.dt} > {args.t_end}")
-    timings = _Timings()
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     g = _eliminate(doc, tols).zeno_triple
@@ -428,55 +439,53 @@ def _cmd_traj(args) -> int:
     )
     n_steps, dt_eff = _step_grid(config.t_end, config.dt)
     out_dir = Path(args.out_dir)
-    timings.lap("model_s")
+    run.mkdir(out_dir)
+    run.lap("model_s")
     # members run in chunks whose block of states takes at most about
     # TRAJ_CHUNK_BYTES; a chunk starting at member i is the ensemble seeded
-    # base + i, and its CSVs are complete before the next chunk starts
+    # base + i, and its CSVs are renamed into place when the next chunk
+    # starts (the last with the manifest), so a failed run keeps the
+    # chunks that finished before it
     chunk = max(1, TRAJ_CHUNK_BYTES // (_block_rows(16 * g.dim**2) * 16 * g.dim**2))
     tally = {"jumps": 0, "max_purity": float(_purity(rho0.mat))}
-    with _quiet_steps(), _sigterm_exits(), _removing_if_empty(out_dir):
+    with _quiet_steps():
         for start in range(0, args.n, chunk):
+            run.commit()
             size = min(chunk, args.n - start)
             blocks = _ensemble_blocks(g, rho0, replace(config, seed=args.seed + start), size)
-            rows = _tallied(timings.laps(blocks, "run_s", "write_s"), tally)
-            first = next(rows)
-            out_dir.mkdir(parents=True, exist_ok=True)  # once a block has run
-            paths = [out_dir / f"traj_{i:04d}.csv" for i in range(start, start + size)]
-            with _replacing(paths) as tmps:
-                write_trajectory_rows(tmps, g.dim, args.scheme, itertools.chain([first], rows))
-    timings.lap("write_s")
-    RunManifest(
+            tmps = [run.tmp(out_dir / f"traj_{i:04d}.csv") for i in range(start, start + size)]
+            write_trajectory_rows(
+                tmps, g.dim, args.scheme, _tallied(run.laps(blocks, "run_s", "write_s"), tally)
+            )
+    run.manifest(
+        out_dir / "manifest.json",
         f"traj --scheme {args.scheme} --n {args.n}",
         model_digest(doc),
         tols,
         seed=args.seed,
-        timings=dict(timings),
         n_steps=n_steps,
         dt_eff=dt_eff,
         jumps=tally["jumps"] if args.scheme == "counting" else None,
         max_purity=tally["max_purity"],
-    ).write(out_dir / "manifest.json")
+    )
     return EXIT_OK
 
 
-def _cmd_converge(args) -> int:
-    timings = _Timings()
+def _cmd_converge(args, run) -> int:
     doc = load_model(args.model_file)
     tols = _tolerances(args)
     split = doc.split()
     rho0 = _initial_state(split.zeno_space, args.initial)
-    timings.lap("model_s")
+    run.lap("model_s")
     with _quiet_steps():
         points = convergence_harness(
             doc.family, split, rho0, args.ks, args.t_end, args.dt, **_tol_kwargs(tols)
         )
-    timings.lap("run_s")
-    write_convergence_csv(args.out, points)
-    timings.lap("write_s")
+    run.lap("run_s")
+    write_convergence_csv(run.tmp(args.out), points)
     # every k runs the full model, so at one d and on one path
-    RunManifest(
-        "converge", model_digest(doc), tols, method=points[0].method, timings=dict(timings)
-    ).write(_manifest_path(args.out))
+    run.manifest(f"{args.out}.manifest.json", "converge", model_digest(doc), tols,
+                 method=points[0].method)
     return EXIT_OK
 
 
@@ -491,15 +500,13 @@ def _gamma_system(raw: bytes) -> LinearMeanSystem:
         raise ModelParseError(f"gamma file: {e}") from None
 
 
-def _cmd_linstab(args) -> int:
-    timings = _Timings()
+def _cmd_linstab(args, run) -> int:
     raw = Path(args.gamma_file).read_bytes()
     system = _gamma_system(raw)
-    timings.lap("model_s")
+    run.lap("model_s")
     report = stability_threshold(system, args.ks)
-    timings.lap("run_s")
-    write_stability_csv(args.out, report)
-    timings.lap("write_s")
+    run.lap("run_s")
+    write_stability_csv(run.tmp(args.out), report)
     verdict = {
         "predicted_stable_tail": report.predicted_stable_tail,
         "observed_stable_at_kmax": report.observed_stable_at_kmax,
@@ -509,15 +516,9 @@ def _cmd_linstab(args) -> int:
         "schur_numerical_range_margin": report.schur_hurwitz.numerical_range_margin,
         "schur_eigenvalue_margin": report.schur_hurwitz.eigenvalue_margin,
     }
-    print(json.dumps(verdict, indent=2, sort_keys=True))
-    RunManifest(
-        "linstab",
-        digest_bytes(raw),
-        {},
-        method=report.method,
-        timings=dict(timings),
-        workers=report.workers,
-    ).write(_manifest_path(args.out))
+    run.stdout = json.dumps(verdict, indent=2, sort_keys=True)
+    run.manifest(f"{args.out}.manifest.json", "linstab", digest_bytes(raw), {},
+                 method=report.method, workers=report.workers)
     return EXIT_OK
 
 
@@ -539,7 +540,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         _check_numbers(args)
-        return _COMMANDS[args.command](args)
+        with _sigterm_exits(), _transaction() as run:
+            return _COMMANDS[args.command](args, run)
     except ZenofiabilityError as e:
         print(f"zenoslh: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_VIOLATION

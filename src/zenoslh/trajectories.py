@@ -152,10 +152,12 @@ class TrajectoryResult(_StateViews):
 class _Ops:
     """Matrices of one model and measured channel, formed once per run."""
 
-    def __init__(self, g: SLHTriple, channel: int):
+    def __init__(self, g: SLHTriple, channel: int, homodyne: bool):
         if not (0 <= channel < g.n):
             raise ValueError(f"measured channel {channel} out of range for {g.n} channels")
-        self.terms = _dissipator_terms(g.H.mat, g.l, channel)
+        # only the homodyne step reads x (L_c + L_c^H) and x L_c^H; the
+        # counting step reads x L_c^H L_c and (L_c x) L_c^H, formed for D(x)
+        self.terms = _dissipator_terms(g.H.mat, g.l, channel if homodyne else None)
         self.channel = channel
 
 
@@ -216,7 +218,7 @@ def homodyne_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, dw:
     Returns (rho_next, dY, dI); the state is re-Hermitized and
     trace-renormalized.
     """
-    m, mean = _homodyne_step(_Ops(g, channel), rho.mat[None], dt, np.array([dw]))
+    m, mean = _homodyne_step(_Ops(g, channel, True), rho.mat[None], dt, np.array([dw]))
     return DensityMatrix(g.space, m[0], min_eig_tol=None), float(mean[0]) * dt + dw, dw
 
 
@@ -226,7 +228,7 @@ def counting_step(g: SLHTriple, rho: DensityMatrix, channel: int, dt: float, u: 
     Returns (rho_next, jumped).  Aborts if the per-step jump probability
     exceeds the guard, which keeps the first-order splitting valid.
     """
-    m, jumped, _, error = _counting_step(_Ops(g, channel), rho.mat[None], dt, np.array([u]))
+    m, jumped, _, error = _counting_step(_Ops(g, channel, False), rho.mat[None], dt, np.array([u]))
     if error is not None:
         raise error
     return DensityMatrix(g.space, m[0], min_eig_tol=None), bool(jumped[0])
@@ -305,7 +307,7 @@ def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_tra
         raise ValueError(f"need at least one trajectory, got {n_trajectories}")
     if rho0.space != g.space:
         raise ValueError("initial state lives on a different space than the model")
-    ops, d = _Ops(g, config.measured_channel), g.dim
+    ops, d = _Ops(g, config.measured_channel, config.scheme == "homodyne"), g.dim
     n_steps, dt = _step_grid(config.t_end, config.dt)
     homodyne, n_rows = config.scheme == "homodyne", _block_rows(16 * d * d, n_steps)
     rngs, sigma = [np.random.default_rng(config.seed + i) for i in range(members)], np.sqrt(dt)

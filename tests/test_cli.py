@@ -1211,3 +1211,64 @@ def test_numerical_failure_prints_one_typed_line(tmp_path, argv, message):
     assert proc.returncode == 2
     assert proc.stderr == message + "\n"
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["g.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, manifest",
+    [
+        (["check", KERR, "--out", "c.json"], "c.json.manifest.json"),
+        (["eliminate", KERR, "--out", "t.json"], "t.json.manifest.json"),
+        (["evolve", KERR, "--t-end", "0.01", "--out", "e.csv"], "e.csv.manifest.json"),
+        (["traj", KERR, "--scheme", "counting", "--t-end", "0.01", "--out-dir", "out"],
+         "out/manifest.json"),
+        (["converge", KERR, "--ks", "1", "--t-end", "0.01", "--out", "k.csv"],
+         "k.csv.manifest.json"),
+        (["linstab", GAMMA, "--ks", "1,5", "--out", "s.csv"], "s.csv.manifest.json"),
+    ],
+)
+def test_a_manifest_that_cannot_be_written_leaves_no_output(tmp_path, monkeypatch, capsys,
+                                                            argv, manifest):
+    # each command once kept its CSV or JSON, and check and linstab printed
+    # their report, when only the manifest failed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / manifest).mkdir(parents=True)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"zenoslh: [Errno 21] Is a directory: '{manifest}'\n"
+    made = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert made == sorted({manifest, str(Path(manifest).parent)} - {"."})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", KERR, "--out", "nodir/c.json"],
+        ["linstab", GAMMA, "--ks", "1,5", "--out", "nodir/s.csv"],
+    ],
+)
+def test_check_and_linstab_print_nothing_when_they_exit_one(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    # the report and the verdict once came before the write that failed
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("zenoslh: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_traj_removes_every_directory_it_made(tmp_path, monkeypatch, capsys):
+    # a nested --out-dir made whole; the run fails after its first block,
+    # which once left a/ and a/b/ behind when only a/b/c was removed
+    real = cli._ensemble_blocks
+
+    def fails_after_the_first_block(g, rho0, config, size):
+        blocks = real(g, rho0, config, size)
+        yield next(blocks)
+        raise ValueError("fails after the first block")
+
+    monkeypatch.setattr(cli, "_ensemble_blocks", fails_after_the_first_block)
+    argv = ["traj", KERR, "--scheme", "counting", "--t-end", "1", "--out-dir",
+            str(tmp_path / "a" / "b" / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "zenoslh: fails after the first block\n"
+    assert list(tmp_path.iterdir()) == []

@@ -753,3 +753,25 @@ def test_a_homodyne_failure_leaves_the_lower_members_running(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(StepSizeError, match=match):
         simulate_ensemble(g, rho0, cfg, 3)
     assert sizes == [3] * 512 + [1] * 88
+
+
+@pytest.mark.parametrize("channel", [0, 1])
+def test_counting_ops_form_no_homodyne_products(channel):
+    # the counting step reads x L_c^H L_c and (L_c x) L_c^H, which D(x)
+    # forms for every channel, so it needs n + 1 right operands and n
+    # adjoints, and steps bit for bit as it did with the homodyne ones
+    from zenoslh import trajectories
+
+    g = zeno_kerr()
+    counting, homodyne = (trajectories._Ops(g, channel, h) for h in (False, True))
+    _, rights, adjoints = counting.terms
+    assert (len(rights), len(adjoints)) == (g.n + 1, g.n)
+    assert (len(homodyne.terms[1]), len(homodyne.terms[2])) == (g.n + 2, g.n + 1)
+    rng = np.random.default_rng(5)
+    x = np.stack([random_density_matrix(rng, g.dim) for _ in range(4)])
+    u = np.array([0.9, 0.0, 0.9, 0.0])  # two members jump, two do not
+    got, want = (trajectories._counting_step(ops, x, 0.01, u) for ops in (counting, homodyne))
+    assert list(got[1]) == [False, True, False, True]
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(a, b)
+    assert got[3] is None and want[3] is None
