@@ -117,6 +117,17 @@ def _add_tol_flags(p):
         p.add_argument(f"--{name}-tol", type=float, default=None)
 
 
+def _add_run_flags(p, out):
+    """The flags that evolve, traj and converge share, after each one's own:
+    the time grid, the initial state, the output flag ``out`` and the
+    tolerances."""
+    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--initial", default="mixed")
+    p.add_argument(out, required=True)
+    _add_tol_flags(p)
+
+
 # numeric flags checked at the argv boundary, as (attribute, flag, whether 0
 # is allowed): each value must be finite and positive, or nonnegative
 _NUMBER_FLAGS = (
@@ -302,11 +313,7 @@ def build_parser() -> _Parser:
     pv.add_argument("model_file")
     pv.add_argument("--model", choices=("full", "zeno"), default="zeno")
     pv.add_argument("--k", type=float, default=None, help="coupling strength for --model full")
-    pv.add_argument("--t-end", type=float, default=1.0)
-    pv.add_argument("--dt", type=float, default=1e-3)
-    pv.add_argument("--initial", default="mixed")
-    pv.add_argument("--out", required=True)
-    _add_tol_flags(pv)
+    _add_run_flags(pv, "--out")
 
     pt = sub.add_parser("traj", help="simulate conditioned trajectories of the limit model")
     pt.add_argument("model_file")
@@ -314,20 +321,12 @@ def build_parser() -> _Parser:
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--n", type=int, default=1, help="number of trajectories")
     pt.add_argument("--channel", type=int, default=0)
-    pt.add_argument("--t-end", type=float, default=1.0)
-    pt.add_argument("--dt", type=float, default=1e-3)
-    pt.add_argument("--initial", default="mixed")
-    pt.add_argument("--out-dir", required=True)
-    _add_tol_flags(pt)
+    _add_run_flags(pt, "--out-dir")
 
     pk = sub.add_parser("converge", help="full-vs-limit trace distance over a k grid")
     pk.add_argument("model_file")
     pk.add_argument("--ks", required=True, help="comma-separated k values")
-    pk.add_argument("--t-end", type=float, default=1.0)
-    pk.add_argument("--dt", type=float, default=1e-3)
-    pk.add_argument("--initial", default="mixed")
-    pk.add_argument("--out", required=True)
-    _add_tol_flags(pk)
+    _add_run_flags(pk, "--out")
 
     pl = sub.add_parser("linstab", help="stability sweep of a mean-field block system")
     pl.add_argument("gamma_file", help="JSON with Gamma1..Gamma4 matrices")

@@ -196,12 +196,16 @@ class ScaledSLHFamily(_Model):
     def quadratic_drift(self) -> Operator:
         """The k^2 drift coefficient A = -1/2 sum_i L1_i^H L1_i - i H2, formed
         on first use and kept: the kernel search and the elimination both
-        read it."""
+        read it.  ValueError naming A if an entry overflows."""
         try:
             return self._quadratic_drift
         except AttributeError:
-            object.__setattr__(self, "_quadratic_drift", _drift(self.l1, self.H2))
-            return self._quadratic_drift
+            try:
+                a = _drift(self.l1, self.H2)
+            except ValueError:  # the one check of an Operator formed so
+                raise ValueError("k**2 drift coefficient A is not finite") from None
+            object.__setattr__(self, "_quadratic_drift", a)
+            return a
 
     @property
     def L1(self) -> tuple:
@@ -290,22 +294,33 @@ def _coupling(k) -> float:
 
 
 def instantiate(family: ScaledSLHFamily, k: float) -> SLHTriple:
-    """Concrete SLH triple at coupling strength k; ValueError unless k > 0, k**2 finite."""
+    """Concrete SLH triple at coupling strength k; ValueError unless k > 0,
+    k**2 is finite and so are L(k) and H(k), naming k."""
     k = _coupling(k)
-    l = family.l1 * complex(k) + family.l0
-    h = (k * k) * family.H2 + k * family.H1 + family.H0
-    return SLHTriple(family.s, l, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l = family.l1 * complex(k) + family.l0
+        h = family.H2.mat * complex(k * k) + family.H1.mat * complex(k) + family.H0.mat
+    if not (np.isfinite(l).all() and np.isfinite(h).all()):
+        raise ValueError(f"k = {k!r}: k L1 + L0 or k**2 H2 + k H1 + H0 is not finite")
+    return SLHTriple(family.s, l, Operator(family.space, h))
 
 
 def expand_k(family: ScaledSLHFamily) -> KExpansion:
-    """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k)."""
+    """Direct k-power expansion of K(k) = -1/2 L(k)^H L(k) - i H(k);
+    ValueError naming A or M if one overflows."""
     m1, m0 = family.l1, family.l0
-    lin = _channel_sum(_adjoint(m1) @ m0 + _adjoint(m0) @ m1)
-    return KExpansion(
-        quadratic=family.quadratic_drift,
-        linear=Operator(family.space, -0.5 * lin - 1j * family.H1.mat),
-        family=family,
-    )
+    quadratic = family.quadratic_drift
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = -0.5 * _channel_sum(_adjoint(m1) @ m0 + _adjoint(m0) @ m1) - 1j * family.H1.mat
+    _check_linear_drift(lin)
+    return KExpansion(quadratic=quadratic, linear=Operator(family.space, lin), family=family)
+
+
+def _check_linear_drift(*blocks):
+    """ValueError naming M unless every entry of its ``blocks``, formed with
+    numpy's overflow warnings off, is finite."""
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise ValueError("k drift coefficient M is not finite")
 
 
 def check_scaling(family: ScaledSLHFamily, split: ZenoSplit) -> float:
@@ -500,8 +515,10 @@ def _block_order(family: ScaledSLHFamily, split: ZenoSplit):
 
     # M V_z and V_z^H M of M = -1/2 sum_i (L1_i^H L0_i + L0_i^H L1_i) - i H1
     l0_vz, vzh_l1 = l0 @ vz, vzh @ l1
-    m_vz = -0.5 * _channel_sum(l1h @ l0_vz + _adjoint(l0) @ l1_vz) - 1j * h1_vz
-    vzh_m = -0.5 * _channel_sum(_adjoint(l1_vz) @ l0 + _adjoint(l0_vz) @ l1) - 1j * (vzh @ h1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_vz = -0.5 * _channel_sum(l1h @ l0_vz + _adjoint(l0) @ l1_vz) - 1j * h1_vz
+        vzh_m = -0.5 * _channel_sum(_adjoint(l1_vz) @ l0 + _adjoint(l0_vz) @ l1) - 1j * (vzh @ h1)
+    _check_linear_drift(m_vz, vzh_m)
     m_zf, m_fz = vzh_m @ vf, vfh @ m_vz
 
     # S-hat = (1 + L1 V_f A_ff^{-1} V_f^H L1^H) S, summed over channels: its

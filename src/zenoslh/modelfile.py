@@ -36,15 +36,20 @@ is rejected with the column it starts at, and leading-zero integers
 such as ``007`` are rejected as Python rejects them.  Syntax errors
 carry Python's message.  There are no loops and no user functions.
 
-Primitives: ``annihilator(factor)``, ``pauli(factor, axis)``,
-``ketbra(factor, i, j)``, ``identity(factor)``, ``tensor(A, B)``,
-``adjoint(A)``, plus the scalar helpers ``sqrt(x)`` and ``conj(x)`` and
-the imaginary unit ``i``.  ``*`` multiplies scalars
+Primitives (one table, ``_PRIMITIVES``): ``annihilator(factor)``,
+``pauli(factor, axis)``, ``ketbra(factor, i, j)``, ``identity(factor)``,
+``tensor(A, B)``, ``adjoint(A)``, plus the scalar helpers ``sqrt(x)``
+and ``conj(x)`` and the imaginary unit ``i``.  A call is checked for its
+form (a bare name, no keywords, no trailing comma), then its name, then
+its argument count, then its arguments left to right, then their kinds
+(operators for ``tensor`` and ``adjoint``, scalars for ``sqrt`` and
+``conj``); the first failed check is the error.  ``*`` multiplies scalars
 and operators (operator products align factor coverage automatically),
-``/`` divides by scalars, ``+``/``-`` combine operators.  Operators
-named earlier in the section may be referenced later.  Family slots take
-the same expressions; a bare scalar c is coerced to c * identity on the
-full space, and a value that is not finite is rejected.
+``/`` divides by nonzero scalars, ``+``/``-`` combine two scalars or two
+operators.  Operators named earlier in the section may be referenced
+later.  Family slots take the same expressions; a bare scalar c is
+coerced to c * identity on the full space, and a value that is not
+finite is rejected.
 
 The ``subspace`` section is either ``"auto"`` (compute the split from
 the kernel of the k^2 drift coefficient), or a ``basis`` list whose
@@ -59,6 +64,7 @@ import cmath
 import hashlib
 import json
 import keyword
+import operator
 import re
 from dataclasses import dataclass
 
@@ -76,19 +82,23 @@ __all__ = [
     "model_digest",
 ]
 
-_RESERVED = {
-    "annihilator",
-    "pauli",
-    "ketbra",
-    "identity",
-    "tensor",
-    "adjoint",
-    "sqrt",
-    "conj",
-    "i",
+# each primitive's parameters: a declared factor name first, or operators
+# A, B, or a scalar x; the README lists them as written here
+_PRIMITIVES = {
+    "annihilator": ("factor",),
+    "pauli": ("factor", "axis"),
+    "ketbra": ("factor", "i", "j"),
+    "identity": ("factor",),
+    "tensor": ("A", "B"),
+    "adjoint": ("A",),
+    "sqrt": ("x",),
+    "conj": ("x",),
 }
+_RESERVED = {*_PRIMITIVES, "i"}
 
-_SPACE_KINDS = ("qubit", "spin", "level", "fock")
+# each space kind's dimension key; None for the fixed dimension 2
+_SPACE_KINDS = {"qubit": None, "spin": None, "level": "dim", "fock": "n_max"}
+_SLOTS = ("channels", "S", "L1", "L0", "H2", "H1", "H0")
 
 
 class ModelParseError(ValueError):
@@ -102,7 +112,12 @@ class ModelParseError(ValueError):
 # characters an expression may hold besides whitespace
 _FOREIGN = re.compile(r"[^A-Za-z0-9_.+\-*/(),\s]")
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_BINOPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
 
 
 def _reserved(name) -> bool:
@@ -231,47 +246,30 @@ class _Evaluator:
         # the operator is the first token after the left operand's ")"s
         gap = self.src[node.left.end_col_offset : node.right.col_offset]
         pos = node.left.end_col_offset + len(gap) - len(gap.lstrip(" )"))
-        op = _BINOPS.get(type(node.op))
-        if op is None:
+        fn = _BINOPS.get(type(node.op))
+        if fn is None:
             self.fail(pos, "unsupported operator")
         lhs = self.eval(node.left)
         rhs = self.eval(node.right)
         l_op = isinstance(lhs, _Tagged)
         r_op = isinstance(rhs, _Tagged)
-        if op in "+-":
-            if l_op != r_op:
-                self.fail(pos, "cannot add a scalar and an operator")
-            if not l_op:
-                return lhs + rhs if op == "+" else lhs - rhs
+        if fn in (operator.add, operator.sub) and l_op != r_op:
+            self.fail(pos, "cannot add a scalar and an operator")
+        if fn is operator.truediv and (r_op or rhs == 0):
+            self.fail(pos, "cannot divide by an operator" if r_op else "division by zero")
+        # what is left: two operators (aligned, then @ for *), operator * or /
+        # scalar, scalar * operator, or two scalars
+        if l_op and r_op:
             a, b = self.align(lhs, rhs)
-            m = a.mat + b.mat if op == "+" else a.mat - b.mat
-            return _Tagged(m, a.factors)
-        if op == "*":
-            if l_op and r_op:
-                a, b = self.align(lhs, rhs)
-                return _Tagged(a.mat @ b.mat, a.factors)
-            if l_op:
-                return _Tagged(lhs.mat * rhs, lhs.factors)
-            if r_op:
-                return _Tagged(rhs.mat * lhs, rhs.factors)
-            return lhs * rhs
-        if op == "/":
-            if r_op:
-                self.fail(pos, "cannot divide by an operator")
-            if rhs == 0:
-                self.fail(pos, "division by zero")
-            if l_op:
-                return _Tagged(lhs.mat / rhs, lhs.factors)
-            return lhs / rhs
-        raise AssertionError(op)
-
-    def factor_arg(self, args, idx, fname, pos):
-        if len(args) <= idx or not isinstance(args[idx], ast.Name) or args[idx].id not in self.dims:
-            self.fail(pos, f"{fname} expects a declared factor name as argument {idx + 1}")
-        return args[idx].id
+            return _Tagged((operator.matmul if fn is operator.mul else fn)(a.mat, b.mat), a.factors)
+        if l_op:
+            return _Tagged(fn(lhs.mat, rhs), lhs.factors)
+        if r_op:
+            return _Tagged(rhs.mat * lhs, rhs.factors)
+        return fn(lhs, rhs)
 
     def int_arg(self, args, idx, fname, pos):
-        value = self.number(args[idx]) if len(args) > idx else None
+        value = self.number(args[idx])
         if value is None or not value.is_integer():  # also rejects inf and nan
             self.fail(pos, f"{fname} expects an integer as argument {idx + 1}")
         return int(value)
@@ -281,73 +279,62 @@ class _Evaluator:
         # a bare name directly before "(": rejects (sqrt)(g) and sqrt(g)(g)
         if not (isinstance(func, ast.Name) and self.src[func.end_col_offset :].lstrip()[0] == "("):
             self.fail(pos, "only a primitive name can be called")
+        fname = func.id
         if node.keywords:
-            self.fail(pos, f"{func.id} takes no keyword arguments")
+            self.fail(pos, f"{fname} takes no keyword arguments")
         if self.src[: node.end_col_offset - 1].rstrip().endswith(","):
             self.fail(node.end_col_offset - 1, "expected a value")
-        fname = func.id
+        # then the name and the arity, before any argument is read
+        params = _PRIMITIVES.get(fname)
+        if params is None:
+            self.fail(pos, f"unknown primitive {fname!r}")
+        if len(args) != len(params):
+            self.fail(pos, f"{fname} takes {len(params)} argument(s), got {len(args)}")
+        if params[0] == "factor":
+            return self.factor_call(fname, args, pos)
+        # operands are evaluated left to right, then their kind is checked
+        vals = [self.eval(arg) for arg in args]
+        if params[0] == "x":
+            if isinstance(vals[0], _Tagged):
+                self.fail(pos, f"{fname} expects a scalar")
+            return cmath.sqrt(vals[0]) if fname == "sqrt" else complex(vals[0]).conjugate()
+        if not all(isinstance(v, _Tagged) for v in vals):
+            what = "two operators" if fname == "tensor" else "an operator; use conj for scalars"
+            self.fail(pos, f"{fname} expects {what}")
+        a = vals[0]
+        if fname == "adjoint":
+            return _Tagged(a.mat.conj().T, a.factors)
+        b = vals[1]
+        if set(a.factors) & set(b.factors):
+            self.fail(pos, "tensor factors overlap")
+        return _Tagged(np.kron(a.mat, b.mat), a.factors + b.factors)
 
-        def arity(n):
-            if len(args) != n:
-                self.fail(pos, f"{fname} takes {n} argument(s), got {len(args)}")
-
+    def factor_call(self, fname, args, pos):
+        """A primitive whose first argument names a declared factor."""
+        if not (isinstance(args[0], ast.Name) and args[0].id in self.dims):
+            self.fail(pos, f"{fname} expects a declared factor name as argument 1")
+        f = args[0].id
+        d = self.dims[f]
         if fname == "annihilator":
-            arity(1)
-            f = self.factor_arg(args, 0, fname, pos)
             if self.kinds[f] != "fock":
                 self.fail(pos, f"annihilator expects a fock factor, {f!r} is {self.kinds[f]!r}")
-            return _Tagged(fock_annihilator(self.dims[f]).mat, (f,))
-        if fname == "pauli":
-            arity(2)
-            f = self.factor_arg(args, 0, fname, pos)
-            if self.dims[f] != 2:
-                self.fail(pos, f"pauli needs a dimension-2 factor, {f!r} has dim {self.dims[f]}")
+            m = fock_annihilator(d).mat
+        elif fname == "pauli":
+            if d != 2:
+                self.fail(pos, f"pauli needs a dimension-2 factor, {f!r} has dim {d}")
             if not (isinstance(args[1], ast.Name) and args[1].id in ("x", "y", "z")):
                 self.fail(pos, "pauli axis must be x, y or z")
-            return _Tagged(pauli(args[1].id).mat, (f,))
-        if fname == "ketbra":
-            arity(3)
-            f = self.factor_arg(args, 0, fname, pos)
-            d = self.dims[f]
+            m = pauli(args[1].id).mat
+        elif fname == "ketbra":
             ii = self.int_arg(args, 1, fname, pos)
             jj = self.int_arg(args, 2, fname, pos)
             if not (0 <= ii < d and 0 <= jj < d):
                 self.fail(pos, f"ketbra indices ({ii}, {jj}) out of range for dim {d}")
             m = np.zeros((d, d), dtype=complex)
             m[ii, jj] = 1.0
-            return _Tagged(m, (f,))
-        if fname == "identity":
-            arity(1)
-            f = self.factor_arg(args, 0, fname, pos)
-            return _Tagged(np.eye(self.dims[f], dtype=complex), (f,))
-        if fname == "tensor":
-            arity(2)
-            a = self.eval(args[0])
-            b = self.eval(args[1])
-            if not (isinstance(a, _Tagged) and isinstance(b, _Tagged)):
-                self.fail(pos, "tensor expects two operators")
-            if set(a.factors) & set(b.factors):
-                self.fail(pos, "tensor factors overlap")
-            return _Tagged(np.kron(a.mat, b.mat), a.factors + b.factors)
-        if fname == "adjoint":
-            arity(1)
-            a = self.eval(args[0])
-            if not isinstance(a, _Tagged):
-                self.fail(pos, "adjoint expects an operator; use conj for scalars")
-            return _Tagged(a.mat.conj().T, a.factors)
-        if fname == "sqrt":
-            arity(1)
-            a = self.eval(args[0])
-            if isinstance(a, _Tagged):
-                self.fail(pos, "sqrt expects a scalar")
-            return cmath.sqrt(a)
-        if fname == "conj":
-            arity(1)
-            a = self.eval(args[0])
-            if isinstance(a, _Tagged):
-                self.fail(pos, "conj expects a scalar")
-            return complex(a).conjugate()
-        self.fail(pos, f"unknown primitive {fname!r}")
+        else:
+            m = np.eye(d, dtype=complex)
+        return _Tagged(m, (f,))
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +400,14 @@ def _parse_spaces(spaces):
         _check_name("spaces", name)
         _require(isinstance(decl, dict) and "kind" in decl, f"spaces.{name}: need a kind")
         kind = decl["kind"]
-        _require(kind in _SPACE_KINDS, f"spaces.{name}: unknown kind {kind!r}")
-        extra = set(decl) - {"kind", "dim", "n_max"}
+        # a JSON list or object is no kind, and cannot be looked up
+        known = isinstance(kind, str) and kind in _SPACE_KINDS
+        _require(known, f"spaces.{name}: unknown kind {kind!r}")
+        extra = set(decl) - {"kind", *_SPACE_KINDS.values()}
         _require(not extra, f"spaces.{name}: unknown keys {sorted(extra)}")
-        if kind in ("qubit", "spin"):
-            dim = 2
-        elif kind == "level":
-            dim = decl.get("dim")
-            _require(_is_int(dim) and dim >= 2, f"spaces.{name}: level needs dim >= 2")
-        else:
-            dim = decl.get("n_max")
-            _require(_is_int(dim) and dim >= 2, f"spaces.{name}: fock needs n_max >= 2")
+        key = _SPACE_KINDS[kind]
+        dim = 2 if key is None else decl.get(key)
+        _require(_is_int(dim) and dim >= 2, f"spaces.{name}: {kind} needs {key} >= 2")
         names.append(name)
         dims[name] = dim
         kinds[name] = kind
@@ -470,9 +454,9 @@ def parse_model(text: str) -> ModelDocument:
 
     fam_raw = raw["family"]
     _require(isinstance(fam_raw, dict), "family: expected an object")
-    missing = [k for k in ("channels", "S", "L1", "L0", "H2", "H1", "H0") if k not in fam_raw]
+    missing = [k for k in _SLOTS if k not in fam_raw]
     _require(not missing, f"family: missing slots {missing}")
-    extra = set(fam_raw) - {"channels", "S", "L1", "L0", "H2", "H1", "H0"}
+    extra = set(fam_raw) - set(_SLOTS)
     _require(not extra, f"family: unknown slots {sorted(extra)}")
     n = fam_raw["channels"]
     _require(_is_int(n) and n >= 1, "family.channels must be a positive integer")
@@ -495,9 +479,7 @@ def parse_model(text: str) -> ModelDocument:
         )
     l1 = tuple(_eval_slot(ev, fam_raw["L1"][j], f"family.L1[{j}]") for j in range(n))
     l0 = tuple(_eval_slot(ev, fam_raw["L0"][j], f"family.L0[{j}]") for j in range(n))
-    h2 = _eval_slot(ev, fam_raw["H2"], "family.H2")
-    h1 = _eval_slot(ev, fam_raw["H1"], "family.H1")
-    h0 = _eval_slot(ev, fam_raw["H0"], "family.H0")
+    h2, h1, h0 = (_eval_slot(ev, fam_raw[slot], f"family.{slot}") for slot in ("H2", "H1", "H0"))
     try:
         family = ScaledSLHFamily(s, l1, l0, h2, h1, h0)
     except ValueError as e:

@@ -234,8 +234,12 @@ class SLHTriple(_Model):
 
 
 def _drift(l: np.ndarray, h: Operator) -> Operator:
-    """-1/2 sum_i L_i^H L_i - i H for the coupling stack ``l`` (n, d, d)."""
-    return Operator(h.space, -0.5 * _channel_sum(_adjoint(l) @ l) - 1j * h.mat)
+    """-1/2 sum_i L_i^H L_i - i H for the coupling stack ``l`` (n, d, d).
+    Entries that overflow raise Operator's ValueError, without numpy's
+    warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = -0.5 * _channel_sum(_adjoint(l) @ l) - 1j * h.mat
+    return Operator(h.space, m)
 
 
 def k_operator(g: SLHTriple) -> Operator:

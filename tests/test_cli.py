@@ -1197,6 +1197,11 @@ def test_evolve_off_the_main_thread_sets_no_handler(tmp_path):
         (["linstab", GAMMA, "--ks", "1e154", "--out", "s.csv"],
          "zenoslh: k = 1e+154: spectral abscissa 0.0 is within the eigensolver's rounding "
          "floor N eps ||M||_1 = 6.66e+292"),
+        # k**2 = 1e308 is finite, k**2 H2 is not; numpy's overflow warning
+        # once came first
+        (["evolve", KERR, "--model", "full", "--k", "1e154", "--t-end", "0.001", "--dt", "1e-3",
+          "--out", "e.csv"],
+         "zenoslh: k = 1e+154: k L1 + L0 or k**2 H2 + k H1 + H0 is not finite"),
     ],
 )
 def test_numerical_failure_prints_one_typed_line(tmp_path, argv, message):
@@ -1211,6 +1216,45 @@ def test_numerical_failure_prints_one_typed_line(tmp_path, argv, message):
     assert proc.returncode == 2
     assert proc.stderr == message + "\n"
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["g.json"]
+
+
+# L1^H L1 = 1e400 |1><1|: A overflows in the kernel search
+_A_OVERFLOWS = {"L1": ["1e200*ketbra(q,0,1)"]}
+# L1^H L0 = 1e310 |1><0| while A is finite: M overflows in the elimination,
+# in the full-space order at d = 3 and in the block order at d = 130
+_M_OVERFLOWS = {"L1": ["1e150*ketbra(q,0,1)"], "L0": ["1e160*ketbra(q,0,0)"],
+                "H2": "1e300*(identity(q) - ketbra(q,0,0))"}
+
+
+@pytest.mark.parametrize(
+    "argv, dim, slots, subspace, message",
+    [
+        (["check", "m.json", "--out", "c.json"], 3, _A_OVERFLOWS, "auto",
+         "k**2 drift coefficient A"),
+        (["traj", "m.json", "--scheme", "counting", "--out-dir", "out"], 3, _A_OVERFLOWS, "auto",
+         "k**2 drift coefficient A"),
+        (["check", "m.json", "--out", "c.json"], 3, _M_OVERFLOWS, {"basis": [[0]]},
+         "k drift coefficient M"),
+        (["eliminate", "m.json", "--out", "t.json"], 130, _M_OVERFLOWS, {"basis": [[0]]},
+         "k drift coefficient M"),
+    ],
+)
+def test_a_drift_coefficient_that_overflows_names_itself(tmp_path, argv, dim, slots, subspace,
+                                                         message):
+    # numpy's RuntimeWarnings once came first, six or more lines, then an
+    # untyped line or a DecouplingViolation with a NaN residual
+    family = {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["0"], "H2": "0", "H1": "0",
+              "H0": "0", **slots}
+    model = {"spaces": {"q": {"kind": "level", "dim": dim}}, "family": family,
+             "subspace": subspace}
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "zenoslh", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == f"zenoslh: {message} is not finite\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["m.json"]
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from zenoslh import ModelParseError, load_model, parse_model, zeno_eliminate
+from zenoslh import modelfile
 from zenoslh.modelfile import canonical_text, model_digest
 
 from common import (
@@ -138,6 +140,43 @@ def test_scalar_slot_coerces_to_identity():
     raw["family"]["H0"] = "0.25"
     doc = parse_model(json.dumps(raw))
     assert entrymax(doc.family.H0, 0.25 * np.eye(3)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, shown",
+    [(["qubit"], "['qubit']"), ({"qubit": 2}, "{'qubit': 2}"), (2, "2"), (None, "None"),
+     ("Qubit", "'Qubit'")],
+)
+def test_unknown_space_kind_is_a_parse_error(kind, shown):
+    # a list or object must not reach a lookup that hashes it
+    raw = _base_doc()
+    raw["spaces"]["q"] = {"kind": kind}
+    with pytest.raises(ModelParseError, match=rf"^spaces\.q: unknown kind {re.escape(shown)}$"):
+        parse_model(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        ({"kind": "level"}, "spaces.q: level needs dim >= 2"),
+        ({"kind": "level", "dim": 1}, "spaces.q: level needs dim >= 2"),
+        ({"kind": "fock", "dim": 3}, "spaces.q: fock needs n_max >= 2"),
+        ({"kind": "fock", "n_max": True}, "spaces.q: fock needs n_max >= 2"),
+        ({"kind": "qubit", "dim": 3, "size": 1}, "spaces.q: unknown keys ['size']"),
+        ({"dim": 3}, "spaces.q: need a kind"),
+    ],
+)
+def test_space_declarations_are_checked(decl, message):
+    raw = _base_doc()
+    raw["spaces"]["q"] = decl
+    with pytest.raises(ModelParseError, match=rf"^{re.escape(message)}$"):
+        parse_model(json.dumps(raw))
+
+
+def test_readme_lists_each_primitive_with_its_arguments():
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    for name, params in modelfile._PRIMITIVES.items():
+        assert f"`{name}({', '.join(params)})`" in readme, name
 
 
 def test_annihilator_needs_fock_factor():

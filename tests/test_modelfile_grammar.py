@@ -336,6 +336,56 @@ def test_syntax_errors_name_a_column(expr, message):
         _parse(expr)
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        # binary operators: the guards, an operator divisor before a zero one
+        ("g + a", "column 3: cannot add a scalar and an operator"),
+        ("a - g", "column 3: cannot add a scalar and an operator"),
+        ("a / a", "column 3: cannot divide by an operator"),
+        ("a / (0 * a)", "column 3: cannot divide by an operator"),
+        ("a / (g - g)", "column 3: division by zero"),
+        ("(g + a) / 0", "column 4: cannot add a scalar and an operator"),
+        # calls: the call form, then the name, then the arity, before any argument
+        ("sqrt(**g)", "column 1: sqrt takes no keyword arguments"),
+        ("frob(**g)", "column 1: frob takes no keyword arguments"),
+        ("sqrt(**g, )", "column 1: sqrt takes no keyword arguments"),
+        ("frob(nope, )", "column 12: expected a value"),
+        ("frob(nope)", "column 1: unknown primitive 'frob'"),
+        ("annihilator(mode, q)", "column 1: annihilator takes 1 argument(s), got 2"),
+        ("pauli(q)", "column 1: pauli takes 2 argument(s), got 1"),
+        ("ketbra(lv, 0)", "column 1: ketbra takes 3 argument(s), got 2"),
+        ("identity()", "column 1: identity takes 1 argument(s), got 0"),
+        ("tensor(*a)", "column 1: tensor takes 2 argument(s), got 1"),
+        ("adjoint(nope, a)", "column 1: adjoint takes 1 argument(s), got 2"),
+        ("g * sqrt()", "column 5: sqrt takes 1 argument(s), got 0"),
+        ("conj(nope, g)", "column 1: conj takes 1 argument(s), got 2"),
+        # then the arguments left to right, then their kinds
+        ("tensor(g, nope)", "column 11: unresolved reference 'nope'"),
+        ("tensor(nope, a)", "column 8: unresolved reference 'nope'"),
+        ("tensor(g, a)", "column 1: tensor expects two operators"),
+        ("tensor(a, g)", "column 1: tensor expects two operators"),
+        ("tensor(a, annihilator(mode))", "column 1: tensor factors overlap"),
+        ("adjoint(g)", "column 1: adjoint expects an operator; use conj for scalars"),
+        ("sqrt(a)", "column 1: sqrt expects a scalar"),
+        ("conj(sz)", "column 1: conj expects a scalar"),
+        ("sqrt(*g)", "column 6: unsupported syntax"),
+        ("identity(g)", "column 1: identity expects a declared factor name as argument 1"),
+        ("ketbra(nope, 9, 9)", "column 1: ketbra expects a declared factor name as argument 1"),
+        ("ketbra(lv, 1.5, nope)", "column 1: ketbra expects an integer as argument 2"),
+        ("ketbra(lv, 0, nope)", "column 1: ketbra expects an integer as argument 3"),
+        ("ketbra(lv, 0, 3)", "column 1: ketbra indices (0, 3) out of range for dim 3"),
+        ("pauli(lv, w)", "column 1: pauli needs a dimension-2 factor, 'lv' has dim 3"),
+        ("pauli(q, w)", "column 1: pauli axis must be x, y or z"),
+        ("pauli(q, g)", "column 1: pauli axis must be x, y or z"),
+        ("annihilator(q)", "column 1: annihilator expects a fock factor, 'q' is 'qubit'"),
+    ],
+)
+def test_evaluation_errors_keep_their_text_order_and_column(expr, message):
+    with pytest.raises(ModelParseError, match=rf"^family\.L0\[0\]: {re.escape(message)}$"):
+        _parse(expr)
+
+
 def _record():
     outcomes = [[e, *outcome(e)] for e in expressions()]
     payload = {"seed": SEED, "outcomes": outcomes}
