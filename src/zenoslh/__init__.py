@@ -59,6 +59,7 @@ from .master import (
     DensityMatrix,
     EvolutionResult,
     StepSizeError,
+    WorkerError,
     basis_state_density,
     convergence_harness,
     dissipator,

@@ -484,7 +484,7 @@ def _cmd_converge(args, run) -> int:
     write_convergence_csv(run.tmp(args.out), points)
     # every k runs the full model, so at one d and on one path
     run.manifest(f"{args.out}.manifest.json", "converge", model_digest(doc), tols,
-                 method=points[0].method)
+                 method=points[0].method, workers=len({p.worker for p in points}))
     return EXIT_OK
 
 

@@ -68,13 +68,28 @@ strength k against the limit model on the Zeno subspace: the full state
 is compressed with the Zeno isometry, renormalized by its trace, and the
 trace distance to the limit-model state at the same time is reported.
 The full-model step is scaled by 1/k^2 because the fast rates grow as
-k^2.
+k^2.  On the dense path the full-model runs, one per k, are split into
+W bins by longest processing time on their step counts; the caller steps
+the limit model and the lightest bin, and each other bin runs in a child
+made with ``os.fork``, which sends its final states back through a pipe.
+Each run is the same arithmetic in whichever process steps it, so the
+points do not depend on W.  W is the largest number, at most min(usable
+CPUs, runs), for which every forked bin takes at least
+``_FORK_MIN_STEPS`` steps, and the harness forks only when the process
+runs one thread (BLAS's threads count: one BLAS thread, e.g.
+``OPENBLAS_NUM_THREADS=1``, leaves one); the matrix-free path never
+forks, since forked runs there oversubscribe BLAS.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+import os
+import pickle
+import signal
+import threading
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -87,6 +102,7 @@ from .elimination import (
     instantiate,
     zeno_eliminate,
 )
+from .linear import _usable_cpus
 from .operators import HilbertSpace, Operator, ZenoSplit, _is_int
 from .slh import SLHTriple, _adjoint, k_operator, lindbladian
 
@@ -95,6 +111,7 @@ __all__ = [
     "EvolutionResult",
     "ConvergencePoint",
     "StepSizeError",
+    "WorkerError",
     "maximally_mixed",
     "basis_state_density",
     "pure_state_density",
@@ -130,9 +147,21 @@ DENSE_MAX_DIM = 19
 _BLOCK = 256
 _BLOCK_BYTES = 2**19
 
+# convergence_harness forks a bin of its runs only when each forked bin
+# takes at least this many steps: a fork and the collection of its result
+# took 2.4-3.7 ms with numpy loaded, about 600 steps at d = 6 (numpy 2.4,
+# 2-core x86-64 host), so a forked bin saves several times what it costs.
+# A constant, not a setting: it changes the cost of a run, never its result
+_FORK_MIN_STEPS = 4096
+
 
 class StepSizeError(RuntimeError):
     """Trace drift exceeded the abort threshold; reduce the step size."""
+
+
+class WorkerError(ChildProcessError):
+    """A forked worker of :func:`convergence_harness` ended without sending
+    its result (killed, say, or out of memory)."""
 
 
 def _purity(x):
@@ -248,7 +277,7 @@ def _dissipator_mat(terms, x):
 def _k_form_terms(g: SLHTriple):
     """The rows [K; L_1; ...; L_n] and [L_1^H; ...; L_n^H], (n + 1) d x d and
     n d x d, with K = -1/2 sum_i L_i^H L_i - i H: formed once per run for
-    ``_k_form_dissipator``."""
+    ``_k_form_dissipator``.  ValueError naming K if it overflows."""
     n, d = g.n, g.dim
     kl = np.concatenate((k_operator(g).mat[None], g.l)).reshape((n + 1) * d, d)
     return kl, np.ascontiguousarray(_adjoint(g.l)).reshape(n * d, d)
@@ -284,13 +313,18 @@ def liouvillian_matrix(g: SLHTriple) -> np.ndarray:
     """Dense matrix of the predual generator in column-stacking convention.
 
     vec(rho) is column-major, so vec(A rho B) = (B^T kron A) vec(rho).
+    ValueError naming the first channel whose L^H L overflows.
     """
     d = g.dim
     eye = np.eye(d, dtype=complex)
     h = g.H.mat
     out = 1j * (np.kron(h.T, eye) - np.kron(eye, h))
-    for lm in g.l:
-        ldl = lm.conj().T @ lm
+    for i, lm in enumerate(g.l):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ldl = lm.conj().T @ lm
+        # no step size helps a generator that is not finite
+        if not np.isfinite(ldl).all():
+            raise ValueError(f"channel {i}: L^H L is not finite")
         out += np.kron(lm.conj(), lm)
         out -= 0.5 * np.kron(ldl.T, eye)
         out -= 0.5 * np.kron(eye, ldl)
@@ -625,7 +659,9 @@ def trace_distance(a, b) -> float:
 class ConvergencePoint:
     """One k of :func:`convergence_harness`; ``n_steps`` is the number of
     full-model steps of size ``dt_full`` and ``method`` their stepping
-    path, as :func:`evolve` records them."""
+    path, as :func:`evolve` records them.  ``worker`` is the process that
+    stepped them: 0 the caller, i >= 1 its i-th forked child; points
+    compare equal whatever their worker."""
 
     k: float
     distance: float
@@ -633,6 +669,123 @@ class ConvergencePoint:
     dt_full: float
     n_steps: int | None = None
     method: str | None = None
+    worker: int = field(default=0, compare=False)
+
+
+def _bins(steps, workers: int) -> list:
+    """The indices of ``steps`` in ``workers`` bins by longest processing
+    time: each run, the largest first (ties by index), goes to the bin with
+    the fewest steps so far (the first such).  The bins come lightest
+    first, each in index order."""
+    bins = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(steps)), key=lambda i: -steps[i]):
+        j = loads.index(min(loads))
+        bins[j].append(i)
+        loads[j] += steps[i]
+    return [sorted(bins[j]) for j in sorted(range(workers), key=loads.__getitem__)]
+
+
+def _one_thread() -> bool:
+    """Whether this process runs one thread: by the kernel's count where
+    ``/proc`` has it, so that BLAS's threads count, else by ``threading``'s."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
+def _plan(steps, method: str) -> list:
+    """The bins of ``convergence_harness``'s runs, which take ``steps`` steps
+    on the stepping path ``method``, the first the caller's: when
+    ``os.fork`` exists, the path is dense and this process runs one thread,
+    the ``_bins`` of the largest W <= min(usable CPUs, runs) whose bins but
+    the first each take at least ``_FORK_MIN_STEPS`` steps; else (or with
+    no such W > 1) one bin of every run."""
+    if method == "dense" and hasattr(os, "fork") and _one_thread():
+        for workers in range(min(_usable_cpus(), len(steps)), 1, -1):
+            bins = _bins(steps, workers)
+            if min(sum(steps[i] for i in b) for b in bins[1:]) >= _FORK_MIN_STEPS:
+                return bins
+    return [list(range(len(steps)))]
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """SIGINT and SIGTERM blocked in the block; one that arrives meanwhile
+    is delivered when it ends.  Yields the signal mask from before."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _child(job, mask, r: int, w: int):
+    """The body of a forked child, which never returns: SIGTERM's default
+    action (the caller's handler might run its cleanup here), then
+    ``pickle.dumps(job())`` sent through the write end w, then ``os._exit``."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(r)
+        with open(w, "wb") as f:
+            f.write(pickle.dumps(job()))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Each of ``jobs`` run in a child made with ``os.fork``; yields
+    ``collect()``, which returns their results in order, each as the
+    child's pickle, or raises :class:`WorkerError` for the first child that
+    ended without sending one.  On leaving the block every child not yet
+    collected is killed, and every child is reaped."""
+    children = {}  # pid: read end of its pipe, until reaped
+    try:
+        for job in jobs:
+            r, w = os.pipe()
+            # held until the child is recorded, and in the child until
+            # SIGTERM's handler is reset
+            with _signals_held() as mask:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _child(job, mask, r, w)
+                children[pid] = r
+                os.close(w)
+
+        def collect():
+            out = []
+            for pid in list(children):
+                with open(children[pid], "rb", closefd=False) as f:
+                    data = f.read()
+                # the child has closed its pipe; reaped and forgotten at once
+                with _signals_held():
+                    _, status = os.waitpid(pid, 0)
+                    os.close(children.pop(pid))
+                if status != 0 or not data:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise WorkerError(f"a converge worker ended without its result ({how})")
+                out.append(pickle.loads(data))
+            return out
+
+        yield collect
+    finally:
+        if children:  # no signal mask to hold where there is no fork
+            with _signals_held():
+                for pid, r in children.items():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    os.close(r)
 
 
 def convergence_harness(
@@ -652,28 +805,56 @@ def convergence_harness(
     For each k the full model is integrated with step dt / max(1, k^2)
     (fast rates grow as k^2), the final state is compressed to the Zeno
     subspace, renormalized by its trace, and compared in trace distance
-    to the limit-model state at t_end.  The k values are independent pure
-    computations and may be evaluated concurrently by callers.  The
-    tolerances are those of :func:`zeno_eliminate`.  Every k's step grid is
-    checked before the first step.
+    to the limit-model state at t_end.  The tolerances are those of
+    :func:`zeno_eliminate`.  Every k's step grid is checked before the
+    first step.
+
+    The k runs are independent: on the dense path they are split over up
+    to one process per usable CPU, forked after the elimination (see the
+    module docstring), and each point records its ``worker``.  The points
+    and the errors are those of a serial run: the elimination's, then the
+    limit run's, then that of the first k whose run fails.  A child that
+    ends without its result raises :class:`WorkerError`; no child outlives
+    the call.
     """
     if rho0_z.space != split.zeno_space:
         raise ValueError("initial state must live on the Zeno subspace")
     runs = [(k, dt / max(1.0, k * k)) for k in map(float, ks)]
-    for _, dt_k in runs:
-        _step_grid(t_end, dt_k)
+    steps = [_step_grid(t_end, dt_k)[0] for _, dt_k in runs]
     limit = zeno_eliminate(
         family, split, scaling_tol=scaling_tol, kernel_tol=kernel_tol, decoupling_tol=decoupling_tol
     )
-    zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=MAX_STEPS).rho[-1]
-
     vz = split.v_z.cols
     rho0_full = DensityMatrix(family.space, vz @ rho0_z.mat @ vz.conj().T, min_eig_tol=None)
+
+    def run_bin(worker, indices):
+        """{index: (final state, n_steps, method, worker)} of the runs of
+        ``indices`` in turn, until one raises: its exception ends them."""
+        out = {}
+        for i in indices:
+            k, dt_k = runs[i]
+            try:
+                res = evolve(instantiate(family, k), rho0_full, t_end, dt_k, save_every=MAX_STEPS)
+            except Exception as e:
+                out[i] = e
+                break
+            out[i] = (res.rho[-1], res.n_steps, res.method, worker)
+        return out
+
+    bins = _plan(steps, _choose_method(family.space.dim))
+    with _forked([partial(run_bin, w, b) for w, b in enumerate(bins[1:], 1)]) as collect:
+        zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=MAX_STEPS).rho[-1]
+        results = run_bin(0, bins[0])
+        for part in collect():
+            results.update(part)
+
     points = []
-    for k, dt_k in runs:
-        g_full = instantiate(family, k)
-        res = evolve(g_full, rho0_full, t_end, dt_k, save_every=MAX_STEPS)
-        comp = vz.conj().T @ res.rho[-1] @ vz
+    for i, (k, dt_k) in enumerate(runs):
+        # a bin's runs after its failure have no result, but come after it
+        if isinstance(results[i], Exception):
+            raise results[i]
+        final, n_steps, method, worker = results[i]
+        comp = vz.conj().T @ final @ vz
         tr = float(np.trace(comp).real)
         leaked = 1.0 - tr
         comp = comp / tr
@@ -683,8 +864,9 @@ def convergence_harness(
                 distance=trace_distance(comp, zeno_final),
                 leaked_trace=leaked,
                 dt_full=dt_k,
-                n_steps=res.n_steps,
-                method=res.method,
+                n_steps=n_steps,
+                method=method,
+                worker=worker,
             )
         )
     return points

@@ -243,8 +243,12 @@ def _drift(l: np.ndarray, h: Operator) -> Operator:
 
 
 def k_operator(g: SLHTriple) -> Operator:
-    """Drift coefficient K = -1/2 sum_i L_i^H L_i - i H."""
-    return _drift(g.l, g.H)
+    """Drift coefficient K = -1/2 sum_i L_i^H L_i - i H; ValueError naming
+    K if an entry overflows."""
+    try:
+        return _drift(g.l, g.H)
+    except ValueError:  # the one check of an Operator formed so
+        raise ValueError("drift coefficient K is not finite") from None
 
 
 def lindbladian(g: SLHTriple, x: Operator) -> Operator:

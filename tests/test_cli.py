@@ -777,6 +777,58 @@ def test_linstab_manifest_records_its_workers(tmp_path, monkeypatch, cpus, ks, w
     assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["workers"] is None
 
 
+@pytest.mark.parametrize(
+    "cpus, extra, workers",
+    [
+        (1, [], 1),
+        (2, [], 2),
+        (3, [], 3),
+        # 20 and 90 steps: too few to fork for
+        (2, ["--ks", "1,3", "--t-end", "0.02"], 1),
+    ],
+)
+def test_converge_manifest_records_its_workers(tmp_path, monkeypatch, cpus, extra, workers):
+    # W = min(CPUs in the affinity set, number of k) processes step, when
+    # the process runs one thread (BLAS's own may run here) and each forked
+    # bin takes enough steps; else 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    out = tmp_path / "k.csv"
+    argv = ["converge", KERR, "--ks", "1,2,3,4,6", "--t-end", "0.5", "--initial", "basis:1",
+            *extra, "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "k.csv.manifest.json").read_text())["workers"] == workers
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "n_max, argv, message",
+    [
+        (6, ["evolve", "m.model", "--model", "full", "--k", "1", "--out", "e.csv"],
+         "channel 0: L^H L is not finite"),
+        # the limit run fails first
+        (6, ["converge", "m.model", "--ks", "1,2", "--out", "c.csv"],
+         "channel 0: L^H L is not finite"),
+        # d = 25 steps matrix-free, in the K form
+        (24, ["evolve", "m.model", "--model", "full", "--k", "1", "--t-end", "0.01", "--out",
+              "e.csv"], "drift coefficient K is not finite"),
+    ],
+)
+def test_a_generator_that_overflows_names_its_term(tmp_path, monkeypatch, capsys, n_max, argv,
+                                                   message):
+    # L^H L = 1e320 a^H a is not finite at any dt; the runs once ended in
+    # "trace drift nan at t=0.001 exceeds 1.0e-06; reduce dt"
+    model = json.loads(Path(KERR).read_text())
+    model["spaces"]["mode"]["n_max"] = n_max
+    model["family"]["L0"][0] = "1e160*sqrt(kappa1)*a"
+    (tmp_path / "m.model").write_text(json.dumps(model))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"zenoslh: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.model"]
+
+
 @pytest.mark.parametrize("existed", [False, True])
 def test_failed_traj_removes_only_the_out_dir_it_made(tmp_path, capsys, existed):
     # the homodyne states turn NaN after the first block has run, which
@@ -1156,6 +1208,45 @@ def test_traj_stopped_by_sigterm_leaves_no_file(tmp_path):
         proc.stderr.close()
     assert code == 128 + signal.SIGTERM
     assert list(tmp_path.iterdir()) == []
+
+
+def _children(pid) -> list:
+    ps = subprocess.run(["ps", "-o", "pid=", "--ppid", str(pid)], capture_output=True, text=True)
+    return ps.stdout.split()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists children with procps' ps --ppid")
+def test_converge_stopped_by_sigterm_leaves_no_file_and_no_process(tmp_path):
+    # SIGTERM once the sweep has forked: the caller kills and reaps its
+    # children, and none runs the caller's cleanup
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    argv = ["converge", KERR, "--ks", "1,2,3,4,6", "--t-end", "1e3", "--initial", "basis:1",
+            "--out", str(tmp_path / "c.csv")]
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    # a stand-in for a machine of two CPUs, where the sweep forks one child
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from zenoslh.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not _children(proc.pid):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        forked = _children(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 128 + signal.SIGTERM
+    assert list(tmp_path.iterdir()) == []
+    assert len(forked) == 1
+    for pid in forked:
+        assert subprocess.run(["ps", "-p", pid], stdout=subprocess.DEVNULL).returncode != 0
 
 
 def test_evolve_restores_the_sigterm_handler(tmp_path):

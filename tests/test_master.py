@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -807,3 +810,133 @@ def test_piecewise_run_holds_its_saved_states_once():
         tracemalloc.stop()
     assert res.rho.shape == (3001, 12, 12)
     assert peak < 1.5 * res.rho.nbytes
+
+
+# -- convergence_harness forks its bins of k ---------------------------------
+
+# 1000 k^2 / 2 steps each: 500, 2000, 4500, 8000 and 18000
+KS = (1.0, 2.0, 3.0, 4.0, 6.0)
+
+
+def _harness(monkeypatch, cpus, ks=KS, t_end=0.5):
+    """convergence_harness on the Kerr family, run with ``cpus`` usable CPUs
+    in a process taken to run one thread (BLAS's own may run here)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    fam, split = kerr_family()
+    return convergence_harness(fam, split, basis_state_density(split.zeno_space, 1), ks, t_end,
+                               1e-3)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_bins_take_the_longest_run_first_into_the_lightest_bin(monkeypatch):
+    steps = [500, 2000, 4500, 8000, 18000]
+    assert master._bins(steps, 1) == [[0, 1, 2, 3, 4]]
+    assert master._bins(steps, 2) == [[0, 1, 2, 3], [4]]  # 15000 and 18000 steps
+    assert master._bins(steps, 3) == [[0, 1, 2], [3], [4]]
+    assert master._bins([5, 5, 5], 2) == [[1], [0, 2]]  # ties by index, lightest first
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    for cpus, bins in [(1, 1), (2, 2), (4, 4), (5, 4), (8, 4)]:
+        # with 5 bins one child would take 2000 steps, too few to fork for
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert master._plan(steps, "dense") == master._bins(steps, bins)
+        assert master._plan(steps, "matrix_free") == [[0, 1, 2, 3, 4]]
+    monkeypatch.setattr(master, "_one_thread", lambda: False)
+    assert master._plan(steps, "dense") == [[0, 1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_harness_points_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    serial = _harness(monkeypatch, 1)
+    points = _harness(monkeypatch, cpus)
+    _no_child_left()
+
+    def digits(pts):
+        return [(p.k, p.distance.hex(), p.leaked_trace.hex(), p.dt_full.hex(), p.n_steps,
+                 p.method) for p in pts]
+
+    assert digits(points) == digits(serial) and points == serial
+    # k = 6, then k = 4, each in a child of its own
+    assert [p.worker for p in points] == {1: [0] * 5, 2: [0, 0, 0, 0, 1],
+                                          3: [0, 0, 0, 1, 2]}[cpus]
+
+
+@pytest.mark.parametrize(
+    "ks, limit_fails, error, message",
+    [
+        # k = 2 fails in the caller's bin, k = 6 in the child's
+        (KS, False, ValueError, "k = 2.0 fails"),
+        ((6.0, 1.0, 2.0, 3.0, 4.0), False, StepSizeError, "k = 6.0 fails"),
+        (KS, True, ValueError, "the limit run fails"),
+    ],
+)
+def test_failing_bins_raise_the_error_of_a_serial_run(monkeypatch, ks, limit_fails, error,
+                                                      message):
+    instantiate_k, evolve_g = master.instantiate, master.evolve
+
+    def failing_instantiate(family, k):
+        if k == 2.0:
+            raise ValueError("k = 2.0 fails")
+        if k == 6.0:
+            raise StepSizeError("k = 6.0 fails")
+        return instantiate_k(family, k)
+
+    def failing_evolve(g, *args, **kwargs):
+        if limit_fails and g.dim == 2:
+            raise ValueError("the limit run fails")
+        return evolve_g(g, *args, **kwargs)
+
+    monkeypatch.setattr(master, "instantiate", failing_instantiate)
+    monkeypatch.setattr(master, "evolve", failing_evolve)
+    with pytest.raises(error, match=f"^{message}$"):
+        _harness(monkeypatch, 2, ks)
+    _no_child_left()
+    steps = [round(500 * k * k) for k in ks]
+    assert len(master._plan(steps, "dense")) == 2  # k = 6 ran in a child
+
+
+@pytest.mark.parametrize(
+    "die, how",
+    [(lambda: os._exit(3), "exit status 3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
+)
+def test_a_worker_that_ends_without_its_result_raises_a_typed_error(monkeypatch, die, how):
+    caller, instantiate_k = os.getpid(), master.instantiate
+
+    def dying(family, k):
+        if os.getpid() != caller:
+            die()
+        return instantiate_k(family, k)
+
+    monkeypatch.setattr(master, "instantiate", dying)
+    with pytest.raises(master.WorkerError, match=rf"ended without its result \({how}\)$"):
+        _harness(monkeypatch, 3)
+    _no_child_left()
+
+
+def test_a_matrix_free_harness_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    # on the dense path k = 6 (4320 steps) would run in a child
+    assert len(master._plan([120, 4320], "dense")) == 2
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(master, "_choose_method", lambda d: "matrix_free")
+    points = _harness(monkeypatch, 2, (1.0, 6.0), 0.12)
+    assert [(p.method, p.worker) for p in points] == [("matrix_free", 0)] * 2
+
+
+def test_a_generator_that_is_not_finite_names_its_term():
+    # L^H L = 1e320 a^H a overflows, at any step size
+    fam, _ = kerr_family()
+    big = SLHTriple(fam.S, tuple(1e160 * op for op in fam.L0), fam.H0)
+    rho0 = basis_state_density(big.space, 1)
+    with pytest.raises(ValueError, match="^channel 0: L\\^H L is not finite$"):
+        liouvillian_matrix(big)
+    with pytest.raises(ValueError, match="^channel 0: L\\^H L is not finite$"):
+        evolve(big, rho0, 0.01, 1e-3)
+    with pytest.raises(ValueError, match="^drift coefficient K is not finite$"):
+        master._k_form_terms(big)
