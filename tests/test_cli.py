@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -1215,7 +1216,8 @@ def _children(pid) -> list:
     return ps.stdout.split()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="lists children with procps' ps --ppid")
+@pytest.mark.skipif(sys.platform != "linux" or shutil.which("ps") is None,
+                    reason="lists children with procps' ps --ppid")
 def test_converge_stopped_by_sigterm_leaves_no_file_and_no_process(tmp_path):
     # SIGTERM once the sweep has forked: the caller kills and reaps its
     # children, and none runs the caller's cleanup
