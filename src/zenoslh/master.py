@@ -19,23 +19,33 @@ trace drift is a monitored diagnostic with a hard abort threshold.
 ``evolve`` keeps the state as its column-stacked vector v = vec(rho)
 for the whole run, in one stepping loop, through which
 ``evolve_piecewise`` steps its segments in turn.  It applies the
-one-step map in one of two ways, chosen from d alone.  Up to
+one-step map in one of three ways (``_method``).  Up to
 ``DENSE_MAX_DIM`` it builds the dense d^2 x d^2 step map (d^6 work and
 16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
 it, each step views v as the d x d matrix, runs the four RK4 stages on
-it and stacks the result back, with no d^2 x d^2 array.  There each
-stage evaluates the dissipator in its effective-Hamiltonian form
+it (``_rk4_step``) and stacks the result back, with no d^2 x d^2 array.
+There each stage evaluates the dissipator in its effective-Hamiltonian
+form
 
     D rho = K rho + (K rho)^H + sum_i (L_i rho) L_i^H,
     K = -1/2 sum_i L_i^H L_i - i H,
 
-with K formed once per call: 1 + 2n products of d x d matrices per stage
-(d^3 each, against a d^2 copy), where the form above takes 2 + 4n.  It
-equals D only on Hermitian matrices; the states stepped are Hermitian
-(the initial state's Hermitian part is stepped, the same map since D
-commutes with ^H) and the stage inputs are Hermitian to rounding.  Both
-paths are the same RK4 map, so they differ by rounding only.  The
-result records the path as ``method``.  Re-Hermitizing,
+with K formed once per run, in one of two ways.  The GEMM form
+(``"matrix_free"``) takes 1 + 2n products of d x d matrices per stage
+(d^3 each, against a d^2 copy), where the form above takes 2 + 4n.  The
+banded form (``"banded"``, :class:`_Banded`) stores K by its nonzero
+diagonals and folds the channel sum into one elementwise product per
+pair (o, p) of one channel's diagonal offsets, so a stage is a handful
+of d^2 products on shifted slices, with no BLAS call and no cost per
+channel.  The operators of ladder-built models (driven cavities, Lambda
+systems, spins coupled to a mode) have few diagonals, and the banded form
+runs when the one rule of ``_method`` on the models' diagonals finds it
+cheaper; else the GEMM form runs.  The K form equals D only on Hermitian
+matrices; the states stepped are Hermitian (the initial state's
+Hermitian part is stepped, the same map since D commutes with ^H) and
+the stage inputs are Hermitian to rounding.  All three paths are the
+same RK4 map, so they differ by rounding only.  The result records the
+path as ``method``.  Re-Hermitizing,
 v = (w + conj(w[perm])) / 2 with ``perm`` the index of the transposed
 entry, and the trace, the sum of v over the diagonal entries, are
 elementwise the arithmetic of the same steps on the d x d matrix, so
@@ -68,17 +78,19 @@ strength k against the limit model on the Zeno subspace: the full state
 is compressed with the Zeno isometry, renormalized by its trace, and the
 trace distance to the limit-model state at the same time is reported.
 The full-model step is scaled by 1/k^2 because the fast rates grow as
-k^2.  On the dense path the full-model runs, one per k, are split into
-W bins by longest processing time on their step counts; the caller steps
-the limit model and the lightest bin, and each other bin runs in a child
-made with ``os.fork``, which sends its final states back through a pipe.
+k^2.  On the dense and banded paths the full-model runs, one per k, are
+split into W bins by longest processing time on their step counts; the
+caller steps the limit model and the lightest bin, and each other bin
+runs in a child made with ``os.fork``, which sends its final states back
+through a pipe.
 Each run is the same arithmetic in whichever process steps it, so the
 points do not depend on W.  W is the largest number, at most min(usable
 CPUs, runs), for which every forked bin takes at least
 ``_FORK_MIN_STEPS`` steps, and the harness forks only when the process
 runs one thread (BLAS's threads count: one BLAS thread, e.g.
-``OPENBLAS_NUM_THREADS=1``, leaves one); the matrix-free path never
-forks, since forked runs there oversubscribe BLAS.
+``OPENBLAS_NUM_THREADS=1``, leaves one).  The GEMM form
+(``"matrix_free"``) never forks, since forked runs there oversubscribe
+BLAS; banded stages are elementwise numpy, with no BLAS pool to share.
 """
 
 from __future__ import annotations
@@ -138,6 +150,14 @@ MAX_STEPS = 2**53
 # 2.4 on OpenBLAS, one thread, 2-core x86-64 host); it keeps every d <= 12
 # dense, so the digested results there stay bit-identical to the dense map
 DENSE_MAX_DIM = 19
+
+# above DENSE_MAX_DIM a run steps by diagonals (``_Banded``) when (1 + 2n) d,
+# the d x d products per stage of the GEMM K form times d, is at least this
+# many times the elementwise products per stage, K's diagonals plus the
+# channels' pairs (``_method``).  Fitted on a sweep of step times over both
+# forms (CHANGES.md).  A constant, not a setting: it changes the cost of a
+# run and its rounding, never more
+_BANDED_RATIO = 14
 
 # evolve checks the trace drift once per block of steps (see ``evolve``): a
 # block ends at each saved step and after at most _BLOCK steps, and the
@@ -283,22 +303,107 @@ def _k_form_terms(g: SLHTriple):
     return kl, np.ascontiguousarray(_adjoint(g.l)).reshape(n * d, d)
 
 
-def _k_form_dissipator(terms, rho):
-    """D(rho) = K rho + (K rho)^H + sum_i (L_i rho) L_i^H, from ``_k_form_terms``.
+def _k_form_dissipator(terms, rho, out=None):
+    """D(rho) = K rho + (K rho)^H + sum_i (L_i rho) L_i^H, from ``_k_form_terms``
+    or a :class:`_Banded`, into ``out`` (a new array if None).
 
-    1 + 2n products of d x d matrices, in two calls, against 2 + 4n for
-    ``_dissipator_mat``; equal to D(rho) only for a Hermitian ``rho``.
+    From ``_k_form_terms``: 1 + 2n products of d x d matrices, in two calls,
+    against 2 + 4n for ``_dissipator_mat``; equal to D(rho) only for a
+    Hermitian ``rho``.
     """
+    if isinstance(terms, _Banded):
+        return terms.apply(rho, np.empty_like(rho) if out is None else out)
     kl, lds = terms
     d = rho.shape[0]
     x = kl @ rho  # K rho over L_1 rho, ..., L_n rho
     kr = x[:d]
     # [L_1 rho, ..., L_n rho] side by side, times [L_1^H; ...; L_n^H]
     lr = x[d:].reshape(-1, d, d).transpose(1, 0, 2).reshape(d, lds.shape[0])
-    out = lr @ lds
+    out = np.matmul(lr, lds, out=out)
     out += kr
     out += kr.conj().T
     return out
+
+
+def _diagonals(m) -> list:
+    """The offsets c - r of the diagonals of the d x d array m that hold a
+    nonzero entry, ascending."""
+    r, c = np.nonzero(m)
+    return np.unique(c - r).tolist()
+
+
+def _diagonal(m, o: int):
+    """Diagonal o of the d x d array m as a length-d vector: entry r is
+    m[r, r + o], 0 where r + o falls outside."""
+    v = np.zeros(len(m), dtype=complex)
+    v[max(0, -o) : len(m) - max(0, o)] = np.diagonal(m, o)
+    return v
+
+
+def _structure(h, l):
+    """(n, K diagonals, pairs) of a model whose Hamiltonian and n couplings
+    have their nonzero entries where the masks h (d, d) and l (n, d, d) do:
+    the pairs (o, p) of diagonal offsets of one L_i, and the diagonals that
+    K = -1/2 sum_i L_i^H L_i - i H can have, those of H and each p - o."""
+    pairs = {(o, p) for li in l for offs in (_diagonals(li),) for o in offs for p in offs}
+    return len(l), set(_diagonals(h)) | {p - o for o, p in pairs}, pairs
+
+
+class _Banded:
+    """The K form of D by diagonals, for d x d states x (see the module
+    docstring): X = K x is a sum over the diagonals o of K of elementwise
+    products K_o * x shifted by (o, 0), and the channel sum one product
+    W_op * x shifted by (o, p) per pair of ``_structure``, with W_op[r, c]
+    = sum_i L_i[r, r + o] conj(L_i[c, c + p]); D x = X + X^H + those.
+    In the flat (C-order) state a shift (a, b) is one of a d + b entries,
+    and W is 0 wherever the shifted index leaves its row or column, so each
+    product is one contiguous slice of the flat arrays.  Weights and
+    buffers are made once: a stage calls no BLAS, and costs nothing per
+    channel.  ValueError naming K if it overflows."""
+
+    def __init__(self, g: SLHTriple):
+        d = g.dim
+        kmat = k_operator(g).mat
+        self.k = [
+            self._term(np.repeat(_diagonal(kmat, o), d), o * d)
+            for o in [0, *(o for o in _diagonals(kmat) if o != 0)]
+        ]
+        weights = {}
+        for li in g.l:
+            diags = {o: _diagonal(li, o) for o in _diagonals(li)}
+            for o, lo in diags.items():
+                for p, lp in diags.items():
+                    weights[o, p] = weights.get((o, p), 0) + np.multiply.outer(lo, lp.conj())
+        self.j = [self._term(w.reshape(-1), o * d + p) for (o, p), w in weights.items()]
+        self.kx, self.tmp = np.empty((2, d * d), dtype=complex)
+        # the stage outputs and input of ``_rk4_step``
+        self.stages = np.empty((5, d, d), dtype=complex)
+
+    @staticmethod
+    def _term(w, s: int):
+        """(s, lo, hi, weight): the product of the flat weight w, over lo ..
+        hi - 1, with the flat state shifted by s."""
+        lo, hi = max(0, -s), len(w) - max(0, s)
+        return s, lo, hi, np.ascontiguousarray(w[lo:hi])
+
+    def apply(self, x, out):
+        """D(x) into ``out``, a C-contiguous d x d array; returns ``out``."""
+        xf, kx = x.reshape(-1), self.kx
+        (_, _, _, w0), *shifted = self.k
+        np.multiply(w0, xf, out=kx)
+        self._add(kx, shifted, xf)
+        d = len(out)
+        np.conjugate(kx.reshape(d, d).T, out=out)
+        np.add(out, kx.reshape(d, d), out=out)
+        self._add(out.reshape(-1), self.j, xf)
+        return out
+
+    def _add(self, acc, terms, xf):
+        """Add each product of ``terms`` with the flat state xf into the flat
+        array acc."""
+        for s, lo, hi, w in terms:
+            dst, tmp = acc[lo:hi], self.tmp[: hi - lo]
+            np.add(dst, np.multiply(w, xf[lo + s : hi + s], out=tmp), out=dst)
 
 
 def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
@@ -355,8 +460,9 @@ class EvolutionResult(_StateViews):
     """Time grid, read-only (T, d, d) states, per-saved-step diagnostics.
 
     :func:`evolve` and :func:`evolve_piecewise` fill one in the same
-    loop.  ``method`` is the stepping path, ``"dense"`` or
-    ``"matrix_free"``, the same for every segment of a piecewise run;
+    loop.  ``method`` is the stepping path, ``"dense"``,
+    ``"matrix_free"`` or ``"banded"``, the same for every segment of a
+    piecewise run;
     ``n_steps`` is the number of steps taken (summed over the segments)
     and ``dt_eff`` the step length, t_end / n_steps (dt without steps;
     None when the segments' steps differ).
@@ -391,12 +497,22 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
 
 def _rk4_step(terms, m, dt: float):
     """One classical RK4 step of d m / dt = D(m) on the Hermitian d x d
-    matrix m, with D in the K form (``terms`` from ``_k_form_terms``)."""
-    k1 = _k_form_dissipator(terms, m)
-    k2 = _k_form_dissipator(terms, m + (0.5 * dt) * k1)
-    k3 = _k_form_dissipator(terms, m + (0.5 * dt) * k2)
-    k4 = _k_form_dissipator(terms, m + dt * k3)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    matrix m, with D in the K form (``terms`` from ``_k_form_terms`` or a
+    :class:`_Banded`).  The stages go into new buffers, or the banded
+    terms' own, which the returned state is one of (the next step
+    overwrites it); each entry rounds as m + (dt / 6) (k1 + 2 k2 + 2 k3 +
+    k4) with stage inputs m + (dt / 2) k1, m + (dt / 2) k2 and m + dt k3."""
+    bufs = terms.stages if isinstance(terms, _Banded) else np.empty((5,) + m.shape, dtype=complex)
+    k1, k2, k3, k4, x = bufs
+    mul, add = np.multiply, np.add
+    _k_form_dissipator(terms, m, k1)
+    _k_form_dissipator(terms, add(m, mul(0.5 * dt, k1, out=x), out=x), k2)
+    _k_form_dissipator(terms, add(m, mul(0.5 * dt, k2, out=x), out=x), k3)
+    _k_form_dissipator(terms, add(m, mul(dt, k3, out=x), out=x), k4)
+    add(k1, mul(2.0, k2, out=k2), out=k1)
+    add(k1, mul(2.0, k3, out=k3), out=k1)
+    add(k1, k4, out=k1)
+    return add(m, mul(dt / 6.0, k1, out=k1), out=x)
 
 
 def _run_steps(step_map, perm, v, rows, w):
@@ -428,6 +544,25 @@ def _trace_drift(x, d: int):
 def _choose_method(d: int) -> str:
     """``"dense"`` or ``"matrix_free"`` for ``evolve`` at dimension d."""
     return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
+
+
+def _method(d: int, structures) -> str | None:
+    """The stepping path of a run at dimension d whose models have the
+    ``_structure``s given (a piecewise run's segments, or the k of a
+    ``convergence_harness``), None without models: ``_choose_method``'s,
+    but ``"banded"`` for its ``"matrix_free"`` above ``DENSE_MAX_DIM``
+    when (1 + 2n) d >= ``_BANDED_RATIO`` (K diagonals + pairs), counted
+    over the union of the structures (n the most channels of any)."""
+    if not structures:
+        return None
+    method = _choose_method(d)
+    if method == "matrix_free" and d > DENSE_MAX_DIM:
+        n = max(s[0] for s in structures)
+        terms = len(set().union(*(s[1] for s in structures)))
+        terms += len(set().union(*(s[2] for s in structures)))
+        if (1 + 2 * n) * d >= _BANDED_RATIO * terms:
+            return "banded"
+    return method
 
 
 def _step_grid(t_end: float, dt: float):
@@ -465,8 +600,9 @@ def _evolve(segments, rho0: DensityMatrix, save_every: int):
     save_every = max(1, int(save_every))
     counts = [n_steps for _, _, (n_steps, _) in segments]
     dts = {dt_eff for _, _, (_, dt_eff) in segments}
+    structures = [_structure(g.H.mat != 0, g.l != 0) for g, _, _ in segments]
     fields = {
-        "method": _choose_method(rho0.space.dim) if segments else None,
+        "method": _method(rho0.space.dim, structures),
         "n_steps": sum(counts) if segments else None,
         "dt_eff": dts.pop() if len(dts) == 1 else None,
     }
@@ -531,7 +667,7 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
         else:
-            terms = _k_form_terms(g)
+            terms = _Banded(g) if method == "banded" else _k_form_terms(g)
 
             def step_map(v, out):
                 # d x d states are C-ordered everywhere else; a copy in that
@@ -595,11 +731,11 @@ def evolve(
     The steps are those of ``_step_grid``: n_steps of dt_eff = t_end /
     n_steps, the saved times being step * dt_eff, so the last one is
     t_end to within one rounding (it can differ from t_end in the last
-    bit).  The step is applied densely or matrix-free, as ``_choose_method``
-    picks (see the module docstring), and the result's ``method`` records
-    which.  States are re-Hermitized each step; trace drift beyond
-    ``TRACE_ABORT_TOL`` (or NaN) raises :class:`StepSizeError`, naming the
-    first step that drifted.  Every ``save_every``-th state and the final
+    bit).  The step is applied densely, in the GEMM K form or in the
+    banded K form, as ``_method`` picks (see the module docstring), and
+    the result's ``method`` records which.  States are re-Hermitized each
+    step; trace drift beyond ``TRACE_ABORT_TOL`` (or NaN) raises
+    :class:`StepSizeError`, naming the first step that drifted.  Every ``save_every``-th state and the final
     one go into ``rho``, after the initial one; ``save_every=MAX_STEPS``
     keeps the initial and final states only, whatever the step count.  The
     ``states`` views are validated with the trace tolerance relaxed to the
@@ -626,8 +762,10 @@ def evolve_piecewise(segments, rho0: DensityMatrix, dt: float) -> EvolutionResul
     segment.  Each segment steps in :func:`evolve`'s loop, as ``evolve``
     would from the state the one before ends in (an abort names the time
     within its segment); every state is saved, and every duration is
-    checked before the first step.  The segments share one space, so one
-    ``method`` covers them all (None without segments).
+    checked before the first step.  One ``method`` covers all segments
+    (None without segments), picked from their space and the union of
+    their operators' diagonals, so a segment may step banded only if they
+    all do.
     """
     return _result([(g, duration, _step_grid(duration, dt)) for g, duration in segments], rho0, 1)
 
@@ -698,11 +836,11 @@ def _one_thread() -> bool:
 def _plan(steps, method: str) -> list:
     """The bins of ``convergence_harness``'s runs, which take ``steps`` steps
     on the stepping path ``method``, the first the caller's: when
-    ``os.fork`` exists, the path is dense and this process runs one thread,
-    the ``_bins`` of the largest W <= min(usable CPUs, runs) whose bins but
-    the first each take at least ``_FORK_MIN_STEPS`` steps; else (or with
-    no such W > 1) one bin of every run."""
-    if method == "dense" and hasattr(os, "fork") and _one_thread():
+    ``os.fork`` exists, the path is dense or banded and this process runs
+    one thread, the ``_bins`` of the largest W <= min(usable CPUs, runs)
+    whose bins but the first each take at least ``_FORK_MIN_STEPS`` steps;
+    else (or with no such W > 1) one bin of every run."""
+    if method in ("dense", "banded") and hasattr(os, "fork") and _one_thread():
         for workers in range(min(_usable_cpus(), len(steps)), 1, -1):
             bins = _bins(steps, workers)
             if min(sum(steps[i] for i in b) for b in bins[1:]) >= _FORK_MIN_STEPS:
@@ -809,9 +947,12 @@ def convergence_harness(
     :func:`zeno_eliminate`.  Every k's step grid is checked before the
     first step.
 
-    The k runs are independent: on the dense path they are split over up
-    to one process per usable CPU, forked after the elimination (see the
-    module docstring), and each point records its ``worker``.  The points
+    The k runs are independent: on the dense and banded paths they are
+    split over up to one process per usable CPU, forked after the
+    elimination (see the module docstring), and each point records its
+    ``worker``.  The path of the plan is picked from the diagonals of the
+    family's coefficients, where every k's model has its own or fewer, so
+    every run of a banded plan steps banded.  The points
     and the errors are those of a serial run: the elimination's, then the
     limit run's, then that of the first k whose run fails.  A child that
     ends without its result raises :class:`WorkerError`; no child outlives
@@ -841,7 +982,10 @@ def convergence_harness(
             out[i] = (res.rho[-1], res.n_steps, res.method, worker)
         return out
 
-    bins = _plan(steps, _choose_method(family.space.dim))
+    # every k's model has its nonzero entries where some coefficient does
+    h = (family.H2.mat != 0) | (family.H1.mat != 0) | (family.H0.mat != 0)
+    structure = _structure(h, (family.l1 != 0) | (family.l0 != 0))
+    bins = _plan(steps, _method(family.space.dim, [structure]))
     with _forked([partial(run_bin, w, b) for w, b in enumerate(bins[1:], 1)]) as collect:
         zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=MAX_STEPS).rho[-1]
         results = run_bin(0, bins[0])

@@ -471,7 +471,7 @@ def test_evolve_at_d150_fits_in_a_capped_address_space(tmp_path):
     assert code == "0"
     assert int(hwm_kb) < 200 * 1024  # about 80 MB measured, against 8.1 GB for one dense matrix
     assert len(out.read_text().splitlines()) == 12  # header + 11 saved states of 10 steps
-    assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "matrix_free"
+    assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["method"] == "banded"
 
 
 # The child caps its address space, stops the CLI command after one second
@@ -531,7 +531,7 @@ def _kerr_model(tmp_path, n_max):
 @pytest.mark.parametrize(
     "n_max, t_end, dt, method",
     # 251 rows of 75 values and 26 rows of 803: neither fills whole blocks
-    [(6, "0.25", "1e-3", "dense"), (20, "2.5e-3", "1e-4", "matrix_free")],
+    [(6, "0.25", "1e-3", "dense"), (20, "2.5e-3", "1e-4", "banded")],
 )
 def test_evolve_streams_the_csv_of_its_result(tmp_path, n_max, t_end, dt, method):
     model = _kerr_model(tmp_path, n_max)

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 
@@ -940,3 +941,145 @@ def test_a_generator_that_is_not_finite_names_its_term():
         evolve(big, rho0, 0.01, 1e-3)
     with pytest.raises(ValueError, match="^drift coefficient K is not finite$"):
         master._k_form_terms(big)
+
+
+# -- the banded K form -------------------------------------------------------
+
+
+def banded_triple(rng, d, n_channels):
+    """A model of banded d x d operators: each L_i has 1 or 2 diagonals, one
+    of them possibly far (offset d // 3, as lambda's n_max is), and H has
+    the diagonals 0, 1 and d // 3 with their mirrors, except that H cancels
+    K's diagonal at the first positive offset of sum_i L_i^H L_i, so that
+    K's diagonals are not symmetric.  Entries are multiples of 1/8, so the
+    cancellation is exact."""
+    far = d // 3
+
+    def diagonals(offsets):
+        m = np.zeros((d, d), dtype=complex)
+        for o in offsets:
+            re, im = rng.integers(-8, 9, (2, d - abs(o)))
+            m += np.diag((re + 1j * im) / 8, o)
+        return m
+
+    # the first channel has two diagonals, so that sum_i L_i^H L_i has an
+    # off-diagonal one to cancel
+    counts = [2, *rng.integers(1, 3, max(0, n_channels - 1))][:n_channels]
+    ls = np.array([diagonals(rng.choice([-1, 0, 1, 2, far], c, replace=False))
+                   for c in counts]).reshape(n_channels, d, d)
+    ldl = sum(li.conj().T @ li for li in ls) if n_channels else np.zeros((d, d))
+    cancelled = [o for o in master._diagonals(ldl) if o > 0][:1]
+    h = diagonals([o for o in (0, 1, far) if o not in cancelled])
+    h = h + h.conj().T
+    for o in cancelled:
+        part = np.diag(np.diagonal(ldl, o), o)
+        h += 0.5j * part - 0.5j * part.conj().T
+    sp = HilbertSpace((d,))
+    s = np.eye(n_channels)[:, :, None, None] * np.eye(d)
+    return SLHTriple(s, ls, Operator(sp, h)), cancelled
+
+
+@pytest.mark.parametrize("d, n_channels", [(20, 0), (23, 1), (31, 2), (40, 3), (47, 1), (64, 2),
+                                           (64, 3)])
+def test_banded_k_form_matches_the_gemm_form(d, n_channels):
+    rng = np.random.default_rng([d, n_channels, 35])
+    g, cancelled = banded_triple(rng, d, n_channels)
+    kd = master._diagonals(master.k_operator(g).mat)
+    assert max(map(abs, kd)) >= d // 3  # a far diagonal
+    for o in cancelled:  # K's diagonals are not symmetric
+        assert o not in kd and -o in kd
+    m = random_density_matrix(rng, d)
+    rho = 0.5 * (m + m.conj().T)
+    gemm, banded = master._k_form_terms(g), master._Banded(g)
+    want = master._k_form_dissipator(gemm, rho)
+    got = master._k_form_dissipator(banded, rho)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # one step at dt |K| = 0.1, where the state moves by about a tenth
+    dt = 0.1 / np.max(np.abs(master.k_operator(g).mat))
+    want = master._rk4_step(gemm, rho, dt)
+    got = master._rk4_step(banded, rho, dt)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_a_d150_kerr_run_on_the_banded_path_matches_the_gemm_path(monkeypatch):
+    fam, _ = kerr_family(n_max=150, chi0=0.03)
+    g = instantiate(fam, 2.0)
+    rho0 = basis_state_density(g.space, 1)
+    banded = evolve(g, rho0, 2e-3, 1e-4)
+    assert banded.method == "banded"
+    monkeypatch.setattr(master, "_BANDED_RATIO", np.inf)
+    gemm = evolve(g, rho0, 2e-3, 1e-4)
+    assert gemm.method == "matrix_free"
+    np.testing.assert_array_equal(banded.times, gemm.times)
+    # 20 steps from a pure state, entries at most 1: rounding only (4e-19
+    # measured)
+    assert np.max(np.abs(banded.rho - gemm.rho)) <= 1e-15
+    assert np.max(np.abs(banded.trace_drift - gemm.trace_drift)) <= 1e-15
+
+
+def _structure_of(g):
+    return master._structure(g.H.mat != 0, g.l != 0)
+
+
+def test_banded_selection_rule():
+    rng = np.random.default_rng(35)
+
+    def kerr(n_max):  # the evolve_dense model at n_max = 30
+        return instantiate(kerr_family(n_max=n_max, chi0=0.03)[0], 2.0)
+
+    # any structure at d <= DENSE_MAX_DIM is dense
+    for d in (2, 12, master.DENSE_MAX_DIM):
+        for g in (kerr(d), scaled_triple(rng, d, 2), banded_triple(rng, d, 1)[0]):
+            assert master._method(d, [_structure_of(g)]) == "dense"
+    # the Kerr model has 3 diagonals of K and one pair: (1 + 4) 30 = 150 >= R 4
+    k30 = kerr(30)
+    assert _structure_of(k30) == (2, {-1, 0, 1}, {(1, 1)})
+    rho0 = basis_state_density(k30.space, 1)
+    assert evolve(k30, rho0, 2e-3, 1e-3).method == "banded"
+    # a dense triple keeps the GEMM form
+    dense30 = scaled_triple(rng, 30, 2)
+    assert evolve(dense30, rho0, 2e-3, 1e-3).method == "matrix_free"
+    # a piecewise run records one method, from the union of its segments:
+    # at d = 2R, a Kerr segment (4 terms) and one whose H adds the diagonals
+    # 0, +-3, +-5, +-7, +-9 (10 terms) are each banded, but not together
+    d = math.ceil(2 * master._BANDED_RATIO)
+    kd = kerr(d)
+    h = sum(np.diag(rng.standard_normal(d - o), o) for o in (3, 5, 7, 9))
+    wide = SLHTriple(kd.s, kd.l, Operator(kd.space, np.diag(rng.standard_normal(d)) + h + h.T))
+    rho0 = basis_state_density(kd.space, 1)
+    for segments, method in (([(kd, 1e-3)], "banded"), ([(wide, 1e-3)], "banded"),
+                             ([(kd, 1e-3), (kd, 2e-3)], "banded"),
+                             ([(kd, 1e-3), (wide, 1e-3)], "matrix_free"),
+                             ([(kd, 1e-3), (scaled_triple(rng, d, 2), 1e-3)], "matrix_free")):
+        assert evolve_piecewise(segments, rho0, 1e-3).method == method
+
+
+def test_an_overflowing_k_on_the_banded_path_names_k():
+    # L^H L = 1e320 a^H a overflows, at any step size
+    fam, _ = kerr_family(n_max=30)
+    big = SLHTriple(fam.S, tuple(1e160 * op for op in fam.L0), fam.H0)
+    assert master._method(30, [_structure_of(big)]) == "banded"
+    with pytest.raises(ValueError, match="^drift coefficient K is not finite$"):
+        master._Banded(big)
+    with pytest.raises(ValueError, match="^drift coefficient K is not finite$"):
+        evolve(big, basis_state_density(big.space, 1), 0.01, 1e-3)
+
+
+def test_a_banded_harness_forks_its_bins(monkeypatch):
+    steps = [500, 2000, 4500, 8000, 18000]
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert master._plan(steps, "banded") == master._bins(steps, 2)
+    # a d = 20 Kerr sweep: k = 3 (4500 steps) runs in a child, on the banded
+    # path, and its point is that of a serial run
+    fam, split = kerr_family(n_max=20)
+    rho0 = basis_state_density(split.zeno_space, 1)
+    points = convergence_harness(fam, split, rho0, (1.0, 3.0), 0.5, 1e-3)
+    _no_child_left()
+    assert [(p.method, p.worker) for p in points] == [("banded", 0), ("banded", 1)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = convergence_harness(fam, split, rho0, (1.0, 3.0), 0.5, 1e-3)
+    assert [p.worker for p in serial] == [0, 0]
+    assert [(p.distance.hex(), p.leaked_trace.hex()) for p in points] == [
+        (p.distance.hex(), p.leaked_trace.hex()) for p in serial
+    ]
