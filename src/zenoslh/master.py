@@ -546,17 +546,17 @@ def _choose_method(d: int) -> str:
     return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
 
 
-def _method(d: int, structures) -> str | None:
+def _method(d: int, structures) -> str:
     """The stepping path of a run at dimension d whose models have the
-    ``_structure``s given (a piecewise run's segments, or the k of a
-    ``convergence_harness``), None without models: ``_choose_method``'s,
-    but ``"banded"`` for its ``"matrix_free"`` above ``DENSE_MAX_DIM``
-    when (1 + 2n) d >= ``_BANDED_RATIO`` (K diagonals + pairs), counted
-    over the union of the structures (n the most channels of any)."""
-    if not structures:
-        return None
+    ``_structure``s of the iterable given (a piecewise run's segments, or
+    the k of a ``convergence_harness``), which is read only above
+    ``DENSE_MAX_DIM``: ``_choose_method``'s, but ``"banded"`` for its
+    ``"matrix_free"`` when (1 + 2n) d >= ``_BANDED_RATIO`` (K diagonals +
+    pairs), counted over the union of the structures (n the most channels
+    of any)."""
     method = _choose_method(d)
     if method == "matrix_free" and d > DENSE_MAX_DIM:
+        structures = list(structures)
         n = max(s[0] for s in structures)
         terms = len(set().union(*(s[1] for s in structures)))
         terms += len(set().union(*(s[2] for s in structures)))
@@ -600,9 +600,9 @@ def _evolve(segments, rho0: DensityMatrix, save_every: int):
     save_every = max(1, int(save_every))
     counts = [n_steps for _, _, (n_steps, _) in segments]
     dts = {dt_eff for _, _, (_, dt_eff) in segments}
-    structures = [_structure(g.H.mat != 0, g.l != 0) for g, _, _ in segments]
+    structures = (_structure(g.H.mat != 0, g.l != 0) for g, _, _ in segments)
     fields = {
-        "method": _method(rho0.space.dim, structures),
+        "method": _method(rho0.space.dim, structures) if segments else None,
         "n_steps": sum(counts) if segments else None,
         "dt_eff": dts.pop() if len(dts) == 1 else None,
     }
