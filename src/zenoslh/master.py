@@ -312,7 +312,7 @@ def _k_form_dissipator(terms, rho, out=None):
     Hermitian ``rho``.
     """
     if isinstance(terms, _Banded):
-        return terms.apply(rho, np.empty_like(rho) if out is None else out)
+        return terms.apply(rho, np.empty(rho.shape, dtype=complex) if out is None else out)
     kl, lds = terms
     d = rho.shape[0]
     x = kl @ rho  # K rho over L_1 rho, ..., L_n rho
@@ -371,9 +371,9 @@ class _Banded:
         weights = {}
         for li in g.l:
             diags = {o: _diagonal(li, o) for o in _diagonals(li)}
-            for o, lo in diags.items():
-                for p, lp in diags.items():
-                    weights[o, p] = weights.get((o, p), 0) + np.multiply.outer(lo, lp.conj())
+            for o, vo in diags.items():
+                for p, vp in diags.items():
+                    weights[o, p] = weights.get((o, p), 0) + np.multiply.outer(vo, vp.conj())
         self.j = [self._term(w.reshape(-1), o * d + p) for (o, p), w in weights.items()]
         self.kx, self.tmp = np.empty((2, d * d), dtype=complex)
         # the stage outputs and input of ``_rk4_step``
@@ -462,10 +462,9 @@ class EvolutionResult(_StateViews):
     :func:`evolve` and :func:`evolve_piecewise` fill one in the same
     loop.  ``method`` is the stepping path, ``"dense"``,
     ``"matrix_free"`` or ``"banded"``, the same for every segment of a
-    piecewise run;
-    ``n_steps`` is the number of steps taken (summed over the segments)
-    and ``dt_eff`` the step length, t_end / n_steps (dt without steps;
-    None when the segments' steps differ).
+    piecewise run; ``n_steps`` is the number of steps taken (summed over
+    the segments) and ``dt_eff`` the step length, t_end / n_steps (dt
+    without steps; None when the segments' steps differ).
     All three are None for results not made by stepping.
     """
 
@@ -498,10 +497,10 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
 def _rk4_step(terms, m, dt: float):
     """One classical RK4 step of d m / dt = D(m) on the Hermitian d x d
     matrix m, with D in the K form (``terms`` from ``_k_form_terms`` or a
-    :class:`_Banded`).  The stages go into new buffers, or the banded
-    terms' own, which the returned state is one of (the next step
-    overwrites it); each entry rounds as m + (dt / 6) (k1 + 2 k2 + 2 k3 +
-    k4) with stage inputs m + (dt / 2) k1, m + (dt / 2) k2 and m + dt k3."""
+    :class:`_Banded`).  The stages and the returned state go into the
+    banded terms' buffers, which the next step overwrites, or into new
+    ones; each entry rounds as m + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with
+    stage inputs m + (dt / 2) k1, m + (dt / 2) k2 and m + dt k3."""
     bufs = terms.stages if isinstance(terms, _Banded) else np.empty((5,) + m.shape, dtype=complex)
     k1, k2, k3, k4, x = bufs
     mul, add = np.multiply, np.add
@@ -735,9 +734,10 @@ def evolve(
     banded K form, as ``_method`` picks (see the module docstring), and
     the result's ``method`` records which.  States are re-Hermitized each
     step; trace drift beyond ``TRACE_ABORT_TOL`` (or NaN) raises
-    :class:`StepSizeError`, naming the first step that drifted.  Every ``save_every``-th state and the final
-    one go into ``rho``, after the initial one; ``save_every=MAX_STEPS``
-    keeps the initial and final states only, whatever the step count.  The
+    :class:`StepSizeError`, naming the first step that drifted.  Every
+    ``save_every``-th state and the final one go into ``rho``, after the
+    initial one; ``save_every=MAX_STEPS`` keeps the initial and final
+    states only, whatever the step count.  The
     ``states`` views are validated with the trace tolerance relaxed to the
     abort threshold, since the drift is a recorded diagnostic.  The result
     records the step count ``n_steps`` and the step ``dt_eff``.
@@ -950,12 +950,12 @@ def convergence_harness(
     The k runs are independent: on the dense and banded paths they are
     split over up to one process per usable CPU, forked after the
     elimination (see the module docstring), and each point records its
-    ``worker``.  The path of the plan is picked from the diagonals of the
-    family's coefficients, where every k's model has its own or fewer, so
-    every run of a banded plan steps banded.  The points
-    and the errors are those of a serial run: the elimination's, then the
-    limit run's, then that of the first k whose run fails.  A child that
-    ends without its result raises :class:`WorkerError`; no child outlives
+    ``worker``.  The plan's path is picked from the diagonals of the
+    family's coefficients; no k's model has a diagonal they lack, so each
+    run of a banded plan steps banded.  The points and the errors are
+    those of a serial run: the elimination's, then the limit run's, then
+    that of the first k whose run fails.  A child that ends without its
+    result raises :class:`WorkerError`; no child outlives
     the call.
     """
     if rho0_z.space != split.zeno_space:

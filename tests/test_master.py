@@ -994,6 +994,8 @@ def test_banded_k_form_matches_the_gemm_form(d, n_channels):
     want = master._k_form_dissipator(gemm, rho)
     got = master._k_form_dissipator(banded, rho)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the same matrix in Fortran order (rho is exactly Hermitian), bit for bit
+    assert np.array_equal(master._k_form_dissipator(banded, rho.conj().T), got)
     # one step at dt |K| = 0.1, where the state moves by about a tenth
     dt = 0.1 / np.max(np.abs(master.k_operator(g).mat))
     want = master._rk4_step(gemm, rho, dt)
