@@ -254,6 +254,11 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
     return DensityMatrix(space, np.outer(v, v.conj()))
 
 
+# the complex scalars of the conditioned steps: a Python scalar is converted
+# to this same complex128 on every ufunc call that takes it
+_I, _HALF = np.complex128(1j), np.complex128(0.5)
+
+
 def _dissipator_terms(h, ls, channel=None):
     """The operands of ``_dissipator_mat``, formed once per run: the left rows
     [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d, the right
@@ -267,31 +272,73 @@ def _dissipator_terms(h, ls, channel=None):
     return rows, rights, _adjoint(np.concatenate((ls, lc)))
 
 
-def _right(x, b):
+def _right(x, b, out=None):
     """x @ b_j for each operand b_j of the (p, d, d) stack b, as (p, M, d, d),
     one product of (M d, d) rows per operand: of the (M, d, d) stack x, or of
-    slice j of the (p, M, d, d) stack x."""
+    slice j of the (p, M, d, d) stack x; into ``out``, (p, M d, d), if given."""
     m, d = x.shape[-3], x.shape[-1]
-    return np.matmul(x.reshape(x.shape[:-3] + (m * d, d)), b).reshape(len(b), m, d, d)
+    return np.matmul(x.reshape(x.shape[:-3] + (m * d, d)), b, out=out).reshape(len(b), m, d, d)
+
+
+def _dissipator_space(terms, m: int):
+    """Buffers of ``_dissipator_mat`` for up to m members: the left products
+    (m, (1 + 2n) d, d), the right products, the jump operands and the jumps
+    (p, m d, d) each, D(x) (m, d, d) and the channels' terms (n, m, d, d)."""
+    rows, rights, adjs = terms
+    d = rows.shape[1]
+    n = (len(rows) // d - 1) // 2
+    shapes = [(m, len(rows), d), (len(rights), m * d, d), (len(adjs), m * d, d),
+              (len(adjs), m * d, d), (m, d, d), (n, m, d, d)]
+    return tuple(np.empty(s, dtype=complex) for s in shapes)
+
+
+def _dissipator(terms, space, k: int):
+    """``_dissipator_mat`` for (k, d, d) stacks on the first k members of
+    ``space``'s buffers (``_dissipator_space``): ``(dissipate, products)``,
+    where ``dissipate(x)`` writes D(x) and the products into the views
+    ``products``, formed once."""
+    rows, rights, adjs = terms
+    d = rows.shape[1]
+    n = (len(rows) // d - 1) // 2
+    left_rows, right_rows, ops_rows, jumps_rows, out, tmp = space
+    left_rows, out, tmp = left_rows[:k], out[:k], tmp[:, :k]
+    right_rows, ops_rows, jumps_rows = (a[:, : k * d] for a in (right_rows, ops_rows, jumps_rows))
+    left = left_rows.reshape(k, 1 + 2 * n, d, d)
+    right, ops, jumps = (a.reshape(len(a), k, d, d) for a in (right_rows, ops_rows, jumps_rows))
+    # the jump operands: the rows of L_1 x, ..., L_n x, then of x for a
+    # measured channel's L_c^H
+    l_ops, x_ops, lx = ops[:n], ops[n:], left[:, 1 : 1 + n].swapaxes(0, 1)
+    # i (x H - H x), then L_i x L_i^H - 1/2 (x L_i^H L_i + L_i^H L_i x) for
+    # each channel
+    hx, xh, ljl = left[:, 0], right[0], jumps[:n]
+    ldlx, xldl = left[:, 1 + n :].swapaxes(0, 1), right[1 : 1 + n]
+    matmul, copyto, add, subtract, multiply = np.matmul, np.copyto, np.add, np.subtract, np.multiply
+
+    def dissipate(x):
+        matmul(rows, x, out=left_rows)
+        _right(x, rights, right_rows)
+        copyto(l_ops, lx)
+        if len(x_ops):
+            copyto(x_ops[0], x)
+        _right(ops, adjs, jumps_rows)
+        multiply(_I, subtract(xh, hx, out=out), out=out)
+        subtract(ljl, multiply(_HALF, add(xldl, ldlx, out=tmp), out=tmp), out=tmp)
+        # the channels' terms added one by one, in a lone loop's order
+        for term in tmp:
+            add(out, term, out=out)
+
+    return dissipate, (out, left, right, jumps)
 
 
 def _dissipator_mat(terms, x):
     """D(x) for an (M, d, d) stack, with the products it forms: [H x; L_1 x;
     ...; L_n^H L_n x] as (M, 1 + 2n, d, d), x times each right operand and
-    (L_i x) L_i^H (then x L_c^H for a measured channel), each as (p, M, d, d).
-    Three GEMM calls, each growing only its rows (see ``trajectories``)."""
-    rows, rights, adjs = terms
-    m, d = len(x), x.shape[-1]
-    n = (len(rows) // d - 1) // 2
-    left = (rows @ x).reshape(m, 1 + 2 * n, d, d)
-    right = _right(x, rights)
-    # the rows of L_1 x, ..., L_n x, then of x for a measured channel's L_c^H
-    jumps = _right(np.concatenate((left[:, 1 : 1 + n].swapaxes(0, 1), x[None]))[: len(adjs)], adjs)
-    out = 1j * (right[0] - left[:, 0])
-    # the channels' terms added one by one, in a lone loop's order
-    for term in jumps[:n] - 0.5 * (right[1 : 1 + n] + left[:, 1 + n :].swapaxes(0, 1)):
-        out += term
-    return out, left, right, jumps
+    (L_i x) L_i^H (then x L_c^H for a measured channel), each as (p, M, d, d),
+    in new arrays.  Three GEMM calls, each growing only its rows (see
+    ``trajectories``)."""
+    dissipate, products = _dissipator(terms, _dissipator_space(terms, len(x)), len(x))
+    dissipate(x)
+    return products
 
 
 def _k_form_terms(g: SLHTriple):

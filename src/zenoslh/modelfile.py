@@ -33,7 +33,9 @@ parentheses, decimal number literals in ASCII digits (``2``, ``.5``,
 ``1e-3``), names, and calls of a primitive by its bare name.  Anything
 else (``**``, attributes, ``0x1``, ``1_0``, ``1j``, trailing commas, ...)
 is rejected with the column it starts at, and leading-zero integers
-such as ``007`` are rejected as Python rejects them.  Syntax errors
+such as ``007`` are rejected as Python rejects them.  A number followed
+by a name with no space between them (``1in g``, ``2a``) is rejected as
+unsupported syntax at the number's column, before Python parses it.  Syntax errors
 carry Python's message.  There are no loops and no user functions.
 
 Primitives (one table, ``_PRIMITIVES``): ``annihilator(factor)``,
@@ -62,10 +64,12 @@ from __future__ import annotations
 import ast
 import cmath
 import hashlib
+import io
 import json
 import keyword
 import operator
 import re
+import tokenize
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +115,8 @@ class ModelParseError(ValueError):
 
 # characters an expression may hold besides whitespace
 _FOREIGN = re.compile(r"[^A-Za-z0-9_.+\-*/(),\s]")
+# a digit or point followed by a letter: each number run into a name has one
+_DIGIT_LETTER = re.compile(r"[0-9.][A-Za-z_]")
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _BINOPS = {
     ast.Add: operator.add,
@@ -118,6 +124,24 @@ _BINOPS = {
     ast.Mult: operator.mul,
     ast.Div: operator.truediv,
 }
+
+
+def _number_run_into_name(src):
+    """The offset of the first number literal that a name follows with no
+    space between them (``1in g``, ``2a``), or None.  Python's parser warns
+    on stderr before it parses some of them, as a keyword after a number."""
+    if not _DIGIT_LETTER.search(src):
+        return None
+    prev = None
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(src).readline):
+            if tok.type == tokenize.NAME and prev and prev.type == tokenize.NUMBER \
+                    and prev.end == tok.start:
+                return prev.start[1]
+            prev = tok
+    except tokenize.TokenError:  # unbalanced brackets, left to the parser
+        pass
+    return None
 
 
 def _reserved(name) -> bool:
@@ -157,6 +181,9 @@ class _Evaluator:
         # the text is now ASCII on one line, and the leading "(" makes each
         # node's col_offset its 1-based column in the text
         self.src = "(" + re.sub(r"\s", " ", text) + ")"
+        run_on = _number_run_into_name(self.src)
+        if run_on is not None:
+            self.fail(run_on, "unsupported syntax")
         try:
             # a value that is not finite stays so and is rejected once whole
             with np.errstate(all="ignore"):

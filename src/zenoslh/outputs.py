@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .elimination import EliminationResult
 from .linear import StabilityReport
-from .master import EvolutionResult
+from .master import _BLOCK_BYTES, EvolutionResult
 from .trajectories import TrajectoryResult
 
 __all__ = [
@@ -360,9 +360,11 @@ def write_triple_json(path, result: EliminationResult):
 # values per formatted block; the writers' memory grows with it and not with
 # the row count.  The kernel's cost per block is mostly fixed, about 150
 # numpy calls, so a block of a few wide rows formats faster than one row at
-# a time: at d = 30 (1803 values a row) 8192 takes 4 rows.  Traced peak of
-# one `_block_text` call writing a 101-row d = 30 file: 0.34 MB at 2048
-# values (one row a block), 1.35 MB at 8192
+# a time: at d = 30 (1803 values a row) 8192 takes 4 rows.  The trajectory
+# writer's blocks take rows of every member of a pass, member by member (at
+# d = 2, 74 rows of each of 10 members).  Traced peak of one `_block_text`
+# call writing a 101-row d = 30 file: 0.34 MB at 2048 values (one row a
+# block), 1.35 MB at 8192
 _BLOCK_VALUES = 8192
 
 
@@ -443,27 +445,43 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks):
     ``trajectories._ensemble_blocks`` yields them: each block's rows are
     appended to every member's file once it has arrived, so no more than a
     block is held, and one file is open at a time.  A member missing from a
-    block (one that left a failed run) gets no more rows."""
+    block (one that left a failed run) gets no more rows.
+
+    Each `_block_text` call formats r rows of every member of a pass, laid
+    out member by member, r = max(1, `_BLOCK_VALUES` // (members · width)):
+    the kernel's cost is mostly per call, and one call formats each distinct
+    value once, the shared times and the equal rows of counting members
+    that have not jumped among them.  A pass spans the members of the block
+    whose values fit in ``master._BLOCK_BYTES`` of floats, at least one, and
+    holds their text until each member's lines of the block reach its file
+    in one write."""
     header = ["time", "dY" if kind == "homodyne" else "jump", "innovation", *_state_columns(dim)]
     for path in paths:
         with open(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
+    width = 3 + 2 * dim * dim
     for times, records, innovations, states in blocks:
-        # the rows of as many members as fit in _BLOCK_VALUES values are
-        # formatted together, the kernel's cost being mostly per call, and
-        # each member's file takes its n lines of the text
         n, k = records.shape
-        group = max(1, _BLOCK_VALUES // (n * (3 + 2 * dim * dim)))
+        group = max(1, min(k, _BLOCK_VALUES // width, _BLOCK_BYTES // 8 // (n * width)))
         for i in range(0, k, group):
             m = slice(i, min(k, i + group))
-            rows = states[:, m].swapaxes(0, 1).reshape(-1, dim, dim)
-            columns = (np.tile(times, len(rows) // n), records[:, m].T.ravel(),
-                       innovations[:, m].T.ravel(), _state_rows(rows))
-            text = b"".join(_block_text(block) for block in _row_blocks(columns))
-            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[n - 1 :: n] + 1
-            for path, a, b in zip(paths[m], [0, *ends], ends):
+            c = m.stop - i
+            rows = max(1, _BLOCK_VALUES // (c * width))
+            texts = [[] for _ in range(c)]
+            for a in range(0, n, rows):
+                r = min(rows, n - a)
+                block = np.empty((c, r, width))
+                block[:, :, 0] = times[a : a + r]
+                block[:, :, 1] = records[a : a + r, m].T
+                block[:, :, 2] = innovations[a : a + r, m].T
+                block[:, :, 3:] = _state_rows(states[a : a + r, m].swapaxes(0, 1)).reshape(c, r, -1)
+                text = _block_text(block.reshape(c * r, width))
+                ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[r - 1 :: r] + 1
+                for t, start, end in zip(texts, [0, *ends], ends):
+                    t.append(text[start:end])
+            for path, t in zip(paths[m], texts):
                 with open(path, "ab") as f:
-                    f.write(text[a:b])
+                    f.write(b"".join(t))
 
 
 def write_convergence_csv(path, points):

@@ -50,6 +50,14 @@ A stacked call is one GEMM per operand, of the lone operand's shape and
 layout, never one (d, p d) operand, so the rule still holds; the counting
 rate reads tr(x L_c^H L_c) off the dissipator's own product.
 
+A run's steps write into workspaces made once per run (``_Ops``): the
+three products, the stack of jump operands and each elementwise stage,
+each ufunc and ``np.matmul`` taking its output by ``out=``, and the next
+states go straight into the block's row of states.  Once members leave,
+the steps use views of the workspaces' first k members.  Every GEMM keeps
+the operand shapes and layouts above, so the rule is unchanged, and the
+traces sum a strided view of the diagonals in ``np.trace``'s order.
+
 The scattering matrix does not enter these filter equations; for
 counting with a nontrivial scattering matrix this is a documented
 limitation.
@@ -63,7 +71,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _block_loop, _block_rows
-from .master import _dissipator_mat, _dissipator_terms, _StateViews
+from .master import _dissipator, _dissipator_space, _dissipator_terms, _HALF, _StateViews
 from .master import _step_grid, _trace_drift
 from .operators import HilbertSpace, _is_int
 from .slh import SLHTriple
@@ -150,7 +158,10 @@ class TrajectoryResult(_StateViews):
 
 
 class _Ops:
-    """Matrices of one model and measured channel, formed once per run."""
+    """Matrices of one model and measured channel, formed once per run, and
+    the run's workspaces: the buffers of ``master._dissipator_mat`` and two
+    (M, d, d) stages, made for the largest stack stepped, with the views of
+    its first k members (``_Workspace``) formed once per k."""
 
     def __init__(self, g: SLHTriple, channel: int, homodyne: bool):
         if not (0 <= channel < g.n):
@@ -159,55 +170,105 @@ class _Ops:
         # counting step reads x L_c^H L_c and (L_c x) L_c^H, formed for D(x)
         self.terms = _dissipator_terms(g.H.mat, g.l, channel if homodyne else None)
         self.channel = channel
+        self.size, self._workspaces = 0, {}
+
+    def workspace(self, k: int):
+        ws = self._workspaces.get(k)
+        if ws is None:
+            if k > self.size:
+                d = self.terms[0].shape[1]
+                self.space = _dissipator_space(self.terms, k)
+                self.stages = np.empty((2, k, d, d), dtype=complex)
+                self.size, self._workspaces = k, {}
+            ws = self._workspaces[k] = _Workspace(self, k)
+        return ws
+
+
+class _Workspace:
+    """Views of a run's workspaces for its first k members, which those for
+    fewer members start: ``dissipate(x)`` writes D(x) into ``dx`` and its
+    products into the views read here, ``lx``, ``xl`` and ``jump`` are L_c x,
+    x L_c^H (homodyne) and L_c x L_c^H, ``mean_diag`` and ``rate_diag`` the
+    diagonals of x (L_c + L_c^H) (homodyne) and x L_c^H L_c, and ``a`` and
+    ``b`` two stages."""
+
+    def __init__(self, ops: _Ops, k: int):
+        self.dissipate, (self.dx, left, right, jumps) = _dissipator(ops.terms, ops.space, k)
+        self.a, self.b = ops.stages[:, :k]
+        c = ops.channel
+        self.lx, self.xl, self.jump = left[:, 1 + c], jumps[-1], jumps[c]
+        self.mean_diag, self.rate_diag = _diagonals(right[-1]), _diagonals(right[1 + c])
+        self.dx_t, self.b_diag = self.dx.transpose(0, 2, 1), _diagonals(self.b)
+
+
+def _diagonals(x):
+    """The diagonals of a C-contiguous (M, d, d) stack, as a strided view;
+    ``np.add.reduce`` over its last axis sums each as ``np.trace`` does."""
+    d = x.shape[-1]
+    return x.reshape(len(x), d * d)[:, :: d + 1]
 
 
 def _trace(x):
-    return x.trace(axis1=1, axis2=2)
+    return np.add.reduce(_diagonals(x), axis=-1)
 
 
-def _normalize(x):
-    x = 0.5 * (x + x.conj().transpose(0, 2, 1))
-    return x / _trace(x).real[:, None, None]
+def _normalize(w: _Workspace, out=None):
+    """The Hermitian part of ``w.dx`` over its trace, into ``out`` (a new
+    array if None)."""
+    h = np.conjugate(w.dx_t, out=w.b)
+    np.multiply(_HALF, np.add(w.dx, h, out=h), out=h)
+    return np.divide(h, np.add.reduce(w.b_diag, axis=-1).real[:, None, None], out=out)
 
 
-def _homodyne_step(ops: _Ops, x, dt: float, dw):
+def _homodyne_step(ops: _Ops, x, dt: float, dw, out=None):
     """One diffusive update of an (M, d, d) stack, dw holding one increment
-    per member.  Returns the next states and the means tr(rho (L_c + L_c^H))."""
-    dx, left, right, jumps = _dissipator_mat(ops.terms, x)
-    mean = _trace(right[-1]).real
-    gain = left[:, 1 + ops.channel] + jumps[-1] - mean[:, None, None] * x
-    return _normalize(x + dx * dt + gain * dw[:, None, None]), mean
+    per member.  Returns the next states, written into ``out`` (a new array
+    if None), and the means tr(rho (L_c + L_c^H))."""
+    w = ops.workspace(len(x))
+    w.dissipate(x)
+    mean = np.add.reduce(w.mean_diag, axis=-1).real
+    gain = np.add(w.lx, w.xl, out=w.a)
+    np.subtract(gain, np.multiply(mean[:, None, None], x, out=w.b), out=gain)
+    nxt = np.add(x, np.multiply(w.dx, dt, out=w.dx), out=w.dx)
+    np.add(nxt, np.multiply(gain, dw[:, None, None], out=gain), out=nxt)
+    return _normalize(w, out), mean
 
 
-def _counting_step(ops: _Ops, x, dt: float, u):
+def _counting_step(ops: _Ops, x, dt: float, u, out=None):
     """One jump/no-jump update of an (M, d, d) stack, u holding one uniform
-    per member.  Returns (next states, jumped, rates, error).
+    per member.  Returns (next states, jumped, rates, error), the states
+    written into ``out`` (a new array if None).
 
     error is None, or the exception of the lowest-index member whose step
     fails (jump guard, NaN rate, zero-weight jump); the other three then
-    cover only the members before it.
+    cover only the members before it, and the step goes on in the
+    workspaces of those.
     """
-    dx, _, right, jumps = _dissipator_mat(ops.terms, x)
-    rate = _trace(right[1 + ops.channel]).real  # tr(x L_c^H L_c)
-    jm = jumps[ops.channel]  # L_c x L_c^H
+    w = ops.workspace(len(x))
+    w.dissipate(x)
+    rate = np.add.reduce(w.rate_diag, axis=-1).real  # tr(x L_c^H L_c)
     p = rate * dt
     jumped, error = u < p, None
     bad = ~(p <= JUMP_PROBABILITY_GUARD)  # a NaN p is over the guard
-    if bad.any():
+    if np.count_nonzero(bad):  # as any(), without its Python wrapper
         i = int(np.argmax(bad))
         error = StepSizeError(
             f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
         )
-        x, rate, jm, jumped, dx = x[:i], rate[:i], jm[:i], jumped[:i], dx[:i]
-    any_jump = jumped.any()
-    if any_jump and (bad := jumped & (_trace(jm).real < 1e-14)).any():
+        x, rate, jumped, w = x[:i], rate[:i], jumped[:i], ops.workspace(i)
+    any_jump = np.count_nonzero(jumped)
+    if any_jump and (bad := jumped & (_trace(w.jump).real < 1e-14)).any():
         i = int(np.argmax(bad))  # lower than any member over the guard
         error = ValueError("jump attempted from a state with zero jump probability")
-        x, rate, jm, jumped, dx = x[:i], rate[:i], jm[:i], jumped[:i], dx[:i]
+        x, rate, jumped, w = x[:i], rate[:i], jumped[:i], ops.workspace(i)
         any_jump = jumped.any()
-    nxt = _normalize(x + (dx - (jm - rate[:, None, None] * x)) * dt)
+    if out is not None:
+        out = out[: len(x)]
+    drift = np.subtract(w.jump, np.multiply(rate[:, None, None], x, out=w.a), out=w.a)
+    np.add(x, np.multiply(np.subtract(w.dx, drift, out=w.dx), dt, out=w.dx), out=w.dx)
+    nxt = _normalize(w, out)
     if any_jump:
-        jm = jm[jumped]
+        jm = w.jump[jumped]  # L_c x L_c^H
         nxt[jumped] = jm / _trace(jm).real[:, None, None]
     return nxt, jumped, rate, error
 
@@ -335,13 +396,13 @@ def _ensemble_blocks(g: SLHTriple, rho0: DensityMatrix, config: SimConfig, n_tra
         for r in range(i, j):
             if not k:
                 break
-            x, u = states[r, :k], draws[r, :k]
+            x, u, out = states[r, :k], draws[r, :k], states[r + 1, :k]
             if homodyne:
-                states[r + 1, :k], means[r, :k] = _homodyne_step(ops, x, dt, u)
+                means[r, :k] = _homodyne_step(ops, x, dt, u, out)[1]
             else:
-                x, jumped, rate, err = _counting_step(ops, x, dt, u)
+                x, jumped, rate, err = _counting_step(ops, x, dt, u, out)
                 k = len(x)
-                states[r + 1, :k], jumps[r, :k], means[r, :k] = x, jumped, rate
+                jumps[r, :k], means[r, :k] = jumped, rate
                 if err is not None:  # each failure has a lower index than the one before
                     error = err
 

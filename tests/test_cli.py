@@ -109,6 +109,24 @@ def test_unusable_paths_exit_one_with_one_line(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.rglob(".*.tmp")) == [] and list((tmp_path / "d").iterdir()) == []
 
 
+@pytest.mark.parametrize("expr", ["1in g", "0x1for g", "1jif g else 2"])
+def test_a_number_run_into_a_keyword_prints_only_the_typed_error(tmp_path, expr):
+    # Python's parser warns on such a literal on stderr before the grammar
+    # rejects its node; in a fresh process, whose warnings no test harness
+    # holds, stderr is the one line of the error
+    doc = json.loads((MODELS / "kerr_qubit.model").read_text())
+    doc["family"]["L0"][0] = expr
+    model = tmp_path / "run_on.model"
+    model.write_text(json.dumps(doc))
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "zenoslh", "check", str(model)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "zenoslh: family.L0[0]: column 1: unsupported syntax\n"
+
+
 def test_usage_error_exits_one(capsys):
     assert main(["not-a-command"]) == 1
     assert main([]) == 1

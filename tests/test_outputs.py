@@ -283,6 +283,70 @@ def test_write_trajectory_rows_any_block_size(tmp_path_factory, bits, sizes, mem
         assert path.read_text() == reference_csv(header, rows)
 
 
+@pytest.mark.parametrize("kind", ["homodyne", "counting"])
+@pytest.mark.parametrize("block", [1, 76, 77, 78, 385, 8192])
+@pytest.mark.parametrize("pass_members", [None, 2])
+def test_write_trajectory_rows_equal_members_and_a_leaver(tmp_path, kind, block, pass_members):
+    # five d = 2 members of 7-row blocks (one member's block: 7 rows of 11
+    # values, 77): bitwise equal in the first block, as counting members
+    # are until they jump; member 3 jumps in the second, and members 3 and
+    # 4 leave after it.  Each file holds its member's rows whether a call
+    # spans one row or every member's block, and whether a pass spans
+    # every member or two; no call takes more than _BLOCK_VALUES values
+    # (or one row), and each member's lines of a block are one write
+    rng = np.random.default_rng([block, len(kind)])
+    dim, n, width = 2, 7, 11
+    one = rng.standard_normal((n, 1, dim, dim)) + 1j * rng.standard_normal((n, 1, dim, dim))
+    flags = np.zeros((n, 1), dtype=bool) if kind == "counting" else rng.standard_normal((n, 1))
+    blocks = [(np.arange(1, n + 1) * 0.1, np.repeat(flags, 5, 1), np.repeat(flags - 0.25, 5, 1),
+               np.repeat(one, 5, 1))]
+    second = [x.copy() for x in blocks[0]]
+    second[0] += n * 0.1
+    second[1][4, 3] = 1.0
+    second[2][4, 3] = 0.75
+    second[3][4:, 3] = rng.standard_normal((3, dim, dim))
+    blocks.append(tuple(second))
+    blocks.append(tuple(x[:, :3] if x.ndim > 1 else x + n * 0.1 for x in second))
+    want = [[] for _ in range(5)]
+    for times, rec, innov, states in blocks:
+        for i in range(rec.shape[1]):
+            for r in range(n):
+                state = [v for z in states[r, i].ravel() for v in (z.real, z.imag)]
+                want[i].append([times[r], rec[r, i], innov[r, i], *state])
+    calls, appends, real_text = [], {}, outputs._block_text
+
+    def recording_text(a):
+        calls.append(a.shape)
+        return real_text(a)
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if mode == "ab":
+            appends[path] = appends.get(path, 0) + 1
+        return open(path, mode, *args, **kwargs)
+
+    held = outputs._BLOCK_BYTES if pass_members is None else 8 * pass_members * n * width
+    paths = [tmp_path / f"t{i}.csv" for i in range(5)]
+    with mock.patch.object(outputs, "_BLOCK_VALUES", block), \
+            mock.patch.object(outputs, "_BLOCK_BYTES", held), \
+            mock.patch.object(outputs, "_block_text", recording_text), \
+            mock.patch.object(outputs, "open", recording_open, create=True):
+        outputs.write_trajectory_rows(paths, dim, kind, blocks)
+    header = ["time", "dY" if kind == "homodyne" else "jump", "innovation", *state_columns(dim)]
+    for path, rows in zip(paths, want):
+        assert path.read_text() == reference_csv(header, rows)
+    assert [appends[p] for p in paths] == [3, 3, 3, 2, 2]
+    # a pass of c members is formatted r = max(1, block // (c width)) rows
+    # of each at a time
+    shapes = []
+    for k in (5, 5, 3):
+        group = min(k, max(1, block // width), pass_members or k)
+        for c in [min(group, k - i) for i in range(0, k, group)]:
+            r = max(1, block // (c * width))
+            shapes += [(c * min(r, n - a), width) for a in range(0, n, r)]
+    assert calls == shapes
+    assert all(rows * cols <= max(block, width) for rows, cols in calls)
+
+
 def test_write_evolution_csv_row_wider_than_default_block(tmp_path):
     dim = 1 + math.isqrt(outputs._BLOCK_VALUES // 2)
     rng = np.random.default_rng(3)

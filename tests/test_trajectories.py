@@ -741,12 +741,12 @@ def test_a_homodyne_failure_leaves_the_lower_members_running(monkeypatch):
     cfg = SimConfig(dt=1e-3, t_end=0.6, seed=30, scheme="homodyne")
     sizes, real = [], trajectories._homodyne_step
 
-    def member_1_fails_at_step_299(ops, x, dt, dw):
+    def member_1_fails_at_step_299(ops, x, dt, dw, out):
         sizes.append(len(x))
         if len(sizes) == 300:
             x = x.copy()
             x[1] = np.nan
-        return real(ops, x, dt, dw)
+        return real(ops, x, dt, dw, out)
 
     monkeypatch.setattr(trajectories, "_homodyne_step", member_1_fails_at_step_299)
     match = r"trajectory seed 31: measurement mean nan at t=0\.299 is not finite"
@@ -775,3 +775,134 @@ def test_counting_ops_form_no_homodyne_products(channel):
     for a, b in zip(got[:3], want[:3]):
         np.testing.assert_array_equal(a, b)
     assert got[3] is None and want[3] is None
+
+
+# -- workspaces ----------------------------------------------------------------
+
+
+def test_consecutive_dissipator_calls_return_independent_arrays():
+    rng = np.random.default_rng(41)
+    g = random_model(rng, 3, 2)
+    a, b = (DensityMatrix(g.space, random_density_matrix(rng, 3)) for _ in range(2))
+    first = dissipator(g, a).mat
+    kept = first.copy()
+    second = dissipator(g, b).mat
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert np.array_equal(second, per_product_dissipator(g, b.mat))
+    # without a run's workspaces, the kernel under it makes new arrays
+    from zenoslh.master import _dissipator_mat, _dissipator_terms
+
+    terms = _dissipator_terms(g.H.mat, g.l)
+    first = _dissipator_mat(terms, a.mat[None])
+    kept = [v.copy() for v in first]
+    second = _dissipator_mat(terms, b.mat[None])
+    for v, w in zip(first, kept):
+        assert np.array_equal(v, w)
+        assert not any(np.shares_memory(v, u) for u in second)
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_a_step_value_outlives_the_next_step(out):
+    # a run's steps share its workspaces; what a step returns is the caller's
+    # out, or new, and the next step, from that very state, leaves it alone
+    from zenoslh import trajectories
+
+    rng = np.random.default_rng(43)
+    g = random_model(rng, 3, 2)
+    x = np.stack([random_density_matrix(rng, 3) for _ in range(4)])
+    dt = 0.05 / np.linalg.norm(g.l[1], 2) ** 2
+    for homodyne, draws in ((True, (0.03, -0.02)), (False, (0.99, 0.0))):
+        ops = trajectories._Ops(g, 1, homodyne)
+        step = trajectories._homodyne_step if homodyne else trajectories._counting_step
+        outs = [np.empty_like(x) for _ in range(2)] if out else [None, None]
+        first = step(ops, x, dt, np.full(4, draws[0]), outs[0])
+        kept = [np.copy(v) for v in first[:3]]
+        second = step(ops, first[0], dt, np.full(4, draws[1]), outs[1])
+        for v, w in zip(first[:3], kept):
+            assert np.array_equal(v, w)
+            assert not any(np.shares_memory(v, u) for u in second[:3])
+        assert np.shares_memory(first[0], outs[0]) if out else True
+        # the same step from fresh workspaces
+        again = step(trajectories._Ops(g, 1, homodyne), first[0], dt, np.full(4, draws[1]))
+        for v, w in zip(second[:3], again[:3]):
+            assert np.array_equal(v, w)
+
+
+def ensemble_rows(g, rho0, cfg, members):
+    """Each member's states after its steps as ``_ensemble_blocks`` yields
+    them, until the members still running finish, and the error raised."""
+    from zenoslh.trajectories import _ensemble_blocks
+
+    rows, error = [[] for _ in range(members)], None
+    try:
+        for _, rec, _, states in _ensemble_blocks(g, rho0, cfg, members):
+            for i in range(rec.shape[1]):
+                rows[i].extend(states[:, i].copy())
+    except (StepSizeError, ValueError) as e:
+        error = e
+    return [np.array(r).reshape(-1, g.dim, g.dim) for r in rows], error
+
+
+def test_a_counting_member_over_the_guard_mid_block_leaves_the_rest_bit_exact(monkeypatch):
+    # member 3 of 5 never jumps, so the drive out of the dark state takes its
+    # jump probability over the guard inside the one block; members 3 and 4
+    # leave there, with no rows of it, and the workspaces step on through
+    # views of the first three, which still match their lone runs
+    from zenoslh import trajectories
+
+    g = SLHTriple(((identity(QUBIT),),), (np.sqrt(10.0) * SIGMA_OP,), 10.0 * pauli("x"))
+    rho0 = basis_state_density(QUBIT, 0)
+    cfg = SimConfig(dt=0.01, t_end=1.0, seed=80, scheme="counting")
+    # members 0, 2 and 4 jump at every step, member 1 at every third
+    forced = {i: {s: 0.0 for s in range(0, cfg.n_steps, 3 if i == 1 else 1)} for i in (0, 1, 2, 4)}
+    scripted_uniforms(monkeypatch, cfg.n_steps, forced, cfg.seed, 5)
+    sizes, real = [], trajectories._counting_step
+    step = lambda *a: sizes.append(len(a[1])) or real(*a)  # noqa: E731
+    monkeypatch.setattr(trajectories, "_counting_step", step)
+    rows, error = ensemble_rows(g, rho0, cfg, 5)
+    monkeypatch.setattr(trajectories, "_counting_step", real)
+    with pytest.raises(StepSizeError) as lone:
+        simulate(g, rho0, replace(cfg, seed=cfg.seed + 3))
+    assert str(error) == str(lone.value) and "exceeds" in str(error)
+    trip = sizes.count(5)
+    assert 1 < trip < cfg.n_steps - 1
+    assert sizes == [5] * trip + [3] * (cfg.n_steps - trip)
+    assert [len(r) for r in rows] == [cfg.n_steps] * 3 + [0, 0]
+    for i in range(3):
+        assert np.array_equal(rows[i], simulate(g, rho0, replace(cfg, seed=cfg.seed + i)).rho[1:])
+
+
+class _ScriptedNormals:
+    """Stands in for a generator: hands out a fixed record of increments."""
+
+    def __init__(self, increments):
+        self.increments = np.asarray(increments, dtype=float)
+        self.at = 0
+
+    def normal(self, loc, scale, size):
+        self.at += size
+        return self.increments[self.at - size : self.at].copy()
+
+
+def test_a_homodyne_member_that_turns_nan_leaves_the_rest_bit_exact(monkeypatch):
+    # member 2 of 4 draws an increment of 1e308 at step 40, which overflows
+    # its state; its mean is NaN from then on, members 2 and 3 leave once
+    # the block is checked, and members 0 and 1 run on, as their lone runs
+    g = measured_only(zeno_kerr())
+    rho0 = pure_state_density(QUBIT, [1.0, 1.0])
+    cfg = SimConfig(dt=1e-3, t_end=0.6, seed=90, scheme="homodyne")
+    rng = np.random.default_rng(91)
+    scripts = {cfg.seed + i: rng.normal(0.0, np.sqrt(1e-3), cfg.n_steps) for i in range(4)}
+    scripts[cfg.seed + 2][40] = 1e308
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedNormals(scripts[seed]))
+    with np.errstate(all="ignore"):
+        rows, error = ensemble_rows(g, rho0, cfg, 4)
+        with pytest.raises(StepSizeError) as lone:
+            simulate(g, rho0, replace(cfg, seed=cfg.seed + 2))
+        alone = [simulate(g, rho0, replace(cfg, seed=cfg.seed + i)).rho[1:] for i in (0, 1, 3)]
+    assert str(error) == str(lone.value)
+    assert "trajectory seed 92: measurement mean nan" in str(error)
+    assert [len(r) for r in rows] == [cfg.n_steps] * 2 + [0, 0]
+    for r, a in zip(rows[:2], alone):
+        assert np.array_equal(r, a)
