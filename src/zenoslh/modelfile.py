@@ -35,8 +35,9 @@ else (``**``, attributes, ``0x1``, ``1_0``, ``1j``, trailing commas, ...)
 is rejected with the column it starts at, and leading-zero integers
 such as ``007`` are rejected as Python rejects them.  A number followed
 by a name with no space between them (``1in g``, ``2a``) is rejected as
-unsupported syntax at the number's column, before Python parses it.  Syntax errors
-carry Python's message.  There are no loops and no user functions.
+unsupported syntax at the number's column, before Python parses it.
+Syntax errors carry Python's message.  There are no loops and no user
+functions.
 
 Primitives (one table, ``_PRIMITIVES``): ``annihilator(factor)``,
 ``pauli(factor, axis)``, ``ketbra(factor, i, j)``, ``identity(factor)``,

@@ -173,6 +173,8 @@ class _Ops:
         self.size, self._workspaces = 0, {}
 
     def workspace(self, k: int):
+        """The ``_Workspace`` of k members, the buffers grown to k first if
+        they are smaller."""
         ws = self._workspaces.get(k)
         if ws is None:
             if k > self.size:
@@ -185,12 +187,12 @@ class _Ops:
 
 
 class _Workspace:
-    """Views of a run's workspaces for its first k members, which those for
-    fewer members start: ``dissipate(x)`` writes D(x) into ``dx`` and its
-    products into the views read here, ``lx``, ``xl`` and ``jump`` are L_c x,
-    x L_c^H (homodyne) and L_c x L_c^H, ``mean_diag`` and ``rate_diag`` the
-    diagonals of x (L_c + L_c^H) (homodyne) and x L_c^H L_c, and ``a`` and
-    ``b`` two stages."""
+    """Views of a run's workspaces for its first k members; those of fewer
+    members are prefixes of them.  ``dissipate(x)`` writes D(x) into ``dx``
+    and its products into the views read here: ``lx``, ``xl`` and ``jump``
+    are L_c x, x L_c^H (homodyne) and L_c x L_c^H, and ``mean_diag`` and
+    ``rate_diag`` the diagonals of x (L_c + L_c^H) (homodyne) and
+    x L_c^H L_c.  ``a`` and ``b`` are two stages."""
 
     def __init__(self, ops: _Ops, k: int):
         self.dissipate, (self.dx, left, right, jumps) = _dissipator(ops.terms, ops.space, k)
