@@ -254,11 +254,6 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
     return DensityMatrix(space, np.outer(v, v.conj()))
 
 
-# the complex scalars of the conditioned steps: a Python scalar is converted
-# to this same complex128 on every ufunc call that takes it
-_I, _HALF = np.complex128(1j), np.complex128(0.5)
-
-
 def _dissipator_terms(h, ls, channel=None):
     """The operands of ``_dissipator_mat``, formed once per run: the left rows
     [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d, the right
@@ -313,6 +308,8 @@ def _dissipator(terms, space, k: int):
     hx, xh, ljl = left[:, 0], right[0], jumps[:n]
     ldlx, xldl = left[:, 1 + n :].swapaxes(0, 1), right[1 : 1 + n]
     matmul, copyto, add, subtract, multiply = np.matmul, np.copyto, np.add, np.subtract, np.multiply
+    # a Python scalar would be converted to this same complex128 on each call
+    i, half = np.complex128(1j), np.complex128(0.5)
 
     def dissipate(x):
         matmul(rows, x, out=left_rows)
@@ -321,8 +318,8 @@ def _dissipator(terms, space, k: int):
         if len(x_ops):
             copyto(x_ops[0], x)
         _right(ops, adjs, jumps_rows)
-        multiply(_I, subtract(xh, hx, out=out), out=out)
-        subtract(ljl, multiply(_HALF, add(xldl, ldlx, out=tmp), out=tmp), out=tmp)
+        multiply(i, subtract(xh, hx, out=out), out=out)
+        subtract(ljl, multiply(half, add(xldl, ldlx, out=tmp), out=tmp), out=tmp)
         # the channels' terms added one by one, in a lone loop's order
         for term in tmp:
             add(out, term, out=out)

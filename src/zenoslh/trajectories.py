@@ -71,7 +71,7 @@ from typing import ClassVar
 import numpy as np
 
 from .master import DensityMatrix, EvolutionResult, StepSizeError, _block_loop, _block_rows
-from .master import _dissipator, _dissipator_space, _dissipator_terms, _HALF, _StateViews
+from .master import _dissipator, _dissipator_space, _dissipator_terms, _StateViews
 from .master import _step_grid, _trace_drift
 from .operators import HilbertSpace, _is_int
 from .slh import SLHTriple
@@ -201,6 +201,8 @@ class _Workspace:
         self.lx, self.xl, self.jump = left[:, 1 + c], jumps[-1], jumps[c]
         self.mean_diag, self.rate_diag = _diagonals(right[-1]), _diagonals(right[1 + c])
         self.dx_t, self.b_diag = self.dx.transpose(0, 2, 1), _diagonals(self.b)
+        # a Python 0.5 would be converted to this same complex128 on each call
+        self.half = np.complex128(0.5)
 
 
 def _diagonals(x):
@@ -218,7 +220,7 @@ def _normalize(w: _Workspace, out=None):
     """The Hermitian part of ``w.dx`` over its trace, into ``out`` (a new
     array if None)."""
     h = np.conjugate(w.dx_t, out=w.b)
-    np.multiply(_HALF, np.add(w.dx, h, out=h), out=h)
+    np.multiply(w.half, np.add(w.dx, h, out=h), out=h)
     return np.divide(h, np.add.reduce(w.b_diag, axis=-1).real[:, None, None], out=out)
 
 
@@ -263,7 +265,7 @@ def _counting_step(ops: _Ops, x, dt: float, u, out=None):
         i = int(np.argmax(bad))  # lower than any member over the guard
         error = ValueError("jump attempted from a state with zero jump probability")
         x, rate, jumped, w = x[:i], rate[:i], jumped[:i], ops.workspace(i)
-        any_jump = jumped.any()
+        any_jump = np.count_nonzero(jumped)
     if out is not None:
         out = out[: len(x)]
     drift = np.subtract(w.jump, np.multiply(rate[:, None, None], x, out=w.a), out=w.a)
