@@ -277,8 +277,9 @@ def _right(x, b, out=None):
 
 def _dissipator_space(terms, m: int):
     """Buffers of ``_dissipator_mat`` for up to m members: the left products
-    (m, (1 + 2n) d, d), the right products, the jump operands and the jumps
-    (p, m d, d) each, D(x) (m, d, d) and the channels' terms (n, m, d, d)."""
+    (m, (1 + 2n) d, d), the right products (p, m d, d), the jump operands
+    and the jumps (q, m d, d) each, D(x) (m, d, d) and the channels' terms
+    (n, m, d, d), for p right operands and q adjoints."""
     rows, rights, adjs = terms
     d = rows.shape[1]
     n = (len(rows) // d - 1) // 2
