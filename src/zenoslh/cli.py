@@ -409,12 +409,14 @@ def _cmd_evolve(args, run) -> int:
 def _tallied(blocks, tally: dict):
     """``trajectories._ensemble_blocks``' blocks as they come, each block's
     jumps added to ``tally["jumps"]`` (for counting) and its largest tr
-    rho^2 taken into ``tally["max_purity"]``."""
+    rho^2 taken into ``tally["max_purity"]``, member by member, so that the
+    product summed is one member's states, not the block's."""
     for block in blocks:
         _, records, _, states = block
         if records.dtype == bool:
             tally["jumps"] += int(records.sum())
-        tally["max_purity"] = max(tally["max_purity"], float(_purity(states).max()))
+        for i in range(states.shape[1]):
+            tally["max_purity"] = max(tally["max_purity"], float(_purity(states[:, i]).max()))
         yield block
 
 

@@ -91,6 +91,9 @@ runs one thread (BLAS's threads count: one BLAS thread, e.g.
 ``OPENBLAS_NUM_THREADS=1``, leaves one).  The GEMM form
 (``"matrix_free"``) never forks, since forked runs there oversubscribe
 BLAS; banded stages are elementwise numpy, with no BLAS pool to share.
+The bins' children and the CSV writers' formatter child (``outputs``)
+are forked, signalled and reaped by the same code (``_workers``,
+``_fork``).
 """
 
 from __future__ import annotations
@@ -180,8 +183,9 @@ class StepSizeError(RuntimeError):
 
 
 class WorkerError(ChildProcessError):
-    """A forked worker of :func:`convergence_harness` ended without sending
-    its result (killed, say, or out of memory)."""
+    """A forked worker ended without sending its result (killed, say, or out
+    of memory): a bin of :func:`convergence_harness`, or the CSV writers'
+    formatter (``outputs``).  The message names which."""
 
 
 def _purity(x):
@@ -878,14 +882,20 @@ def _one_thread() -> bool:
         return threading.active_count() == 1
 
 
+def _forkable() -> bool:
+    """Whether forked workers can run beside this process: ``os.fork``
+    exists, this process runs one thread and at least two CPUs are usable."""
+    return hasattr(os, "fork") and _one_thread() and _usable_cpus() >= 2
+
+
 def _plan(steps, method: str) -> list:
     """The bins of ``convergence_harness``'s runs, which take ``steps`` steps
-    on the stepping path ``method``, the first the caller's: when
-    ``os.fork`` exists, the path is dense or banded and this process runs
-    one thread, the ``_bins`` of the largest W <= min(usable CPUs, runs)
-    whose bins but the first each take at least ``_FORK_MIN_STEPS`` steps;
-    else (or with no such W > 1) one bin of every run."""
-    if method in ("dense", "banded") and hasattr(os, "fork") and _one_thread():
+    on the stepping path ``method``, the first the caller's: when the path
+    is dense or banded and the process may fork (``_forkable``), the
+    ``_bins`` of the largest W <= min(usable CPUs, runs) whose bins but the
+    first each take at least ``_FORK_MIN_STEPS`` steps; else (or with no
+    such W > 1) one bin of every run."""
+    if method in ("dense", "banded") and _forkable():
         for workers in range(min(_usable_cpus(), len(steps)), 1, -1):
             bins = _bins(steps, workers)
             if min(sum(steps[i] for i in b) for b in bins[1:]) >= _FORK_MIN_STEPS:
@@ -904,71 +914,128 @@ def _signals_held():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _child(job, mask, r: int, w: int):
+@contextlib.contextmanager
+def _workers():
+    """Yields a dict of the children that ``_fork`` makes in the block, pid:
+    the parent's ends of its pipes.  On leaving the block every child still
+    in it is killed and reaped, and its pipes are closed."""
+    children = {}
+    try:
+        yield children
+    finally:
+        if children:  # no signal mask to hold where there is no fork
+            with _signals_held():
+                for pid, fds in children.items():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    for fd in fds:
+                        os.close(fd)
+
+
+def _fork(children: dict, body) -> int:
+    """A child made with ``os.fork`` that runs ``body(r, w)`` and never
+    returns (``_child``): r reads a pipe from this process and w writes one
+    to it.  Recorded in ``children`` (``_workers``) as pid: (the write end
+    to the child, the read end from it); returns the pid."""
+    # held until the child is recorded, and in the child until SIGTERM's
+    # handler is reset
+    with _signals_held() as mask:
+        fds = []
+        try:
+            fds += os.pipe()  # to the child
+            fds += os.pipe()  # from the child
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        down_r, down_w, up_r, up_w = fds
+        if pid == 0:
+            _child(body, mask, down_r, up_w, [down_w, up_r, *sum(children.values(), ())])
+        children[pid] = (down_w, up_r)
+        os.close(down_r)
+        os.close(up_w)
+    return pid
+
+
+def _child(body, mask, r: int, w: int, others):
     """The body of a forked child, which never returns: SIGTERM's default
-    action (the caller's handler might run its cleanup here), then
-    ``pickle.dumps(job())`` sent through the write end w, then ``os._exit``."""
+    action (the caller's handler might run its cleanup here), the parent's
+    pipe ends ``others`` closed, ``body`` run on files of the read end r and
+    the write end w, then ``os._exit``."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        os.close(r)
-        with open(w, "wb") as f:
-            f.write(pickle.dumps(job()))
+        for fd in others:
+            os.close(fd)
+        with open(r, "rb") as fr, open(w, "wb") as fw:
+            body(fr, fw)
         code = 0
     finally:
         os._exit(code)
 
 
+def _reaped(children: dict, pid: int, worker: str, complete: bool = True) -> None:
+    """Child pid of ``children``, which has closed its pipe, reaped and
+    forgotten; :class:`WorkerError` naming ``worker`` unless it sent all it
+    owed (``complete``) and exited 0."""
+    with _signals_held():
+        _, status = os.waitpid(pid, 0)
+        for fd in children.pop(pid):
+            os.close(fd)
+    if status != 0 or not complete:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise WorkerError(f"a {worker} worker ended without its result ({how})")
+
+
+def _send(children: dict, pid: int, worker: str, data: bytes) -> None:
+    """``data`` written whole to the pipe to child pid of ``children``;
+    :class:`WorkerError` naming ``worker`` if the child has ended."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(children[pid][0], view) :]
+    except BrokenPipeError:
+        _reaped(children, pid, worker, False)
+
+
+def _receive(children: dict, pid: int, worker: str, n: int) -> bytes:
+    """n bytes read from the pipe from child pid of ``children``;
+    :class:`WorkerError` naming ``worker`` if the child ends first."""
+    parts = []
+    while n:
+        part = os.read(children[pid][1], n)
+        if not part:
+            _reaped(children, pid, worker, False)
+        parts.append(part)
+        n -= len(part)
+    return b"".join(parts)
+
+
 @contextlib.contextmanager
 def _forked(jobs):
-    """Each of ``jobs`` run in a child made with ``os.fork``; yields
-    ``collect()``, which returns their results in order, each as the
-    child's pickle, or raises :class:`WorkerError` for the first child that
-    ended without sending one.  On leaving the block every child not yet
-    collected is killed, and every child is reaped."""
-    children = {}  # pid: read end of its pipe, until reaped
-    try:
+    """Each of ``jobs`` run in a child (``_fork``); yields ``collect()``,
+    which returns their results in order, each as the child's pickle, or
+    raises :class:`WorkerError` for the first child that ended without
+    sending one.  On leaving the block every child not yet collected is
+    killed, and every child is reaped."""
+    with _workers() as children:
         for job in jobs:
-            r, w = os.pipe()
-            # held until the child is recorded, and in the child until
-            # SIGTERM's handler is reset
-            with _signals_held() as mask:
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    _child(job, mask, r, w)
-                children[pid] = r
-                os.close(w)
+            _fork(children, lambda r, w, job=job: w.write(pickle.dumps(job())))
 
         def collect():
             out = []
             for pid in list(children):
-                with open(children[pid], "rb", closefd=False) as f:
+                with open(children[pid][1], "rb", closefd=False) as f:
                     data = f.read()
                 # the child has closed its pipe; reaped and forgotten at once
-                with _signals_held():
-                    _, status = os.waitpid(pid, 0)
-                    os.close(children.pop(pid))
-                if status != 0 or not data:
-                    code = os.waitstatus_to_exitcode(status)
-                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                    raise WorkerError(f"a converge worker ended without its result ({how})")
+                _reaped(children, pid, "converge bin", bool(data))
                 out.append(pickle.loads(data))
             return out
 
         yield collect
-    finally:
-        if children:  # no signal mask to hold where there is no fork
-            with _signals_held():
-                for pid, r in children.items():
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    os.close(r)
 
 
 def convergence_harness(

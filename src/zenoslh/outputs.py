@@ -17,6 +17,13 @@ bytes of the CSV lines (`_format_block`, the same text as strings, feeds
 the triple).  The text is exactly that of `repr` on each value, as
 `json` would write it for the triple; tests/test_outputs.py compares
 the two.
+
+The CSV writers format their blocks in order through `_block_texts`.
+Once a writer has formatted `_FORK_MIN_VALUES` values, a process that
+runs one thread on two or more usable CPUs (``master._forkable``, the
+condition under which ``converge`` forks) forks one child that formats
+every other block of the rest of the file while this process steps and
+formats the blocks in between.  The bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 from . import __version__
 from .elimination import EliminationResult
 from .linear import StabilityReport
-from .master import _BLOCK_BYTES, EvolutionResult
+from .master import _BLOCK_BYTES, EvolutionResult, _fork, _forkable, _receive, _send, _workers
 from .trajectories import TrajectoryResult
 
 __all__ = [
@@ -378,12 +385,80 @@ def _row_blocks(columns):
         yield np.column_stack([c[start : start + rows] for c in columns])
 
 
+# a writer forks its formatter (`_block_texts`) only once it has formatted
+# this many values itself.  The fork, the copy-on-write faults of the next
+# block formatted here and the reap took 4-7 ms, as long as formatting about
+# 20 000 values, and the last block may wait for the child.  Forked at its
+# second block, evolve at d = 30 (101 rows, 182 000 values) was 13 ms faster
+# over the whole command, but 10 d = 2 trajectories of 500 steps (55 000
+# values in 8 blocks) were 4-5 ms slower (numpy 2.4, 2-core x86-64 host, one
+# BLAS thread); this many keeps the latter serial.  A constant, not a
+# setting: it changes the cost of a file, never its bytes
+_FORK_MIN_VALUES = 2**16
+
+
+def _format_stream(r, w):
+    """The body of `_block_texts`' child: for each block read from r (its
+    rows and columns as 8-byte integers, then its raw float64 values), its
+    `_block_text` written to w after the text's length, until r ends."""
+    while head := r.read(16):
+        rows, cols = int.from_bytes(head[:8], "little"), int.from_bytes(head[8:], "little")
+        text = _block_text(np.frombuffer(r.read(8 * rows * cols)).reshape(rows, cols))
+        w.write(len(text).to_bytes(8, "little"))
+        w.write(text)
+        w.flush()
+
+
+def _block_texts(blocks):
+    """`_block_text` of each of ``blocks`` (2-D float arrays), in order.
+
+    Once `_FORK_MIN_VALUES` values have been formatted, when another block
+    arrives and the process may fork (``master._forkable``), one child
+    (``master._fork``, `_format_stream`) formats every other block from
+    then on, and this process the blocks in between.  Each block for the
+    child is sent, as raw float64 values after its shape, before the next
+    is asked for, so the caller may reuse a block's buffer.  On leaving,
+    the child is killed and reaped; one that ends without sending a text
+    raises ``master.WorkerError``.
+    """
+    blocks, done = iter(blocks), 0
+    for block in blocks:
+        if done >= _FORK_MIN_VALUES:
+            break
+        done += block.size
+        yield _block_text(block)
+    else:
+        return
+    if not _forkable():
+        yield _block_text(block)
+        yield from map(_block_text, blocks)
+        return
+    with _workers() as children:
+        pid = _fork(children, _format_stream)
+        send = functools.partial(_send, children, pid, "CSV formatter")
+        receive = functools.partial(_receive, children, pid, "CSV formatter")
+        while block is not None:
+            a = np.ascontiguousarray(block, dtype=float)
+            send(b"".join([a.shape[0].to_bytes(8, "little"), a.shape[1].to_bytes(8, "little"),
+                           a.tobytes()]))
+            block = next(blocks, None)
+            text = None if block is None else _block_text(block)
+            yield receive(int.from_bytes(receive(8), "little"))
+            if text is not None:
+                yield text
+                block = next(blocks, None)
+
+
 def _write_rows(path, header, blocks):
     """A header line, then one line per row of each 2-D float block."""
-    with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for block in blocks:
-            f.write(_block_text(block))
+    texts = _block_texts(blocks)
+    try:
+        with open(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for text in texts:
+                f.write(text)
+    finally:
+        texts.close()  # reaps a formatter child however the loop ends
 
 
 def _state_columns(dim: int):
@@ -416,12 +491,15 @@ def write_evolution_rows(path, dim: int, rows):
     def blocks():
         n = 0
         for t, m, drift, herm in rows:
-            block[n] = np.hstack((t, _state_rows(m[None])[0], drift, herm))
+            row = block[n]
+            row[0], row[-2], row[-1] = t, drift, herm
+            row[1:-2] = _state_rows(m[None])[0]
             n += 1
             if n == len(block):
                 yield block
                 n = 0
-        yield block[:n]
+        if n:
+            yield block[:n]
 
     _write_rows(path, _evolution_header(dim), blocks())
 
@@ -460,28 +538,43 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks):
         with open(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
     width = 3 + 2 * dim * dim
-    for times, records, innovations, states in blocks:
-        n, k = records.shape
-        group = max(1, min(k, _BLOCK_VALUES // width, _BLOCK_BYTES // 8 // (n * width)))
-        for i in range(0, k, group):
-            m = slice(i, min(k, i + group))
-            c = m.stop - i
-            rows = max(1, _BLOCK_VALUES // (c * width))
-            texts = [[] for _ in range(c)]
-            for a in range(0, n, rows):
-                r = min(rows, n - a)
-                block = np.empty((c, r, width))
-                block[:, :, 0] = times[a : a + r]
-                block[:, :, 1] = records[a : a + r, m].T
-                block[:, :, 2] = innovations[a : a + r, m].T
-                block[:, :, 3:] = _state_rows(states[a : a + r, m].swapaxes(0, 1)).reshape(c, r, -1)
-                text = _block_text(block.reshape(c * r, width))
-                ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[r - 1 :: r] + 1
-                for t, start, end in zip(texts, [0, *ends], ends):
-                    t.append(text[start:end])
-            for path, t in zip(paths[m], texts):
-                with open(path, "ab") as f:
-                    f.write(b"".join(t))
+    passes = []  # per block formatted: its members, rows of each, whether it ends a pass
+
+    def member_blocks():
+        for times, records, innovations, states in blocks:
+            n, k = records.shape
+            group = max(1, min(k, _BLOCK_VALUES // width, _BLOCK_BYTES // 8 // (n * width)))
+            for i in range(0, k, group):
+                m = slice(i, min(k, i + group))
+                c = m.stop - i
+                rows = max(1, _BLOCK_VALUES // (c * width))
+                for a in range(0, n, rows):
+                    r = min(rows, n - a)
+                    block = np.empty((c, r, width))
+                    block[:, :, 0] = times[a : a + r]
+                    block[:, :, 1] = records[a : a + r, m].T
+                    block[:, :, 2] = innovations[a : a + r, m].T
+                    block[:, :, 3:] = _state_rows(states[a : a + r, m].swapaxes(0, 1)).reshape(
+                        c, r, -1
+                    )
+                    passes.append((m, r, a + r == n))
+                    yield block.reshape(c * r, width)
+
+    texts, held = _block_texts(member_blocks()), []
+    try:
+        for text in texts:
+            m, r, last = passes.pop(0)
+            held = held or [[] for _ in range(m.stop - m.start)]
+            ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n"))[r - 1 :: r] + 1
+            for t, start, end in zip(held, [0, *ends], ends):
+                t.append(text[start:end])
+            if last:
+                for path, t in zip(paths[m], held):
+                    with open(path, "ab") as f:
+                        f.write(b"".join(t))
+                held = []
+    finally:
+        texts.close()  # reaps a formatter child however the loop ends
 
 
 def write_convergence_csv(path, points):

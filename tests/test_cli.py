@@ -601,6 +601,73 @@ def test_evolve_abort_mid_stream_writes_nothing(tmp_path, monkeypatch, capsys, b
     assert list(out_dir.iterdir()) == []
 
 
+def _forking(monkeypatch):
+    """The writers free to fork, as on a one-thread process with two usable
+    CPUs; returns the pids of the formatter children forked."""
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], outputs._fork
+
+    def recorded(children, body):
+        pids.append(fork(children, body))
+        return pids[-1]
+
+    monkeypatch.setattr(outputs, "_fork", recorded)
+    return pids
+
+
+def test_evolve_abort_after_the_formatter_forked_writes_nothing(tmp_path, monkeypatch, capsys):
+    # as test_evolve_abort_mid_stream_writes_nothing with 9-value blocks,
+    # the formatter forked at the second block
+    forks = _forking(monkeypatch)
+    monkeypatch.setattr(outputs, "_BLOCK_VALUES", 9)
+    monkeypatch.setattr(outputs, "_FORK_MIN_VALUES", 1)
+    model = {
+        "name": "decay32",
+        "spaces": {"q": {"kind": "level", "dim": 2}},
+        "family": {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["sqrt(32)*ketbra(q, 0, 1)"],
+                   "H2": "0", "H1": "0", "H0": "0"},
+        "subspace": {"basis": [[0]]},
+    }
+    path = tmp_path / "decay32.model"
+    path.write_text(json.dumps(model))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["evolve", str(path), "--model", "full", "--k", "1", "--t-end", "30", "--dt", "0.1",
+            "--initial", "basis:1", "--out", str(out_dir / "e.csv")]
+    assert main(argv) == 2
+    assert "exceeds" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evolve_with_a_killed_formatter_writes_nothing(tmp_path, monkeypatch, capsys):
+    forks = _forking(monkeypatch)
+    parent, text = os.getpid(), outputs._block_text
+
+    def dying(a):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return text(a)
+
+    monkeypatch.setattr(outputs, "_block_text", dying)
+    model = _kerr_model(tmp_path, 30)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["evolve", str(model), "--model", "full", "--k", "2", "--t-end", "5e-2", "--dt", "5e-4",
+            "--initial", "basis:1", "--out", str(out_dir / "e.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "zenoslh: a CSV formatter worker ended without its result (signal 9)\n"
+    )
+    assert len(forks) == 1
+    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_evolve_memory_does_not_grow_with_saved_rows(tmp_path):
     """The traced peak of the evolve command does not grow with its rows."""
     model = str(_kerr_model(tmp_path, 30))
@@ -1264,6 +1331,44 @@ def test_converge_stopped_by_sigterm_leaves_no_file_and_no_process(tmp_path):
         proc.stderr.close()
     assert code == 128 + signal.SIGTERM
     assert list(tmp_path.iterdir()) == []
+    assert len(forked) == 1
+    for pid in forked:
+        assert subprocess.run(["ps", "-p", pid], stdout=subprocess.DEVNULL).returncode != 0
+
+
+@pytest.mark.skipif(sys.platform != "linux" or shutil.which("ps") is None,
+                    reason="lists children with procps' ps --ppid")
+def test_evolve_stopped_by_sigterm_after_the_formatter_forked_leaves_no_process(tmp_path):
+    # a d = 30 run of hours; SIGTERM once the writer has forked its
+    # formatter: the caller kills and reaps it, and it runs none of the
+    # caller's cleanup
+    src = str(Path(zenoslh.__file__).resolve().parents[1])
+    model = _kerr_model(tmp_path, 30)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["evolve", str(model), "--model", "full", "--k", "2", "--t-end", "1e6", "--dt", "5e-4",
+            "--initial", "basis:1", "--out", str(out_dir / "e.csv")]
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from zenoslh.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", script, *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not _children(proc.pid):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        forked = _children(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert code == 128 + signal.SIGTERM
+    assert list(out_dir.iterdir()) == []
     assert len(forked) == 1
     for pid in forked:
         assert subprocess.run(["ps", "-p", pid], stdout=subprocess.DEVNULL).returncode != 0

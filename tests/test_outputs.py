@@ -3,6 +3,8 @@ of each entry of the state views, the limit-triple JSON from `json.dumps`."""
 
 import json
 import math
+import os
+import signal
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -24,10 +26,11 @@ from zenoslh import (
     simulate,
     zeno_eliminate,
 )
-from zenoslh import outputs
+from zenoslh import master, outputs
 from zenoslh.cli import main as cli
+from zenoslh.trajectories import _ensemble_blocks
 from zenoslh.elimination import EliminationResult
-from zenoslh.master import ConvergencePoint, EvolutionResult
+from zenoslh.master import ConvergencePoint, EvolutionResult, WorkerError
 from zenoslh.outputs import (
     _format_block,
     matrix_to_pairs,
@@ -382,6 +385,106 @@ def test_writer_memory_is_per_block(tmp_path):
         tracemalloc.stop()
     # one state row at d = 30 is 28.8 kB; 900 more rows would be 26 MB
     assert peaks[1] - peaks[0] < 256 * 1024
+
+
+# --- the forked formatter ------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The writers free to fork, as on a one-thread process with two usable
+    CPUs; yields the pids of the formatter children forked, and checks at
+    the end that every child has been reaped."""
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], outputs._fork
+
+    def recorded(children, body):
+        pids.append(fork(children, body))
+        return pids[-1]
+
+    monkeypatch.setattr(outputs, "_fork", recorded)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def d30_rows():
+    """``master._evolve``'s rows of evolve_dense's d = 30 run: 101 rows of
+    1803 values, 26 blocks."""
+    g = instantiate(kerr_family(n_max=30)[0], 2.0)
+    segments = [(g, 0.05, master._step_grid(0.05, 5e-4))]
+    return g.dim, master._evolve(segments, basis_state_density(g.space, 1), 1)[0]
+
+
+def test_forked_evolution_rows_are_the_serial_bytes(tmp_path, monkeypatch, forks):
+    dim, rows = d30_rows()
+    write_evolution_rows(tmp_path / "forked.csv", dim, rows)
+    assert len(forks) == 1
+    monkeypatch.setattr(master, "_one_thread", lambda: False)
+    write_evolution_rows(tmp_path / "serial.csv", dim, d30_rows()[1])
+    assert len(forks) == 1
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "counting"])
+def test_forked_trajectory_rows_are_the_serial_bytes(tmp_path, monkeypatch, forks, scheme):
+    # 24 members of 500 steps: 132 000 values, two blocks of steps, each
+    # formatted in blocks of 31 rows of every member
+    g = zeno_eliminate(*kerr_family()).zeno_triple
+    config = SimConfig(dt=2e-3, t_end=1.0, seed=3, scheme=scheme)
+
+    def write(name):
+        paths = [tmp_path / f"{name}{i}.csv" for i in range(24)]
+        blocks = _ensemble_blocks(g, basis_state_density(g.space, 1), config, 24)
+        outputs.write_trajectory_rows(paths, g.dim, scheme, blocks)
+        return [p.read_bytes() for p in paths]
+
+    forked = write("forked")
+    assert len(forks) == 1
+    monkeypatch.setattr(master, "_one_thread", lambda: False)
+    assert write("serial") == forked
+    assert len(forks) == 1
+
+
+def test_a_one_block_file_does_not_fork(tmp_path, monkeypatch, forks):
+    # even when the writer would fork at its second block
+    monkeypatch.setattr(outputs, "_FORK_MIN_VALUES", 1)
+    dim, rows = d30_rows()
+    one = [next(rows) for _ in range(outputs._BLOCK_VALUES // (3 + 2 * dim * dim))]
+    write_evolution_rows(tmp_path / "e.csv", dim, iter(one))
+    write_convergence_csv(tmp_path / "c.csv", [ConvergencePoint(2.0, 0.125, -0.0, 1e-4)] * 3)
+    assert forks == []
+    write_evolution_rows(tmp_path / "two.csv", dim, iter(one + one[:1]))
+    assert len(forks) == 1
+
+
+def test_a_trajectory_ensemble_of_the_benchmark_size_does_not_fork(tmp_path, forks):
+    # traj_ensemble's calls: 10 members of 500 steps, 55 000 values, where
+    # a fork did not pay for itself
+    g = zeno_eliminate(*kerr_family()).zeno_triple
+    config = SimConfig(dt=2e-3, t_end=1.0, seed=3, scheme="counting")
+    blocks = _ensemble_blocks(g, basis_state_density(g.space, 1), config, 10)
+    outputs.write_trajectory_rows([tmp_path / f"t{i}.csv" for i in range(10)], g.dim, "counting",
+                                  blocks)
+    assert 10 * 500 * (3 + 2 * g.dim**2) < outputs._FORK_MIN_VALUES
+    assert forks == []
+
+
+def test_a_formatter_killed_mid_file_raises_a_typed_error(tmp_path, monkeypatch, forks):
+    parent, text = os.getpid(), outputs._block_text
+
+    def dying(a):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return text(a)
+
+    monkeypatch.setattr(outputs, "_block_text", dying)
+    dim, rows = d30_rows()
+    message = r"^a CSV formatter worker ended without its result \(signal 9\)$"
+    with pytest.raises(WorkerError, match=message):
+        write_evolution_rows(tmp_path / "e.csv", dim, rows)
+    assert len(forks) == 1
 
 
 # --- the limit-triple JSON: exactly json.dumps(indent=2, sort_keys=True) -----
