@@ -397,10 +397,10 @@ def _cmd_evolve(args, run) -> int:
     else:
         g = _eliminate(doc, tols).zeno_triple
     rho0 = _initial_state(g.space, args.initial)
-    rows, _, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
+    rows, n_rows, fields = _evolve([(g, args.t_end, _step_grid(args.t_end, args.dt))], rho0, 1)
     run.lap("model_s")
     with _quiet_steps():
-        write_evolution_rows(run.tmp(args.out), g.dim, run.laps(rows, "run_s", "write_s"))
+        write_evolution_rows(run.tmp(args.out), g.dim, run.laps(rows, "run_s", "write_s"), n_rows)
     run.manifest(f"{args.out}.manifest.json", f"evolve --model {args.model}", model_digest(doc),
                  tols, **fields)
     return EXIT_OK
@@ -456,7 +456,8 @@ def _cmd_traj(args, run) -> int:
             blocks = _ensemble_blocks(g, rho0, replace(config, seed=args.seed + start), size)
             tmps = [run.tmp(out_dir / f"traj_{i:04d}.csv") for i in range(start, start + size)]
             write_trajectory_rows(
-                tmps, g.dim, args.scheme, _tallied(run.laps(blocks, "run_s", "write_s"), tally)
+                tmps, g.dim, args.scheme, _tallied(run.laps(blocks, "run_s", "write_s"), tally),
+                n_steps,
             )
     run.manifest(
         out_dir / "manifest.json",

@@ -990,9 +990,10 @@ def _reaped(children: dict, pid: int, worker: str, complete: bool = True) -> Non
         raise WorkerError(f"a {worker} worker ended without its result ({how})")
 
 
-def _send(children: dict, pid: int, worker: str, data: bytes) -> None:
-    """``data`` written whole to the pipe to child pid of ``children``;
-    :class:`WorkerError` naming ``worker`` if the child has ended."""
+def _send(children: dict, pid: int, worker: str, data) -> None:
+    """The bytes of ``data`` written whole to the pipe to child pid of
+    ``children``; :class:`WorkerError` naming ``worker`` if the child has
+    ended."""
     view = memoryview(data)
     try:
         while view:
@@ -1001,17 +1002,17 @@ def _send(children: dict, pid: int, worker: str, data: bytes) -> None:
         _reaped(children, pid, worker, False)
 
 
-def _receive(children: dict, pid: int, worker: str, n: int) -> bytes:
+def _receive(children: dict, pid: int, worker: str, n: int) -> bytearray:
     """n bytes read from the pipe from child pid of ``children``;
     :class:`WorkerError` naming ``worker`` if the child ends first."""
-    parts = []
-    while n:
-        part = os.read(children[pid][1], n)
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        part = os.readv(children[pid][1], [view[got:]])
         if not part:
             _reaped(children, pid, worker, False)
-        parts.append(part)
-        n -= len(part)
-    return b"".join(parts)
+        got += part
+    return buf
 
 
 @contextlib.contextmanager

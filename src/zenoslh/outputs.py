@@ -19,11 +19,12 @@ the triple).  The text is exactly that of `repr` on each value, as
 the two.
 
 The CSV writers format their blocks in order through `_block_texts`.
-Once a writer has formatted `_FORK_MIN_VALUES` values, a process that
-runs one thread on two or more usable CPUs (``master._forkable``, the
-condition under which ``converge`` forks) forks one child that formats
-every other block of the rest of the file while this process steps and
-formats the blocks in between.  The bytes are the same either way.
+For a file of at least `_FORK_MIN_VALUES` values, a process that runs one
+thread on two or more usable CPUs (``master._forkable``, the condition
+under which ``converge`` forks) forks one child at the file's second
+block, which formats every other block from then on while this process
+steps and formats the blocks in between.  The bytes are the same either
+way.
 """
 
 from __future__ import annotations
@@ -385,15 +386,15 @@ def _row_blocks(columns):
         yield np.column_stack([c[start : start + rows] for c in columns])
 
 
-# a writer forks its formatter (`_block_texts`) only once it has formatted
-# this many values itself.  The fork, the copy-on-write faults of the next
-# block formatted here and the reap took 4-7 ms, as long as formatting about
-# 20 000 values, and the last block may wait for the child.  Forked at its
+# a writer forks its formatter (`_block_texts`) only for a file of at least
+# this many values.  The fork, the copy-on-write faults of the next block
+# formatted here and the reap took 4-7 ms, as long as formatting about
+# 20 000 values, and the last block may wait for the child.  Forked at their
 # second block, evolve at d = 30 (101 rows, 182 000 values) was 13 ms faster
-# over the whole command, but 10 d = 2 trajectories of 500 steps (55 000
-# values in 8 blocks) were 4-5 ms slower (numpy 2.4, 2-core x86-64 host, one
-# BLAS thread); this many keeps the latter serial.  A constant, not a
-# setting: it changes the cost of a file, never its bytes
+# over the whole command, and 10 d = 2 trajectories of 500 steps (55 000
+# values in 8 blocks) 4-5 ms slower (numpy 2.4, 2-core x86-64 host, one BLAS
+# thread).  A constant, not a setting: it changes the cost of a file, never
+# its bytes
 _FORK_MIN_VALUES = 2**16
 
 
@@ -409,29 +410,24 @@ def _format_stream(r, w):
         w.flush()
 
 
-def _block_texts(blocks):
+def _block_texts(blocks, values: int):
     """`_block_text` of each of ``blocks`` (2-D float arrays), in order.
 
-    Once `_FORK_MIN_VALUES` values have been formatted, when another block
-    arrives and the process may fork (``master._forkable``), one child
-    (``master._fork``, `_format_stream`) formats every other block from
-    then on, and this process the blocks in between.  Each block for the
-    child is sent, as raw float64 values after its shape, before the next
-    is asked for, so the caller may reuse a block's buffer.  On leaving,
-    the child is killed and reaped; one that ends without sending a text
-    raises ``master.WorkerError``.
+    When the blocks hold ``values`` >= `_FORK_MIN_VALUES` values in all, a
+    second block arrives and the process may fork (``master._forkable``),
+    one child (``master._fork``, `_format_stream`) formats every other block
+    from then on, and this process the blocks in between.  Each block for
+    the child is sent whole, as its shape and raw float64 values, before the
+    next block is asked for, so the caller may reuse a block's buffer.  On
+    leaving, the child is killed and reaped; one that ends without sending a
+    text raises ``master.WorkerError``.
     """
-    blocks, done = iter(blocks), 0
-    for block in blocks:
-        if done >= _FORK_MIN_VALUES:
+    blocks = iter(blocks)
+    for i, block in enumerate(blocks):
+        if i == 1 and values >= _FORK_MIN_VALUES and _forkable():
             break
-        done += block.size
         yield _block_text(block)
     else:
-        return
-    if not _forkable():
-        yield _block_text(block)
-        yield from map(_block_text, blocks)
         return
     with _workers() as children:
         pid = _fork(children, _format_stream)
@@ -439,8 +435,8 @@ def _block_texts(blocks):
         receive = functools.partial(_receive, children, pid, "CSV formatter")
         while block is not None:
             a = np.ascontiguousarray(block, dtype=float)
-            send(b"".join([a.shape[0].to_bytes(8, "little"), a.shape[1].to_bytes(8, "little"),
-                           a.tobytes()]))
+            send(a.shape[0].to_bytes(8, "little") + a.shape[1].to_bytes(8, "little"))
+            send(a.reshape(-1).view(np.uint8))
             block = next(blocks, None)
             text = None if block is None else _block_text(block)
             yield receive(int.from_bytes(receive(8), "little"))
@@ -449,9 +445,10 @@ def _block_texts(blocks):
                 block = next(blocks, None)
 
 
-def _write_rows(path, header, blocks):
-    """A header line, then one line per row of each 2-D float block."""
-    texts = _block_texts(blocks)
+def _write_rows(path, header, blocks, values: int = 0):
+    """A header line, then one line per row of each 2-D float block, the
+    blocks holding ``values`` values in all (`_block_texts`)."""
+    texts = _block_texts(blocks, values)
     try:
         with open(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
@@ -476,13 +473,15 @@ def _evolution_header(dim: int):
 
 def write_evolution_csv(path, result: EvolutionResult):
     columns = (result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift)
-    _write_rows(path, _evolution_header(result.rho.shape[1]), _row_blocks(columns))
+    header, values = _evolution_header(result.rho.shape[1]), sum(c.size for c in columns)
+    _write_rows(path, header, _row_blocks(columns), values)
 
 
-def write_evolution_rows(path, dim: int, rows):
+def write_evolution_rows(path, dim: int, rows, n_rows: int = 0):
     """The CSV of `write_evolution_csv`, from saved rows (time, d x d state,
-    trace drift, hermiticity drift) as ``master._evolve`` yields them.
-    Each row is copied into a block as it arrives, since
+    trace drift, hermiticity drift) as ``master._evolve`` yields them,
+    ``n_rows`` of them if known (it decides only whether to fork, see
+    `_block_texts`).  Each row is copied into a block as it arrives, since
     ``master._saved_rows`` overwrites the state it yields, and a full
     block is written, so no more than a block of rows is held."""
     width = 3 + 2 * dim * dim
@@ -501,7 +500,7 @@ def write_evolution_rows(path, dim: int, rows):
         if n:
             yield block[:n]
 
-    _write_rows(path, _evolution_header(dim), blocks())
+    _write_rows(path, _evolution_header(dim), blocks(), n_rows * width)
 
 
 def write_trajectory_csv(path, result: TrajectoryResult):
@@ -514,13 +513,15 @@ def write_trajectory_csv(path, result: TrajectoryResult):
     columns = (result.times[1:], rec[:, None], result.innovations[:, None], result.rho[1:, None])
     size = max(1, _BLOCK_VALUES // (3 + 2 * result.rho[0].size))  # rows a block
     blocks = (tuple(c[a : a + size] for c in columns) for a in range(0, n, size))
-    write_trajectory_rows([path], result.rho.shape[1], kind, blocks)
+    write_trajectory_rows([path], result.rho.shape[1], kind, blocks, n)
 
 
-def write_trajectory_rows(paths, dim: int, kind: str, blocks):
+def write_trajectory_rows(paths, dim: int, kind: str, blocks, n_steps: int = 0):
     """The CSVs of `write_trajectory_csv` for the members of an ensemble, one
     path each, from blocks (times, records, innovations, states) as
-    ``trajectories._ensemble_blocks`` yields them: each block's rows are
+    ``trajectories._ensemble_blocks`` yields them, of ``n_steps`` steps in
+    all if known (it decides only whether to fork, see `_block_texts`;
+    members that leave a failed run make fewer): each block's rows are
     appended to every member's file once it has arrived, so no more than a
     block is held, and one file is open at a time.  A member missing from a
     block (one that left a failed run) gets no more rows.
@@ -560,7 +561,7 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks):
                     passes.append((m, r, a + r == n))
                     yield block.reshape(c * r, width)
 
-    texts, held = _block_texts(member_blocks()), []
+    texts, held = _block_texts(member_blocks(), len(paths) * n_steps * width), []
     try:
         for text in texts:
             m, r, last = passes.pop(0)

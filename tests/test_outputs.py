@@ -410,19 +410,20 @@ def forks(monkeypatch):
 
 
 def d30_rows():
-    """``master._evolve``'s rows of evolve_dense's d = 30 run: 101 rows of
-    1803 values, 26 blocks."""
+    """d and ``master._evolve``'s rows and row count of a d = 30 run: 101
+    rows of 1803 values, 26 blocks."""
     g = instantiate(kerr_family(n_max=30)[0], 2.0)
     segments = [(g, 0.05, master._step_grid(0.05, 5e-4))]
-    return g.dim, master._evolve(segments, basis_state_density(g.space, 1), 1)[0]
+    rows, n_rows, _ = master._evolve(segments, basis_state_density(g.space, 1), 1)
+    return g.dim, rows, n_rows
 
 
 def test_forked_evolution_rows_are_the_serial_bytes(tmp_path, monkeypatch, forks):
-    dim, rows = d30_rows()
-    write_evolution_rows(tmp_path / "forked.csv", dim, rows)
+    dim, rows, n_rows = d30_rows()
+    write_evolution_rows(tmp_path / "forked.csv", dim, rows, n_rows)
     assert len(forks) == 1
     monkeypatch.setattr(master, "_one_thread", lambda: False)
-    write_evolution_rows(tmp_path / "serial.csv", dim, d30_rows()[1])
+    write_evolution_rows(tmp_path / "serial.csv", dim, d30_rows()[1], n_rows)
     assert len(forks) == 1
     assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
@@ -437,7 +438,7 @@ def test_forked_trajectory_rows_are_the_serial_bytes(tmp_path, monkeypatch, fork
     def write(name):
         paths = [tmp_path / f"{name}{i}.csv" for i in range(24)]
         blocks = _ensemble_blocks(g, basis_state_density(g.space, 1), config, 24)
-        outputs.write_trajectory_rows(paths, g.dim, scheme, blocks)
+        outputs.write_trajectory_rows(paths, g.dim, scheme, blocks, 500)
         return [p.read_bytes() for p in paths]
 
     forked = write("forked")
@@ -447,15 +448,14 @@ def test_forked_trajectory_rows_are_the_serial_bytes(tmp_path, monkeypatch, fork
     assert len(forks) == 1
 
 
-def test_a_one_block_file_does_not_fork(tmp_path, monkeypatch, forks):
-    # even when the writer would fork at its second block
-    monkeypatch.setattr(outputs, "_FORK_MIN_VALUES", 1)
-    dim, rows = d30_rows()
+def test_a_one_block_file_does_not_fork(tmp_path, forks):
+    # even when told that it holds enough values to fork for
+    dim, rows, n_rows = d30_rows()
     one = [next(rows) for _ in range(outputs._BLOCK_VALUES // (3 + 2 * dim * dim))]
-    write_evolution_rows(tmp_path / "e.csv", dim, iter(one))
-    write_convergence_csv(tmp_path / "c.csv", [ConvergencePoint(2.0, 0.125, -0.0, 1e-4)] * 3)
+    write_evolution_rows(tmp_path / "e.csv", dim, iter(one), n_rows)
+    assert n_rows * (3 + 2 * dim * dim) >= outputs._FORK_MIN_VALUES
     assert forks == []
-    write_evolution_rows(tmp_path / "two.csv", dim, iter(one + one[:1]))
+    write_evolution_rows(tmp_path / "two.csv", dim, iter(one + one[:1]), n_rows)
     assert len(forks) == 1
 
 
@@ -466,7 +466,7 @@ def test_a_trajectory_ensemble_of_the_benchmark_size_does_not_fork(tmp_path, for
     config = SimConfig(dt=2e-3, t_end=1.0, seed=3, scheme="counting")
     blocks = _ensemble_blocks(g, basis_state_density(g.space, 1), config, 10)
     outputs.write_trajectory_rows([tmp_path / f"t{i}.csv" for i in range(10)], g.dim, "counting",
-                                  blocks)
+                                  blocks, 500)
     assert 10 * 500 * (3 + 2 * g.dim**2) < outputs._FORK_MIN_VALUES
     assert forks == []
 
@@ -480,10 +480,10 @@ def test_a_formatter_killed_mid_file_raises_a_typed_error(tmp_path, monkeypatch,
         return text(a)
 
     monkeypatch.setattr(outputs, "_block_text", dying)
-    dim, rows = d30_rows()
+    dim, rows, n_rows = d30_rows()
     message = r"^a CSV formatter worker ended without its result \(signal 9\)$"
     with pytest.raises(WorkerError, match=message):
-        write_evolution_rows(tmp_path / "e.csv", dim, rows)
+        write_evolution_rows(tmp_path / "e.csv", dim, rows, n_rows)
     assert len(forks) == 1
 
 
