@@ -289,7 +289,7 @@ def _dissipator_space(terms, m: int):
     n = (len(rows) // d - 1) // 2
     shapes = [(m, len(rows), d), (len(rights), m * d, d), (len(adjs), m * d, d),
               (len(adjs), m * d, d), (m, d, d), (n, m, d, d)]
-    return tuple(np.empty(s, dtype=complex) for s in shapes)
+    return [np.empty(s, dtype=complex) for s in shapes]
 
 
 def _dissipator(terms, space, k: int):
@@ -302,9 +302,11 @@ def _dissipator(terms, space, k: int):
     n = (len(rows) // d - 1) // 2
     left_rows, right_rows, ops_rows, jumps_rows, out, tmp = space
     left_rows, out, tmp = left_rows[:k], out[:k], tmp[:, :k]
-    right_rows, ops_rows, jumps_rows = (a[:, : k * d] for a in (right_rows, ops_rows, jumps_rows))
+    kd = k * d
+    right_rows, ops_rows, jumps_rows = right_rows[:, :kd], ops_rows[:, :kd], jumps_rows[:, :kd]
     left = left_rows.reshape(k, 1 + 2 * n, d, d)
-    right, ops, jumps = (a.reshape(len(a), k, d, d) for a in (right_rows, ops_rows, jumps_rows))
+    right = right_rows.reshape(len(rights), k, d, d)
+    ops, jumps = ops_rows.reshape(len(adjs), k, d, d), jumps_rows.reshape(len(adjs), k, d, d)
     # the jump operands: the rows of L_1 x, ..., L_n x, then of x for a
     # measured channel's L_c^H
     l_ops, x_ops, lx = ops[:n], ops[n:], left[:, 1 : 1 + n].swapaxes(0, 1)

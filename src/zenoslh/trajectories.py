@@ -196,7 +196,7 @@ class _Workspace:
 
     def __init__(self, ops: _Ops, k: int):
         self.dissipate, (self.dx, left, right, jumps) = _dissipator(ops.terms, ops.space, k)
-        self.a, self.b = ops.stages[:, :k]
+        self.a, self.b = ops.stages[0, :k], ops.stages[1, :k]
         c = ops.channel
         self.lx, self.xl, self.jump = left[:, 1 + c], jumps[-1], jumps[c]
         self.mean_diag, self.rate_diag = _diagonals(right[-1]), _diagonals(right[1 + c])
