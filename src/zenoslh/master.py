@@ -981,7 +981,7 @@ def _child(body, mask, r: int, w: int, others):
 def _reaped(children: dict, pid: int, worker: str, complete: bool = True) -> None:
     """Child pid of ``children``, which has closed its pipe, reaped and
     forgotten; :class:`WorkerError` naming ``worker`` unless it sent all it
-    owed (``complete``) and exited 0."""
+    owed (``complete``) and exited 0, so always when ``complete`` is False."""
     with _signals_held():
         _, status = os.waitpid(pid, 0)
         for fd in children.pop(pid):

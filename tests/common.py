@@ -1,5 +1,7 @@
 """Shared fixture models and small helpers for the test suite."""
 
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from zenoslh import (
     tensor,
     zero,
 )
+from zenoslh import master, outputs
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_unitary
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -132,3 +135,31 @@ def random_triple(rng, dim, n_channels=1) -> SLHTriple:
     l = tuple(Operator(sp, random_complex_matrix(rng, dim)) for _ in range(n_channels))
     h = Operator(sp, random_hermitian(rng, dim))
     return SLHTriple(s, l, h)
+
+
+def forking(monkeypatch):
+    """The CSV writers free to fork, as on a one-thread process with two
+    usable CPUs; returns the list of the formatter children's pids, which
+    grows as they are forked."""
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids, fork = [], outputs._fork
+
+    def recorded(children, body):
+        pids.append(fork(children, body))
+        return pids[-1]
+
+    monkeypatch.setattr(outputs, "_fork", recorded)
+    return pids
+
+
+def kill_the_formatter(monkeypatch):
+    """A forked formatter kills itself with SIGKILL at its first block."""
+    parent, text = os.getpid(), outputs._block_text
+
+    def dying(a):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return text(a)
+
+    monkeypatch.setattr(outputs, "_block_text", dying)

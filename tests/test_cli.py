@@ -21,7 +21,7 @@ from zenoslh.operators import Operator
 from zenoslh.outputs import pairs_to_matrix, write_evolution_csv, write_trajectory_csv
 from zenoslh.slh import SLHTriple
 
-from common import MODELS, alkali_expected, entrymax
+from common import MODELS, alkali_expected, entrymax, forking, kill_the_formatter
 
 KERR = str(MODELS / "kerr_qubit.model")
 ALKALI = str(MODELS / "alkali.model")
@@ -572,6 +572,16 @@ def test_evolve_streams_the_csv_of_its_result(tmp_path, n_max, t_end, dt, method
     ]
 
 
+# a qubit decaying at rate 32: stepped at dt = 0.1, evolve aborts near step 40
+DECAY32 = {
+    "name": "decay32",
+    "spaces": {"q": {"kind": "level", "dim": 2}},
+    "family": {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["sqrt(32)*ketbra(q, 0, 1)"],
+               "H2": "0", "H1": "0", "H0": "0"},
+    "subspace": {"basis": [[0]]},
+}
+
+
 @pytest.mark.parametrize("block", [None, 9])
 def test_evolve_abort_mid_stream_writes_nothing(tmp_path, monkeypatch, capsys, block):
     # a qubit decaying at rate 32, stepped at dt = 0.1, aborts near step 40
@@ -579,15 +589,8 @@ def test_evolve_abort_mid_stream_writes_nothing(tmp_path, monkeypatch, capsys, b
     # 9-value blocks, each 11-value row is written before the next is made
     if block is not None:
         monkeypatch.setattr(outputs, "_BLOCK_VALUES", block)
-    model = {
-        "name": "decay32",
-        "spaces": {"q": {"kind": "level", "dim": 2}},
-        "family": {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["sqrt(32)*ketbra(q, 0, 1)"],
-                   "H2": "0", "H1": "0", "H0": "0"},
-        "subspace": {"basis": [[0]]},
-    }
     path = tmp_path / "decay32.model"
-    path.write_text(json.dumps(model))
+    path.write_text(json.dumps(DECAY32))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["evolve", str(path), "--model", "full", "--k", "1", "--t-end", "30", "--dt", "0.1",
@@ -601,36 +604,14 @@ def test_evolve_abort_mid_stream_writes_nothing(tmp_path, monkeypatch, capsys, b
     assert list(out_dir.iterdir()) == []
 
 
-def _forking(monkeypatch):
-    """The writers free to fork, as on a one-thread process with two usable
-    CPUs; returns the pids of the formatter children forked."""
-    monkeypatch.setattr(master, "_one_thread", lambda: True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pids, fork = [], outputs._fork
-
-    def recorded(children, body):
-        pids.append(fork(children, body))
-        return pids[-1]
-
-    monkeypatch.setattr(outputs, "_fork", recorded)
-    return pids
-
-
 def test_evolve_abort_after_the_formatter_forked_writes_nothing(tmp_path, monkeypatch, capsys):
     # as test_evolve_abort_mid_stream_writes_nothing with 9-value blocks,
     # the formatter forked at the second block
-    forks = _forking(monkeypatch)
+    forks = forking(monkeypatch)
     monkeypatch.setattr(outputs, "_BLOCK_VALUES", 9)
     monkeypatch.setattr(outputs, "_FORK_MIN_VALUES", 1)
-    model = {
-        "name": "decay32",
-        "spaces": {"q": {"kind": "level", "dim": 2}},
-        "family": {"channels": 1, "S": [["1"]], "L1": ["0"], "L0": ["sqrt(32)*ketbra(q, 0, 1)"],
-                   "H2": "0", "H1": "0", "H0": "0"},
-        "subspace": {"basis": [[0]]},
-    }
     path = tmp_path / "decay32.model"
-    path.write_text(json.dumps(model))
+    path.write_text(json.dumps(DECAY32))
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = ["evolve", str(path), "--model", "full", "--k", "1", "--t-end", "30", "--dt", "0.1",
@@ -644,15 +625,8 @@ def test_evolve_abort_after_the_formatter_forked_writes_nothing(tmp_path, monkey
 
 
 def test_evolve_with_a_killed_formatter_writes_nothing(tmp_path, monkeypatch, capsys):
-    forks = _forking(monkeypatch)
-    parent, text = os.getpid(), outputs._block_text
-
-    def dying(a):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return text(a)
-
-    monkeypatch.setattr(outputs, "_block_text", dying)
+    forks = forking(monkeypatch)
+    kill_the_formatter(monkeypatch)
     model = _kerr_model(tmp_path, 30)
     out_dir = tmp_path / "out"
     out_dir.mkdir()

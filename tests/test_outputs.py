@@ -4,7 +4,6 @@ of each entry of the state views, the limit-triple JSON from `json.dumps`."""
 import json
 import math
 import os
-import signal
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -28,7 +27,6 @@ from zenoslh import (
 )
 from zenoslh import master, outputs
 from zenoslh.cli import main as cli
-from zenoslh.trajectories import _ensemble_blocks
 from zenoslh.elimination import EliminationResult
 from zenoslh.master import ConvergencePoint, EvolutionResult, WorkerError
 from zenoslh.outputs import (
@@ -41,8 +39,9 @@ from zenoslh.outputs import (
     write_trajectory_csv,
 )
 from zenoslh.random_models import random_complex_matrix, random_hermitian, random_unitary
+from zenoslh.trajectories import _ensemble_blocks
 
-from common import MODELS, kerr_family
+from common import MODELS, forking, kerr_family, kill_the_formatter
 
 
 def reference_csv(header, rows) -> str:
@@ -392,19 +391,9 @@ def test_writer_memory_is_per_block(tmp_path):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The writers free to fork, as on a one-thread process with two usable
-    CPUs; yields the pids of the formatter children forked, and checks at
-    the end that every child has been reaped."""
-    monkeypatch.setattr(master, "_one_thread", lambda: True)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    pids, fork = [], outputs._fork
-
-    def recorded(children, body):
-        pids.append(fork(children, body))
-        return pids[-1]
-
-    monkeypatch.setattr(outputs, "_fork", recorded)
-    yield pids
+    """`common.forking`'s list of formatter pids; at the end, checks that
+    every child has been reaped."""
+    yield forking(monkeypatch)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -472,14 +461,7 @@ def test_a_trajectory_ensemble_of_the_benchmark_size_does_not_fork(tmp_path, for
 
 
 def test_a_formatter_killed_mid_file_raises_a_typed_error(tmp_path, monkeypatch, forks):
-    parent, text = os.getpid(), outputs._block_text
-
-    def dying(a):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return text(a)
-
-    monkeypatch.setattr(outputs, "_block_text", dying)
+    kill_the_formatter(monkeypatch)
     dim, rows, n_rows = d30_rows()
     message = r"^a CSV formatter worker ended without its result \(signal 9\)$"
     with pytest.raises(WorkerError, match=message):
