@@ -419,8 +419,8 @@ def test_forked_evolution_rows_are_the_serial_bytes(tmp_path, monkeypatch, forks
 
 @pytest.mark.parametrize("scheme", ["homodyne", "counting"])
 def test_forked_trajectory_rows_are_the_serial_bytes(tmp_path, monkeypatch, forks, scheme):
-    # 24 members of 500 steps: 132 000 values, two blocks of steps, each
-    # formatted in blocks of 31 rows of every member
+    # 24 members of 500 steps (132 000 values): two blocks of steps, each
+    # written in a pass of 23 members and a pass of one
     g = zeno_eliminate(*kerr_family()).zeno_triple
     config = SimConfig(dt=2e-3, t_end=1.0, seed=3, scheme=scheme)
 
