@@ -7,7 +7,7 @@ The predual generator of an SLH model acts on density matrices as
 
 and the master equation is d rho / dt = D rho.  ``dissipator`` and the
 conditioned steps of ``trajectories`` evaluate this form on a stack of
-states in three GEMM calls (``_dissipator_mat``); a stacked call is one
+states in three GEMM calls (``_dissipator``); a stacked call is one
 GEMM per operand, of the lone operand's shape, never one wider operand
 (see ``trajectories``).  Integration is classical fixed-step 4th order
 (the one-step map is the degree-4 Taylor polynomial of the matrix
@@ -16,44 +16,47 @@ order-of-accuracy tests and diagnostics are reproducible.
 States are re-Hermitized each step; the trace is never renormalized,
 trace drift is a monitored diagnostic with a hard abort threshold.
 
-``evolve`` keeps the state as its column-stacked vector v = vec(rho)
-for the whole run, in one stepping loop, through which
-``evolve_piecewise`` steps its segments in turn.  It applies the
-one-step map in one of three ways (``_method``).  Up to
-``DENSE_MAX_DIM`` it builds the dense d^2 x d^2 step map (d^6 work and
-16 d^4 bytes per matrix) and steps as ``phi @ v`` (d^4 per step); above
-it, each step views v as the d x d matrix, runs the four RK4 stages on
-it (``_rk4_step``) and stacks the result back, with no d^2 x d^2 array.
-There each stage evaluates the dissipator in its effective-Hamiltonian
-form
+``evolve`` keeps the state as one flat vector of d^2 entries for the
+whole run, in one stepping loop, through which ``evolve_piecewise``
+steps its segments in turn.  It applies the one-step map in one of
+three ways (``_method``).  Up to ``DENSE_MAX_DIM`` it builds the dense
+d^2 x d^2 step map (d^6 work and 16 d^4 bytes per matrix) and steps the
+column-stacked vector v = vec(rho) as ``phi @ v`` (d^4 per step); above
+it, the vector holds rho in C order, and each step runs the four RK4
+stages on its view as the d x d matrix (``_rk4_step``), writing the
+result into the view of the next one, with no d^2 x d^2 array and no
+copy.  There each stage evaluates the dissipator in its
+effective-Hamiltonian form
 
     D rho = K rho + (K rho)^H + sum_i (L_i rho) L_i^H,
     K = -1/2 sum_i L_i^H L_i - i H,
 
-with K formed once per run, in one of two ways.  The GEMM form
-(``"matrix_free"``) takes 1 + 2n products of d x d matrices per stage
-(d^3 each, against a d^2 copy), where the form above takes 2 + 4n.  The
-banded form (``"banded"``, :class:`_Banded`) stores K by its nonzero
-diagonals and folds the channel sum into one elementwise product per
-pair (o, p) of one channel's diagonal offsets, so a stage is a handful
-of d^2 products on shifted slices, with no BLAS call and no cost per
-channel.  The operators of ladder-built models (driven cavities, Lambda
-systems, spins coupled to a mode) have few diagonals, and the banded form
-runs when the one rule of ``_method`` on the models' diagonals finds it
-cheaper; else the GEMM form runs.  The K form equals D only on Hermitian
-matrices; the states stepped are Hermitian (the initial state's
-Hermitian part is stepped, the same map since D commutes with ^H) and
-the stage inputs are Hermitian to rounding.  All three paths are the
-same RK4 map, so they differ by rounding only.  The result records the
-path as ``method``.  Re-Hermitizing,
-v = (w + conj(w[perm])) / 2 with ``perm`` the index of the transposed
-entry, and the trace, the sum of v over the diagonal entries, are
-elementwise the arithmetic of the same steps on the d x d matrix, so
-stepping in vec space rounds exactly as that would.  Each step writes w
-into a buffer made once per run (one gemv on the dense path), gathers
-w[perm], and conjugates, adds and halves in place into the step's row:
-the ufuncs of that expression on the same operands, so every entry
-rounds as the expression rounds it.
+with K formed once per run, in one of two K forms, each a class holding
+its operands, its buffers and the stages, with one method ``apply(x,
+out)``.  The GEMM form (``"matrix_free"``, :class:`_Gemm`) takes 1 + 2n
+products of d x d matrices per stage (d^3 each, against a d^2 copy),
+where the form above takes 2 + 4n.  The banded form (``"banded"``,
+:class:`_Banded`) stores K by its nonzero diagonals and folds the
+channel sum into one elementwise product per pair (o, p) of one
+channel's diagonal offsets, so a stage is a handful of d^2 products on
+shifted slices, with no BLAS call and no cost per channel.  The
+operators of ladder-built models (driven cavities, Lambda systems, spins
+coupled to a mode) have few diagonals, and the banded form runs when the
+one rule of ``_method`` on the models' diagonals finds it cheaper; else
+the GEMM form runs.  The K form equals D only on Hermitian matrices; the
+states stepped are Hermitian (the initial state's Hermitian part is
+stepped, the same map since D commutes with ^H) and the stage inputs are
+Hermitian to rounding.  All three paths are the same RK4 map, so they
+differ by rounding only.  The result records the path as ``method``.
+Re-Hermitizing, v = (w + conj(w[perm])) / 2 with ``perm`` the index of
+the transposed entry, which is the same index in column-stacked and in C
+order, and the trace, the sum of v over the diagonal entries (every
+(d + 1)-th in either order), are elementwise the arithmetic of the same
+steps on the d x d matrix, so stepping the flat vector rounds exactly as
+that would.  Each step writes w into a buffer made once per run (one
+gemv on the dense path), gathers w[perm], and conjugates, adds and
+halves in place into the step's row: the ufuncs of that expression on
+the same operands, so every entry rounds as the expression rounds it.
 
 The trace drift is checked once per block of steps, not after each
 step.  A block runs up to the next saved step, and at most ``_BLOCK``
@@ -259,7 +262,7 @@ def pure_state_density(space: HilbertSpace, psi) -> DensityMatrix:
 
 
 def _dissipator_terms(h, ls, channel=None):
-    """The operands of ``_dissipator_mat``, formed once per run: the left rows
+    """The operands of ``_dissipator``, formed once per run: the left rows
     [H; L_1; ...; L_n; L_1^H L_1; ...; L_n^H L_n], (1 + 2n) d x d, the right
     operands [H, L_1^H L_1, ..., L_n^H L_n] and the adjoints [L_1^H, ...,
     L_n^H].  For a measured channel c, L_c + L_c^H ends the right operands
@@ -280,7 +283,7 @@ def _right(x, b, out=None):
 
 
 def _dissipator_space(terms, m: int):
-    """Buffers of ``_dissipator_mat`` for up to m members: the left products
+    """Buffers of ``_dissipator`` for up to m members: the left products
     (m, (1 + 2n) d, d), the right products (p, m d, d), the jump operands
     and the jumps (q, m d, d) each, D(x) (m, d, d) and the channels' terms
     (n, m, d, d), for p right operands and q adjoints."""
@@ -293,10 +296,13 @@ def _dissipator_space(terms, m: int):
 
 
 def _dissipator(terms, space, k: int):
-    """``_dissipator_mat`` for (k, d, d) stacks on the first k members of
-    ``space``'s buffers (``_dissipator_space``): ``(dissipate, products)``,
-    where ``dissipate(x)`` writes D(x) and the products into the views
-    ``products``, formed once."""
+    """D(x) for (k, d, d) stacks x on the first k members of ``space``'s
+    buffers (``_dissipator_space``): ``(dissipate, products)``, where
+    ``dissipate(x)`` writes D(x) and the products it forms into the views
+    ``products``, formed once: D(x) (k, d, d), [H x; L_1 x; ...; L_n^H L_n
+    x] as (k, 1 + 2n, d, d), and x times each right operand and (L_i x)
+    L_i^H (then x L_c^H for a measured channel), each as (p, k, d, d).
+    Three GEMM calls, each growing only its rows (see ``trajectories``)."""
     rows, rights, adjs = terms
     d = rows.shape[1]
     n = (len(rows) // d - 1) // 2
@@ -334,46 +340,33 @@ def _dissipator(terms, space, k: int):
     return dissipate, (out, left, right, jumps)
 
 
-def _dissipator_mat(terms, x):
-    """D(x) for an (M, d, d) stack, with the products it forms: [H x; L_1 x;
-    ...; L_n^H L_n x] as (M, 1 + 2n, d, d), x times each right operand and
-    (L_i x) L_i^H (then x L_c^H for a measured channel), each as (p, M, d, d),
-    in new arrays.  Three GEMM calls, each growing only its rows (see
-    ``trajectories``)."""
-    dissipate, products = _dissipator(terms, _dissipator_space(terms, len(x)), len(x))
-    dissipate(x)
-    return products
+class _Gemm:
+    """The K form of D in d x d products (``"matrix_free"``, see the module
+    docstring): the rows [K; L_1; ...; L_n] and [L_1^H; ...; L_n^H], (n + 1)
+    d x d and n d x d, with K = -1/2 sum_i L_i^H L_i - i H, formed once per
+    run with the buffers of ``apply`` and the stages of ``_rk4_step``.
+    ValueError naming K if it overflows."""
 
+    def __init__(self, g: SLHTriple):
+        n, d = g.n, g.dim
+        self.kl = np.concatenate((k_operator(g).mat[None], g.l)).reshape((n + 1) * d, d)
+        self.lds = np.ascontiguousarray(_adjoint(g.l)).reshape(n * d, d)
+        self.kx = np.empty(((n + 1) * d, d), dtype=complex)
+        self.lx = np.empty((d, n * d), dtype=complex)
+        # the stage outputs and input of ``_rk4_step``
+        self.stages = np.empty((5, d, d), dtype=complex)
 
-def _k_form_terms(g: SLHTriple):
-    """The rows [K; L_1; ...; L_n] and [L_1^H; ...; L_n^H], (n + 1) d x d and
-    n d x d, with K = -1/2 sum_i L_i^H L_i - i H: formed once per run for
-    ``_k_form_dissipator``.  ValueError naming K if it overflows."""
-    n, d = g.n, g.dim
-    kl = np.concatenate((k_operator(g).mat[None], g.l)).reshape((n + 1) * d, d)
-    return kl, np.ascontiguousarray(_adjoint(g.l)).reshape(n * d, d)
-
-
-def _k_form_dissipator(terms, rho, out=None):
-    """D(rho) = K rho + (K rho)^H + sum_i (L_i rho) L_i^H, from ``_k_form_terms``
-    or a :class:`_Banded`, into ``out`` (a new array if None).
-
-    From ``_k_form_terms``: 1 + 2n products of d x d matrices, in two calls,
-    against 2 + 4n for ``_dissipator_mat``; equal to D(rho) only for a
-    Hermitian ``rho``.
-    """
-    if isinstance(terms, _Banded):
-        return terms.apply(rho, np.empty(rho.shape, dtype=complex) if out is None else out)
-    kl, lds = terms
-    d = rho.shape[0]
-    x = kl @ rho  # K rho over L_1 rho, ..., L_n rho
-    kr = x[:d]
-    # [L_1 rho, ..., L_n rho] side by side, times [L_1^H; ...; L_n^H]
-    lr = x[d:].reshape(-1, d, d).transpose(1, 0, 2).reshape(d, lds.shape[0])
-    out = np.matmul(lr, lds, out=out)
-    out += kr
-    out += kr.conj().T
-    return out
+    def apply(self, x, out):
+        """D(x) into ``out``, a C-contiguous d x d array; returns ``out``.
+        1 + 2n products of d x d matrices, in two calls, against 2 + 4n for
+        ``_dissipator``; equal to D(x) only for a Hermitian x."""
+        d = len(out)
+        kx = np.matmul(self.kl, x, out=self.kx)  # K x over L_1 x, ..., L_n x
+        # [L_1 x, ..., L_n x] side by side, times [L_1^H; ...; L_n^H]
+        np.copyto(self.lx.reshape(d, -1, d), kx[d:].reshape(-1, d, d).swapaxes(0, 1))
+        np.matmul(self.lx, self.lds, out=out)
+        np.add(out, kx[:d], out=out)
+        return np.add(out, kx[:d].conj().T, out=out)
 
 
 def _diagonals(m) -> list:
@@ -461,7 +454,9 @@ def dissipator(g: SLHTriple, rho: DensityMatrix) -> Operator:
     """Predual generator applied to a state; the result is traceless."""
     if rho.space != g.space:
         raise ValueError("state lives on a different space than the model")
-    out = _dissipator_mat(_dissipator_terms(g.H.mat, g.l), rho.mat[None])[0]
+    terms = _dissipator_terms(g.H.mat, g.l)
+    dissipate, (out, *_) = _dissipator(terms, _dissipator_space(terms, 1), 1)
+    dissipate(rho.mat[None])
     return Operator(g.space, out[0])
 
 
@@ -545,31 +540,30 @@ def _rk4_step_matrix(liouv: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _rk4_step(terms, m, dt: float):
+def _rk4_step(terms, m, dt: float, out):
     """One classical RK4 step of d m / dt = D(m) on the Hermitian d x d
-    matrix m, with D in the K form (``terms`` from ``_k_form_terms`` or a
-    :class:`_Banded`).  The stages and the returned state go into the
-    banded terms' buffers, which the next step overwrites, or into new
-    ones; each entry rounds as m + (dt / 6) (k1 + 2 k2 + 2 k3 + k4) with
-    stage inputs m + (dt / 2) k1, m + (dt / 2) k2 and m + dt k3."""
-    bufs = terms.stages if isinstance(terms, _Banded) else np.empty((5,) + m.shape, dtype=complex)
-    k1, k2, k3, k4, x = bufs
-    mul, add = np.multiply, np.add
-    _k_form_dissipator(terms, m, k1)
-    _k_form_dissipator(terms, add(m, mul(0.5 * dt, k1, out=x), out=x), k2)
-    _k_form_dissipator(terms, add(m, mul(0.5 * dt, k2, out=x), out=x), k3)
-    _k_form_dissipator(terms, add(m, mul(dt, k3, out=x), out=x), k4)
+    matrix m into ``out``, with D in a K form (``terms``, a :class:`_Gemm`
+    or a :class:`_Banded`); returns ``out``.  m and ``out`` are C-ordered,
+    as the stages are, which go into the terms' buffers that the next step
+    overwrites; each entry rounds as m + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)
+    with stage inputs m + (dt / 2) k1, m + (dt / 2) k2 and m + dt k3."""
+    k1, k2, k3, k4, x = terms.stages
+    mul, add, apply = np.multiply, np.add, terms.apply
+    apply(m, k1)
+    apply(add(m, mul(0.5 * dt, k1, out=x), out=x), k2)
+    apply(add(m, mul(0.5 * dt, k2, out=x), out=x), k3)
+    apply(add(m, mul(dt, k3, out=x), out=x), k4)
     add(k1, mul(2.0, k2, out=k2), out=k1)
     add(k1, mul(2.0, k3, out=k3), out=k1)
     add(k1, k4, out=k1)
-    return add(m, mul(dt / 6.0, k1, out=k1), out=x)
+    return add(m, mul(dt / 6.0, k1, out=k1), out=out)
 
 
 def _run_steps(step_map, perm, v, rows, w):
-    """Step the column-stacked state v once per row, ``step_map(v, w)``
-    writing each result into the buffer w, which is re-Hermitized into its
-    row; returns the conjugate transpose wh of the last result, which w
-    keeps, in vec form.  Each entry rounds as ``0.5 * (w + conj(w[perm]))``."""
+    """Step the flat state v once per row, ``step_map(v, w)`` writing each
+    result into the buffer w, which is re-Hermitized into its row; returns
+    the conjugate transpose wh of the last result, which w keeps, flat in
+    the same order.  Each entry rounds as ``0.5 * (w + conj(w[perm]))``."""
     # at small d a step costs its calls: the ufuncs are bound once and take
     # their outputs by position
     half, conj, add, mul = np.complex128(0.5), np.conjugate, np.add, np.multiply
@@ -584,8 +578,8 @@ def _run_steps(step_map, perm, v, rows, w):
 
 
 def _trace_drift(x, d: int):
-    """|Re tr - 1| of one column-stacked d x d state, or of each row of a
-    stack of them.  The sum runs over a strided view of the diagonal,
+    """|Re tr - 1| of one flat d x d state, column-stacked or C-ordered, or
+    of each row of a stack of them.  The sum runs over a strided view of the diagonal,
     which numpy reduces in the same order as ``np.trace``; a reduction
     over a gathered copy of the diagonals can round differently."""
     return np.abs(np.add.reduce(x[..., :: d + 1], axis=-1).real - 1.0)
@@ -700,15 +694,19 @@ def _block_loop(run, check, states, n_steps: int, save_every: int = MAX_STEPS):
 
 
 def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
-    """The rows of ``_evolve``, made in ``_block_loop``."""
+    """The rows of ``_evolve``, made in ``_block_loop``.  The flat states
+    are column-stacked on the dense path, which its step map acts on, and
+    C-ordered in the K forms, whose steps act on views of them as d x d
+    matrices."""
     d = rho0.space.dim
-    # in the column-stacked vec, entry (i, j) sits at i + j d: ``perm``
-    # takes each entry to its transposed one
+    order = "F" if method == "dense" else "C"
+    # entry (i, j) sits at i + j d in the column-stacked vec and at i d + j
+    # in C order: in both, ``perm`` takes each entry to its transposed one
     idx = np.arange(d * d)
     perm = idx // d + (idx % d) * d
     longest = max((n_steps for _, _, (n_steps, _) in segments), default=0)
     states = np.empty((_block_rows(16 * d * d, longest, save_every) + 1, d * d), dtype=complex)
-    states[0] = rho0.mat.reshape(-1, order="F")
+    states[0] = rho0.mat.reshape(-1, order=order)
     yield 0.0, rho0.mat, _trace_drift(states[0], d), 0.0
 
     # the last step's result and its conjugate transpose, and the last drift
@@ -717,14 +715,10 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
         if method == "dense":
             step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
         else:
-            terms = _Banded(g) if method == "banded" else _k_form_terms(g)
+            terms = _Banded(g) if method == "banded" else _Gemm(g)
 
             def step_map(v, out):
-                # d x d states are C-ordered everywhere else; a copy in that
-                # layout (d^2, against d^3 per product) keeps BLAS rounding
-                # the products as it does there
-                m = np.ascontiguousarray(v.reshape((d, d), order="F"))
-                out.reshape((d, d), order="F")[...] = _rk4_step(terms, m, dt_eff)
+                _rk4_step(terms, v.reshape(d, d), dt_eff, out.reshape(d, d))
 
             # the K form needs a Hermitian state; D commutes with ^H, so
             # stepping the Hermitian part of the start state is the same map
@@ -752,7 +746,7 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
             step += n
             if step % save_every == 0 or step == n_steps:
                 herm = np.max(np.abs(w - wh))
-                yield step * dt_eff + t0, states[n].reshape((d, d), order="F"), drift, herm
+                yield step * dt_eff + t0, states[n].reshape((d, d), order=order), drift, herm
         t0 += duration
 
 

@@ -376,14 +376,12 @@ def write_triple_json(path, result: EliminationResult):
 _BLOCK_VALUES = 8192
 
 
-def _row_blocks(columns):
+def _row_blocks(rows):
     """2-D blocks of about `_BLOCK_VALUES` values, one row per block when a
-    row is wider than that, cut from the rows of ``columns`` (1-D columns
-    or 2-D column groups, equally long), laid side by side."""
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    rows = max(1, _BLOCK_VALUES // width)
-    for start in range(0, len(columns[0]), rows):
-        yield np.column_stack([c[start : start + rows] for c in columns])
+    row is wider than that, cut from the 2-D array ``rows``."""
+    step = max(1, _BLOCK_VALUES // rows.shape[1])
+    for start in range(0, len(rows), step):
+        yield rows[start : start + step]
 
 
 # a writer forks its formatter (`_block_texts`) only for a file of at least
@@ -467,14 +465,11 @@ def _state_rows(rho) -> np.ndarray:
     return np.ascontiguousarray(rho).reshape(len(rho), -1).view(float)
 
 
-def _evolution_header(dim: int):
-    return ["time", *_state_columns(dim), "trace_drift", "hermiticity_drift"]
-
-
 def write_evolution_csv(path, result: EvolutionResult):
-    columns = (result.times, _state_rows(result.rho), result.trace_drift, result.hermiticity_drift)
-    header, values = _evolution_header(result.rho.shape[1]), sum(c.size for c in columns)
-    _write_rows(path, header, _row_blocks(columns), values)
+    """One row per saved state: time, the state's entries, trace drift and
+    hermiticity drift, written by `write_evolution_rows`."""
+    rows = zip(result.times, result.rho, result.trace_drift, result.hermiticity_drift)
+    write_evolution_rows(path, result.rho.shape[1], rows, len(result.times))
 
 
 def write_evolution_rows(path, dim: int, rows, n_rows: int = 0):
@@ -500,7 +495,8 @@ def write_evolution_rows(path, dim: int, rows, n_rows: int = 0):
         if n:
             yield block[:n]
 
-    _write_rows(path, _evolution_header(dim), blocks(), n_rows * width)
+    header = ["time", *_state_columns(dim), "trace_drift", "hermiticity_drift"]
+    _write_rows(path, header, blocks(), n_rows * width)
 
 
 def write_trajectory_csv(path, result: TrajectoryResult):
@@ -581,10 +577,10 @@ def write_trajectory_rows(paths, dim: int, kind: str, blocks, n_steps: int = 0):
 def write_convergence_csv(path, points):
     header = ["k", "trace_distance", "leaked_trace", "dt_full"]
     rows = [[p.k, p.distance, p.leaked_trace, p.dt_full] for p in points]
-    _write_rows(path, header, _row_blocks((np.array(rows, dtype=float).reshape(-1, 4),)))
+    _write_rows(path, header, _row_blocks(np.array(rows, dtype=float).reshape(-1, 4)))
 
 
 def write_stability_csv(path, report: StabilityReport):
     header = ["k", "max_real_part", "stable"]
     rows = [[r.k, r.max_real_part, r.stable] for r in report.rows]
-    _write_rows(path, header, _row_blocks((np.array(rows, dtype=float).reshape(-1, 3),)))
+    _write_rows(path, header, _row_blocks(np.array(rows, dtype=float).reshape(-1, 3)))

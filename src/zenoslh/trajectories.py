@@ -159,7 +159,7 @@ class TrajectoryResult(_StateViews):
 
 class _Ops:
     """Matrices of one model and measured channel, formed once per run, and
-    the run's workspaces: the buffers of ``master._dissipator_mat`` and two
+    the run's workspaces: the buffers of ``master._dissipator`` and two
     (M, d, d) stages, made for the largest stack stepped, with the views of
     its first k members (``_Workspace``) formed once per k."""
 

@@ -408,7 +408,7 @@ def test_k_form_dissipator_matches_dissipator(dim, n_channels):
     rho = DensityMatrix(g.space, 0.5 * (m + m.conj().T))
     assert np.array_equal(rho.mat, rho.mat.conj().T)
     want = dissipator(g, rho).mat
-    got = master._k_form_dissipator(master._k_form_terms(g), rho.mat)
+    got = master._Gemm(g).apply(rho.mat, np.empty((dim, dim), dtype=complex))
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
     assert abs(np.trace(got)) <= 1e-13 * scale
@@ -473,6 +473,17 @@ def test_evolve_rejects_non_finite_horizon_and_step(t_end, dt):
 # -- stepping in vec space -------------------------------------------------
 
 
+def stepping_model(monkeypatch, rng, dim, method):
+    """The model of a bit-exactness check on the path ``method``: the Kerr
+    cavity of the evolve_dense workload, which ``_method`` steps banded at
+    n_max = dim > DENSE_MAX_DIM, or a random model on the dense or GEMM path,
+    which ``_choose_method`` is patched to pick."""
+    if method == "banded":
+        return instantiate(kerr_family(n_max=dim, chi0=0.03)[0], 2.0)
+    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    return scaled_triple(rng, dim, 2)
+
+
 def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
     """``evolve``'s loop as it stepped the d x d matrix before it stepped the
     column-stacked vector; kept to check that the two round alike."""
@@ -489,17 +500,17 @@ def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
             return (phi @ m.reshape(-1, order="F")).reshape((d, d), order="F")
 
     else:
-        terms = master._k_form_terms(g)
+        terms = master._Banded(g) if method == "banded" else master._Gemm(g)
 
         def step_map(m):
-            return master._rk4_step(terms, m, dt_eff)
+            return master._rk4_step(terms, m, dt_eff, np.empty((d, d), dtype=complex))
 
     n_saved = 1 + -(-n_steps // save_every)
     times, tdrift, hdrift = np.zeros(n_saved), np.zeros(n_saved), np.zeros(n_saved)
     rho = np.empty((n_saved, d, d), dtype=complex)
     m = rho[0] = rho0.mat
     tdrift[0] = abs(np.trace(m).real - 1.0)
-    if method == "matrix_free":
+    if method != "dense":
         m = 0.5 * (m + m.conj().T)
     j = 0
     for step in range(1, n_steps + 1):
@@ -525,13 +536,13 @@ def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
     [
         *((d, "dense", s) for d in (4, 6, 12) for s in (1, 7, master.MAX_STEPS)),
         *((d, "matrix_free", s) for d in (13, 30) for s in (1, 7)),
+        *((d, "banded", s) for d in (20, 30) for s in (1, 7)),
     ],
 )
 def test_vec_space_stepping_is_bit_exact(monkeypatch, dim, method, save_every):
     rng = np.random.default_rng([dim, save_every % 1000])
-    g = scaled_triple(rng, dim, 2)
+    g = stepping_model(monkeypatch, rng, dim, method)
     rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
-    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
     res = evolve(g, rho0, 0.05, 1e-3, save_every=save_every)
     assert res.method == method
     times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
@@ -596,15 +607,17 @@ BLOCK_STEP_COUNTS = (master._BLOCK - 1, master._BLOCK, master._BLOCK + 1, 2 * ma
 BLOCK_SAVE_EVERY = (1, 7, master._BLOCK, master._BLOCK + 1, master.MAX_STEPS)
 
 
-@pytest.mark.parametrize("dim", [5, 13])
-@pytest.mark.parametrize("method", ["dense", "matrix_free"])
+@pytest.mark.parametrize(
+    "method, dim",
+    [(m, d) for m in ("dense", "matrix_free") for d in (5, 13)] + [("banded", 20), ("banded", 30)],
+)
 def test_block_stepping_is_bit_exact_across_block_boundaries(monkeypatch, dim, method):
-    # at d = 13 the matrix-free path's blocks are capped in bytes below
-    # _BLOCK steps, so both kinds of block end are crossed
+    # the matrix-free path's blocks at d = 13, and the banded path's at
+    # d = 20 and 30, are capped in bytes below _BLOCK steps, so both kinds of
+    # block end are crossed
     rng = np.random.default_rng([dim, 17])
-    g = scaled_triple(rng, dim, 2)
+    g = stepping_model(monkeypatch, rng, dim, method)
     rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
-    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
     dt = 1e-3
     for n_steps in BLOCK_STEP_COUNTS:
         for save_every in BLOCK_SAVE_EVERY:
@@ -940,7 +953,7 @@ def test_a_generator_that_is_not_finite_names_its_term():
     with pytest.raises(ValueError, match="^channel 0: L\\^H L is not finite$"):
         evolve(big, rho0, 0.01, 1e-3)
     with pytest.raises(ValueError, match="^drift coefficient K is not finite$"):
-        master._k_form_terms(big)
+        master._Gemm(big)
 
 
 # -- the banded K form -------------------------------------------------------
@@ -990,16 +1003,17 @@ def test_banded_k_form_matches_the_gemm_form(d, n_channels):
         assert o not in kd and -o in kd
     m = random_density_matrix(rng, d)
     rho = 0.5 * (m + m.conj().T)
-    gemm, banded = master._k_form_terms(g), master._Banded(g)
-    want = master._k_form_dissipator(gemm, rho)
-    got = master._k_form_dissipator(banded, rho)
+    gemm, banded = master._Gemm(g), master._Banded(g)
+    want, got, again = np.empty((3, d, d), dtype=complex)
+    gemm.apply(rho, want)
+    banded.apply(rho, got)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # the same matrix in Fortran order (rho is exactly Hermitian), bit for bit
-    assert np.array_equal(master._k_form_dissipator(banded, rho.conj().T), got)
+    assert np.array_equal(banded.apply(rho.conj().T, again), got)
     # one step at dt |K| = 0.1, where the state moves by about a tenth
     dt = 0.1 / np.max(np.abs(master.k_operator(g).mat))
-    want = master._rk4_step(gemm, rho, dt)
-    got = master._rk4_step(banded, rho, dt)
+    master._rk4_step(gemm, rho, dt, want)
+    master._rk4_step(banded, rho, dt, got)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -233,8 +233,9 @@ def test_write_evolution_rows_any_block_size(tmp_path_factory, bits, n_rows, dim
     path = tmp_path_factory.mktemp("csv") / "e.csv"
 
     def overwritten(rows):
-        # as master._saved_rows does, each state is a column-major view of
-        # one buffer, and the buffer is overwritten once the row is taken
+        # as master._saved_rows does on the dense path, which these d take,
+        # each state is a column-major view of one buffer, and the buffer is
+        # overwritten once the row is taken
         buf = np.empty(dim * dim, dtype=complex)
         for t, m, drift, herm in rows:
             buf[:] = m.reshape(-1, order="F")

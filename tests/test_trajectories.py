@@ -790,16 +790,6 @@ def test_consecutive_dissipator_calls_return_independent_arrays():
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
     assert np.array_equal(second, per_product_dissipator(g, b.mat))
-    # without a run's workspaces, the kernel under it makes new arrays
-    from zenoslh.master import _dissipator_mat, _dissipator_terms
-
-    terms = _dissipator_terms(g.H.mat, g.l)
-    first = _dissipator_mat(terms, a.mat[None])
-    kept = [v.copy() for v in first]
-    second = _dissipator_mat(terms, b.mat[None])
-    for v, w in zip(first, kept):
-        assert np.array_equal(v, w)
-        assert not any(np.shares_memory(v, u) for u in second)
 
 
 @pytest.mark.parametrize("out", [False, True])
