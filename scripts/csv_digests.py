@@ -6,16 +6,21 @@ temporary directory, with shorter horizons and fewer trajectories than
 the README where the full run would take minutes.  Besides the CSVs of
 evolve, traj, converge and linstab, ``eliminate <model> --out <name>.json``
 and ``check <model> --out <name>_check.json`` run on each shipped model.
-One line per CSV, limit-triple JSON or check report,
-``<sha256>  <path relative to the output directory>``, sorted by path.
-Manifests carry a timestamp and are not digested.
+One ``evolve --model full`` runs on ``kerr_qubit.model`` rewritten with
+``n_max`` 20 (d = 20, which ``evolve`` steps by diagonals, just above
+the dense step map's largest d).  One line per CSV, limit-triple JSON or
+check report, ``<sha256>  <path relative to the output directory>``,
+sorted by path.  Manifests carry a timestamp and are not digested.
 
 A library section follows, which no CLI command reaches: for a few
 seeded ``random_oscillator_model`` inputs it prints
 ``<sha256>  oscillator/<case>/<name>`` for the raw array bytes of
 ``oscillator_limit`` (``limit``), ``build_full_family`` (``family``) and
-``zeno_eliminate`` on that family (``eliminated``).  Only public API is
-used, so the script runs against any checkout that has it.
+``zeno_eliminate`` on that family (``eliminated``), then
+``<sha256>  evolve/random_24`` for the bytes of the times, states, trace
+drifts and hermiticity drifts of ``evolve`` on a seeded d = 24 random
+triple, which it steps by d x d products (``"matrix_free"``).  Only
+public API is used, so the script runs against any checkout that has it.
 
 Two trees produce byte-identical outputs exactly when this script prints
 the same lines for both, e.g.
@@ -34,6 +39,7 @@ committed as ``tests/csv_digests.txt`` is this output, and
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -42,9 +48,25 @@ from pathlib import Path
 
 import numpy as np
 
-from zenoslh import build_full_family, oscillator_limit, oscillator_split, zeno_eliminate
+from zenoslh import (
+    DensityMatrix,
+    HilbertSpace,
+    Operator,
+    SLHTriple,
+    build_full_family,
+    evolve,
+    identity,
+    oscillator_limit,
+    oscillator_split,
+    zeno_eliminate,
+)
 from zenoslh.cli import main as cli
-from zenoslh.random_models import random_oscillator_model
+from zenoslh.random_models import (
+    random_complex_matrix,
+    random_density_matrix,
+    random_hermitian,
+    random_oscillator_model,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -84,6 +106,20 @@ def examples(models: Path):
     ]
 
 
+def k_form_examples(models: Path, written: Path):
+    """The examples on models written into the directory ``written``:
+    ``evolve --model full`` on kerr_qubit.model with the mode truncated at
+    n_max 20."""
+    doc = json.loads((models / "kerr_qubit.model").read_text())
+    doc["spaces"]["mode"]["n_max"] = 20
+    kerr20 = written / "kerr_qubit_n20.model"
+    kerr20.write_text(json.dumps(doc))
+    return [
+        ["evolve", str(kerr20), "--model", "full", "--k", "2", "--dt", "1e-4", "--t-end", "2e-3",
+         "--initial", "basis:1", "--out", "kerr20_full.csv"],
+    ]
+
+
 # (slow dimension, channels, oscillators, Fock truncation), seeded by position
 OSCILLATOR_CASES = [
     (2, 2, 1, 3), (3, 2, 2, 4), (2, 3, 2, 5), (3, 4, 3, 3), (2, 3, 3, 4), (3, 4, 1, 5),
@@ -107,6 +143,20 @@ def oscillator_outputs():
         yield f"oscillator/{seed}/eliminated", triple_bytes(res.zeno_triple)
 
 
+def evolve_outputs():
+    """Yield (name, bytes) for ``evolve`` on a seeded d = 24 random triple,
+    one channel, with unit-norm coupling and Hamiltonian."""
+    rng = np.random.default_rng(24)
+    sp = HilbertSpace((24,))
+    l, h = random_complex_matrix(rng, 24), random_hermitian(rng, 24)
+    g = SLHTriple(((identity(sp),),), (Operator(sp, l / np.linalg.norm(l, 2)),),
+                  Operator(sp, h / np.linalg.norm(h, 2)))
+    res = evolve(g, DensityMatrix(sp, random_density_matrix(rng, 24)), 0.02, 1e-3)
+    yield "evolve/random_24", b"".join(
+        x.tobytes() for x in (res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+    )
+
+
 def header_lines():
     """The numpy version and its BLAS, as ``#`` lines."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -121,9 +171,10 @@ def main():
     if args.header:
         print("\n".join(header_lines()))
 
-    with tempfile.TemporaryDirectory() as tmp:
+    models = Path(args.models).resolve()
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as written:
         out = Path(tmp)
-        for argv in examples(Path(args.models).resolve()):
+        for argv in [*examples(models), *k_form_examples(models, Path(written))]:
             argv = _under(argv, out)
             with redirect_stdout(StringIO()):
                 code = cli(argv)
@@ -133,7 +184,7 @@ def main():
         for path in sorted(p for p in outputs if not p.name.endswith("manifest.json")):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
-    for name, data in oscillator_outputs():
+    for name, data in (*oscillator_outputs(), *evolve_outputs()):
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 

@@ -2,8 +2,9 @@
 
 ``tests/csv_digests.txt`` is the output of ``scripts/csv_digests.py
 --header``: two ``#`` lines naming numpy and its BLAS, then one digest per
-CLI output and oscillator-elimination array.  Other numpy or BLAS builds
-may round differently, so the test skips under them.
+CLI output, oscillator-elimination array and library ``evolve`` run.
+Other numpy or BLAS builds may round differently, so the test skips under
+them.
 """
 
 import os

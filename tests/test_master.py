@@ -547,9 +547,74 @@ def test_vec_space_stepping_is_bit_exact(monkeypatch, dim, method, save_every):
     assert res.method == method
     times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
     assert len(times) == (2 if save_every > 50 else 1 + -(-50 // save_every))
+    # bytes, not np.array_equal, which counts -0.0 equal to 0.0
     for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
                          (times, rho, tdrift, hdrift)):
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, method", [(6, "dense"), (19, "dense"), (24, "matrix_free"),
+                    (20, "banded"), (30, "banded")],
+)
+@pytest.mark.parametrize("save_every", [1, master.MAX_STEPS])
+def test_stepping_that_keeps_coherences_zero_is_bit_exact(monkeypatch, dim, method, save_every):
+    # a diagonal Hamiltonian and channels proportional to a keep every
+    # coherence of a basis state exactly zero, so the signs of those zeros
+    # are part of the bytes compared
+    sp = HilbertSpace((dim,))
+    a = fock_annihilator(dim)
+    h = Operator(sp, np.diag(np.random.default_rng([dim, 39]).standard_normal(dim)))
+    g = SLHTriple(((identity(sp), zero(sp)), (zero(sp), identity(sp))), (a, 0.5 * a), h)
+    if method == "matrix_free":
+        monkeypatch.setattr(master, "_BANDED_RATIO", np.inf)
+    rho0 = basis_state_density(sp, dim - 1)
+    res = evolve(g, rho0, 0.05, 1e-3, save_every=save_every)
+    assert res.method == method
+    assert not res.rho[:, ~np.eye(dim, dtype=bool)].any()
+    times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
+    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
+                         (times, rho, tdrift, hdrift)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["dense", "matrix_free", "banded"])
+def test_stepping_through_subnormal_entries_is_bit_exact(monkeypatch, method):
+    # entries below the smallest normal float round on a coarser grid, where
+    # halving a term before a sum is not exact: a decay at rate 100 takes the
+    # qubit's excited population there near step 720, and the high levels of
+    # the driven Kerr cavity get there within 30 steps from a basis state
+    if method == "dense":
+        g, steps, dt = qubit_decay(100.0), 750, 1e-2
+        rho0 = basis_state_density(QUBIT, 1)
+    else:
+        g, steps, dt = instantiate(kerr_family(n_max=60, chi0=0.03)[0], 2.0), 30, 1e-3
+        rho0 = basis_state_density(g.space, 1)
+        if method == "matrix_free":
+            monkeypatch.setattr(master, "_BANDED_RATIO", np.inf)
+    res = evolve(g, rho0, steps * dt, dt)
+    assert res.method == method
+    x = np.abs(res.rho.view(float))
+    assert ((x > 0) & (x < np.finfo(float).tiny)).any()
+    times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, steps * dt, dt, 1, method)
+    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
+                         (times, rho, tdrift, hdrift)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_dense_step_products_round_as_matmul_at_every_dense_size():
+    # the dense path steps with phi.dot(v, w), which costs less per call than
+    # np.matmul(phi, v, w): on the BLAS in use both give the same bytes at
+    # every d up to DENSE_MAX_DIM, for the exactly Hermitian states stepped
+    rng = np.random.default_rng(39)
+    for d in range(1, master.DENSE_MAX_DIM + 1):
+        g = scaled_triple(rng, d, 2)
+        phi = master._rk4_step_matrix(liouvillian_matrix(g), 1e-3)
+        out = np.empty(d * d, dtype=complex)
+        for _ in range(5):
+            m = random_density_matrix(rng, d)
+            v = (0.5 * (m + m.conj().T)).reshape(-1, order="F")
+            assert phi.dot(v, out).tobytes() == np.matmul(phi, v).tobytes(), d
 
 
 def test_vec_space_abort_matches_matrix_space(monkeypatch):
@@ -626,7 +691,7 @@ def test_block_stepping_is_bit_exact_across_block_boundaries(monkeypatch, dim, m
             want = matrix_space_reference(g, rho0, n_steps * dt, dt, save_every, method)
             got = (res.times, res.rho, res.trace_drift, res.hermiticity_drift)
             for name, a, b in zip(("times", "rho", "trace_drift", "hermiticity_drift"), got, want):
-                assert np.array_equal(a, b), (n_steps, save_every, name)
+                assert a.tobytes() == b.tobytes(), (n_steps, save_every, name)
 
 
 def test_abort_inside_a_block_matches_matrix_space(monkeypatch):
