@@ -54,9 +54,13 @@ order, and the trace, the sum of v over the diagonal entries (every
 (d + 1)-th in either order), are elementwise the arithmetic of the same
 steps on the d x d matrix, so stepping the flat vector rounds exactly as
 that would.  Each step writes w into a buffer made once per run (one
-gemv on the dense path), gathers w[perm], and conjugates, adds and
-halves in place into the step's row: the ufuncs of that expression on
-the same operands, so every entry rounds as the expression rounds it.
+gemv on the dense path, through ``ndarray.dot``, which reaches the same
+BLAS call as ``np.matmul`` at less cost per call), gathers w[perm], and
+conjugates, adds and halves in place into the step's row: the ufuncs of
+that expression on the same operands, so every entry rounds as the
+expression rounds it.  The ½ is not folded into the step map: halving w
+before the sum rounds twice where an entry falls below the smallest
+normal float, as the high levels of a driven cavity and long decays do.
 
 The trace drift is checked once per block of steps, not after each
 step.  A block runs up to the next saved step, and at most ``_BLOCK``
@@ -175,8 +179,9 @@ _BLOCK_BYTES = 2**19
 
 # convergence_harness forks a bin of its runs only when each forked bin
 # takes at least this many steps: a fork and the collection of its result
-# took 2.4-3.7 ms with numpy loaded, about 600 steps at d = 6 (numpy 2.4,
-# 2-core x86-64 host), so a forked bin saves several times what it costs.
+# took 2.0-3.2 ms with numpy loaded, about 1300 steps at d = 6 (2.0-2.4 us
+# a step; numpy 2.4, 2-core x86-64 host), so a forked bin saves about three
+# times what it costs, and a bin of 15 000 steps ten times.
 # A constant, not a setting: it changes the cost of a run, never its result
 _FORK_MIN_STEPS = 4096
 
@@ -565,8 +570,9 @@ def _run_steps(step_map, perm, v, rows, w):
     the conjugate transpose wh of the last result, which w keeps, flat in
     the same order.  Each entry rounds as ``0.5 * (w + conj(w[perm]))``."""
     # at small d a step costs its calls: the ufuncs are bound once and take
-    # their outputs by position
-    half, conj, add, mul = np.complex128(0.5), np.conjugate, np.add, np.multiply
+    # their outputs by position, and the ½ is a 0-d array, which a ufunc
+    # takes without the conversion a scalar costs at every call
+    half, conj, add, mul = np.array(0.5 + 0j), np.conjugate, np.add, np.multiply
     for row in rows:
         step_map(v, w)
         wh = w[perm]
@@ -713,7 +719,7 @@ def _saved_rows(segments, rho0: DensityMatrix, save_every: int, method):
     t0, w, wh, drift = 0.0, np.empty(d * d, dtype=complex), None, None
     for g, duration, (n_steps, dt_eff) in segments:
         if method == "dense":
-            step_map = partial(np.matmul, _rk4_step_matrix(liouvillian_matrix(g), dt_eff))
+            step_map = _rk4_step_matrix(liouvillian_matrix(g), dt_eff).dot
         else:
             terms = _Banded(g) if method == "banded" else _Gemm(g)
 

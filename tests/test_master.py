@@ -531,6 +531,15 @@ def matrix_space_reference(g, rho0, t_end, dt, save_every, method):
     return times, rho, tdrift, hdrift
 
 
+def assert_same_bytes(res, want):
+    """The times, states and drifts of ``res`` have the bytes of those of
+    ``matrix_space_reference`` in ``want``; np.array_equal would count -0.0
+    equal to 0.0."""
+    got = (res.times, res.rho, res.trace_drift, res.hermiticity_drift)
+    for name, a, b in zip(("times", "rho", "trace_drift", "hermiticity_drift"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize(
     "dim, method, save_every",
     [
@@ -547,10 +556,7 @@ def test_vec_space_stepping_is_bit_exact(monkeypatch, dim, method, save_every):
     assert res.method == method
     times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
     assert len(times) == (2 if save_every > 50 else 1 + -(-50 // save_every))
-    # bytes, not np.array_equal, which counts -0.0 equal to 0.0
-    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
-                         (times, rho, tdrift, hdrift)):
-        assert got.tobytes() == want.tobytes()
+    assert_same_bytes(res, (times, rho, tdrift, hdrift))
 
 
 @pytest.mark.parametrize(
@@ -572,10 +578,7 @@ def test_stepping_that_keeps_coherences_zero_is_bit_exact(monkeypatch, dim, meth
     res = evolve(g, rho0, 0.05, 1e-3, save_every=save_every)
     assert res.method == method
     assert not res.rho[:, ~np.eye(dim, dtype=bool)].any()
-    times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method)
-    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
-                         (times, rho, tdrift, hdrift)):
-        assert got.tobytes() == want.tobytes()
+    assert_same_bytes(res, matrix_space_reference(g, rho0, 0.05, 1e-3, save_every, method))
 
 
 @pytest.mark.parametrize("method", ["dense", "matrix_free", "banded"])
@@ -596,10 +599,7 @@ def test_stepping_through_subnormal_entries_is_bit_exact(monkeypatch, method):
     assert res.method == method
     x = np.abs(res.rho.view(float))
     assert ((x > 0) & (x < np.finfo(float).tiny)).any()
-    times, rho, tdrift, hdrift = matrix_space_reference(g, rho0, steps * dt, dt, 1, method)
-    for got, want in zip((res.times, res.rho, res.trace_drift, res.hermiticity_drift),
-                         (times, rho, tdrift, hdrift)):
-        assert got.tobytes() == want.tobytes()
+    assert_same_bytes(res, matrix_space_reference(g, rho0, steps * dt, dt, 1, method))
 
 
 def test_dense_step_products_round_as_matmul_at_every_dense_size():
