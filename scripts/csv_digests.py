@@ -6,21 +6,27 @@ temporary directory, with shorter horizons and fewer trajectories than
 the README where the full run would take minutes.  Besides the CSVs of
 evolve, traj, converge and linstab, ``eliminate <model> --out <name>.json``
 and ``check <model> --out <name>_check.json`` run on each shipped model.
-One ``evolve --model full`` runs on ``kerr_qubit.model`` rewritten with
-``n_max`` 20 (d = 20, which ``evolve`` steps by diagonals, just above
-the dense step map's largest d).  One line per CSV, limit-triple JSON or
-check report, ``<sha256>  <path relative to the output directory>``,
-sorted by path.  Manifests carry a timestamp and are not digested.
+Further examples run on inputs the script writes (``written_examples``):
+``evolve --model full`` on ``kerr_qubit.model`` rewritten with ``n_max``
+20 and 150 (d = 20, just above the dense step map's largest d, and d =
+150, both stepped by diagonals), a ``converge`` of 40 full-model steps at
+d = 150, whose elimination takes the block order, and ``linstab`` on
+real r = m = 8 Gamma blocks (N = 16, LAPACK's real solver).  One line per
+CSV, limit-triple JSON or check report, ``<sha256>  <path relative to the
+output directory>``, sorted by path.  Manifests carry a timestamp and are
+not digested.
 
 A library section follows, which no CLI command reaches: for a few
-seeded ``random_oscillator_model`` inputs it prints
-``<sha256>  oscillator/<case>/<name>`` for the raw array bytes of
-``oscillator_limit`` (``limit``), ``build_full_family`` (``family``) and
-``zeno_eliminate`` on that family (``eliminated``), then
+seeded ``random_oscillator_model`` inputs, the last at d = 150 on the
+block order, it prints ``<sha256>  oscillator/<case>/<name>`` for the raw
+array bytes of ``oscillator_limit`` (``limit``), ``build_full_family``
+(``family``) and ``zeno_eliminate`` on that family (``eliminated``), then
 ``<sha256>  evolve/random_24`` for the bytes of the times, states, trace
 drifts and hermiticity drifts of ``evolve`` on a seeded d = 24 random
-triple, which it steps by d x d products (``"matrix_free"``).  Only
-public API is used, so the script runs against any checkout that has it.
+triple, which it steps by d x d products (``"matrix_free"``).  So each
+seam of a stepping path, an elimination order or an eigensolver has a
+line on each side of it.  Only public API is used, so the script runs
+against any checkout that has it.
 
 Two trees produce byte-identical outputs exactly when this script prints
 the same lines for both, e.g.
@@ -106,23 +112,37 @@ def examples(models: Path):
     ]
 
 
-def k_form_examples(models: Path, written: Path):
-    """The examples on models written into the directory ``written``:
+def written_examples(models: Path, written: Path):
+    """The examples on inputs written into the directory ``written``:
     ``evolve --model full`` on kerr_qubit.model with the mode truncated at
-    n_max 20."""
+    n_max 20 and 150, and a short ``converge`` at 150, all stepped by
+    diagonals; ``linstab`` on seeded real r = m = 8 Gamma blocks, whose
+    N = 16 eigenproblems take LAPACK's real solver."""
     doc = json.loads((models / "kerr_qubit.model").read_text())
-    doc["spaces"]["mode"]["n_max"] = 20
-    kerr20 = written / "kerr_qubit_n20.model"
-    kerr20.write_text(json.dumps(doc))
+    kerr = {}
+    for n_max in (20, 150):
+        doc["spaces"]["mode"]["n_max"] = n_max
+        kerr[n_max] = written / f"kerr_qubit_n{n_max}.model"
+        kerr[n_max].write_text(json.dumps(doc))
+    g1, g2, g3, g4 = 0.3 * np.random.default_rng(16).standard_normal((4, 8, 8))
+    blocks = {"Gamma1": g1 - np.eye(8), "Gamma2": g2, "Gamma3": g3, "Gamma4": g4 - np.eye(8)}
+    gamma = written / "gamma16.json"
+    gamma.write_text(json.dumps({name: b.tolist() for name, b in blocks.items()}))
     return [
-        ["evolve", str(kerr20), "--model", "full", "--k", "2", "--dt", "1e-4", "--t-end", "2e-3",
+        ["evolve", str(kerr[20]), "--model", "full", "--k", "2", "--dt", "1e-4", "--t-end", "2e-3",
          "--initial", "basis:1", "--out", "kerr20_full.csv"],
+        ["evolve", str(kerr[150]), "--model", "full", "--k", "2", "--dt", "1e-5", "--t-end",
+         "1e-4", "--initial", "basis:1", "--out", "kerr150_full.csv"],
+        ["converge", str(kerr[150]), "--ks", "2,4", "--t-end", "2e-5", "--dt", "1e-5",
+         "--initial", "basis:1", "--out", "kerr150_conv.csv"],
+        ["linstab", str(gamma), "--ks", "1,5,10,50", "--out", "stab16.csv"],
     ]
 
 
 # (slow dimension, channels, oscillators, Fock truncation), seeded by position
 OSCILLATOR_CASES = [
     (2, 2, 1, 3), (3, 2, 2, 4), (2, 3, 2, 5), (3, 4, 3, 3), (2, 3, 3, 4), (3, 4, 1, 5),
+    (3, 2, 1, 50),
 ]
 
 
@@ -143,15 +163,20 @@ def oscillator_outputs():
         yield f"oscillator/{seed}/eliminated", triple_bytes(res.zeno_triple)
 
 
-def evolve_outputs():
-    """Yield (name, bytes) for ``evolve`` on a seeded d = 24 random triple,
-    one channel, with unit-norm coupling and Hamiltonian."""
+def random_24():
+    """A seeded d = 24 random triple, one channel, with unit-norm coupling
+    and Hamiltonian, and a seeded initial state."""
     rng = np.random.default_rng(24)
     sp = HilbertSpace((24,))
     l, h = random_complex_matrix(rng, 24), random_hermitian(rng, 24)
     g = SLHTriple(((identity(sp),),), (Operator(sp, l / np.linalg.norm(l, 2)),),
                   Operator(sp, h / np.linalg.norm(h, 2)))
-    res = evolve(g, DensityMatrix(sp, random_density_matrix(rng, 24)), 0.02, 1e-3)
+    return g, DensityMatrix(sp, random_density_matrix(rng, 24))
+
+
+def evolve_outputs():
+    """Yield (name, bytes) for ``evolve`` on ``random_24``."""
+    res = evolve(*random_24(), 0.02, 1e-3)
     yield "evolve/random_24", b"".join(
         x.tobytes() for x in (res.times, res.rho, res.trace_drift, res.hermiticity_drift)
     )
@@ -174,7 +199,7 @@ def main():
     models = Path(args.models).resolve()
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as written:
         out = Path(tmp)
-        for argv in [*examples(models), *k_form_examples(models, Path(written))]:
+        for argv in [*examples(models), *written_examples(models, Path(written))]:
             argv = _under(argv, out)
             with redirect_stdout(StringIO()):
                 code = cli(argv)

@@ -85,19 +85,23 @@ strength k against the limit model on the Zeno subspace: the full state
 is compressed with the Zeno isometry, renormalized by its trace, and the
 trace distance to the limit-model state at the same time is reported.
 The full-model step is scaled by 1/k^2 because the fast rates grow as
-k^2.  On the dense and banded paths the full-model runs, one per k, are
-split into W bins by longest processing time on their step counts; the
-caller steps the limit model and the lightest bin, and each other bin
-runs in a child made with ``os.fork``, which sends its final states back
-through a pipe.
-Each run is the same arithmetic in whichever process steps it, so the
-points do not depend on W.  W is the largest number, at most min(usable
-CPUs, runs), for which every forked bin takes at least
-``_FORK_MIN_STEPS`` steps, and the harness forks only when the process
-runs one thread (BLAS's threads count: one BLAS thread, e.g.
-``OPENBLAS_NUM_THREADS=1``, leaves one).  The GEMM form
-(``"matrix_free"``) never forks, since forked runs there oversubscribe
-BLAS; banded stages are elementwise numpy, with no BLAS pool to share.
+k^2.  The full-model runs, one per k, are split into W bins by longest
+processing time on their step counts; the caller steps the limit model
+and the lightest bin, and each other bin runs in a child made with
+``os.fork``, which sends its final states back through a pipe.  Each run
+picks its own path (``_method``) and is the same arithmetic in whichever
+process steps it, so the points do not depend on W.  W is the largest
+number, at most min(usable CPUs, runs), for which every forked bin takes
+``_FORK_MIN_STEPS`` steps' worth of work at d = 6, counting a step as d^2
+but never less than a step at d = 6, whose cost is its numpy calls (4096
+steps up to d = 6, 7 at d = 150).  The harness forks only when the
+process runs one thread, BLAS's threads counted (``_one_thread``).
+OpenBLAS starts its pool at import, so a process that may fork runs one
+BLAS thread (``OPENBLAS_NUM_THREADS=1``), and so does each child, on any
+path.  A BLAS that starts its threads at its first product instead (an
+OpenMP build, or OpenBLAS once this process has forked, which stops its
+pool) is not yet running them when the harness counts, so pin it too
+(``OMP_NUM_THREADS=1``), or forked GEMM-form runs oversubscribe the CPUs.
 The bins' children and the CSV writers' formatter child (``outputs``)
 are forked, signalled and reaped by the same code (``_workers``,
 ``_fork``).
@@ -178,10 +182,12 @@ _BLOCK = 256
 _BLOCK_BYTES = 2**19
 
 # convergence_harness forks a bin of its runs only when each forked bin
-# takes at least this many steps: a fork and the collection of its result
-# took 2.0-3.2 ms with numpy loaded, about 1300 steps at d = 6 (2.0-2.4 us
-# a step; numpy 2.4, 2-core x86-64 host), so a forked bin saves about three
-# times what it costs, and a bin of 15 000 steps ten times.
+# takes at least this many steps' worth of work at d = 6, a step counted as
+# d^2 but never less than a d = 6 step (``_plan``): a fork and the
+# collection of its result took 2.0-3.2 ms with numpy loaded, about 1300
+# steps at d = 6 (2.0-2.4 us a step; numpy 2.4, 2-core x86-64 host), so a
+# forked bin saves about three times what it costs, and a bin of 15 000
+# steps ten times.  At d = 150 the bound is 7 banded steps, about 7 ms.
 # A constant, not a setting: it changes the cost of a run, never its result
 _FORK_MIN_STEPS = 4096
 
@@ -393,7 +399,8 @@ def _structure(h, l):
     """(n, K diagonals, pairs) of a model whose Hamiltonian and n couplings
     have their nonzero entries where the masks h (d, d) and l (n, d, d) do:
     the pairs (o, p) of diagonal offsets of one L_i, and the diagonals that
-    K = -1/2 sum_i L_i^H L_i - i H can have, those of H and each p - o."""
+    K = -1/2 sum_i L_i^H L_i - i H can have, those of H and each p - o.
+    ``_evolve`` takes it of each segment's model for ``_method``."""
     pairs = {(o, p) for li in l for offs in (_diagonals(li),) for o in offs for p in offs}
     return len(l), set(_diagonals(h)) | {p - o for o, p in pairs}, pairs
 
@@ -591,28 +598,21 @@ def _trace_drift(x, d: int):
     return np.abs(np.add.reduce(x[..., :: d + 1], axis=-1).real - 1.0)
 
 
-def _choose_method(d: int) -> str:
-    """``"dense"`` or ``"matrix_free"`` for ``evolve`` at dimension d."""
-    return "dense" if d <= DENSE_MAX_DIM else "matrix_free"
-
-
 def _method(d: int, structures) -> str:
     """The stepping path of a run at dimension d whose models have the
-    ``_structure``s of the iterable given (a piecewise run's segments, or
-    the k of a ``convergence_harness``), which is read only above
-    ``DENSE_MAX_DIM``: ``_choose_method``'s, but ``"banded"`` for its
-    ``"matrix_free"`` when (1 + 2n) d >= ``_BANDED_RATIO`` (K diagonals +
-    pairs), counted over the union of the structures (n the most channels
-    of any)."""
-    method = _choose_method(d)
-    if method == "matrix_free" and d > DENSE_MAX_DIM:
-        structures = list(structures)
-        n = max(s[0] for s in structures)
-        terms = len(set().union(*(s[1] for s in structures)))
-        terms += len(set().union(*(s[2] for s in structures)))
-        if (1 + 2 * n) * d >= _BANDED_RATIO * terms:
-            return "banded"
-    return method
+    ``_structure``s of the iterable given (a piecewise run's segments),
+    which is read only above ``DENSE_MAX_DIM``: ``"dense"`` up to it, and
+    above it ``"banded"`` when (1 + 2n) d >= ``_BANDED_RATIO`` (K diagonals
+    + pairs), counted over the union of the structures (n the most channels
+    of any), else ``"matrix_free"``.  The one rule of every run's path, so
+    a test forces a path by patching this function."""
+    if d <= DENSE_MAX_DIM:
+        return "dense"
+    structures = list(structures)
+    n = max(s[0] for s in structures)
+    terms = len(set().union(*(s[1] for s in structures)))
+    terms += len(set().union(*(s[2] for s in structures)))
+    return "banded" if (1 + 2 * n) * d >= _BANDED_RATIO * terms else "matrix_free"
 
 
 def _step_grid(t_end: float, dt: float):
@@ -890,17 +890,19 @@ def _forkable() -> bool:
     return hasattr(os, "fork") and _one_thread() and _usable_cpus() >= 2
 
 
-def _plan(steps, method: str) -> list:
-    """The bins of ``convergence_harness``'s runs, which take ``steps`` steps
-    on the stepping path ``method``, the first the caller's: when the path
-    is dense or banded and the process may fork (``_forkable``), the
-    ``_bins`` of the largest W <= min(usable CPUs, runs) whose bins but the
-    first each take at least ``_FORK_MIN_STEPS`` steps; else (or with no
-    such W > 1) one bin of every run."""
-    if method in ("dense", "banded") and _forkable():
+def _plan(steps, d: int) -> list:
+    """The bins of ``convergence_harness``'s runs at dimension d, which take
+    ``steps`` steps, the first the caller's: when the process may fork
+    (``_forkable``), the ``_bins`` of the largest W <= min(usable CPUs, runs)
+    whose bins but the first each take ``_FORK_MIN_STEPS`` steps' worth of
+    d = 6 work, a step costing d^2 but never less than one at d = 6, so at
+    least ceil(``_FORK_MIN_STEPS`` 36 / max(36, d^2)) steps; else (or with
+    no such W > 1) one bin of every run."""
+    if _forkable():
+        least = -(-_FORK_MIN_STEPS * 36 // max(36, d * d))
         for workers in range(min(_usable_cpus(), len(steps)), 1, -1):
             bins = _bins(steps, workers)
-            if min(sum(steps[i] for i in b) for b in bins[1:]) >= _FORK_MIN_STEPS:
+            if min(sum(steps[i] for i in b) for b in bins[1:]) >= least:
                 return bins
     return [list(range(len(steps)))]
 
@@ -1062,16 +1064,14 @@ def convergence_harness(
     :func:`zeno_eliminate`.  Every k's step grid is checked before the
     first step.
 
-    The k runs are independent: on the dense and banded paths they are
-    split over up to one process per usable CPU, forked after the
-    elimination (see the module docstring), and each point records its
-    ``worker``.  The plan's path is picked from the diagonals of the
-    family's coefficients; no k's model has a diagonal they lack, so each
-    run of a banded plan steps banded.  The points and the errors are
-    those of a serial run: the elimination's, then the limit run's, then
-    that of the first k whose run fails.  A child that ends without its
-    result raises :class:`WorkerError`; no child outlives
-    the call.
+    The k runs are independent: they are split over up to one process per
+    usable CPU, forked after the elimination, by their step counts and the
+    family's dimension alone (``_plan``, see the module docstring), and
+    each point records its ``worker`` and the ``method`` its run picked.
+    The points and the errors are those of a serial run: the
+    elimination's, then the limit run's, then that of the first k whose
+    run fails.  A child that ends without its result raises
+    :class:`WorkerError`; no child outlives the call.
     """
     if rho0_z.space != split.zeno_space:
         raise ValueError("initial state must live on the Zeno subspace")
@@ -1097,10 +1097,7 @@ def convergence_harness(
             out[i] = (res.rho[-1], res.n_steps, res.method, worker)
         return out
 
-    # every k's model has its nonzero entries where some coefficient does
-    h = (family.H2.mat != 0) | (family.H1.mat != 0) | (family.H0.mat != 0)
-    structure = _structure(h, (family.l1 != 0) | (family.l0 != 0))
-    bins = _plan(steps, _method(family.space.dim, [structure]))
+    bins = _plan(steps, family.space.dim)
     with _forked([partial(run_bin, w, b) for w, b in enumerate(bins[1:], 1)]) as collect:
         zeno_final = evolve(limit.zeno_triple, rho0_z, t_end, dt, save_every=MAX_STEPS).rho[-1]
         results = run_bin(0, bins[0])

@@ -253,19 +253,19 @@ def _counting_step(ops: _Ops, x, dt: float, u, out=None):
     rate = np.add.reduce(w.rate_diag, axis=-1).real  # tr(x L_c^H L_c)
     p = rate * dt
     jumped, error = u < p, None
+    any_jump = np.count_nonzero(jumped)  # as any(), without its Python wrapper
     bad = ~(p <= JUMP_PROBABILITY_GUARD)  # a NaN p is over the guard
-    if np.count_nonzero(bad):  # as any(), without its Python wrapper
+    if any_jump:
+        bad |= jumped & (_trace(w.jump).real < 1e-14)
+    if np.count_nonzero(bad):
         i = int(np.argmax(bad))
-        error = StepSizeError(
-            f"jump probability per step {p[i]:.3f} exceeds {JUMP_PROBABILITY_GUARD}; reduce dt"
-        )
-        x, rate, jumped, w = x[:i], rate[:i], jumped[:i], ops.workspace(i)
-    any_jump = np.count_nonzero(jumped)
-    if any_jump and (bad := jumped & (_trace(w.jump).real < 1e-14)).any():
-        i = int(np.argmax(bad))  # lower than any member over the guard
         error = ValueError("jump attempted from a state with zero jump probability")
+        if not p[i] <= JUMP_PROBABILITY_GUARD:  # the guard's error where member i has both
+            error = StepSizeError(f"jump probability per step {p[i]:.3f} exceeds "
+                                  f"{JUMP_PROBABILITY_GUARD}; reduce dt")
+        # any_jump may still count jumps of the members dropped here: the
+        # jump branch then selects no member
         x, rate, jumped, w = x[:i], rate[:i], jumped[:i], ops.workspace(i)
-        any_jump = np.count_nonzero(jumped)
     if out is not None:
         out = out[: len(x)]
     drift = np.subtract(w.jump, np.multiply(rate[:, None, None], x, out=w.a), out=w.a)
@@ -322,7 +322,7 @@ def simulate_ensemble(
     blocks = _ensemble_blocks(g, rho0, config, n_trajectories)
     members, n = int(n_trajectories), config.n_steps
     homodyne = config.scheme == "homodyne"
-    times = np.linspace(0.0, config.t_end, n + 1)
+    times = _grid_times(config.t_end, n, 0, n + 1)
     times.setflags(write=False)
     rho = np.empty((members, n + 1, g.dim, g.dim), dtype=complex)
     rho[:, 0] = rho0.mat

@@ -429,7 +429,7 @@ def test_converge_manifest_method_is_that_of_its_runs(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "convergence_harness", recorded)
     # a path the dimension rule would not pick, so the manifest can only
     # have read it from the runs
-    monkeypatch.setattr(master, "_choose_method", lambda d: "matrix_free")
+    monkeypatch.setattr(master, "_method", lambda *args: "matrix_free")
     out = tmp_path / "c.csv"
     assert main(["converge", KERR, "--ks", "2,4", "--t-end", "0.01", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())

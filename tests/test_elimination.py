@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -745,27 +743,6 @@ def test_elimination_method_is_chosen_by_dimension_alone():
     assert elimination._elimination_method(bound + 1) == "blocks"
     fam, split = kerr_family()
     assert zeno_eliminate(fam, split).method == "full_space"
-
-
-def _digest_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "csv_digests.py"
-    spec = importlib.util.spec_from_file_location("csv_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_full_space_order_covers_every_digested_elimination():
-    # every d at which scripts/csv_digests.py eliminates must take the
-    # full-space order, whose bytes tests/csv_digests.txt pins: the shipped
-    # models its commands read, and slow_dim * trunc^m of its oscillator cases
-    script = _digest_script()
-    models = {a for argv in script.examples(MODELS) for a in argv if a.endswith(".model")}
-    dims = [load_model(m).family.dim for m in sorted(models)]
-    dims += [slow * trunc**m for slow, _, m, trunc in script.OSCILLATOR_CASES]
-    assert len(models) == 3 and max(dims) == 128
-    assert all(d <= elimination.FULL_SPACE_MAX_DIM for d in dims)
-    assert all(elimination._elimination_method(d) == "full_space" for d in dims)
 
 
 # ---------------------------------------------------------------------------

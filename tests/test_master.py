@@ -314,10 +314,10 @@ def test_matrix_free_matches_dense_and_expm_multiply(monkeypatch, dim, n_channel
     g = scaled_triple(rng, dim, n_channels)
     rho0 = DensityMatrix(g.space, random_density_matrix(rng, dim))
     t_end, dt = 0.05, 1e-3
-    monkeypatch.setattr(master, "_choose_method", lambda *args: "matrix_free")
+    monkeypatch.setattr(master, "_method", lambda *args: "matrix_free")
     free = evolve(g, rho0, t_end, dt, save_every=save_every)
     assert free.method == "matrix_free"
-    monkeypatch.setattr(master, "_choose_method", lambda *args: "dense")
+    monkeypatch.setattr(master, "_method", lambda *args: "dense")
     dense = evolve(g, rho0, t_end, dt, save_every=save_every)
     assert dense.method == "dense"
     np.testing.assert_array_equal(free.times, dense.times)
@@ -336,7 +336,7 @@ def abort_messages(monkeypatch, g, rho0, t_end, dt):
     messages = []
     for method in ("dense", "matrix_free"):
         with monkeypatch.context() as m:
-            m.setattr(master, "_choose_method", lambda *args: method)
+            m.setattr(master, "_method", lambda *args: method)
             with np.errstate(all="ignore"), pytest.raises(StepSizeError) as err:
                 evolve(g, rho0, t_end, dt)
         messages.append(str(err.value))
@@ -361,13 +361,15 @@ def test_trace_drift_abort_is_the_same_on_both_paths(monkeypatch):
 
 
 def test_method_selection_rule():
-    choose = master._choose_method
-    # the digested outputs all run at d <= 12
+    # the digested dense outputs all run at d <= 12
     assert master.DENSE_MAX_DIM >= 12
+    rng = np.random.default_rng(19)
     for d in range(1, master.DENSE_MAX_DIM + 1):
-        assert choose(d) == "dense"
+        assert master._method(d, [_structure_of(scaled_triple(rng, d, 2))]) == "dense"
+    # above it a random triple, whose operators fill every diagonal, takes
+    # the GEMM K form
     for d in (master.DENSE_MAX_DIM + 1, 30, 54, 150):
-        assert choose(d) == "matrix_free"
+        assert master._method(d, [_structure_of(scaled_triple(rng, d, 2))]) == "matrix_free"
     # the path depends on d alone: at d = 12 one step and 500 steps, with
     # 0, 1 and 4 channels, are all dense
     rng = np.random.default_rng(12)
@@ -450,13 +452,13 @@ def test_matrix_free_steps_the_hermitian_part_of_rho0(monkeypatch):
     herm = 0.5 * (m + m.conj().T)
     x = random_hermitian(rng, 13)
     rho0 = DensityMatrix(g.space, herm + 1e-11j * x / np.max(np.abs(x)))
-    monkeypatch.setattr(master, "_choose_method", lambda *args: "matrix_free")
+    monkeypatch.setattr(master, "_method", lambda *args: "matrix_free")
     free = evolve(g, rho0, 0.05, 1e-3)
     np.testing.assert_array_equal(free.rho[0], rho0.mat)
     # the run is that of the Hermitian part, bit for bit, after the first row
     from_herm = evolve(g, DensityMatrix(g.space, herm), 0.05, 1e-3)
     np.testing.assert_array_equal(free.rho[1:], from_herm.rho[1:])
-    monkeypatch.setattr(master, "_choose_method", lambda *args: "dense")
+    monkeypatch.setattr(master, "_method", lambda *args: "dense")
     dense = evolve(g, rho0, 0.05, 1e-3)
     assert np.max(np.abs(free.rho - dense.rho)) < 1e-12
 
@@ -477,10 +479,10 @@ def stepping_model(monkeypatch, rng, dim, method):
     """The model of a bit-exactness check on the path ``method``: the Kerr
     cavity of the evolve_dense workload, which ``_method`` steps banded at
     n_max = dim > DENSE_MAX_DIM, or a random model on the dense or GEMM path,
-    which ``_choose_method`` is patched to pick."""
+    which ``_method`` is patched to pick."""
     if method == "banded":
         return instantiate(kerr_family(n_max=dim, chi0=0.03)[0], 2.0)
-    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    monkeypatch.setattr(master, "_method", lambda *args: method)
     return scaled_triple(rng, dim, 2)
 
 
@@ -629,7 +631,7 @@ def test_vec_space_abort_matches_matrix_space(monkeypatch):
     for g, level, t_end, dt in cases:
         rho0 = basis_state_density(sp, level)
         for method in ("dense", "matrix_free"):
-            monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+            monkeypatch.setattr(master, "_method", lambda *args: method)
             with np.errstate(all="ignore"):
                 with pytest.raises(StepSizeError) as got:
                     evolve(g, rho0, t_end, dt)
@@ -703,7 +705,7 @@ def test_abort_inside_a_block_matches_matrix_space(monkeypatch):
     rho0 = basis_state_density(QUBIT, 1)
     t_end, dt = 300 * 0.1, 0.1
     for method in ("dense", "matrix_free"):
-        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        monkeypatch.setattr(master, "_method", lambda *args: method)
         with pytest.raises(StepSizeError) as got:
             evolve(g, rho0, t_end, dt, save_every=master.MAX_STEPS)
         with pytest.raises(StepSizeError) as want:
@@ -723,7 +725,7 @@ def test_abort_leaks_no_warning_from_steps_past_it(monkeypatch):
     g = SLHTriple(((identity(a.space),),), (np.sqrt(80.0) * a,), zero(a.space))
     rho0 = basis_state_density(a.space, 12)
     for method in ("dense", "matrix_free"):
-        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        monkeypatch.setattr(master, "_method", lambda *args: method)
         for t_end in (10.0, 40.0):
             with np.errstate(all="ignore"), pytest.raises(StepSizeError) as want:
                 matrix_space_reference(g, rho0, t_end, 0.5, master.MAX_STEPS, method)
@@ -742,7 +744,7 @@ def test_floating_point_errors_before_an_abort_reach_the_caller(monkeypatch):
     g = SLHTriple(((identity(a.space),),), (a,), 1e200 * (a + a.dag()))
     rho0 = basis_state_density(a.space, 1)
     for method in ("dense", "matrix_free"):
-        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        monkeypatch.setattr(master, "_method", lambda *args: method)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             matrix_space_reference(g, rho0, 0.01, 1e-3, master.MAX_STEPS, method)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
@@ -822,7 +824,7 @@ def test_evolve_piecewise_is_the_chained_runs_bit_for_bit(monkeypatch, method):
     rng = np.random.default_rng(21)
     g1, g2, g3 = (scaled_triple(rng, 5, n) for n in (2, 1, 0))
     rho0 = DensityMatrix(g1.space, random_density_matrix(rng, 5))
-    monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+    monkeypatch.setattr(master, "_method", lambda *args: method)
     dt = 2.0**-10
     schedule = [(g1, (master._BLOCK - 1) * dt), (g2, 0.0), (g3, (master._BLOCK + 1) * dt)]
     res = evolve_piecewise(schedule, rho0, dt)
@@ -848,7 +850,7 @@ def test_abort_in_a_later_segment_is_the_chained_runs_abort(monkeypatch):
     rho0 = basis_state_density(QUBIT, 1)
     g1, g2 = qubit_decay(1.0), qubit_decay(32.0)
     for method in ("dense", "matrix_free"):
-        monkeypatch.setattr(master, "_choose_method", lambda *args: method)
+        monkeypatch.setattr(master, "_method", lambda *args: method)
         first = evolve(g1, rho0, 0.5, 0.1)
         with pytest.raises(StepSizeError) as want:
             evolve(g2, first.final, 30.0, 0.1)
@@ -922,10 +924,23 @@ def test_bins_take_the_longest_run_first_into_the_lightest_bin(monkeypatch):
     for cpus, bins in [(1, 1), (2, 2), (4, 4), (5, 4), (8, 4)]:
         # with 5 bins one child would take 2000 steps, too few to fork for
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert master._plan(steps, "dense") == master._bins(steps, bins)
-        assert master._plan(steps, "matrix_free") == [[0, 1, 2, 3, 4]]
+        assert master._plan(steps, 6) == master._bins(steps, bins)
     monkeypatch.setattr(master, "_one_thread", lambda: False)
-    assert master._plan(steps, "dense") == [[0, 1, 2, 3, 4]]
+    assert master._plan(steps, 6) == [[0, 1, 2, 3, 4]]
+
+
+def test_plan_bounds_a_forked_bin_by_its_work(monkeypatch):
+    monkeypatch.setattr(master, "_one_thread", lambda: True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # CI's d = 150 converge --ks 2,4: 80 and 320 steps, where a forked bin
+    # needs ceil(4096 36 / 150^2) = 7
+    assert master._plan([80, 320], 150) == [[0], [1]]
+    assert master._plan([6, 6], 150) == [[0, 1]]
+    assert master._plan([7, 7], 150) == [[0], [1]]
+    # up to d = 6 a step counts as one at d = 6: the bound stays 4096
+    for d in (1, 2, 6):
+        assert master._plan([4095, 4095], d) == [[0, 1]]
+        assert master._plan([4096, 4096], d) == [[0], [1]]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -975,7 +990,7 @@ def test_failing_bins_raise_the_error_of_a_serial_run(monkeypatch, ks, limit_fai
         _harness(monkeypatch, 2, ks)
     _no_child_left()
     steps = [round(500 * k * k) for k in ks]
-    assert len(master._plan(steps, "dense")) == 2  # k = 6 ran in a child
+    assert len(master._plan(steps, 6)) == 2  # k = 6 ran in a child
 
 
 @pytest.mark.parametrize(
@@ -996,16 +1011,19 @@ def test_a_worker_that_ends_without_its_result_raises_a_typed_error(monkeypatch,
     _no_child_left()
 
 
-def test_a_matrix_free_harness_never_forks(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    # on the dense path k = 6 (4320 steps) would run in a child
-    assert len(master._plan([120, 4320], "dense")) == 2
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(master, "_choose_method", lambda d: "matrix_free")
+def test_a_matrix_free_harness_forks_as_any_other(monkeypatch):
+    # k = 6 (4320 steps) runs in a child on the GEMM K form too, and the
+    # points are those of a serial run, bit for bit
+    monkeypatch.setattr(master, "_method", lambda *args: "matrix_free")
+    serial = _harness(monkeypatch, 1, (1.0, 6.0), 0.12)
     points = _harness(monkeypatch, 2, (1.0, 6.0), 0.12)
-    assert [(p.method, p.worker) for p in points] == [("matrix_free", 0)] * 2
+    _no_child_left()
+    assert len(master._plan([120, 4320], 6)) == 2
+    assert [(p.method, p.worker) for p in points] == [("matrix_free", 0), ("matrix_free", 1)]
+    assert [(p.distance.hex(), p.leaked_trace.hex()) for p in points] == [
+        (p.distance.hex(), p.leaked_trace.hex()) for p in serial
+    ]
+    assert points == serial
 
 
 def test_a_generator_that_is_not_finite_names_its_term():
@@ -1150,7 +1168,7 @@ def test_a_banded_harness_forks_its_bins(monkeypatch):
     steps = [500, 2000, 4500, 8000, 18000]
     monkeypatch.setattr(master, "_one_thread", lambda: True)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert master._plan(steps, "banded") == master._bins(steps, 2)
+    assert master._plan(steps, 20) == master._bins(steps, 2)
     # a d = 20 Kerr sweep: k = 3 (4500 steps) runs in a child, on the banded
     # path, and its point is that of a serial run
     fam, split = kerr_family(n_max=20)

@@ -145,6 +145,38 @@ def test_counting_zero_weight_jump_is_an_error():
         counting_step(g, rho, 0, 1e-3, -0.1)  # forces the jump branch
 
 
+def _counting_error(x, dt, u):
+    """The stack x stepped once by sigma_- decay at unit rate: the number of
+    members whose results come back, and the error."""
+    from zenoslh import trajectories
+
+    g = SLHTriple(((identity(QUBIT),),), (SIGMA_OP,), zero(QUBIT))
+    nxt, jumped, rate, error = trajectories._counting_step(
+        trajectories._Ops(g, 0, False), np.array(x, dtype=complex), dt, np.array(u))
+    assert len(nxt) == len(jumped) == len(rate)
+    return len(nxt), error
+
+
+def test_a_counting_member_over_the_guard_with_a_zero_weight_jump_fails_the_guard():
+    # member 1 jumps (p = 1e-16 dt = 1) from a state whose jump weight
+    # 1e-16 is below 1e-14: over the guard and zero-weight at one index
+    dark, faint = np.diag([1.0, 0.0]), np.diag([1.0, 1e-16])
+    kept, error = _counting_error([dark, faint], 1e16, [0.5, 0.5])
+    assert kept == 1 and type(error) is StepSizeError
+    assert str(error) == "jump probability per step 1.000 exceeds 0.1; reduce dt"
+
+
+def test_a_lower_zero_weight_jump_beats_a_higher_member_over_the_guard():
+    dark, excited = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    # member 1 jumps from the dark state, member 2 has p = 0.5, over the guard
+    kept, error = _counting_error([excited * 0.1, dark, excited], 0.5, [0.9, -0.1, 0.9])
+    assert kept == 1 and type(error) is ValueError
+    assert str(error) == "jump attempted from a state with zero jump probability"
+    # in the other order the guard's member is the lower one
+    kept, error = _counting_error([excited * 0.1, excited, dark], 0.5, [0.9, 0.9, -0.1])
+    assert kept == 1 and type(error) is StepSizeError
+
+
 def test_simulate_seed_reproducibility():
     g = zeno_kerr()
     rho0 = basis_state_density(QUBIT, 1)
